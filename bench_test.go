@@ -2,18 +2,18 @@
 // per figure. Each kernel benchmark reports MLUP/s ("million lattice cell
 // updates per second"), the paper's unit. cmd/benchfig prints the same data
 // as figure-shaped tables at paper-sized blocks; these testing.B targets
-// use moderate blocks so `go test -bench=.` completes quickly.
+// use moderate blocks so `go test -bench=.` completes quickly. Whole-step,
+// scaling, halo, mesh and checkpoint timings are measured with run-to-run
+// spread by the repo benchmark (bench/README.md), not here.
 package phasefield
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/kernels"
-	"repro/internal/mesh"
 	"repro/internal/perfmodel"
 	"repro/internal/solver"
 )
@@ -111,75 +111,10 @@ func BenchmarkFig6Mu(b *testing.B) {
 	}
 }
 
-// --- Figure 7: intranode scaling ----------------------------------------
-
-func BenchmarkFig7Intranode(b *testing.B) {
-	for _, ranks := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
-			bg, err := grid.NewBlockGrid(ranks, 1, 1, benchEdge, benchEdge, benchEdge, [3]bool{true, true, false})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := core.DefaultParams()
-			p.Temp.Z0 = float64(benchEdge) / 2 * p.Dx
-			sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sim.InitScenario(solver.ScenarioInterface); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			sim.Run(b.N)
-			b.StopTimer()
-			cells := float64(ranks * benchEdge * benchEdge * benchEdge)
-			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
-		})
-	}
-}
-
-// --- Intra-block parallel sweep scaling -----------------------------------
-
-// BenchmarkParallelScaling measures whole-timestep MLUP/s of a single 40³
-// interface-scenario block at 1/2/4/8 sweep workers. Speedup beyond worker
-// count 1 requires GOMAXPROCS >= workers (run with GOMAXPROCS unset on a
-// multi-core machine); on fewer cores the numbers degenerate to serial rate
-// minus scheduling overhead.
-func BenchmarkParallelScaling(b *testing.B) {
-	const edge = 40
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			bg, err := grid.NewBlockGrid(1, 1, 1, edge, edge, edge, [3]bool{true, true, false})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := core.DefaultParams()
-			p.Temp.Z0 = float64(edge) / 2 * p.Dx
-			sim, err := solver.New(solver.Config{
-				Params: p, BG: bg, Variant: kernels.VarShortcut,
-				Overlap: solver.OverlapMu, Parallelism: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			if err := sim.InitScenario(solver.ScenarioInterface); err != nil {
-				b.Fatal(err)
-			}
-			sim.Run(1) // warm-up: spin up workers, populate comm buffers
-			b.ResetTimer()
-			sim.Run(b.N)
-			b.StopTimer()
-			cells := float64(edge * edge * edge)
-			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
-		})
-	}
-}
-
 // --- Figure 8: communication hiding --------------------------------------
 
 func BenchmarkFig8Comm(b *testing.B) {
-	for _, mode := range []solver.OverlapMode{solver.OverlapNone, solver.OverlapMu, solver.OverlapPhi, solver.OverlapBoth} {
+	for _, mode := range []solver.OverlapMode{solver.OverlapNone, solver.OverlapMu} {
 		b.Run(mode.String(), func(b *testing.B) {
 			bg, err := grid.NewBlockGrid(2, 2, 1, benchEdge, benchEdge, benchEdge, [3]bool{true, true, false})
 			if err != nil {
@@ -218,176 +153,11 @@ func BenchmarkFig9Model(b *testing.B) {
 	_ = sink
 }
 
-// --- End-to-end and substrate benchmarks ---------------------------------
-
-func BenchmarkFullTimestep(b *testing.B) {
-	sim, err := New(DefaultConfig(24, 24, 32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.InitProduction(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	sim.Run(b.N)
-	b.StopTimer()
-	cells := float64(24 * 24 * 32)
-	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
-}
-
-func BenchmarkHaloExchange(b *testing.B) {
-	f, ctx, _ := benchSetup(b, solver.ScenarioInterface)
-	bs := grid.AllPeriodic()
-	bs[grid.ZMin] = grid.BC{Kind: grid.BCNeumann}
-	bs[grid.ZMax] = grid.BC{Kind: grid.BCNeumann}
-	_ = ctx
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bs.Apply(f.PhiSrc)
-	}
-}
-
 func BenchmarkSimplexProjection(b *testing.B) {
 	phi := [core.NPhases]float64{0.4, 0.35, 0.3, 0.05}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := phi
 		core.ProjectSimplex(&p)
-	}
-}
-
-func BenchmarkMeshExtract(b *testing.B) {
-	sim, err := New(DefaultConfig(24, 24, 24))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.InitFront(); err != nil {
-		b.Fatal(err)
-	}
-	phi := sim.GlobalPhi()
-	bs := grid.AllNeumann()
-	bs.Apply(phi)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := mesh.ExtractPhase(phi, 0, mesh.Vec3{}, false)
-		if m.NumTris() == 0 {
-			b.Fatal("no triangles")
-		}
-	}
-}
-
-func BenchmarkMeshSimplify(b *testing.B) {
-	sim, err := New(DefaultConfig(24, 24, 24))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.InitFront(); err != nil {
-		b.Fatal(err)
-	}
-	phi := sim.GlobalPhi()
-	bs := grid.AllNeumann()
-	bs.Apply(phi)
-	ref := mesh.ExtractPhase(phi, 0, mesh.Vec3{}, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := &mesh.Mesh{Verts: append([]mesh.Vec3(nil), ref.Verts...), Tris: append([][3]int32(nil), ref.Tris...)}
-		b.StartTimer()
-		mesh.Simplify(m, mesh.SimplifyOptions{TargetTris: ref.NumTris() / 4})
-	}
-}
-
-func BenchmarkCheckpointWrite(b *testing.B) {
-	sim, err := New(DefaultConfig(16, 16, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.InitFront(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.WriteInterfaceSTL(io.Discard, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Active-region sweeping ---------------------------------------------
-
-// cloneBundles deep-copies each rank's field bundle so a RestoreState can
-// rewind the simulation without the benchmark's pristine copy being
-// mutated by subsequent steps.
-func cloneBundles(s *solver.Sim) []*kernels.Fields {
-	out := make([]*kernels.Fields, s.NumRanks())
-	for r := range out {
-		f := s.RankFields(r)
-		out[r] = &kernels.Fields{
-			PhiSrc: f.PhiSrc.Clone(), PhiDst: f.PhiDst.Clone(),
-			MuSrc: f.MuSrc.Clone(), MuDst: f.MuDst.Clone(),
-		}
-	}
-	return out
-}
-
-// benchmarkActiveRegion measures fixed-length runs from a rewound snapshot
-// (rewinds outside the timer), so the measured active fraction stays at the
-// scenario's characteristic value instead of drifting as physics evolves
-// across b.N.
-func benchmarkActiveRegion(b *testing.B, sc solver.Scenario, nz int, disable bool) {
-	const edge = 16
-	const stepsPer = 12
-	bg, err := grid.NewBlockGrid(1, 1, 1, edge, edge, nz, [3]bool{true, true, false})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := core.DefaultParams()
-	p.Temp.Z0 = float64(nz) / 2 * p.Dx
-	s, err := solver.New(solver.Config{Params: p, BG: bg,
-		Variant: kernels.VarShortcut, DisableActiveSweep: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.InitScenario(sc); err != nil {
-		b.Fatal(err)
-	}
-	s.Run(2) // settle the fields and the activity map
-	pristine := s
-	snapshot := cloneBundles(pristine)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := s.RestoreState(0, 0, 0, snapshot); err != nil {
-			b.Fatal(err)
-		}
-		snapshot = cloneBundles(s) // next rewind must not alias live fields
-		b.StartTimer()
-		s.Run(stepsPer)
-	}
-	b.StopTimer()
-	cells := float64(edge * edge * nz)
-	b.ReportMetric(cells*stepsPer*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
-	b.ReportMetric(s.ActiveFraction(), "active_frac")
-}
-
-// BenchmarkActiveRegion contrasts the two compositions activity tracking
-// cares about. "bulk" is the production shape — nuclei at the bottom of a
-// tall melt column, ≲20% of slices active — where skipping sleeping slices
-// should win big. "interface" is the adversarial shape — solid stripes
-// through the whole height, nothing ever sleeps — measuring the tracker's
-// pure overhead. Compare each tracked sub-benchmark against its full twin.
-func BenchmarkActiveRegion(b *testing.B) {
-	cases := []struct {
-		name string
-		sc   solver.Scenario
-		nz   int
-	}{
-		{"bulk", solver.ScenarioProduction, 128},
-		{"interface", solver.ScenarioInterface, 24},
-	}
-	for _, c := range cases {
-		b.Run(c.name+"/tracked", func(b *testing.B) { benchmarkActiveRegion(b, c.sc, c.nz, false) })
-		b.Run(c.name+"/full", func(b *testing.B) { benchmarkActiveRegion(b, c.sc, c.nz, true) })
 	}
 }

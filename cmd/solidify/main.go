@@ -6,15 +6,15 @@
 //
 // Production runs are driven by a JSON schedule (-schedule): nucleation
 // bursts, pull-velocity/gradient/Δt ramps, time-varying boundary conditions
-// (setbc events: wall kind switches and Dirichlet value ramps), kernel-
-// variant switches and periodic checkpoints, applied between timesteps.
+// (setbc events: wall kind switches and Dirichlet value ramps) and
+// periodic checkpoints, applied between timesteps.
 // Several schedule files compose into one run — pass them comma-separated
 // and they merge deterministically (same-step ties fire in file order;
 // conflicting events are rejected). A stopped run resumes from its last
 // checkpoint with -restore, continuing the schedule at the checkpointed
-// position (and may switch kernel variants at that boundary via
-// -variant-override); version-3 checkpoints carry the active per-face BC
-// state, so a restart mid-BC-ramp resumes with bit-identical wall values.
+// position with the checkpointed kernel variant; checkpoints carry the
+// active per-face BC state, so a restart mid-BC-ramp resumes with
+// bit-identical wall values.
 //
 // A run spreads its ranks over several machines with -peers/-proc: start
 // the same command line on every host, each with its own -proc index into
@@ -66,10 +66,9 @@ func main() {
 	window := flag.Bool("window", true, "enable the moving window")
 	par := flag.Int("par", 0, "total sweep workers for intra-block parallelism (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "Voronoi seed")
-	schedPath := flag.String("schedule", "", "JSON production schedule(s), comma-separated and composed in order (bursts, ramps, BC events, variant switches, checkpoints)")
+	schedPath := flag.String("schedule", "", "JSON production schedule(s), comma-separated and composed in order (bursts, ramps, BC events, checkpoints)")
 	recordPath := flag.String("record", "", "write the applied-event audit log as a replayable schedule JSON file at exit")
 	restorePath := flag.String("restore", "", "resume from this checkpoint instead of a fresh init")
-	variantOverride := flag.String("variant-override", "", "on -restore, switch both kernels to this variant (general|basic|simd|tz|stag|shortcut)")
 	reshard := flag.String("reshard", "", "on -restore, re-decompose the checkpoint onto this rank grid (PXxPY or PXxPYxPZ) before resuming — elastic restart on a different-sized cluster")
 	peers := flag.String("peers", "", "comma-separated listen addresses of every process in a network-distributed run, indexed by -proc; empty runs all ranks in this process")
 	proc := flag.Int("proc", 0, "this process' index into -peers")
@@ -121,22 +120,13 @@ func main() {
 	var sim *phasefield.Simulation
 	var err error
 	if *restorePath != "" {
-		// Start from the production defaults (µ-overlap, shortcut
-		// kernels) — the domain and decomposition come from the
-		// checkpoint header, the kernel selection from the header's
-		// version-2 fields when present.
+		// Start from the production defaults (µ-overlap) — the domain,
+		// decomposition and kernel variant come from the checkpoint
+		// header.
 		cfg := phasefield.DefaultConfig(0, 0, 0)
 		cfg.MovingWindow = *window
 		cfg.Parallelism = *par
 		cfg.Distributed = dist
-		if *variantOverride != "" {
-			v, perr := schedule.ParseVariant(*variantOverride)
-			if perr != nil {
-				fatal(perr)
-			}
-			cfg.Variant = v
-			cfg.IgnoreCheckpointKernels = true
-		}
 		if *reshard != "" {
 			rx, ry, rz, perr := parseGrid(*reshard)
 			if perr != nil {

@@ -11,11 +11,11 @@
 // This package is the facade over the internal subsystems — see
 // ARCHITECTURE.md for the full layering:
 //
-//	kernels  — the φ/µ sweep variants of the optimization ladder
+//	kernels  — the φ/µ sweeps (production kernel + the ladder as apparatus)
 //	solver   — timestep loop, intra-block parallel sweep engine, window
-//	schedule — typed production events (bursts, ramps, switches, BCs)
+//	schedule — typed production events (bursts, ramps, BC events)
 //	comm     — the in-process MPI analogue: staged halo exchange
-//	ckpt     — versioned checkpoint containers (V1–V4)
+//	ckpt     — versioned checkpoint containers (V3 float32, V4 float64)
 //	jobd     — the multi-job orchestration daemon and campaign engine
 //
 // # Quick start

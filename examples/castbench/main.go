@@ -1,16 +1,14 @@
 // Castbench: the production scenario-schedule workload. The paper's §5
 // production runs are not fixed-parameter benchmarks — the furnace program
 // ramps the pull velocity and thermal gradient, grains nucleate in bursts
-// ahead of the front, long runs stop and restart from single-precision
-// checkpoints, and a restart may switch kernel variants. This example
-// drives all of that through one JSON schedule (schedule.json, embedded):
+// ahead of the front, and long runs stop and restart from single-precision
+// checkpoints. This example drives all of that through one JSON schedule
+// (schedule.json, embedded):
 //
 //   - pull velocity v ramps 0.02→0.05 over the first 300 steps while the
 //     gradient G ramps 0.005→0.008;
 //   - two nucleation bursts seed fresh grains in the melt (one mixed per
 //     the eutectic fractions, one pinned to a single solid phase);
-//   - the kernels climb the optimization ladder mid-run (stag → shortcut),
-//     exercising restart-time variant switching without a restart;
 //   - a checkpoint is written every 100 steps; the run then restores the
 //     mid-ramp checkpoint and verifies the continued trajectory tracks the
 //     uninterrupted one.
@@ -62,16 +60,14 @@ func main() {
 	}
 
 	const steps = 400
-	fmt.Printf("running %d scheduled steps (v ramp, G ramp, 2 bursts, 2 switches, ckpt/100)\n", steps)
+	fmt.Printf("running %d scheduled steps (v ramp, G ramp, 2 bursts, ckpt/100)\n", steps)
 	for done := 0; done < steps; done += 100 {
 		if err := sim.RunSchedule(sched, 100, opt); err != nil {
 			log.Fatal(err)
 		}
-		phi, mu, _, _ := sim.Kernels()
-		fmt.Printf("step %4d  t=%7.2f  v=%.4f G=%.4f  solid=%.3f  window=%d  kernels φ=%s µ=%s\n",
+		fmt.Printf("step %4d  t=%7.2f  v=%.4f G=%.4f  solid=%.3f  window=%d\n",
 			sim.Step(), sim.Time(), sim.Params().Temp.V, sim.Params().Temp.G,
-			sim.SolidFraction(), sim.WindowShift(),
-			schedule.VariantName(phi), schedule.VariantName(mu))
+			sim.SolidFraction(), sim.WindowShift())
 	}
 
 	// Restart from the mid-ramp checkpoint and verify the continued

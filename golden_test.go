@@ -16,7 +16,7 @@ import (
 
 // The golden-trajectory regression harness: a small deterministic
 // production schedule — nucleation burst, pull-velocity ramp, moving-window
-// shift, kernel-variant switch, mid-ramp checkpoint — is run for a fixed
+// shift, mid-ramp checkpoint — is run for a fixed
 // number of steps and its solid-fraction/µ-norm series compared against a
 // committed fixture. The kernel equivalence tests prove the variants agree
 // with each other; only this harness catches a regression that moves all
@@ -76,8 +76,8 @@ var goldenBCRamp = schedule.SetBC{Step: 12, Over: 16, Face: grid.ZMin, Field: sc
 
 // goldenSchedule drives every event class the engine supports: a velocity
 // ramp spanning the checkpoint step (so the restart resumes mid-ramp), a
-// burst that pushes the front past the window trigger, a variant switch,
-// the mid-run checkpoint itself, and — composed in as a separate
+// burst that pushes the front past the window trigger, the mid-run
+// checkpoint itself, and — composed in as a separate
 // boundary-environment schedule, exercising Compose on the production
 // path — a µ-wall Dirichlet ramp plus a φ top-wall switch.
 func goldenSchedule(t *testing.T, ckptPath string) *schedule.Schedule {
@@ -85,7 +85,6 @@ func goldenSchedule(t *testing.T, ckptPath string) *schedule.Schedule {
 	base, err := schedule.New(
 		schedule.Ramp{Param: schedule.ParamPullVelocity, Step: 0, Over: 30, From: 0.02, To: 0.05},
 		schedule.NucleationBurst{Step: 10, Count: 3, Phase: -1, Radius: 2.5, ZMin: 10, ZMax: 16, Seed: 7},
-		schedule.SwitchVariant{Step: 26, Phi: kernels.VarShortcut, Mu: kernels.VarShortcut, Strategy: schedule.StrategyKeep},
 		schedule.Checkpoint{Every: goldenCkptStep, Path: ckptPath},
 	)
 	if err != nil {
@@ -182,11 +181,8 @@ func TestGoldenTrajectory(t *testing.T) {
 	if last.WindowShift == 0 {
 		t.Fatal("golden run never shifted the window")
 	}
-	if sim.SchedulePos() != 2 {
-		t.Fatalf("golden run fired %d one-shot events, want 2", sim.SchedulePos())
-	}
-	if phi, _, _, _ := sim.Kernels(); phi != kernels.VarShortcut {
-		t.Fatal("golden run did not switch variants")
+	if sim.SchedulePos() != 1 {
+		t.Fatalf("golden run fired %d one-shot events, want 1", sim.SchedulePos())
 	}
 	midCkpt := fmt.Sprintf(ckptPath, goldenCkptStep)
 	if _, err := os.Stat(midCkpt); err != nil {
@@ -213,7 +209,7 @@ func TestGoldenTrajectory(t *testing.T) {
 		fx := goldenFixture{
 			Description: "16x16x24 production run (PX=2, moving window): " +
 				"v ramp 0.02→0.05 over steps 0–30, 3-nucleus burst at step 10, " +
-				"stag→shortcut switch at step 26, checkpoint at step 20, " +
+				"stag kernels throughout, checkpoint at step 20, " +
 				"composed BC leg (µ bottom wall ramp over steps 12–28, " +
 				"φ top wall → dirichlet at step 32)",
 			Steps: goldenSteps, SampleEvery: goldenEvery, CheckpointStep: goldenCkptStep,
@@ -255,8 +251,8 @@ func TestGoldenTrajectory(t *testing.T) {
 	if restored.Step() != fx.CheckpointStep {
 		t.Fatalf("restored at step %d, want %d", restored.Step(), fx.CheckpointStep)
 	}
-	if phi, _, _, _ := restored.Kernels(); phi != kernels.VarStag {
-		t.Fatalf("restored kernel %v, want pre-switch stag", phi)
+	if restored.cfg.Variant != kernels.VarStag {
+		t.Fatalf("restored kernel %v, want the checkpointed stag", restored.cfg.Variant)
 	}
 	// The V3 header must have carried the mid-ramp wall state bit-exactly:
 	// the last BC application before the checkpointed step ran at step
@@ -276,7 +272,4 @@ func TestGoldenTrajectory(t *testing.T) {
 	restartSamples, _ := runGolden(t, restored, sched, goldenSteps)
 	tail := fx.Samples[fx.CheckpointStep/fx.SampleEvery:]
 	compareSamples(t, "restart", restartSamples, tail, fx.TolRestart, fx.TolRestart)
-	if phi, _, _, _ := restored.Kernels(); phi != kernels.VarShortcut {
-		t.Error("restarted run did not re-fire the variant switch")
-	}
 }

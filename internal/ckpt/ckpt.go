@@ -18,17 +18,14 @@ import (
 )
 
 // Magic identifies checkpoint files; Version the current header layout.
-// Older files remain readable: version-1 (fixed-parameter runs) and
-// version-2 (schedule state, no BC state) headers are upgraded on read with
-// the missing extension fields marked unspecified. Version 4 shares the
-// version-3 header layout but stores the fields in full double precision —
-// the lossless form the job daemon uses for preemption snapshots, where the
-// resumed trajectory must be bit-identical to an uninterrupted run (a disk
-// checkpoint keeps the paper's single-precision format).
+// Versions 3 and 4 share one header layout: version 3 stores the fields in
+// the paper's single precision, version 4 in full double precision — the
+// lossless form the job daemon uses for preemption snapshots, where the
+// resumed trajectory must be bit-identical to an uninterrupted run. The
+// version-1 and version-2 layouts (no writer has emitted them since version
+// 3) are no longer readable.
 const (
 	Magic    = 0x50464350 // "PFCP"
-	Version1 = 1
-	Version2 = 2
 	Version3 = 3
 	Version4 = 4
 	Version  = Version3
@@ -54,36 +51,27 @@ func (p Precision) String() string {
 	return "float32"
 }
 
-// VariantUnspecified marks the kernel-state fields of headers read from
-// version-1 files (the restart keeps its configured kernels).
-const VariantUnspecified = -1
-
-// BCUnspecified marks the per-face BC entries of headers read from version-1
-// and version-2 files (the restart keeps its configured boundary set).
-const BCUnspecified = -1
-
 // MaxBCComps is the widest per-face Dirichlet payload the fixed-width BC
 // entries can carry: the φ field prescribes one wall value per phase.
 const MaxBCComps = kernels.NP
 
 // FaceBC is the fixed-width wire form of one face's boundary condition.
-// Kind is a grid.BCKind (or BCUnspecified on upgraded older headers); the
-// first NVals entries of Vals are the Dirichlet wall values.
+// Kind is a grid.BCKind; the first NVals entries of Vals are the Dirichlet
+// wall values.
 type FaceBC struct {
 	Kind  int32
 	NVals int32
 	Vals  [MaxBCComps]float64
 }
 
-// Header describes a checkpoint. The version-2 extension carries the
+// Header describes a checkpoint. Beyond the decomposition it carries the
 // runtime state a fixed configuration cannot reproduce: the schedule
-// position (one-shot events already fired), the active kernel selection
-// (a restart may legally keep it or switch variants at the boundary), and
-// the mutable process parameters (Δt, thermal gradient G, pull velocity V
-// and the compensated isotherm offset Z0) so a run restarted mid-ramp
-// resumes bit-compatibly. The version-3 extension adds the active per-face
-// boundary conditions of both fields, so a run restarted mid-BC-ramp (a
-// scheduled SetBC event) resumes with bit-identical wall state.
+// position (one-shot events already fired), the kernel variant the run was
+// built with, the mutable process parameters (Δt, thermal gradient G, pull
+// velocity V and the compensated isotherm offset Z0) so a run restarted
+// mid-ramp resumes bit-compatibly, and the active per-face boundary
+// conditions of both fields, so a run restarted mid-BC-ramp (a scheduled
+// SetBC event) resumes with bit-identical wall state.
 type Header struct {
 	Step        int64
 	Time        float64
@@ -91,42 +79,11 @@ type Header struct {
 	PX, PY, PZ  int32 // decomposition
 	BX, BY, BZ  int32 // block extents
 
-	// Version 2 fields. On version-1 files the variants read as
-	// VariantUnspecified and the parameters as NaN.
 	SchedulePos int64
-	PhiVariant  int32
-	MuVariant   int32
-	PhiStrategy int32 // pinned Fig. 5 φ strategy, VariantUnspecified = none
-	Dt          float64
-	TempG       float64
-	TempV       float64
-	TempZ0      float64
-
-	// Version 3 fields: the live boundary condition of every block face
-	// for the φ and µ fields. On older files every Kind reads as
-	// BCUnspecified.
-	PhiBC [grid.NumFaces]FaceBC
-	MuBC  [grid.NumFaces]FaceBC
-}
-
-// headerV1 is the wire layout of version-1 headers.
-type headerV1 struct {
-	Step        int64
-	Time        float64
-	WindowShift int64
-	PX, PY, PZ  int32
-	BX, BY, BZ  int32
-}
-
-// headerV2 is the wire layout of version-2 headers (schedule state and
-// mutable process parameters, no BC state).
-type headerV2 struct {
-	Step        int64
-	Time        float64
-	WindowShift int64
-	PX, PY, PZ  int32
-	BX, BY, BZ  int32
-	SchedulePos int64
+	// The three kernel slots of the frozen wire layout. A simulation has one
+	// variant for its whole life, so a writer stores it in both variant
+	// slots and -1 (no pinned Fig. 5 strategy) in the third; use SetVariant
+	// and Variant rather than the raw fields.
 	PhiVariant  int32
 	MuVariant   int32
 	PhiStrategy int32
@@ -134,51 +91,34 @@ type headerV2 struct {
 	TempG       float64
 	TempV       float64
 	TempZ0      float64
+
+	// The live boundary condition of every block face for the φ and µ
+	// fields.
+	PhiBC [grid.NumFaces]FaceBC
+	MuBC  [grid.NumFaces]FaceBC
 }
 
-// unspecifiedBCs fills both BC arrays with BCUnspecified entries.
-func unspecifiedBCs(h *Header) {
-	for f := range h.PhiBC {
-		h.PhiBC[f].Kind = BCUnspecified
-		h.MuBC[f].Kind = BCUnspecified
-	}
+// SetVariant records the kernel variant the simulation was built with.
+func (h *Header) SetVariant(v kernels.Variant) {
+	h.PhiVariant, h.MuVariant, h.PhiStrategy = int32(v), int32(v), -1
 }
 
-// upgrade lifts a version-2 header into the current layout.
-func (h2 *headerV2) upgrade() Header {
-	h := Header{
-		Step: h2.Step, Time: h2.Time, WindowShift: h2.WindowShift,
-		PX: h2.PX, PY: h2.PY, PZ: h2.PZ,
-		BX: h2.BX, BY: h2.BY, BZ: h2.BZ,
-		SchedulePos: h2.SchedulePos,
-		PhiVariant:  h2.PhiVariant,
-		MuVariant:   h2.MuVariant,
-		PhiStrategy: h2.PhiStrategy,
-		Dt:          h2.Dt,
-		TempG:       h2.TempG,
-		TempV:       h2.TempV,
-		TempZ0:      h2.TempZ0,
+// Variant returns the kernel variant a restart must be built with. Files
+// written while kernels were switchable at run time may carry different φ
+// and µ variants or a pinned φ strategy; those no longer describe a
+// runnable simulation and are rejected.
+func (h *Header) Variant() (kernels.Variant, error) {
+	if h.PhiVariant != h.MuVariant {
+		return 0, fmt.Errorf("ckpt: header records different φ and µ kernel variants (%d, %d); per-kernel run-time switching was removed, a simulation has one variant",
+			h.PhiVariant, h.MuVariant)
 	}
-	unspecifiedBCs(&h)
-	return h
-}
-
-// upgrade lifts a version-1 header into the current layout.
-func (h1 *headerV1) upgrade() Header {
-	h2 := headerV2{
-		Step: h1.Step, Time: h1.Time, WindowShift: h1.WindowShift,
-		PX: h1.PX, PY: h1.PY, PZ: h1.PZ,
-		BX: h1.BX, BY: h1.BY, BZ: h1.BZ,
-		SchedulePos: 0,
-		PhiVariant:  VariantUnspecified,
-		MuVariant:   VariantUnspecified,
-		PhiStrategy: VariantUnspecified,
-		Dt:          math.NaN(),
-		TempG:       math.NaN(),
-		TempV:       math.NaN(),
-		TempZ0:      math.NaN(),
+	if h.PhiStrategy != -1 {
+		return 0, fmt.Errorf("ckpt: header pins φ vectorization strategy %d; strategy pinning was removed with run-time kernel switching", h.PhiStrategy)
 	}
-	return h2.upgrade()
+	if h.PhiVariant < 0 || h.PhiVariant >= int32(kernels.NumVariants) {
+		return 0, fmt.Errorf("ckpt: header records unknown kernel variant %d", h.PhiVariant)
+	}
+	return kernels.Variant(h.PhiVariant), nil
 }
 
 // EncodeBCs packs a boundary set into the header's fixed-width form.
@@ -193,8 +133,7 @@ func EncodeBCs(b grid.BoundarySet) [grid.NumFaces]FaceBC {
 }
 
 // DecodeBCs unpacks header BC entries into a boundary set. ok is false when
-// the entries are unspecified (file older than version 3) or malformed; the
-// caller then keeps its configured boundary set.
+// the entries are malformed.
 func DecodeBCs(e [grid.NumFaces]FaceBC) (grid.BoundarySet, bool) {
 	var out grid.BoundarySet
 	for f := grid.Face(0); f < grid.NumFaces; f++ {
@@ -314,18 +253,6 @@ func ReadPrecision(r io.Reader) (Header, []*kernels.Fields, Precision, error) {
 	var h Header
 	prec := Float32
 	switch version {
-	case Version1:
-		var h1 headerV1
-		if err := binary.Read(br, binary.LittleEndian, &h1); err != nil {
-			return Header{}, nil, Float32, err
-		}
-		h = h1.upgrade()
-	case Version2:
-		var h2 headerV2
-		if err := binary.Read(br, binary.LittleEndian, &h2); err != nil {
-			return Header{}, nil, Float32, err
-		}
-		h = h2.upgrade()
 	case Version3, Version4:
 		if version == Version4 {
 			prec = Float64
@@ -333,11 +260,9 @@ func ReadPrecision(r io.Reader) (Header, []*kernels.Fields, Precision, error) {
 		if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
 			return Header{}, nil, prec, err
 		}
-		// A version-3/4 writer always emits well-formed BC entries; a
-		// malformed one is corruption, not an older layout — failing
-		// here keeps the unspecified-BC fallback exclusive to genuine
-		// v1/v2 upgrades (a restart silently dropping checkpointed wall
-		// state would diverge the trajectory).
+		// A writer always emits well-formed BC entries; a malformed one is
+		// corruption (a restart silently dropping checkpointed wall state
+		// would diverge the trajectory).
 		if _, ok := DecodeBCs(h.PhiBC); !ok {
 			return Header{}, nil, Float32, fmt.Errorf("ckpt: corrupt φ boundary-condition state")
 		}
@@ -345,7 +270,7 @@ func ReadPrecision(r io.Reader) (Header, []*kernels.Fields, Precision, error) {
 			return Header{}, nil, Float32, fmt.Errorf("ckpt: corrupt µ boundary-condition state")
 		}
 	default:
-		return Header{}, nil, Float32, fmt.Errorf("ckpt: unsupported version %d", version)
+		return Header{}, nil, Float32, fmt.Errorf("ckpt: unsupported version %d (this build reads versions %d and %d)", version, Version3, Version4)
 	}
 	if h.PX <= 0 || h.PY <= 0 || h.PZ <= 0 || h.BX <= 0 || h.BY <= 0 || h.BZ <= 0 {
 		return Header{}, nil, Float32, fmt.Errorf("ckpt: corrupt header %+v", h)

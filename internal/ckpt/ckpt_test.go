@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -69,7 +70,7 @@ func TestFloat64RoundTripExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	fields := randomFields(rng, 2, 5, 4, 6)
 	h := Header{Step: 7, Time: 1.25, PX: 2, PY: 1, PZ: 1, BX: 5, BY: 4, BZ: 6,
-		SchedulePos: 1, PhiVariant: 3, MuVariant: 3, PhiStrategy: VariantUnspecified,
+		SchedulePos: 1, PhiVariant: 3, MuVariant: 3, PhiStrategy: -1,
 		Dt: 0.001, TempG: 1, TempV: 0.02, TempZ0: 8}
 	h.PhiBC = EncodeBCs(randomBCs(rng, kernels.NP))
 	h.MuBC = EncodeBCs(randomBCs(rng, kernels.NR))
@@ -162,59 +163,6 @@ func TestTruncatedCheckpoint(t *testing.T) {
 	}
 }
 
-// writeLegacyV1 serializes a version-1 checkpoint (the pre-schedule layout:
-// no schedule position, kernel state or process parameters) so the reader's
-// upgrade path stays covered after the version bump.
-func writeLegacyV1(w *bytes.Buffer, h Header, fields []*kernels.Fields) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(Magic)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(Version1)); err != nil {
-		return err
-	}
-	h1 := headerV1{Step: h.Step, Time: h.Time, WindowShift: h.WindowShift,
-		PX: h.PX, PY: h.PY, PZ: h.PZ, BX: h.BX, BY: h.BY, BZ: h.BZ}
-	if err := binary.Write(w, binary.LittleEndian, &h1); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		if err := writeField(w, f.PhiSrc, Float32); err != nil {
-			return err
-		}
-		if err := writeField(w, f.MuSrc, Float32); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeLegacyV2 serializes a version-2 checkpoint (schedule state, no BC
-// state) so the reader's upgrade path stays covered after the version bump.
-func writeLegacyV2(w *bytes.Buffer, h Header, fields []*kernels.Fields) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(Magic)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(Version2)); err != nil {
-		return err
-	}
-	h2 := headerV2{Step: h.Step, Time: h.Time, WindowShift: h.WindowShift,
-		PX: h.PX, PY: h.PY, PZ: h.PZ, BX: h.BX, BY: h.BY, BZ: h.BZ,
-		SchedulePos: h.SchedulePos, PhiVariant: h.PhiVariant, MuVariant: h.MuVariant,
-		PhiStrategy: h.PhiStrategy, Dt: h.Dt, TempG: h.TempG, TempV: h.TempV, TempZ0: h.TempZ0}
-	if err := binary.Write(w, binary.LittleEndian, &h2); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		if err := writeField(w, f.PhiSrc, Float32); err != nil {
-			return err
-		}
-		if err := writeField(w, f.MuSrc, Float32); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // randomBCs draws a random physical boundary set of the given Dirichlet
 // arity.
 func randomBCs(rng *rand.Rand, ncomp int) grid.BoundarySet {
@@ -236,11 +184,12 @@ func randomBCs(rng *rand.Rand, ncomp int) grid.BoundarySet {
 	return b
 }
 
-// Property test: for random headers and fields — written in the current
-// layout or as legacy version-1/version-2 files — Write→Read must reproduce
+// Property test: for random headers and fields Write→Read must reproduce
 // the header exactly and every field value within the single-precision
-// round trip, and any truncation of the byte stream must error, never yield
-// a silently short state.
+// round trip; any truncation of the byte stream must error, never yield a
+// silently short state; the same bytes relabelled as the retired version-1
+// or version-2 layout are refused; and the header's kernel slots resolve to
+// a variant exactly when they describe a one-variant simulation.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 24; trial++ {
@@ -263,72 +212,51 @@ func TestRoundTripProperty(t *testing.T) {
 			PhiBC: EncodeBCs(phiBCs),
 			MuBC:  EncodeBCs(muBCs),
 		}
-		version := trial%3 + 1 // 1, 2 or 3
 
 		var buf bytes.Buffer
-		var err error
-		switch version {
-		case 1:
-			err = writeLegacyV1(&buf, h, fields)
-		case 2:
-			err = writeLegacyV2(&buf, h, fields)
-		default:
-			err = Write(&buf, h, fields)
-		}
-		if err != nil {
+		if err := Write(&buf, h, fields); err != nil {
 			t.Fatal(err)
 		}
 		raw := append([]byte(nil), buf.Bytes()...)
 
 		h2, fields2, err := Read(&buf)
 		if err != nil {
-			t.Fatalf("trial %d (v%d): %v", trial, version, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if version == 1 {
-			if h2.SchedulePos != 0 || h2.PhiVariant != VariantUnspecified ||
-				h2.MuVariant != VariantUnspecified || h2.PhiStrategy != VariantUnspecified {
-				t.Fatalf("trial %d: V1 upgrade got %+v", trial, h2)
+		for _, old := range []uint32{1, 2} {
+			relabelled := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(relabelled[4:], old)
+			if _, _, err := Read(bytes.NewReader(relabelled)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+				t.Fatalf("trial %d: version-%d file: got %v, want unsupported version", trial, old, err)
 			}
-			if !math.IsNaN(h2.Dt) || !math.IsNaN(h2.TempG) || !math.IsNaN(h2.TempV) || !math.IsNaN(h2.TempZ0) {
-				t.Fatalf("trial %d: V1 params not NaN: %+v", trial, h2)
-			}
-			// The shared V1 prefix must survive.
-			h2.SchedulePos, h2.PhiVariant, h2.MuVariant, h2.PhiStrategy = h.SchedulePos, h.PhiVariant, h.MuVariant, h.PhiStrategy
-			h2.Dt, h2.TempG, h2.TempV, h2.TempZ0 = h.Dt, h.TempG, h.TempV, h.TempZ0
 		}
-		if version < 3 {
-			if _, ok := DecodeBCs(h2.PhiBC); ok {
-				t.Fatalf("trial %d: v%d file decoded BC state", trial, version)
+		v, verr := h2.Variant()
+		if oneVariant := h.PhiVariant == h.MuVariant && h.PhiStrategy == -1; oneVariant != (verr == nil) {
+			t.Fatalf("trial %d: kernel slots (%d,%d,%d): Variant() error %v", trial, h.PhiVariant, h.MuVariant, h.PhiStrategy, verr)
+		} else if oneVariant && int32(v) != h.PhiVariant {
+			t.Fatalf("trial %d: Variant() = %d, want %d", trial, v, h.PhiVariant)
+		}
+		gotPhi, ok := DecodeBCs(h2.PhiBC)
+		if !ok {
+			t.Fatalf("trial %d: V3 BC state did not decode", trial)
+		}
+		gotMu, ok := DecodeBCs(h2.MuBC)
+		if !ok {
+			t.Fatalf("trial %d: V3 µ BC state did not decode", trial)
+		}
+		for f := range gotPhi {
+			if gotPhi[f].Kind != phiBCs[f].Kind || gotMu[f].Kind != muBCs[f].Kind {
+				t.Fatalf("trial %d face %d: BC kind round trip %v/%v, want %v/%v",
+					trial, f, gotPhi[f].Kind, gotMu[f].Kind, phiBCs[f].Kind, muBCs[f].Kind)
 			}
-			for f := range h2.PhiBC {
-				if h2.PhiBC[f].Kind != BCUnspecified || h2.MuBC[f].Kind != BCUnspecified {
-					t.Fatalf("trial %d: v%d upgrade left specified BC state %+v", trial, version, h2.PhiBC[f])
+			for i, v := range phiBCs[f].Values {
+				if gotPhi[f].Values[i] != v {
+					t.Fatalf("trial %d face %d: φ wall value %g != %g", trial, f, gotPhi[f].Values[i], v)
 				}
 			}
-			h2.PhiBC, h2.MuBC = h.PhiBC, h.MuBC
-		} else {
-			gotPhi, ok := DecodeBCs(h2.PhiBC)
-			if !ok {
-				t.Fatalf("trial %d: V3 BC state did not decode", trial)
-			}
-			gotMu, ok := DecodeBCs(h2.MuBC)
-			if !ok {
-				t.Fatalf("trial %d: V3 µ BC state did not decode", trial)
-			}
-			for f := range gotPhi {
-				if gotPhi[f].Kind != phiBCs[f].Kind || gotMu[f].Kind != muBCs[f].Kind {
-					t.Fatalf("trial %d face %d: BC kind round trip %v/%v, want %v/%v",
-						trial, f, gotPhi[f].Kind, gotMu[f].Kind, phiBCs[f].Kind, muBCs[f].Kind)
-				}
-				for i, v := range phiBCs[f].Values {
-					if gotPhi[f].Values[i] != v {
-						t.Fatalf("trial %d face %d: φ wall value %g != %g", trial, f, gotPhi[f].Values[i], v)
-					}
-				}
-				for i, v := range muBCs[f].Values {
-					if gotMu[f].Values[i] != v {
-						t.Fatalf("trial %d face %d: µ wall value %g != %g", trial, f, gotMu[f].Values[i], v)
-					}
+			for i, v := range muBCs[f].Values {
+				if gotMu[f].Values[i] != v {
+					t.Fatalf("trial %d face %d: µ wall value %g != %g", trial, f, gotMu[f].Values[i], v)
 				}
 			}
 		}

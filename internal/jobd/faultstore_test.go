@@ -19,6 +19,13 @@ import (
 // a restarted daemon serving each terminal job byte-identically or not at
 // all — never torn, never a manifest pointing at a missing or partial
 // blob.
+//
+// Ordering the suites rely on (see ARCHITECTURE.md "Failure model"): a
+// runner publishes the terminal state, *then* attempts the spill, *then*
+// closes the job's metrics subscribers. Polling /jobs/{id} for "done"
+// therefore says nothing about the spill; each test waits on the event it
+// asserts — the injector reporting the crash, or the daemon counting the
+// failed spill — both of which imply "done" was already published.
 
 // degradedServer runs a daemon over a store whose filesystem fails per
 // the rules, plus an HTTP front so the suites assert through the API.
@@ -105,12 +112,13 @@ func TestTornSpillNeverVisible(t *testing.T) {
 			TornBytes: 100, Err: faultfs.ErrInjected})
 
 	st := submit(t, ts.URL, smallSpec("torn"))
-	waitFor(t, "job to finish", 30*time.Second, func() bool {
-		var now Status
-		getJSON(t, ts.URL+"/jobs/"+st.ID, &now)
-		return now.State == StateDone
+	waitFor(t, "the torn write to fail the first spill", 30*time.Second, func() bool {
+		return s1.spillFailsTotal.Load() >= 1
 	})
-	_, mem := getBytes(t, ts.URL+"/jobs/"+st.ID+"/result")
+	rcode, mem := getBytes(t, ts.URL+"/jobs/"+st.ID+"/result")
+	if rcode != http.StatusOK || len(mem) == 0 {
+		t.Fatalf("result not served from memory after the failed spill: %d", rcode)
+	}
 
 	waitFor(t, "flusher to land the spill after the torn write", 30*time.Second, func() bool {
 		code, _ := getBytes(t, ts.URL+"/healthz")
@@ -162,19 +170,16 @@ func TestSpillCrashPointTable(t *testing.T) {
 					&faultfs.Rule{Op: op, After: after, Times: 1, Crash: true})
 
 				st := submit(t, ts.URL, smallSpec("crash"))
-				waitFor(t, "job to finish", 30*time.Second, func() bool {
-					var now Status
-					getJSON(t, ts.URL+"/jobs/"+st.ID, &now)
-					return now.State == StateDone
+				waitFor(t, fmt.Sprintf("crash point %s/%d to fire", op, after), 30*time.Second, func() bool {
+					crashed, _ := inj.Crashed()
+					return crashed
 				})
+				if _, at := inj.Crashed(); !strings.Contains(at, op) {
+					t.Fatalf("crashed at %q, want op %s", at, op)
+				}
 				code, mem := getBytes(t, ts.URL+"/jobs/"+st.ID+"/result")
 				if code != http.StatusOK {
 					t.Fatalf("pre-crash result: %d", code)
-				}
-				if crashed, at := inj.Crashed(); !crashed {
-					t.Fatalf("crash point %s/%d never fired", op, after)
-				} else if !strings.Contains(at, op) {
-					t.Fatalf("crashed at %q, want op %s", at, op)
 				}
 
 				// "Restart": a fresh daemon over the frozen directory state,
@@ -254,15 +259,12 @@ func TestCrashBeforeManifestReclaimsOrphanedBlobs(t *testing.T) {
 	s1, ts, inj := degradedServer(t, dir,
 		&faultfs.Rule{Op: faultfs.OpRename, After: 2, Times: 1, Crash: true})
 
-	st := submit(t, ts.URL, smallSpec("orphan"))
-	waitFor(t, "job to finish", 30*time.Second, func() bool {
-		var now Status
-		getJSON(t, ts.URL+"/jobs/"+st.ID, &now)
-		return now.State == StateDone
+	submit(t, ts.URL, smallSpec("orphan"))
+	waitFor(t, "the manifest-rename crash point to fire", 30*time.Second, func() bool {
+		crashed, _ := inj.Crashed()
+		return crashed
 	})
-	if crashed, at := inj.Crashed(); !crashed {
-		t.Fatal("manifest-rename crash point never fired")
-	} else if !strings.Contains(at, faultfs.OpRename) {
+	if _, at := inj.Crashed(); !strings.Contains(at, faultfs.OpRename) {
 		t.Fatalf("crashed at %q, want a rename", at)
 	}
 	if n := countObjects(t, dir); n < 2 {

@@ -2,10 +2,10 @@ package kernels
 
 // kernels.go is the public dispatch surface: one entry point per kernel,
 // selecting the optimization-ladder variant, plus the Fig. 5 vectorization
-// strategies and the Algorithm-2 split sweeps. Every kernel also has a
-// *Range form restricted to the z-slab [z0,z1), the unit of intra-block
-// parallelism: disjoint slabs write disjoint destination slices, so multiple
-// workers (each with its own Scratch) may sweep one block concurrently. At a
+// strategies. Every kernel also has a *Range form restricted to the z-slab
+// [z0,z1), the unit of intra-block parallelism: disjoint slabs write
+// disjoint destination slices, so multiple workers (each with its own
+// Scratch) may sweep one block concurrently. At a
 // slab's first slice the staggered z-buffers are invalid, so the stag and
 // shortcut variants recompute that slice's low z-face fluxes instead of
 // reusing a neighbor worker's buffer — bitwise identical to the serial sweep
@@ -87,51 +87,14 @@ func MuSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
 	case VarGeneral:
 		muSweepGeneral(ctx, f, z0, z1)
 	case VarBasic:
-		muSweepScalar(ctx, f, sc, muOpts{withJat: true}, z0, z1)
+		muSweepScalar(ctx, f, sc, muOpts{}, z0, z1)
 	case VarSIMD:
-		muSweepFourCell(ctx, f, sc, muOpts{withJat: true, simdCSE: true}, z0, z1)
+		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true}, z0, z1)
 	case VarTz:
-		muSweepFourCell(ctx, f, sc, muOpts{withJat: true, simdCSE: true, tz: true}, z0, z1)
+		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true}, z0, z1)
 	case VarStag:
-		muSweepFourCell(ctx, f, sc, muOpts{withJat: true, simdCSE: true, tz: true, stag: true}, z0, z1)
+		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true, stag: true}, z0, z1)
 	default: // VarShortcut
-		muSweepFourCell(ctx, f, sc, muOpts{withJat: true, simdCSE: true, tz: true, stag: true, shortcut: true}, z0, z1)
+		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true, stag: true, shortcut: true}, z0, z1)
 	}
-}
-
-// MuSweepLocal computes the µ update without the anti-trapping current
-// (Algorithm 2, line 6): it depends on φ(t+Δt) only locally, so the φ ghost
-// exchange can overlap it.
-func MuSweepLocal(ctx *Ctx, f *Fields, sc *Scratch, v Variant) {
-	MuSweepLocalRange(ctx, f, sc, v, 0, f.MuSrc.NZ)
-}
-
-// MuSweepLocalRange is MuSweepLocal restricted to the z-slab [z0,z1).
-func MuSweepLocalRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
-	z0, z1 = clampRange(f.MuSrc.NZ, z0, z1)
-	if z0 >= z1 {
-		return
-	}
-	o := muOpts{withJat: false, simdCSE: v >= VarSIMD, tz: v >= VarTz, stag: v >= VarStag, shortcut: v >= VarShortcut}
-	if v >= VarSIMD {
-		muSweepFourCell(ctx, f, sc, o, z0, z1)
-		return
-	}
-	muSweepScalar(ctx, f, sc, o, z0, z1)
-}
-
-// MuSweepNeighbor adds the −∇·J_at correction to f.MuDst (Algorithm 2,
-// line 8); it requires the φ(t+Δt) ghost layers.
-func MuSweepNeighbor(ctx *Ctx, f *Fields, sc *Scratch, v Variant) {
-	MuSweepNeighborRange(ctx, f, sc, v, 0, f.MuSrc.NZ)
-}
-
-// MuSweepNeighborRange is MuSweepNeighbor restricted to the z-slab [z0,z1).
-func MuSweepNeighborRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
-	z0, z1 = clampRange(f.MuSrc.NZ, z0, z1)
-	if z0 >= z1 {
-		return
-	}
-	o := muOpts{jatOnly: true, simdCSE: v >= VarSIMD, tz: v >= VarTz, stag: v >= VarStag, shortcut: v >= VarShortcut}
-	muSweepScalar(ctx, f, sc, o, z0, z1)
 }

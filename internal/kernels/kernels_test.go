@@ -158,31 +158,6 @@ func testBCsApply(f *grid.Field) {
 	bs.Apply(f)
 }
 
-func TestAlgorithm2SplitEqualsFused(t *testing.T) {
-	const nx, ny, nz = 12, 8, 12
-	p := testParams(nz)
-	ctx := &Ctx{P: p}
-
-	for v := VarBasic; v < NumVariants; v++ {
-		fused := setupInterface(nx, ny, nz, p)
-		PhiSweep(ctx, fused, NewScratch(nx, ny), v)
-		testBCsApply(fused.PhiDst)
-		MuSweep(ctx, fused, NewScratch(nx, ny), v)
-
-		split := setupInterface(nx, ny, nz, p)
-		PhiSweep(ctx, split, NewScratch(nx, ny), v)
-		testBCsApply(split.PhiDst)
-		sc := NewScratch(nx, ny)
-		MuSweepLocal(ctx, split, sc, v)
-		MuSweepNeighbor(ctx, split, sc, v)
-
-		ok, maxd := split.MuDst.InteriorEqual(fused.MuDst, 1e-9)
-		if !ok {
-			t.Errorf("%v: split µ differs from fused by %g", v, maxd)
-		}
-	}
-}
-
 func TestBulkPhaseFieldUnchanged(t *testing.T) {
 	const n = 8
 	p := testParams(n)

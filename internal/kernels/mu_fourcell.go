@@ -16,13 +16,7 @@ import (
 // the high faces of lanes 0–2.
 
 // muSweepFourCell runs the vectorized µ-kernel over the z-slab [z0,z1).
-// jatOnly passes fall back to the scalar kernel (the Algorithm-2 correction
-// sweep is bandwidth-trivial).
 func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
-	if o.jatOnly {
-		muSweepScalar(ctx, f, sc, o, z0, z1)
-		return
-	}
 	p := ctx.P
 	phiS, phiD := f.PhiSrc, f.PhiDst
 	muS, muD := f.MuSrc, f.MuDst

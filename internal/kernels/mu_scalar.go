@@ -17,19 +17,12 @@ const (
 	tolGrad2   = 1e-12 // minimum squared gradient norm
 )
 
-// muOpts selects the µ-kernel's optimizations and its Algorithm-2 split.
+// muOpts selects the µ-kernel's optimizations.
 type muOpts struct {
 	tz       bool // per-slice temperature tables
 	stag     bool // staggered flux buffering
 	shortcut bool // solid-region anti-trapping skip
 	simdCSE  bool // precomputed mobility/susceptibility products (SIMD rung)
-
-	// Algorithm 2 split: withJat=false computes the local part only
-	// (µ-sweep-local); jatOnly adds the −∇·J_at correction afterwards
-	// (µ-sweep-neighbor). The default (withJat=true, jatOnly=false) is
-	// the fused Algorithm-1 kernel.
-	withJat bool
-	jatOnly bool
 }
 
 // interpWeights computes the normalized interpolation weights of a phase
@@ -184,19 +177,11 @@ func (st *muFaceState) jatFlux(x, y, z, axis int, out *[NR]float64) {
 	}
 }
 
-// totalFaceFlux combines diffusive and anti-trapping contributions per the
-// split options: G = M∇µ − J_at (full), M∇µ (local), or −J_at (neighbor).
+// totalFaceFlux combines the diffusive and anti-trapping contributions:
+// G = M∇µ − J_at.
 func (st *muFaceState) totalFaceFlux(x, y, z, axis int, skipJat bool, out *[NR]float64) {
-	if st.o.jatOnly {
-		var j [NR]float64
-		if !skipJat {
-			st.jatFlux(x, y, z, axis, &j)
-		}
-		out[0], out[1] = -j[0], -j[1]
-		return
-	}
 	st.diffFlux(x, y, z, axis, out)
-	if st.o.withJat && !skipJat {
+	if !skipJat {
 		var j [NR]float64
 		st.jatFlux(x, y, z, axis, &j)
 		for k := 0; k < NR; k++ {
@@ -206,8 +191,7 @@ func (st *muFaceState) totalFaceFlux(x, y, z, axis int, skipJat bool, out *[NR]f
 }
 
 // muSweepScalar runs the scalar µ-kernel over the z-slab [z0,z1) of the
-// block interior. In jatOnly mode it adds the anti-trapping correction to an
-// already computed µdst; otherwise it writes µdst from scratch.
+// block interior.
 func muSweepScalar(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
 	p := ctx.P
 	nx, ny := f.MuSrc.NX, f.MuSrc.NY
@@ -305,15 +289,6 @@ func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64, o muO
 			}
 		}
 		chi[k] = s
-	}
-
-	if o.jatOnly {
-		// Algorithm 2 neighbor pass: add the anti-trapping
-		// correction only.
-		for k := 0; k < NR; k++ {
-			muD.Add(k, x, y, z, p.Dt*div[k]/chi[k])
-		}
-		return
 	}
 
 	// Source terms: −Σ_α c_α ∂h_α/∂t − (∂c/∂T)(∂T/∂t).

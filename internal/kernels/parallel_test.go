@@ -97,42 +97,6 @@ func TestMuSweepRangeMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMuSplitRangeMatchesSerial(t *testing.T) {
-	// The Algorithm-2 split sweeps slab-decompose independently: the local
-	// pass writes µdst, the neighbor pass adds the −∇·J_at correction.
-	const nx, ny, nz = 12, 8, 16
-	p := testParams(nz)
-	ctx := &Ctx{P: p}
-
-	mk := func() *Fields {
-		f := setupInterface(nx, ny, nz, p)
-		PhiSweep(ctx, f, NewScratch(nx, ny), VarShortcut)
-		testBCsApply(f.PhiDst)
-		return f
-	}
-
-	for v := VarBasic; v < NumVariants; v++ {
-		ref := mk()
-		sc := NewScratch(nx, ny)
-		MuSweepLocal(ctx, ref, sc, v)
-		MuSweepNeighbor(ctx, ref, sc, v)
-
-		for _, slabs := range []int{2, 4} {
-			f := mk()
-			sweepSlabs(nx, ny, nz, slabs, true, func(sc *Scratch, z0, z1 int) {
-				MuSweepLocalRange(ctx, f, sc, v, z0, z1)
-			})
-			sweepSlabs(nx, ny, nz, slabs, true, func(sc *Scratch, z0, z1 int) {
-				MuSweepNeighborRange(ctx, f, sc, v, z0, z1)
-			})
-			ok, maxd := f.MuDst.InteriorEqual(ref.MuDst, 0)
-			if !ok {
-				t.Errorf("%v, %d slabs: split µ differs from serial by %g", v, slabs, maxd)
-			}
-		}
-	}
-}
-
 func TestPhiStrategyRangeMatchesSerial(t *testing.T) {
 	const nx, ny, nz = 12, 8, 16
 	p := testParams(nz)

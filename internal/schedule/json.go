@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/grid"
-	"repro/internal/kernels"
 )
 
 // json.go is the JSON front-end of the schedule subsystem (the format read
@@ -20,68 +19,17 @@ import (
 //	   "radius": 2.5, "zmin": 40, "zmax": 56, "seed": 7},
 //	  {"type": "ramp",   "param": "v", "step": 0, "over": 800,
 //	   "from": 0.02, "to": 0.05},
-//	  {"type": "switch", "step": 400, "phi": "shortcut", "mu": "stag",
-//	   "strategy": "fourcell"},
 //	  {"type": "setbc",  "step": 300, "over": 200, "face": "z-",
 //	   "field": "mu", "kind": "dirichlet", "from": [0, 0], "to": [0.08, -0.04]},
 //	  {"type": "checkpoint", "every": 500, "path": "out/state_%06d.pfcp"}
 //	]}
 //
-// Variant names follow the optimization ladder: general, basic, simd, tz,
-// stag, shortcut. Strategy names follow Fig. 5: cellwise,
-// cellwise-shortcut, fourcell, plus "off" to unpin. Omitted switch fields
-// keep the current kernel. Face names are "x-", "x+", "y-", "y+", "z-",
-// "z+"; BC kinds are "periodic", "neumann", "dirichlet"; setbc fields are
-// "phi" (4 wall values, one per phase) or "mu" (2, one per reduced
-// chemical potential). "from"/"to" are numbers on a ramp and arrays on a
-// setbc event.
-
-// variantNames maps JSON names to ladder rungs.
-var variantNames = map[string]kernels.Variant{
-	"general":  kernels.VarGeneral,
-	"basic":    kernels.VarBasic,
-	"simd":     kernels.VarSIMD,
-	"tz":       kernels.VarTz,
-	"stag":     kernels.VarStag,
-	"shortcut": kernels.VarShortcut,
-}
-
-// VariantName returns the JSON name of a ladder rung.
-func VariantName(v kernels.Variant) string {
-	for name, vv := range variantNames {
-		if vv == v {
-			return name
-		}
-	}
-	return fmt.Sprintf("variant(%d)", int(v))
-}
-
-// ParseVariant resolves a JSON variant name ("" = KeepVariant).
-func ParseVariant(name string) (kernels.Variant, error) {
-	if name == "" {
-		return KeepVariant, nil
-	}
-	if v, ok := variantNames[strings.ToLower(name)]; ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("schedule: unknown variant %q", name)
-}
-
-var strategyNames = map[string]int{
-	"":                  StrategyKeep,
-	"off":               StrategyOff,
-	"cellwise":          int(kernels.StratCellwise),
-	"cellwise-shortcut": int(kernels.StratCellwiseShortcut),
-	"fourcell":          int(kernels.StratFourCell),
-}
-
-// ParseStrategy resolves a JSON strategy name ("" = StrategyKeep).
-func ParseStrategy(name string) (int, error) {
-	if s, ok := strategyNames[strings.ToLower(name)]; ok {
-		return s, nil
-	}
-	return 0, fmt.Errorf("schedule: unknown strategy %q", name)
-}
+// Face names are "x-", "x+", "y-", "y+", "z-", "z+"; BC kinds are
+// "periodic", "neumann", "dirichlet"; setbc fields are "phi" (4 wall
+// values, one per phase) or "mu" (2, one per reduced chemical potential).
+// "from"/"to" are numbers on a ramp and arrays on a setbc event. The
+// former "switch" event (run-time kernel switching) is rejected: the
+// kernel variant is fixed when the simulation is built.
 
 var paramNames = map[string]Param{
 	"v":        ParamPullVelocity,
@@ -162,7 +110,8 @@ type jsonEvent struct {
 	From  json.RawMessage `json:"from"`
 	To    json.RawMessage `json:"to"`
 
-	// switch
+	// switch (removed): the keys still decode so that a legacy file reaches
+	// toEvent's explanatory error instead of "unknown field".
 	Phi      string `json:"phi"`
 	Mu       string `json:"mu"`
 	Strategy string `json:"strategy"`
@@ -279,19 +228,7 @@ func (je *jsonEvent) toEvent() (Event, error) {
 		return SetBC{Step: je.Step, Over: je.Over, Face: face, Field: field,
 			Kind: kind, From: from, To: to}, nil
 	case "switch":
-		phi, err := ParseVariant(je.Phi)
-		if err != nil {
-			return nil, err
-		}
-		mu, err := ParseVariant(je.Mu)
-		if err != nil {
-			return nil, err
-		}
-		strat, err := ParseStrategy(je.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		return SwitchVariant{Step: je.Step, Phi: phi, Mu: mu, Strategy: strat}, nil
+		return nil, fmt.Errorf("switch events are no longer supported: the kernel variant is fixed when the simulation is built (Config.Variant) and cannot change mid-run; delete the event")
 	case "checkpoint":
 		return Checkpoint{Step: je.Step, Every: je.Every, Path: je.Path}, nil
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/grid"
-	"repro/internal/kernels"
 )
 
 // json_encode.go is the inverse of the JSON front-end: it serializes events
@@ -30,22 +29,6 @@ var kindJSONNames = map[grid.BCKind]string{
 	grid.BCDirichlet: "dirichlet",
 }
 
-// strategyJSONName reverses strategyNames for encodable values;
-// StrategyKeep encodes as the absent field.
-func strategyJSONName(s int) (string, error) {
-	switch s {
-	case StrategyOff:
-		return "off", nil
-	case int(kernels.StratCellwise):
-		return "cellwise", nil
-	case int(kernels.StratCellwiseShortcut):
-		return "cellwise-shortcut", nil
-	case int(kernels.StratFourCell):
-		return "fourcell", nil
-	}
-	return "", fmt.Errorf("schedule: unencodable strategy %d", s)
-}
-
 // encodeEvent lowers one event to its JSON object. Maps marshal with
 // sorted keys, so the output is deterministic.
 func encodeEvent(ev Event) (map[string]any, error) {
@@ -61,22 +44,6 @@ func encodeEvent(ev Event) (map[string]any, error) {
 			"type": "ramp", "param": e.Param.String(), "step": e.Step,
 			"over": e.Over, "from": e.From, "to": e.To,
 		}, nil
-	case SwitchVariant:
-		m := map[string]any{"type": "switch", "step": e.Step}
-		if e.Phi != KeepVariant {
-			m["phi"] = VariantName(e.Phi)
-		}
-		if e.Mu != KeepVariant {
-			m["mu"] = VariantName(e.Mu)
-		}
-		if e.Strategy != StrategyKeep {
-			name, err := strategyJSONName(e.Strategy)
-			if err != nil {
-				return nil, err
-			}
-			m["strategy"] = name
-		}
-		return m, nil
 	case SetBC:
 		face, ok := faceJSONNames[e.Face]
 		if !ok {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/kernels"
 )
 
 // Encoding a schedule and decoding it again must reproduce the same events
@@ -16,7 +15,6 @@ func TestEncodeJSONRoundTrip(t *testing.T) {
 		Ramp{Param: ParamPullVelocity, Step: 0, Over: 100, From: 0.02, To: 0.05},
 		Ramp{Param: ParamGradient, Step: 10, Over: 50, From: 1, To: 2},
 		NucleationBurst{Step: 20, Count: 3, Phase: -1, Radius: 2.5, ZMin: 4, ZMax: 9, Seed: 7},
-		SwitchVariant{Step: 30, Phi: kernels.VarShortcut, Mu: KeepVariant, Strategy: int(kernels.StratFourCell)},
 		SetBC{Step: 5, Over: 40, Face: grid.ZMin, Field: BCMu, Kind: grid.BCDirichlet,
 			From: []float64{0, 0}, To: []float64{0.08, -0.04}},
 		SetBC{Step: 60, Face: grid.ZMax, Field: BCPhi, Kind: grid.BCNeumann},
@@ -42,26 +40,6 @@ func TestEncodeJSONRoundTrip(t *testing.T) {
 	for i := range orig.Events {
 		if !reflect.DeepEqual(orig.Events[i], back.Events[i]) {
 			t.Errorf("event %d: %#v != %#v", i, back.Events[i], orig.Events[i])
-		}
-	}
-}
-
-// Every pinned-strategy and keep/off combination of a switch event must
-// encode; the audit log contains whatever the run applied.
-func TestEncodeJSONSwitchStrategies(t *testing.T) {
-	for _, strat := range []int{StrategyKeep, StrategyOff,
-		int(kernels.StratCellwise), int(kernels.StratCellwiseShortcut), int(kernels.StratFourCell)} {
-		ev := SwitchVariant{Step: 1, Phi: kernels.VarStag, Mu: kernels.VarStag, Strategy: strat}
-		blob, err := EncodeJSON([]Event{ev})
-		if err != nil {
-			t.Fatalf("strategy %d: %v", strat, err)
-		}
-		back, err := FromJSON(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("strategy %d: decode: %v", strat, err)
-		}
-		if got := back.Events[0].(SwitchVariant); got != ev {
-			t.Errorf("strategy %d: %+v != %+v", strat, got, ev)
 		}
 	}
 }

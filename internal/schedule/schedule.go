@@ -1,11 +1,8 @@
 // Package schedule models the time-varying process driving the paper's
 // production runs (§5): directional solidification is not a fixed-parameter
 // benchmark — grains nucleate in bursts, the pull velocity and thermal
-// gradient ramp as the furnace program advances, long runs are stopped and
-// restarted from single-precision checkpoints (§3.2), and a restart may
-// legally switch to a different kernel variant (all variants compute the
-// same physics, so the trajectory is preserved within floating-point
-// tolerance).
+// gradient ramp as the furnace program advances, and long runs are stopped
+// and restarted from single-precision checkpoints (§3.2).
 //
 // A Schedule is an ordered list of typed events applied between timesteps
 // by solver.Sim.RunSchedule:
@@ -17,8 +14,6 @@
 //     step range. Ramp values are pure functions of the step index, so a
 //     run restarted mid-ramp from a checkpoint recomputes bit-identical
 //     coefficients;
-//   - SwitchVariant changes the active φ/µ kernel variants (and optionally
-//     pins a Fig. 5 φ vectorization strategy) at a step boundary;
 //   - SetBC changes the boundary condition of one block face for one field
 //     (φ or µ) — switching the BCKind and, for Dirichlet walls, ramping the
 //     prescribed face values as a pure function of the step index, so a
@@ -26,11 +21,11 @@
 //   - Checkpoint requests periodic state dumps through a caller-supplied
 //     writer hook.
 //
-// One-shot events (bursts, switches) are consumed in order; the count of
-// consumed events is the "schedule position" carried by version-2
-// checkpoint headers so a restart never re-fires a burst. Ramps, SetBC
-// events and checkpoint cadences are stateless functions of the step index
-// and need no position tracking.
+// One-shot events (bursts) are consumed in order; the count of consumed
+// events is the "schedule position" carried by checkpoint headers so a
+// restart never re-fires a burst. Ramps, SetBC events and checkpoint
+// cadences are stateless functions of the step index and need no position
+// tracking.
 //
 // Independent schedules (a furnace program, a boundary-environment program,
 // an instrumentation overlay) compose with Compose, which merges them
@@ -74,26 +69,14 @@ func (p Param) String() string {
 	return fmt.Sprintf("Param(%d)", int(p))
 }
 
-// KeepVariant in a SwitchVariant field leaves that kernel unchanged.
-const KeepVariant kernels.Variant = -1
-
-// Strategy values of SwitchVariant beyond the kernels.PhiStrategy range.
-const (
-	// StrategyKeep leaves the φ strategy pinning unchanged.
-	StrategyKeep = -1
-	// StrategyOff unpins any Fig. 5 strategy and returns the φ-sweep to
-	// variant dispatch.
-	StrategyOff = -2
-)
-
 // Event is one entry of a Schedule.
 type Event interface {
 	// StartStep is the completed-step count at which the event first
 	// applies: an event with StartStep k acts on the step that advances
 	// the simulation from k to k+1 completed steps.
 	StartStep() int
-	// OneShot reports whether the event is consumed once (bursts,
-	// switches) or evaluated every step (ramps, checkpoints).
+	// OneShot reports whether the event is consumed once (bursts) or
+	// evaluated every step (ramps, checkpoints).
 	OneShot() bool
 	validate() error
 }
@@ -205,59 +188,6 @@ func (e Ramp) validate() error {
 
 func (e Ramp) String() string {
 	return fmt.Sprintf("ramp %s %g→%g over steps [%d,%d)", e.Param, e.From, e.To, e.Step, e.Step+e.Over)
-}
-
-// SwitchVariant changes the active kernels at a step boundary. Phi/Mu set
-// the φ-/µ-kernel variants (KeepVariant leaves one unchanged); Strategy
-// pins one of the Fig. 5 φ vectorization strategies (StrategyKeep leaves
-// the pinning unchanged, StrategyOff removes it).
-type SwitchVariant struct {
-	Step     int
-	Phi, Mu  kernels.Variant
-	Strategy int // kernels.PhiStrategy, StrategyKeep, or StrategyOff
-}
-
-// StartStep implements Event: the switch applies at the e.Step boundary.
-func (e SwitchVariant) StartStep() int { return e.Step }
-
-// OneShot implements Event: a switch is consumed once.
-func (e SwitchVariant) OneShot() bool { return true }
-
-func (e SwitchVariant) validate() error {
-	if e.Step < 0 {
-		return fmt.Errorf("schedule: switch at negative step %d", e.Step)
-	}
-	for _, v := range []kernels.Variant{e.Phi, e.Mu} {
-		if v != KeepVariant && (v < 0 || v >= kernels.NumVariants) {
-			return fmt.Errorf("schedule: switch to unknown variant %d", int(v))
-		}
-	}
-	if e.Strategy != StrategyKeep && e.Strategy != StrategyOff &&
-		(e.Strategy < int(kernels.StratCellwise) || e.Strategy > int(kernels.StratFourCell)) {
-		return fmt.Errorf("schedule: switch to unknown strategy %d", e.Strategy)
-	}
-	if e.Phi == KeepVariant && e.Mu == KeepVariant && e.Strategy == StrategyKeep {
-		return fmt.Errorf("schedule: switch event changes nothing")
-	}
-	return nil
-}
-
-func (e SwitchVariant) String() string {
-	s := "switch kernels:"
-	if e.Phi != KeepVariant {
-		s += " φ→" + VariantName(e.Phi)
-	}
-	if e.Mu != KeepVariant {
-		s += " µ→" + VariantName(e.Mu)
-	}
-	switch e.Strategy {
-	case StrategyKeep:
-	case StrategyOff:
-		s += " strategy off"
-	default:
-		s += fmt.Sprintf(" strategy→%v", kernels.PhiStrategy(e.Strategy))
-	}
-	return s
 }
 
 // Checkpoint requests a state dump every Every steps counted from Step
@@ -475,9 +405,8 @@ func New(events ...Event) (*Schedule, error) {
 	return s, nil
 }
 
-// OneShots returns the one-shot events (bursts, switches) in firing order;
-// the index into this slice is the schedule position stored in version-2
-// checkpoint headers.
+// OneShots returns the one-shot events (bursts) in firing order; the index
+// into this slice is the schedule position stored in checkpoint headers.
 func (s *Schedule) OneShots() []Event {
 	var out []Event
 	for _, e := range s.Events {
@@ -553,9 +482,7 @@ func (s *Schedule) EndStep() int {
 //     overlap — the wall state they prescribe would depend on evaluation
 //     order (a later SetBC overriding an earlier settled one is fine);
 //   - two Ramps of the same parameter starting at the same step — within
-//     one step the last applied ramp would silently win;
-//   - two same-step SwitchVariant events that both change the same kernel
-//     (or both pin a φ strategy).
+//     one step the last applied ramp would silently win.
 func Compose(scheds ...*Schedule) (*Schedule, error) {
 	var events []Event
 	for _, s := range scheds {
@@ -588,25 +515,6 @@ func (s *Schedule) validateConflicts() error {
 		for j := i + 1; j < len(ramps); j++ {
 			if ramps[i].Param == ramps[j].Param && ramps[i].Step == ramps[j].Step {
 				return fmt.Errorf("schedule: two %s ramps start at step %d", ramps[i].Param, ramps[i].Step)
-			}
-		}
-	}
-	var switches []SwitchVariant
-	for _, e := range s.Events {
-		if sw, ok := e.(SwitchVariant); ok {
-			switches = append(switches, sw)
-		}
-	}
-	for i := 0; i < len(switches); i++ {
-		for j := i + 1; j < len(switches); j++ {
-			a, b := switches[i], switches[j]
-			if a.Step != b.Step {
-				continue
-			}
-			if (a.Phi != KeepVariant && b.Phi != KeepVariant) ||
-				(a.Mu != KeepVariant && b.Mu != KeepVariant) ||
-				(a.Strategy != StrategyKeep && b.Strategy != StrategyKeep) {
-				return fmt.Errorf("schedule: two switch events at step %d change the same kernel", a.Step)
 			}
 		}
 	}

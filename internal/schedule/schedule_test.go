@@ -39,7 +39,7 @@ func TestRampValuePureFunctionOfStep(t *testing.T) {
 
 func TestNewSortsAndValidates(t *testing.T) {
 	s, err := New(
-		SwitchVariant{Step: 50, Phi: kernels.VarStag, Mu: KeepVariant, Strategy: StrategyKeep},
+		NucleationBurst{Step: 50, Count: 1, Phase: 0, Radius: 2, ZMin: 0, ZMax: 8},
 		NucleationBurst{Step: 10, Count: 2, Phase: -1, Radius: 2, ZMin: 0, ZMax: 8},
 		Ramp{Param: ParamGradient, Step: 0, Over: 20, From: 1, To: 2},
 	)
@@ -55,8 +55,8 @@ func TestNewSortsAndValidates(t *testing.T) {
 	if len(one) != 2 {
 		t.Fatalf("one-shots: %d", len(one))
 	}
-	if _, ok := one[0].(NucleationBurst); !ok {
-		t.Error("burst should fire before switch")
+	if b, ok := one[0].(NucleationBurst); !ok || b.Step != 10 {
+		t.Error("step-10 burst should fire before the step-50 burst")
 	}
 	if s.EndStep() != 50 {
 		t.Errorf("end step %d", s.EndStep())
@@ -73,9 +73,6 @@ func TestValidationRejects(t *testing.T) {
 		Ramp{Param: ParamDt, Step: 0, Over: 0, From: 1, To: 2},
 		Ramp{Param: ParamDt, Step: 0, Over: 5, From: 0, To: 2},
 		Ramp{Param: Param(99), Step: 0, Over: 5, From: 1, To: 2},
-		SwitchVariant{Step: 0, Phi: kernels.Variant(77), Mu: KeepVariant, Strategy: StrategyKeep},
-		SwitchVariant{Step: 0, Phi: KeepVariant, Mu: KeepVariant, Strategy: StrategyKeep},
-		SwitchVariant{Step: 0, Phi: KeepVariant, Mu: KeepVariant, Strategy: 99},
 		Checkpoint{Step: 0, Every: 0},
 	}
 	for i, e := range cases {
@@ -107,22 +104,17 @@ func TestFromJSON(t *testing.T) {
 	src := `{"events": [
 	  {"type": "ramp", "param": "v", "step": 0, "over": 800, "from": 0.02, "to": 0.05},
 	  {"type": "burst", "step": 200, "count": 6, "phase": -1, "radius": 2.5, "zmin": 40, "zmax": 56, "seed": 7},
-	  {"type": "switch", "step": 400, "phi": "shortcut", "mu": "stag", "strategy": "fourcell"},
 	  {"type": "checkpoint", "every": 500, "path": "out/state_%06d.pfcp"}
 	]}`
 	s, err := FromJSON(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Events) != 4 {
+	if len(s.Events) != 3 {
 		t.Fatalf("parsed %d events", len(s.Events))
 	}
 	if len(s.Ramps()) != 1 || s.Ramps()[0].To != 0.05 {
 		t.Error("ramp not parsed")
-	}
-	sw := s.OneShots()[1].(SwitchVariant)
-	if sw.Phi != kernels.VarShortcut || sw.Mu != kernels.VarStag || sw.Strategy != int(kernels.StratFourCell) {
-		t.Errorf("switch parsed as %+v", sw)
 	}
 	b := s.OneShots()[0].(NucleationBurst)
 	if b.Phase != -1 || b.Count != 6 || b.Seed != 7 {
@@ -149,8 +141,6 @@ func TestFromJSONRejects(t *testing.T) {
 	bad := []string{
 		`{"events": [{"type": "warp", "step": 1}]}`,
 		`{"events": [{"type": "ramp", "param": "q", "step": 0, "over": 10}]}`,
-		`{"events": [{"type": "switch", "step": 0, "phi": "warpspeed"}]}`,
-		`{"events": [{"type": "switch", "step": 0, "strategy": "diagonal"}]}`,
 		`{"events": [{"type": "burst", "step": 0, "count": 1, "radius": 1, "zmin": 4, "zmax": 4}]}`,
 		`{"events": [{"type": "checkpoint", "unknownfield": 3}]}`,
 		`not json`,
@@ -160,20 +150,13 @@ func TestFromJSONRejects(t *testing.T) {
 			t.Errorf("case %d accepted: %s", i, src)
 		}
 	}
-}
-
-func TestVariantAndStrategyNames(t *testing.T) {
-	for name, v := range variantNames {
-		got, err := ParseVariant(VariantName(v))
-		if err != nil || got != v {
-			t.Errorf("round trip %s: %v %v", name, got, err)
-		}
-	}
-	if v, err := ParseVariant(""); err != nil || v != KeepVariant {
-		t.Error("empty variant should keep")
-	}
-	if s, err := ParseStrategy("off"); err != nil || s != StrategyOff {
-		t.Error("strategy off")
+	// A legacy kernel-switch event is rejected with the reason, not as an
+	// unknown field or type, and never silently dropped.
+	_, err := FromJSON(strings.NewReader(
+		`{"events": [{"type": "switch", "step": 400, "phi": "shortcut", "mu": "stag", "strategy": "fourcell"}]}`))
+	if err == nil || !strings.HasPrefix(err.Error(), "schedule:") ||
+		!strings.Contains(err.Error(), "fixed when the simulation is built") {
+		t.Errorf("switch event: got %v, want the explanatory schedule: error", err)
 	}
 }
 
@@ -181,7 +164,6 @@ func TestEventStrings(t *testing.T) {
 	evs := []Event{
 		NucleationBurst{Step: 1, Count: 3, Phase: -1, Radius: 2, ZMin: 0, ZMax: 9},
 		Ramp{Param: ParamPullVelocity, Step: 0, Over: 10, From: 1, To: 2},
-		SwitchVariant{Step: 2, Phi: kernels.VarStag, Mu: KeepVariant, Strategy: StrategyOff},
 		SetBC{Step: 3, Over: 4, Face: grid.ZMin, Field: BCMu, Kind: grid.BCDirichlet,
 			From: []float64{0, 0}, To: []float64{1, -1}},
 		SetBC{Step: 3, Face: grid.ZMax, Field: BCPhi, Kind: grid.BCNeumann},
@@ -265,8 +247,8 @@ func TestSetBCValidation(t *testing.T) {
 func TestComposeMergesAndOrders(t *testing.T) {
 	base, err := New(
 		Ramp{Param: ParamPullVelocity, Step: 0, Over: 30, From: 0.02, To: 0.05},
-		NucleationBurst{Step: 10, Count: 2, Phase: -1, Radius: 2, ZMin: 0, ZMax: 8},
-		SwitchVariant{Step: 10, Phi: kernels.VarStag, Mu: KeepVariant, Strategy: StrategyKeep},
+		NucleationBurst{Step: 10, Count: 2, Phase: -1, Radius: 2, ZMin: 0, ZMax: 8, Seed: 1},
+		NucleationBurst{Step: 10, Count: 1, Phase: 0, Radius: 2, ZMin: 0, ZMax: 8, Seed: 2},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +256,7 @@ func TestComposeMergesAndOrders(t *testing.T) {
 	overlay, err := New(
 		SetBC{Step: 10, Over: 8, Face: grid.ZMin, Field: BCMu, Kind: grid.BCDirichlet,
 			From: []float64{0, 0}, To: []float64{0.06, -0.03}},
-		SwitchVariant{Step: 10, Phi: KeepVariant, Mu: kernels.VarShortcut, Strategy: StrategyKeep},
+		NucleationBurst{Step: 10, Count: 1, Phase: 1, Radius: 2, ZMin: 0, ZMax: 8, Seed: 3},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +279,10 @@ func TestComposeMergesAndOrders(t *testing.T) {
 	if len(one) != 3 {
 		t.Fatalf("one-shots: %d", len(one))
 	}
-	if _, ok := one[0].(NucleationBurst); !ok {
-		t.Error("base burst should fire first")
-	}
-	if sw, ok := one[1].(SwitchVariant); !ok || sw.Phi != kernels.VarStag {
-		t.Error("base switch should fire before overlay switch")
-	}
-	if sw, ok := one[2].(SwitchVariant); !ok || sw.Mu != kernels.VarShortcut {
-		t.Error("overlay switch should fire last")
+	for i, e := range one {
+		if b, ok := e.(NucleationBurst); !ok || b.Seed != int64(i+1) {
+			t.Errorf("one-shot %d is %+v: base bursts should fire in order, the overlay's last", i, e)
+		}
 	}
 	if got := c.SetBCs(); len(got) != 1 || got[0].Face != grid.ZMin {
 		t.Errorf("setbc events: %+v", got)
@@ -351,9 +329,6 @@ func TestComposeRejectsConflicts(t *testing.T) {
 		{"same-step ramps of one parameter",
 			mk(t, Ramp{Param: ParamGradient, Step: 7, Over: 10, From: 1, To: 2}),
 			mk(t, Ramp{Param: ParamGradient, Step: 7, Over: 20, From: 1, To: 3})},
-		{"same-step switches of one kernel",
-			mk(t, SwitchVariant{Step: 3, Phi: kernels.VarStag, Mu: KeepVariant, Strategy: StrategyKeep}),
-			mk(t, SwitchVariant{Step: 3, Phi: kernels.VarShortcut, Mu: KeepVariant, Strategy: StrategyKeep})},
 	}
 	for _, c := range cases {
 		if _, err := Compose(c.a, c.b); err == nil {
@@ -362,8 +337,7 @@ func TestComposeRejectsConflicts(t *testing.T) {
 	}
 
 	// Legal combinations: a later SetBC overriding a settled one, ramps of
-	// one parameter at different steps, same-step switches of different
-	// kernels.
+	// one parameter at different steps.
 	ok := [][2]*Schedule{
 		{mk(t, SetBC{Step: 0, Over: 10, Face: grid.ZMin, Field: BCMu, Kind: grid.BCDirichlet,
 			From: []float64{0, 0}, To: []float64{1, 1}}),
@@ -372,8 +346,6 @@ func TestComposeRejectsConflicts(t *testing.T) {
 			mk(t, SetBC{Step: 2, Face: grid.ZMin, Field: BCPhi, Kind: grid.BCNeumann})},
 		{mk(t, Ramp{Param: ParamGradient, Step: 0, Over: 10, From: 1, To: 2}),
 			mk(t, Ramp{Param: ParamGradient, Step: 12, Over: 10, From: 2, To: 3})},
-		{mk(t, SwitchVariant{Step: 3, Phi: kernels.VarStag, Mu: KeepVariant, Strategy: StrategyKeep}),
-			mk(t, SwitchVariant{Step: 3, Phi: KeepVariant, Mu: kernels.VarShortcut, Strategy: StrategyKeep})},
 	}
 	for i, pair := range ok {
 		if _, err := Compose(pair[0], pair[1]); err != nil {

@@ -15,13 +15,13 @@ import (
 // full sweep:
 //
 //   - The slice and every slice within the wake margin (≥ the kernels'
-//     stencil radius of 1, default 2) hold φ at exactly one simplex vertex
+//     stencil radius of 1; wakeMargin = 2) hold φ at exactly one simplex vertex
 //     (one phase exactly 1.0, the rest exactly +0.0, compared on float64
 //     bits), including the x/y ghost ring, so every stencil input of every
 //     cell in the slice is a known constant.
 //   - µ is bitwise-uniform over the same region (for the φ-sweep only the
 //     slice's own interior matters: the φ-kernel reads µ at cell centers).
-//   - A proxy run of the *actual* active kernel — same variant/strategy,
+//   - A proxy run of the simulation's *actual* kernel — same variant,
 //     same Ctx (the analytic temperature depends on the global z), through
 //     the same *Range entry point, on a tiny single-slice field holding the
 //     uniform state — reproduces the would-be output. For φ the output must
@@ -63,10 +63,12 @@ import (
 // — a slice holding -0.0 stays awake, conservatively).
 const bitsOne = 0x3FF0000000000000
 
-// defaultWakeMargin is the activation margin in z-slices when
-// Config.WakeMargin is zero: conservatively wider than the stencil radius
-// of 1 the re-derived-every-step predicate strictly needs.
-const defaultWakeMargin = 2
+// wakeMargin is the activation margin in z-slices: a slice sleeps only when
+// the uniformity predicate also holds this many slices to either side, so
+// an approaching front wakes it before its values could differ.
+// Conservatively wider than the stencil radius of 1 the re-derived-every-step
+// predicate strictly needs; a larger margin only reduces skipping.
+const wakeMargin = 2
 
 // quietRounds is how many consecutive clean steps a face must accumulate
 // before its halo round may be skipped. The minimum safe value is 2 for
@@ -85,7 +87,7 @@ const proxyNX = 7
 // dispatch, before any slab task is queued, so skip decisions depend on
 // step-start field state only — never on Config.Parallelism).
 type activity struct {
-	margin int
+	margin int  // wakeMargin unless a test widened it before the first step
 	valid  bool // slice classifications describe the current step
 
 	// φ classification of slices [-1, nz], indexed z+1: vertex phase and
@@ -93,11 +95,11 @@ type activity struct {
 	vertex []int
 	vOK    []bool
 	// µ interior uniformity at φ-dispatch time (ghosts may still be in
-	// flight then under the deferred-exchange overlap modes).
+	// flight then under OverlapMu).
 	muOK  []bool
 	muVal [][kernels.NR]float64
 	// µ classification including the ghost ring, taken at µ-dispatch time
-	// when the µsrc ghosts are settled in every overlap mode.
+	// when the µsrc ghosts are settled in both overlap modes.
 	muROK  []bool
 	muRVal [][kernels.NR]float64
 
@@ -123,16 +125,12 @@ type activity struct {
 }
 
 // ensure sizes the tracker for the rank's block (first use only).
-func (a *activity) ensure(s *Sim, nx, nz int) {
+func (a *activity) ensure(nx, nz int) {
 	if a.phiSleep != nil {
 		return
 	}
-	a.margin = s.Cfg.WakeMargin
 	if a.margin == 0 {
-		a.margin = defaultWakeMargin
-	}
-	if a.margin < 1 {
-		a.margin = 1
+		a.margin = wakeMargin
 	}
 	n := nz + 2
 	a.vertex = make([]int, n)
@@ -258,17 +256,13 @@ func (a *activity) proxyCtx(r *rank, z int) kernels.Ctx {
 	return ctx
 }
 
-// phiProxySleeps runs the active φ-kernel on the proxy and reports whether
+// phiProxySleeps runs the φ-kernel on the proxy and reports whether
 // the uniform state is an exact fixed point (dst bits == src bits in every
 // proxy cell — every lane and the scalar tail).
 func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) bool {
 	a.fillProxy(vertex, mu)
 	ctx := a.proxyCtx(r, z)
-	if s.usePhiStrategy {
-		kernels.PhiSweepStrategyRange(&ctx, a.proxy, a.proxySc, s.phiStrategy, 0, 1)
-	} else {
-		kernels.PhiSweepRange(&ctx, a.proxy, a.proxySc, s.phiVariant, 0, 1)
-	}
+	kernels.PhiSweepRange(&ctx, a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
 	d := a.proxy.PhiDst
 	for c := 0; c < kernels.NP; c++ {
 		want := uint64(0)
@@ -282,19 +276,13 @@ func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.N
 	return true
 }
 
-// muProxyValue runs the active µ-kernel (fused, or the split local+neighbor
-// pair exactly as the overlap mode would) on the proxy and returns the
-// uniform output value; ok is false when the proxy cells disagree, which
-// keeps the slice awake.
-func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64, split bool) (out [kernels.NR]float64, ok bool) {
+// muProxyValue runs the µ-kernel on the proxy and returns the uniform
+// output value; ok is false when the proxy cells disagree, which keeps the
+// slice awake.
+func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) (out [kernels.NR]float64, ok bool) {
 	a.fillProxy(vertex, mu)
 	ctx := a.proxyCtx(r, z)
-	if split {
-		kernels.MuSweepLocalRange(&ctx, a.proxy, a.proxySc, s.muVariant, 0, 1)
-		kernels.MuSweepNeighborRange(&ctx, a.proxy, a.proxySc, s.muVariant, 0, 1)
-	} else {
-		kernels.MuSweepRange(&ctx, a.proxy, a.proxySc, s.muVariant, 0, 1)
-	}
+	kernels.MuSweepRange(&ctx, a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
 	d := a.proxy.MuDst
 	for k := 0; k < kernels.NR; k++ {
 		out[k] = d.At(k, 0, 0, 0)
@@ -307,12 +295,12 @@ func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]
 
 // derivePhi classifies every slice and decides the step's φ-sleep set. Runs
 // on the rank goroutine at φ-dispatch, before any slab task is queued.
-// Under the deferred-exchange modes a µsrc ghost exchange may be in flight
-// here; only µ interiors are read (the φ-kernel never reads µ ghosts).
+// Under OverlapMu a µsrc ghost exchange may be in flight here; only µ
+// interiors are read (the φ-kernel never reads µ ghosts).
 func (a *activity) derivePhi(s *Sim, r *rank) {
 	f := r.fields
 	nz := f.PhiSrc.NZ
-	a.ensure(s, f.PhiSrc.NX, nz)
+	a.ensure(f.PhiSrc.NX, nz)
 	for z := -1; z <= nz; z++ {
 		a.vertex[z+1], a.vOK[z+1] = classifyPhi(f.PhiSrc, z)
 	}
@@ -349,11 +337,11 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 }
 
 // deriveMu decides the step's µ-sleep set. Runs at µ-dispatch, after the
-// µsrc ghosts settled in every overlap mode, so the classification may
+// µsrc ghosts settled in both overlap modes, so the classification may
 // include the ghost ring. µ-sleep requires the φ-slice to have slept this
 // step (the µ-kernel's φdst center read then equals φsrc) plus bitwise µ
 // uniformity with equal values across the wake margin.
-func (a *activity) deriveMu(s *Sim, r *rank, split bool) {
+func (a *activity) deriveMu(s *Sim, r *rank) {
 	if !a.valid {
 		return
 	}
@@ -389,7 +377,7 @@ func (a *activity) deriveMu(s *Sim, r *rank, split bool) {
 			}
 		}
 		if ok {
-			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1], &a.muRVal[z+1], split)
+			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1], &a.muRVal[z+1])
 		}
 		a.muSleep[z] = ok
 		a.drift[z] = ok && !sameMuBits(&a.muBcast[z], &a.muRVal[z+1])
@@ -417,16 +405,11 @@ func (s *Sim) prepareActivity(r *rank, op sweepOp) []bool {
 		return nil
 	}
 	a := &r.act
-	switch op {
-	case opPhi:
+	if op == opPhi {
 		a.derivePhi(s, r)
 		return a.phiSleep
-	case opMu:
-		a.deriveMu(s, r, false)
-	case opMuLocal:
-		a.deriveMu(s, r, true)
 	}
-	// opMuNeighbor reuses the decision taken at the local pass.
+	a.deriveMu(s, r)
 	if !a.valid {
 		return nil
 	}
@@ -461,10 +444,9 @@ func (a *activity) activeRuns(sleep []bool, nz int) [][2]int {
 // applySkips realizes the skipped sweeps on the rank goroutine: a slept
 // φ-slice copies src→dst (the proxy proved the kernel is an exact fixed
 // point there); a slept µ-slice broadcasts the proxy output (which carries
-// the uniform frozen-gradient drift). The split µ-kernel's local pass
-// defers to the neighbor pass, mirroring where the fused value lands.
+// the uniform frozen-gradient drift).
 func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
-	if sleep == nil || op == opMuLocal {
+	if sleep == nil {
 		return
 	}
 	a := &r.act
@@ -576,12 +558,12 @@ func (a *activity) updateClean() {
 type quietKind int
 
 const (
-	// quietPhiDst is the post-φ-sweep φdst exchange (all overlap modes).
+	// quietPhiDst is the post-φ-sweep φdst exchange (both overlap modes).
 	quietPhiDst quietKind = iota
-	// quietMuDst is the post-µ-sweep µdst exchange (OverlapNone/OverlapPhi).
+	// quietMuDst is the post-µ-sweep µdst exchange (OverlapNone).
 	quietMuDst
 	// quietMuSrc is the deferred µsrc exchange at the start of the next
-	// step (OverlapMu/OverlapBoth); it relies on counters alone because the
+	// step (OverlapMu); it relies on counters alone because the
 	// current step's sleep set is not derived yet.
 	quietMuSrc
 )

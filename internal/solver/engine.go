@@ -32,38 +32,25 @@ type sweepOp int
 const (
 	opPhi sweepOp = iota
 	opMu
-	opMuLocal
-	opMuNeighbor
 )
 
 // sweepTask is one z-slab of one rank's sweep. It carries everything the
 // worker needs so dispatch allocates nothing.
 type sweepTask struct {
-	op       sweepOp
-	ctx      *kernels.Ctx
-	f        *kernels.Fields
-	v        kernels.Variant
-	strat    kernels.PhiStrategy
-	useStrat bool // pin the φ-sweep to strat instead of variant dispatch
-	z0, z1   int
-	done     *sync.WaitGroup
-	sink     *faultSink // panic isolation + injection points (never nil from runSweep)
+	op     sweepOp
+	ctx    *kernels.Ctx
+	f      *kernels.Fields
+	v      kernels.Variant
+	z0, z1 int
+	done   *sync.WaitGroup
+	sink   *faultSink // panic isolation + injection points (never nil from runSweep)
 }
 
 func (t *sweepTask) run(sc *kernels.Scratch) {
-	switch t.op {
-	case opPhi:
-		if t.useStrat {
-			kernels.PhiSweepStrategyRange(t.ctx, t.f, sc, t.strat, t.z0, t.z1)
-			return
-		}
+	if t.op == opPhi {
 		kernels.PhiSweepRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
-	case opMu:
+	} else {
 		kernels.MuSweepRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
-	case opMuLocal:
-		kernels.MuSweepLocalRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
-	default: // opMuNeighbor
-		kernels.MuSweepNeighborRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
 	}
 }
 
@@ -143,12 +130,7 @@ func (s *Sim) slabCount(nz int) int {
 // full-extent run reproduces the seed behavior byte for byte.
 func (s *Sim) runSweep(r *rank, op sweepOp) {
 	nz := r.fields.PhiSrc.NZ
-	v := s.muVariant
-	useStrat := false
-	if op == opPhi {
-		v = s.phiVariant
-		useStrat = s.usePhiStrategy
-	}
+	v := s.Cfg.Variant
 	sleep := s.prepareActivity(r, op)
 	runs := r.act.activeRuns(sleep, nz)
 	total := 0
@@ -162,8 +144,7 @@ func (s *Sim) runSweep(r *rank, op sweepOp) {
 	if n <= 1 || s.engine == nil {
 		for _, run := range runs {
 			t := sweepTask{op: op, ctx: &r.ctx, f: r.fields, v: v,
-				strat: s.phiStrategy, useStrat: useStrat, z0: run[0], z1: run[1],
-				sink: s.faults}
+				z0: run[0], z1: run[1], sink: s.faults}
 			s.gauge.enter()
 			t.runGuarded(r.sc)
 			s.gauge.exit()
@@ -182,7 +163,6 @@ func (s *Sim) runSweep(r *rank, op sweepOp) {
 		for i := 0; i < ni; i++ {
 			s.engine.tasks <- sweepTask{
 				op: op, ctx: &r.ctx, f: r.fields, v: v,
-				strat: s.phiStrategy, useStrat: useStrat,
 				z0: run[0] + i*ln/ni, z1: run[0] + (i+1)*ln/ni,
 				done: &r.wg, sink: s.faults,
 			}

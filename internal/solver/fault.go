@@ -26,8 +26,7 @@ import (
 // error so it can travel through RunSchedule's error return into the job
 // daemon's failure handling.
 type KernelFault struct {
-	// Op names the sweep that panicked ("phi", "mu", "mu-local",
-	// "mu-neighbor").
+	// Op names the sweep that panicked ("phi" or "mu").
 	Op string
 	// Value is the recovered panic value.
 	Value any
@@ -41,16 +40,10 @@ func (f *KernelFault) Error() string {
 }
 
 func (op sweepOp) String() string {
-	switch op {
-	case opPhi:
+	if op == opPhi {
 		return "phi"
-	case opMu:
-		return "mu"
-	case opMuLocal:
-		return "mu-local"
-	default:
-		return "mu-neighbor"
 	}
+	return "mu"
 }
 
 // SweepPoint is the faultfs crash-point name hit once per sweep task (a
@@ -76,11 +69,9 @@ func (fs *faultSink) record(op sweepOp, v any) {
 
 // sweepPointName holds the per-op crash-point names, precomputed so the
 // hot path never builds strings.
-var sweepPointName = [4]string{
-	opPhi:        SweepPoint + ".phi",
-	opMu:         SweepPoint + ".mu",
-	opMuLocal:    SweepPoint + ".mu-local",
-	opMuNeighbor: SweepPoint + ".mu-neighbor",
+var sweepPointName = [2]string{
+	opPhi: SweepPoint + ".phi",
+	opMu:  SweepPoint + ".mu",
 }
 
 // hit fires the sweep crash points for one task.

@@ -62,8 +62,7 @@ func TestParallelSimMatchesSerial(t *testing.T) {
 }
 
 func TestParallelSimAllOverlapModes(t *testing.T) {
-	// The split µ-sweeps of the overlap modes slab-decompose too.
-	for _, ov := range []OverlapMode{OverlapNone, OverlapMu, OverlapPhi, OverlapBoth} {
+	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
 			ref := parSim(t, 1, 1, kernels.VarShortcut, ov)
 			defer ref.Close()

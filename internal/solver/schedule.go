@@ -18,8 +18,7 @@ import (
 // event-driven production engine: RunSchedule interprets a
 // schedule.Schedule between timesteps — nucleation bursts seed spheres
 // through the Voronoi machinery, ramps rewrite the process coefficients in
-// place, variant switches swap the active kernels, and checkpoint cadences
-// call back into a caller-supplied writer.
+// place, and checkpoint cadences call back into a caller-supplied writer.
 //
 // Mutation safety under the parallel sweep engine: every event is applied
 // on the caller's goroutine at a step boundary, when no sweep task is in
@@ -47,37 +46,9 @@ type ScheduleHooks struct {
 	StepDone func(step int) (stop bool)
 }
 
-// Kernels returns the active kernel selection: the φ- and µ-sweep variants
-// and, when pinned, the Fig. 5 φ vectorization strategy.
-func (s *Sim) Kernels() (phi, mu kernels.Variant, strat kernels.PhiStrategy, stratPinned bool) {
-	return s.phiVariant, s.muVariant, s.phiStrategy, s.usePhiStrategy
-}
-
-// SetKernels switches the active φ- and µ-sweep variants at a step
-// boundary. Every variant computes the same update, so the trajectory is
-// preserved within floating-point reassociation tolerance.
-func (s *Sim) SetKernels(phi, mu kernels.Variant) error {
-	for _, v := range []kernels.Variant{phi, mu} {
-		if v < 0 || v >= kernels.NumVariants {
-			return fmt.Errorf("solver: unknown variant %d", int(v))
-		}
-	}
-	s.phiVariant, s.muVariant = phi, mu
-	return nil
-}
-
-// SetPhiStrategy pins the φ-sweep to a Fig. 5 vectorization strategy;
-// ClearPhiStrategy returns it to variant dispatch.
-func (s *Sim) SetPhiStrategy(strat kernels.PhiStrategy) {
-	s.phiStrategy, s.usePhiStrategy = strat, true
-}
-
-// ClearPhiStrategy removes a pinned φ strategy.
-func (s *Sim) ClearPhiStrategy() { s.usePhiStrategy = false }
-
 // SchedulePos returns how many one-shot schedule events have fired;
 // SetSchedulePos installs the position recorded in a checkpoint so a
-// restarted run never re-fires a burst or switch.
+// restarted run never re-fires a burst.
 func (s *Sim) SchedulePos() int       { return s.schedPos }
 func (s *Sim) SetSchedulePos(pos int) { s.schedPos = pos }
 
@@ -117,9 +88,9 @@ func (s *Sim) RunSchedule(n int, sched *schedule.Schedule, hooks ScheduleHooks) 
 	rampRec := make([]bool, len(ramps))
 	bcRec := make([]bool, len(setbcs))
 	ckptRec := make([]bool, len(ckpts))
-	// Install the prescription already in force at entry (a restart from a
-	// checkpoint without BC state — V1/V2 — would otherwise run with the
-	// configured walls until the next event boundary).
+	// Install the prescription already in force at entry (a simulation
+	// entering the schedule past an event's start step would otherwise run
+	// with the configured walls until the next event boundary).
 	if applied, topoChanged := s.applyDueSetBCs(setbcs, false, bcRec); applied {
 		if topoChanged {
 			s.refreshGhosts()
@@ -205,29 +176,9 @@ func (s *Sim) RunSchedule(n int, sched *schedule.Schedule, hooks ScheduleHooks) 
 
 // applyOneShot dispatches a fired one-shot event.
 func (s *Sim) applyOneShot(ev schedule.Event) error {
-	switch e := ev.(type) {
-	case schedule.NucleationBurst:
+	if e, ok := ev.(schedule.NucleationBurst); ok {
 		_, err := s.ApplyBurst(e)
 		return err
-	case schedule.SwitchVariant:
-		phi, mu := s.phiVariant, s.muVariant
-		if e.Phi != schedule.KeepVariant {
-			phi = e.Phi
-		}
-		if e.Mu != schedule.KeepVariant {
-			mu = e.Mu
-		}
-		if err := s.SetKernels(phi, mu); err != nil {
-			return err
-		}
-		switch e.Strategy {
-		case schedule.StrategyKeep:
-		case schedule.StrategyOff:
-			s.ClearPhiStrategy()
-		default:
-			s.SetPhiStrategy(kernels.PhiStrategy(e.Strategy))
-		}
-		return nil
 	}
 	return fmt.Errorf("solver: unknown one-shot event %T", ev)
 }
@@ -319,16 +270,11 @@ func (s *Sim) recordEvent(ev schedule.Event) {
 // actually fired at (a restart can legally delay an event past its nominal
 // start step; the log captures what happened, not what was asked for).
 func (s *Sim) recordOneShot(ev schedule.Event) {
-	switch e := ev.(type) {
-	case schedule.NucleationBurst:
+	if e, ok := ev.(schedule.NucleationBurst); ok {
 		e.Step = s.step
-		s.record = append(s.record, e)
-	case schedule.SwitchVariant:
-		e.Step = s.step
-		s.record = append(s.record, e)
-	default:
-		s.record = append(s.record, ev)
+		ev = e
 	}
+	s.record = append(s.record, ev)
 }
 
 // AppliedEvents returns the audit log of schedule events this simulation
@@ -342,14 +288,12 @@ func (s *Sim) AppliedEvents() []schedule.Event {
 }
 
 // refillBoundaryGhosts re-applies the physical-face fills to the
-// source-field ghosts at a fixed point of the step, so every overlap
-// mode's sweeps see the same wall values while a SetBC event is rewriting
-// them: without this, modes that exchange µ ghosts at the end of the
-// previous step (OverlapNone/OverlapPhi) would read walls one ramp
-// increment behind modes that exchange at the step start
-// (OverlapMu/OverlapBoth), and φ walls would lag a step in every mode.
-// Idempotent for deferred-exchange modes, whose step-start exchange redoes
-// the same fills.
+// source-field ghosts at a fixed point of the step, so both overlap modes'
+// sweeps see the same wall values while a SetBC event is rewriting them:
+// without this, OverlapNone (µ ghosts exchanged at the end of the previous
+// step) would read walls one ramp increment behind OverlapMu (exchanged at
+// the step start), and φ walls would lag a step in both. Idempotent under
+// OverlapMu, whose step-start exchange redoes the same fills.
 func (s *Sim) refillBoundaryGhosts() {
 	s.forAllRanks(func(r *rank) {
 		r.phiBCs.Apply(r.fields.PhiSrc)

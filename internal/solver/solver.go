@@ -1,7 +1,8 @@
 // Package solver composes the kernels, the block grid and the
-// communication layer into the full time-stepping loops of the paper:
-// Algorithm 1 (blocking communication) and Algorithm 2 (communication
-// hiding with the split µ-kernel), the three benchmark scenarios
+// communication layer into the full time-stepping loop of the paper:
+// Algorithm 1 with blocking communication or with the µ exchange hidden
+// behind the φ-sweep (the production choice of Fig. 8), the three benchmark
+// scenarios
 // (interface / solid / liquid), the production Voronoi setup and the
 // moving-window technique of directional solidification.
 package solver
@@ -24,20 +25,20 @@ import (
 	"repro/internal/voronoi"
 )
 
-// OverlapMode selects which ghost exchanges are hidden behind computation
-// (the four combinations measured in Fig. 8).
+// OverlapMode selects whether the µ ghost exchange is hidden behind
+// computation. Of the four combinations the paper measures in Fig. 8 only
+// the winner and the blocking reference are kept: hiding the φ exchange
+// needs the split µ-kernel of Algorithm 2, which costs more than it hides
+// and is only tolerance-equal to the fused kernel.
 type OverlapMode int
 
 const (
-	// OverlapNone is Algorithm 1: both exchanges blocking.
+	// OverlapNone is Algorithm 1: both exchanges blocking (the bitwise
+	// reference).
 	OverlapNone OverlapMode = iota
 	// OverlapMu hides the µ exchange behind the φ-sweep (the paper's
 	// production choice: best overall performance).
 	OverlapMu
-	// OverlapPhi hides the φ exchange behind the split µ-sweep.
-	OverlapPhi
-	// OverlapBoth hides both exchanges (Algorithm 2 as printed).
-	OverlapBoth
 )
 
 func (m OverlapMode) String() string {
@@ -46,10 +47,6 @@ func (m OverlapMode) String() string {
 		return "no overlap"
 	case OverlapMu:
 		return "mu overlap"
-	case OverlapPhi:
-		return "phi overlap"
-	case OverlapBoth:
-		return "mu+phi overlap"
 	}
 	return fmt.Sprintf("OverlapMode(%d)", int(m))
 }
@@ -88,8 +85,11 @@ func (s Scenario) String() string {
 
 // Config assembles a simulation.
 type Config struct {
-	Params  *core.Params
-	BG      *grid.BlockGrid
+	Params *core.Params
+	BG     *grid.BlockGrid
+	// Variant is the kernel both sweeps run for the simulation's whole
+	// life; the other ladder rungs are experiment apparatus reached through
+	// the kernels package directly.
 	Variant kernels.Variant
 	Overlap OverlapMode
 
@@ -138,13 +138,6 @@ type Config struct {
 	// bit-identical, so the only reason to disable it is measurement.
 	DisableActiveSweep bool
 
-	// WakeMargin is the activation margin in z-slices: a slice sleeps only
-	// when the uniformity predicate also holds this many slices to either
-	// side, so an approaching front wakes it before its values could
-	// differ. 0 selects the default (2); values below 1 are clamped to the
-	// stencil radius of 1. Larger margins only reduce skipping.
-	WakeMargin int
-
 	// DisableStepTelemetry turns off per-step phase-record capture (see
 	// telemetry.go). The zero value keeps capture ON: it samples existing
 	// counters at step boundaries only, allocates nothing in steady state
@@ -182,15 +175,6 @@ type Sim struct {
 	workersPerRank int
 	gauge          *WorkerGauge // never nil; Cfg.Gauge or a private one
 	faults         *faultSink   // never nil; collects recovered kernel panics
-
-	// Active kernel selection. Initialized from Cfg.Variant; scheduled
-	// SwitchVariant events (and checkpoint restarts) may change it at
-	// step boundaries. usePhiStrategy pins the φ-sweep to one of the
-	// Fig. 5 vectorization strategies instead of variant dispatch.
-	phiVariant     kernels.Variant
-	muVariant      kernels.Variant
-	phiStrategy    kernels.PhiStrategy
-	usePhiStrategy bool
 
 	schedPos int // one-shot schedule events already fired
 
@@ -240,7 +224,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	s := &Sim{Cfg: cfg, World: comm.NewWorldTransport(cfg.BG, cfg.Transport),
-		phiVariant: cfg.Variant, muVariant: cfg.Variant,
 		faults: &faultSink{points: cfg.Faults}}
 	if !cfg.DisableStepTelemetry {
 		s.telem = obs.NewRing(obs.DefaultRingCap)
@@ -458,92 +441,41 @@ func (s *Sim) runStep() error {
 	return nil
 }
 
-// timestep executes one step on one rank with the configured overlap mode.
-// Sweeps go through runSweep, which fans them out over the sweep engine's
-// worker pool when the scheduler assigns this rank more than one z-slab.
+// timestep executes one step on one rank. Sweeps go through runSweep, which
+// fans them out over the sweep engine's worker pool when the scheduler
+// assigns this rank more than one z-slab. Under OverlapNone (Algorithm 1)
+// both exchanges block and the µ ghosts are synchronized at the end of the
+// step; under OverlapMu the µ exchange of the source field is deferred to
+// the start of the next step and hidden behind the φ-sweep (Sync makes the
+// ghosts consistent before data export).
 func (s *Sim) timestep(r *rank) {
 	f := r.fields
 	r.ctx = kernels.Ctx{P: s.Cfg.Params, ZOff: r.zOff + s.windowShift, Time: s.time}
+	overlap := s.Cfg.Overlap == OverlapMu
 
-	switch s.Cfg.Overlap {
-	case OverlapNone:
-		// Algorithm 1. The µ ghosts were synchronized at the end of
-		// the previous step.
-		t0 := time.Now()
-		s.runSweep(r, opPhi)
-		r.phiKernelTime += time.Since(t0)
-		s.markQuiet(r, comm.TagPhi, quietPhiDst)
-		s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
-		t0 = time.Now()
-		s.runSweep(r, opMu)
-		r.muKernelTime += time.Since(t0)
+	var pMu *comm.Pending
+	if overlap {
+		s.markQuiet(r, comm.TagMu, quietMuSrc)
+		pMu = s.World.StartExchange(r.id, f.MuSrc, comm.TagMu, r.muBCs)
+	}
+	t0 := time.Now()
+	s.runSweep(r, opPhi)
+	r.phiKernelTime += time.Since(t0)
+	if overlap {
+		pMu.Finish()
+	}
+	s.markQuiet(r, comm.TagPhi, quietPhiDst)
+	s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
+	t0 = time.Now()
+	s.runSweep(r, opMu)
+	r.muKernelTime += time.Since(t0)
+	if !overlap {
 		s.markQuiet(r, comm.TagMu, quietMuDst)
 		s.World.ExchangeGhosts(r.id, f.MuDst, comm.TagMu, r.muBCs)
-
-	case OverlapMu:
-		// µ exchange hidden behind the φ-sweep; φ exchange blocking;
-		// fused µ-kernel. The paper's best-performing combination.
-		s.markQuiet(r, comm.TagMu, quietMuSrc)
-		pMu := s.World.StartExchange(r.id, f.MuSrc, comm.TagMu, r.muBCs)
-		t0 := time.Now()
-		s.runSweep(r, opPhi)
-		r.phiKernelTime += time.Since(t0)
-		pMu.Finish()
-		s.markQuiet(r, comm.TagPhi, quietPhiDst)
-		s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
-		t0 = time.Now()
-		s.runSweep(r, opMu)
-		r.muKernelTime += time.Since(t0)
-
-	case OverlapPhi:
-		// φ exchange hidden behind the split µ-kernel; µ blocking.
-		t0 := time.Now()
-		s.runSweep(r, opPhi)
-		r.phiKernelTime += time.Since(t0)
-		s.markQuiet(r, comm.TagPhi, quietPhiDst)
-		pPhi := s.World.StartExchange(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
-		t0 = time.Now()
-		s.runSweep(r, opMuLocal)
-		r.muKernelTime += time.Since(t0)
-		pPhi.Finish()
-		t0 = time.Now()
-		s.runSweep(r, opMuNeighbor)
-		r.muKernelTime += time.Since(t0)
-		s.markQuiet(r, comm.TagMu, quietMuDst)
-		s.World.ExchangeGhosts(r.id, f.MuDst, comm.TagMu, r.muBCs)
-
-	case OverlapBoth:
-		// Algorithm 2 as printed.
-		s.markQuiet(r, comm.TagMu, quietMuSrc)
-		pMu := s.World.StartExchange(r.id, f.MuSrc, comm.TagMu, r.muBCs)
-		t0 := time.Now()
-		s.runSweep(r, opPhi)
-		r.phiKernelTime += time.Since(t0)
-		pMu.Finish()
-		s.markQuiet(r, comm.TagPhi, quietPhiDst)
-		pPhi := s.World.StartExchange(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
-		t0 = time.Now()
-		s.runSweep(r, opMuLocal)
-		r.muKernelTime += time.Since(t0)
-		pPhi.Finish()
-		t0 = time.Now()
-		s.runSweep(r, opMuNeighbor)
-		r.muKernelTime += time.Since(t0)
 	}
 
 	r.act.updateClean()
 	f.Swap()
-
-	// Modes that defer the µ exchange to the next step's overlap window
-	// must still synchronize before a mode/variant change or data export;
-	// Sim.Sync() provides that. For OverlapNone/OverlapPhi, µ ghosts of
-	// the (new) source field are already valid here because the exchange
-	// ran on µdst before the swap.
-	if s.Cfg.Overlap == OverlapMu || s.Cfg.Overlap == OverlapBoth {
-		// φsrc ghosts are valid (exchanged pre-swap); µsrc ghosts are
-		// exchanged at the start of the next step.
-		return
-	}
 }
 
 // RestoreState installs checkpointed fields and time-stepping state. The
@@ -577,9 +509,9 @@ func (s *Sim) RestoreState(step int, t float64, windowShift int, fields []*kerne
 }
 
 // Sync makes all source-field ghost layers consistent (needed before
-// output or mode changes for the deferred-exchange overlap modes).
+// output under OverlapMu, which defers the µ exchange to the next step).
 func (s *Sim) Sync() {
-	if s.Cfg.Overlap == OverlapMu || s.Cfg.Overlap == OverlapBoth {
+	if s.Cfg.Overlap == OverlapMu {
 		s.forAllRanks(func(r *rank) {
 			s.World.ExchangeGhosts(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs)
 		})

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/schedule"
 )
 
 // multirank_test.go is the decomposition-equivalence harness: the golden
 // trajectory — composed schedule with a velocity ramp, a nucleation burst,
-// a µ-wall BC ramp, a φ-wall switch, a kernel-variant switch, moving-window
-// shifts and a mid-ramp checkpoint — must produce bitwise-identical fields
+// a µ-wall BC ramp, a φ-wall switch, moving-window shifts and a mid-ramp
+// checkpoint — must produce bitwise-identical fields
 // on 1 rank and on a 2×2 comm.World decomposition, both for the
 // uninterrupted run and for the restart leg resumed from each run's own V3
 // checkpoint. Ghost layers carry exact copies of neighbor interiors (or
@@ -61,8 +60,8 @@ func TestMultiRankBitwiseEquivalence(t *testing.T) {
 	// Advance both decompositions in lockstep, checking bitwise identity
 	// at the waypoints where each event class has just acted: after the
 	// burst + first window shift (step 12), mid BC-ramp at the checkpoint
-	// (step 20), after the variant switch (step 28), and at the end with
-	// the φ top wall switched (step 40).
+	// (step 20), with the BC ramp settled (step 28), and at the end with the
+	// φ top wall switched (step 40).
 	for _, until := range []int{12, goldenCkptStep, 28, goldenSteps} {
 		for i, sim := range sims {
 			if err := sim.RunSchedule(scheds[i], until-sim.Step(), ScheduleOptions{}); err != nil {
@@ -88,7 +87,7 @@ func TestMultiRankBitwiseEquivalence(t *testing.T) {
 	// Restart leg: resume each decomposition from its own mid-BC-ramp V3
 	// checkpoint. Both seed from float32 round trips of bitwise-identical
 	// states, so the continued trajectories must again agree bit for bit —
-	// including the re-fired variant switch and the remaining BC ramp.
+	// including the remaining BC ramp.
 	restored := [2]*Simulation{}
 	for i := range restored {
 		path := filepath.Join(dirs[i], fmt.Sprintf("mr_%06d.pfcp", goldenCkptStep))
@@ -108,9 +107,6 @@ func TestMultiRankBitwiseEquivalence(t *testing.T) {
 		restored[i] = r
 	}
 	expectBitwise(t, "restart leg", restored[0], restored[1])
-	if phi, _, _, _ := restored[0].Kernels(); phi != kernels.VarShortcut {
-		t.Error("restart leg did not re-fire the variant switch")
-	}
 	// And the restart legs' BC state must settle identically to the
 	// uninterrupted runs'.
 	_, muR0 := restored[0].DomainBCs()

@@ -3,7 +3,6 @@ package phasefield
 import (
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"regexp"
@@ -40,8 +39,12 @@ func PhaseNames() [NumPhases]string {
 	return out
 }
 
-// Config assembles a simulation. Zero values select the production
-// defaults of the paper's setup.
+// Config assembles a simulation. DefaultConfig is the production entry
+// point: it selects the paper's production kernel (VarShortcut) and
+// µ-overlap. A zero Config is valid but is not production — the zero
+// Variant is VarGeneral (the slow reference kernel) and the zero Overlap is
+// OverlapNone (blocking exchanges); the remaining zero values select the
+// documented defaults.
 type Config struct {
 	// Global domain size in cells.
 	NX, NY, NZ int
@@ -51,11 +54,13 @@ type Config struct {
 	// Physical and numerical parameters (defaults to the calibrated
 	// Ag-Al-Cu set).
 	Params *core.Params
-	// Kernel optimization level (defaults to the fastest, "with
-	// shortcuts"). See internal/kernels for the full ladder.
+	// Variant is the kernel both sweeps run for the simulation's whole
+	// life (DefaultConfig selects the fastest, "with shortcuts"; the zero
+	// value is the general-purpose reference). Restore takes it from the
+	// checkpoint. See internal/kernels for the full ladder.
 	Variant kernels.Variant
-	// Overlap selects communication hiding (defaults to the paper's
-	// production choice, µ-overlap).
+	// Overlap selects communication hiding: solver.OverlapMu (DefaultConfig,
+	// the paper's production choice) or solver.OverlapNone (the zero value).
 	Overlap solver.OverlapMode
 	// MovingWindow enables the frozen-front window (requires PZ == 1).
 	MovingWindow bool
@@ -80,9 +85,6 @@ type Config struct {
 	// tracker on; skipped and full sweeps are bitwise identical, so this
 	// knob exists for benchmarking overhead, not for correctness.
 	DisableActiveSweep bool
-	// WakeMargin widens the activation margin (in slices) around awake
-	// slices; 0 selects the conservative default. See solver.Config.
-	WakeMargin int
 	// DisableStepTelemetry turns off per-step phase-record capture. The
 	// zero value keeps it on: the capture samples existing counters at
 	// step boundaries only, allocates nothing in steady state and never
@@ -98,12 +100,6 @@ type Config struct {
 	// match. Collective outputs (checkpoints, gathered fields, meshes) are
 	// produced on process 0 only.
 	Distributed *DistConfig
-
-	// IgnoreCheckpointKernels makes Restore keep this Config's kernel
-	// selection instead of the checkpoint's active one — the sanctioned
-	// way to switch variants at a restart boundary (§3.2 production
-	// practice; all variants compute the same physics).
-	IgnoreCheckpointKernels bool
 
 	// Optional physical overrides applied to the default parameter set
 	// (ignored when Params is supplied explicitly; zero keeps defaults).
@@ -224,7 +220,6 @@ func New(cfg Config) (*Simulation, error) {
 		Gauge:                cfg.WorkerGauge,
 		Faults:               cfg.Faults,
 		DisableActiveSweep:   cfg.DisableActiveSweep,
-		WakeMargin:           cfg.WakeMargin,
 		DisableStepTelemetry: cfg.DisableStepTelemetry,
 		Seed:                 cfg.Seed,
 		Transport:            transport,
@@ -452,11 +447,6 @@ func (s *Simulation) WriteCheckpoint(w io.Writer, prec ckpt.Precision) error {
 	if fields == nil {
 		return nil // non-root process; the gather was our contribution
 	}
-	phi, mu, strat, pinned := s.sim.Kernels()
-	stratField := int32(ckpt.VariantUnspecified)
-	if pinned {
-		stratField = int32(strat)
-	}
 	p := s.cfg.Params
 	phiBCs, muBCs := s.sim.DomainBCs()
 	h := ckpt.Header{
@@ -466,9 +456,6 @@ func (s *Simulation) WriteCheckpoint(w io.Writer, prec ckpt.Precision) error {
 		PX:          int32(s.cfg.PX), PY: int32(s.cfg.PY), PZ: int32(s.cfg.PZ),
 		BX: int32(s.cfg.NX / s.cfg.PX), BY: int32(s.cfg.NY / s.cfg.PY), BZ: int32(s.cfg.NZ / s.cfg.PZ),
 		SchedulePos: int64(s.sim.SchedulePos()),
-		PhiVariant:  int32(phi),
-		MuVariant:   int32(mu),
-		PhiStrategy: stratField,
 		Dt:          p.Dt,
 		TempG:       p.Temp.G,
 		TempV:       p.Temp.V,
@@ -476,16 +463,15 @@ func (s *Simulation) WriteCheckpoint(w io.Writer, prec ckpt.Precision) error {
 		PhiBC:       ckpt.EncodeBCs(phiBCs),
 		MuBC:        ckpt.EncodeBCs(muBCs),
 	}
+	h.SetVariant(s.cfg.Variant)
 	return ckpt.WritePrecision(w, h, fields, prec)
 }
 
 // Restore loads a checkpoint written by Checkpoint into a new Simulation
-// with the stored decomposition. The domain and decomposition come from
-// the checkpoint header, as do the active kernel selection and mutable
-// process parameters when the file carries them (version 2) — set
-// cfg.IgnoreCheckpointKernels to keep cfg's variant instead (a restart-time
-// variant switch). Everything else (overlap mode, moving window,
-// parallelism; the variant for version-1 files) comes from cfg.
+// with the stored decomposition. The domain, decomposition, kernel variant,
+// mutable process parameters, schedule position and boundary conditions
+// come from the checkpoint header; everything else (overlap mode, moving
+// window, parallelism) comes from cfg.
 func Restore(path string, cfg Config) (*Simulation, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -530,10 +516,15 @@ func RestoreResharded(path string, px, py, pz int, cfg Config) (*Simulation, err
 	return restoreDecoded(h2, fields2, cfg)
 }
 
-// restoreDecoded builds a Simulation from a decoded checkpoint: the domain
-// and decomposition come from the header, runtime state (BCs, parameters,
-// schedule position, kernel selection) from its versioned fields.
+// restoreDecoded builds a Simulation from a decoded checkpoint: the domain,
+// decomposition and kernel variant come from the header, as does the
+// runtime state (BCs, parameters, schedule position).
 func restoreDecoded(h ckpt.Header, fields []*kernels.Fields, cfg Config) (*Simulation, error) {
+	v, err := h.Variant()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Variant = v
 	cfg.PX, cfg.PY, cfg.PZ = int(h.PX), int(h.PY), int(h.PZ)
 	cfg.NX = int(h.PX) * int(h.BX)
 	cfg.NY = int(h.PY) * int(h.BY)
@@ -542,37 +533,27 @@ func restoreDecoded(h ckpt.Header, fields []*kernels.Fields, cfg Config) (*Simul
 	if err != nil {
 		return nil, err
 	}
-	// Version-3 headers carry the active per-face boundary conditions (a
+	// The header carries the active per-face boundary conditions (a
 	// scheduled SetBC event may have changed them mid-run); install them
 	// before the field restore so the rebuilt ghost layers already use the
-	// checkpointed wall state. Older files keep the configured set.
+	// checkpointed wall state.
 	phiBCs, okPhi := ckpt.DecodeBCs(h.PhiBC)
 	muBCs, okMu := ckpt.DecodeBCs(h.MuBC)
-	if okPhi && okMu {
-		if err := sim.sim.SetDomainBCs(phiBCs, muBCs); err != nil {
-			return nil, err
-		}
+	if !okPhi || !okMu {
+		return nil, fmt.Errorf("phasefield: checkpoint header carries corrupt boundary-condition state")
+	}
+	if err := sim.sim.SetDomainBCs(phiBCs, muBCs); err != nil {
+		return nil, err
 	}
 	if err := sim.sim.RestoreState(int(h.Step), h.Time, int(h.WindowShift), fields); err != nil {
 		return nil, err
 	}
-	// Version-2 headers carry the runtime state a fixed configuration
-	// cannot reproduce: the mutable process parameters (so a restart
-	// mid-ramp resumes bit-compatibly), the schedule position, and the
-	// active kernel selection.
-	if !math.IsNaN(h.Dt) {
-		p := sim.cfg.Params
-		p.Dt, p.Temp.G, p.Temp.V, p.Temp.Z0 = h.Dt, h.TempG, h.TempV, h.TempZ0
-	}
+	// The runtime state a fixed configuration cannot reproduce: the mutable
+	// process parameters (so a restart mid-ramp resumes bit-compatibly) and
+	// the schedule position.
+	p := sim.cfg.Params
+	p.Dt, p.Temp.G, p.Temp.V, p.Temp.Z0 = h.Dt, h.TempG, h.TempV, h.TempZ0
 	sim.sim.SetSchedulePos(int(h.SchedulePos))
-	if !cfg.IgnoreCheckpointKernels && h.PhiVariant != ckpt.VariantUnspecified {
-		if err := sim.sim.SetKernels(kernels.Variant(h.PhiVariant), kernels.Variant(h.MuVariant)); err != nil {
-			return nil, err
-		}
-		if h.PhiStrategy != ckpt.VariantUnspecified {
-			sim.sim.SetPhiStrategy(kernels.PhiStrategy(h.PhiStrategy))
-		}
-	}
 	return sim, nil
 }
 
@@ -657,7 +638,7 @@ type ScheduleOptions struct {
 }
 
 // RunSchedule advances n timesteps under a production schedule: nucleation
-// bursts, process-parameter ramps, kernel-variant switches and periodic
+// bursts, process-parameter ramps, boundary-condition events and periodic
 // checkpoints applied between timesteps (see internal/schedule). Restarted
 // simulations resume at the checkpointed schedule position.
 func (s *Simulation) RunSchedule(sched *schedule.Schedule, n int, opt ScheduleOptions) error {
@@ -714,11 +695,6 @@ func (s *Simulation) SetWorkerBudget(n int) error { return s.sim.SetWorkerBudget
 // DomainBCs returns deep copies of the live per-face boundary sets of the
 // φ and µ fields (scheduled SetBC events change them between steps).
 func (s *Simulation) DomainBCs() (phi, mu grid.BoundarySet) { return s.sim.DomainBCs() }
-
-// Kernels returns the active kernel selection.
-func (s *Simulation) Kernels() (phi, mu kernels.Variant, strat kernels.PhiStrategy, pinned bool) {
-	return s.sim.Kernels()
-}
 
 // MuNorm returns the RMS chemical potential over the interior (the scalar
 // tracked by the golden-trajectory harness).

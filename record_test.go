@@ -17,8 +17,6 @@ func TestRecordedScheduleReplays(t *testing.T) {
 	sched, err := schedule.New(
 		schedule.Ramp{Param: schedule.ParamPullVelocity, Step: 0, Over: 15, From: 0.02, To: 0.05},
 		schedule.NucleationBurst{Step: 4, Count: 2, Phase: -1, Radius: 1.5, ZMin: 10, ZMax: 14, Seed: 9},
-		schedule.SwitchVariant{Step: 8, Phi: schedule.KeepVariant, Mu: schedule.KeepVariant,
-			Strategy: int(0) /* cellwise */},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +41,8 @@ func TestRecordedScheduleReplays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recorded schedule not replayable: %v\n%s", err, blob)
 	}
-	if len(recorded.Events) != 3 {
-		t.Fatalf("recorder captured %d events, want 3:\n%s", len(recorded.Events), blob)
+	if len(recorded.Events) != 2 {
+		t.Fatalf("recorder captured %d events, want 2:\n%s", len(recorded.Events), blob)
 	}
 
 	replay, err := New(cfg)

@@ -2,6 +2,7 @@ package phasefield
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -91,15 +92,20 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		if err := sim.Checkpoint(path); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := Restore(path, Config{Overlap: cfg.Overlap})
+		// The kernel comes from the checkpoint header, like the
+		// decomposition: a Config that names no variant adopts it (even
+		// trials), and one that names a different variant is overruled
+		// (odd trials).
+		rcfg := Config{Overlap: cfg.Overlap}
+		if trial%2 == 1 {
+			rcfg.Variant = (cfg.Variant + 1) % kernels.NumVariants
+		}
+		restored, err := Restore(path, rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The V2 header must have carried the active kernels without
-		// an explicit cfg.Variant.
-		phi, mu, _, _ := restored.Kernels()
-		if phi != cfg.Variant || mu != cfg.Variant {
-			t.Fatalf("trial %d: restored kernels %v/%v, want %v", trial, phi, mu, cfg.Variant)
+		if restored.cfg.Variant != cfg.Variant {
+			t.Fatalf("trial %d: restored kernel %v, want the checkpointed %v", trial, restored.cfg.Variant, cfg.Variant)
 		}
 
 		sim.Run(1)
@@ -119,7 +125,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	}
 }
 
-// A version-2 checkpoint carries the mutable process parameters, so a
+// A checkpoint carries the mutable process parameters, so a
 // restart mid-ramp resumes from the ramped values, not the config
 // defaults.
 func TestRestoreCarriesRampedParameters(t *testing.T) {
@@ -176,58 +182,48 @@ func TestRestoreCarriesRampedParameters(t *testing.T) {
 	}
 }
 
-// Restart-time variant switching through a real checkpoint file: variant A
-// for k steps, restore with IgnoreCheckpointKernels + variant B, continue —
-// must match the same run switched in memory via a schedule event.
-func TestRestartVariantSwitchMatchesScheduledSwitch(t *testing.T) {
-	const k, n = 3, 8
-	varA, varB := kernels.VarStag, kernels.VarShortcut
-	cfg := DefaultConfig(10, 10, 14)
-	cfg.Variant = varA
-
-	// Path 1: in-memory switch at step k.
-	switched, err := New(cfg)
+// Checkpoints written while kernels were switchable at run time may carry
+// kernel state a simulation can no longer be built with; Restore must
+// refuse them naming the removed feature, never guess a variant.
+func TestRestoreRejectsRemovedKernelState(t *testing.T) {
+	sim, err := New(DefaultConfig(8, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := switched.InitFront(); err != nil {
+	if err := sim.InitFront(); err != nil {
 		t.Fatal(err)
 	}
-	sched, err := schedule.New(schedule.SwitchVariant{
-		Step: k, Phi: varB, Mu: varB, Strategy: schedule.StrategyKeep})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := sim.WriteCheckpoint(&buf, ckpt.Float32); err != nil {
 		t.Fatal(err)
 	}
-	if err := switched.RunSchedule(sched, n, ScheduleOptions{}); err != nil {
-		t.Fatal(err)
+	// The three kernel slots follow magic+version (8), Step/Time/WindowShift
+	// (24), the six decomposition int32s (24) and SchedulePos (8).
+	const slotsOff = 64
+	short := int32(kernels.VarShortcut)
+	cases := []struct {
+		name           string
+		phi, mu, strat int32
+		wantSub        string // "" = must restore
+	}{
+		{"as written", short, short, -1, ""},
+		{"φ≠µ variant", short, int32(kernels.VarStag), -1, "different φ and µ kernel variants"},
+		{"pinned strategy", short, short, 2 /* the former four-cell pin */, "strategy pinning was removed"},
+		{"unknown variant", 77, 77, -1, "unknown kernel variant"},
 	}
-
-	// Path 2: checkpoint at step k, restore with B, continue.
-	pre, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pre.InitFront(); err != nil {
-		t.Fatal(err)
-	}
-	pre.Run(k)
-	path := filepath.Join(t.TempDir(), "switch.pfcp")
-	if err := pre.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(path, Config{Variant: varB, IgnoreCheckpointKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phi, mu, _, _ := restored.Kernels(); phi != varB || mu != varB {
-		t.Fatalf("override did not take: %v/%v", phi, mu)
-	}
-	restored.Run(n - k)
-
-	// Identical physics; only the float32 checkpoint seeding separates
-	// the two paths.
-	if ok, maxd := switched.GlobalPhi().InteriorEqual(restored.GlobalPhi(), 1e-5); !ok {
-		t.Errorf("restart-with-B differs from scheduled switch by %g", maxd)
+	for _, c := range cases {
+		raw := append([]byte(nil), buf.Bytes()...)
+		for i, v := range [3]int32{c.phi, c.mu, c.strat} {
+			binary.LittleEndian.PutUint32(raw[slotsOff+4*i:], uint32(v))
+		}
+		_, err := RestoreReader(bytes.NewReader(raw), Config{})
+		if c.wantSub == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.wantSub)
+		}
 	}
 }
 
