@@ -4,8 +4,9 @@
 // with strictly higher priority preempt running ones at timestep
 // boundaries via lossless in-memory checkpoints and later resume
 // bit-identically. On SIGTERM/SIGINT the daemon drains: every in-flight
-// job is checkpointed and — with -spool — persisted, so the next instance
-// picks the queue back up.
+// job is checkpointed and — with -store-dir — recorded in the store beside
+// the queue, so the next instance over the same directory picks both back
+// up.
 //
 // Campaigns submit as job arrays (POST /arrays): a template spec expands
 // over a parameter grid into one child job per grid point, children
@@ -27,7 +28,7 @@
 // Usage:
 //
 //	solidifyd -addr :8080 -jobs 2 -budget 8 -class small=2 \
-//	  -spool /var/lib/solidifyd/spool -store-dir /var/lib/solidifyd/store
+//	  -store-dir /var/lib/solidifyd/store
 //
 //	curl -X POST -d '{"nx":32,"ny":32,"nz":64,"steps":500,
 //	  "schedule":{"events":[{"type":"ramp","param":"v","step":0,
@@ -87,8 +88,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	jobs := flag.Int("jobs", 2, "max concurrently running jobs (K)")
 	budget := flag.Int("budget", runtime.GOMAXPROCS(0), "global sweep-worker budget shared by running jobs")
-	spool := flag.String("spool", "", "directory for drained-job spooling (empty = no persistence)")
-	storeDir := flag.String("store-dir", "", "persistent result store directory (empty = results are in-memory only)")
+	storeDir := flag.String("store-dir", "", "persistent store directory: terminal results, and the queue across a drain (empty = nothing outlives the process)")
 	classes := classFlags{}
 	flag.Var(classes, "class", "resource class as name=workers (repeatable, e.g. -class small=2 -class large=6)")
 	report := flag.Int("report", 5, "metrics sampling cadence in steps")
@@ -112,7 +112,6 @@ func main() {
 	srv := jobd.New(jobd.Config{
 		MaxConcurrent:   *jobs,
 		Budget:          *budget,
-		SpoolDir:        *spool,
 		StoreDir:        *storeDir,
 		Classes:         classes,
 		ReportEvery:     *report,
@@ -128,11 +127,6 @@ func main() {
 		fatal(err)
 	} else if n > 0 {
 		fmt.Printf("solidifyd: restored %d stored job(s) from %s\n", n, *storeDir)
-	}
-	if n, err := srv.LoadSpool(); err != nil {
-		fatal(err)
-	} else if n > 0 {
-		fmt.Printf("solidifyd: requeued %d spooled job(s)\n", n)
 	}
 	srv.Start()
 

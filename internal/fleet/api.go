@@ -2,12 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/jobd"
@@ -29,43 +27,22 @@ import (
 //	GET    /healthz              gateway liveness (503 with no alive daemon)
 //	GET    /metrics              gateway counters, Prometheus text format
 //
-// Every error body is structured: {"error": ..., "code": ...} with a
-// stable machine-readable code (unauthorized, over_quota, rate_limited,
-// too_large, bad_request, not_found, conflict, no_daemons).
+// Every error body is the structured jobd.APIError {"error": ..., "code":
+// ...} with a stable machine-readable code: the ones shared with the
+// daemons (jobd.Code*) plus the gateway's own below.
 
-// Error codes returned in the structured error body.
+// Error codes only the gateway returns.
 const (
 	CodeUnauthorized = "unauthorized"
 	CodeOverQuota    = "over_quota"
 	CodeRateLimited  = "rate_limited"
-	CodeTooLarge     = "too_large"
-	CodeBadRequest   = "bad_request"
-	CodeNotFound     = "not_found"
-	CodeConflict     = "conflict"
 	CodeNoDaemons    = "no_daemons"
-	CodeInternal     = "internal"
 )
 
-// APIError is the uniform structured error body of every gateway
-// rejection.
-type APIError struct {
-	// Error is the human-readable message.
-	Error string `json:"error"`
-	// Code is the stable machine-readable rejection reason.
-	Code string `json:"code"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
+// writeError counts the rejection by code and emits the structured body.
 func (g *Gateway) writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	g.metrics.reject(code)
-	writeJSON(w, status, APIError{Error: fmt.Sprintf(format, args...), Code: code})
+	jobd.WriteError(w, status, code, format, args...)
 }
 
 // Handler returns the gateway's HTTP API, wrapped in the request body
@@ -180,16 +157,8 @@ func (g *Gateway) allow(t *Tenant, now time.Time) bool {
 
 func (g *Gateway) handleSubmitArray(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var as jobd.ArraySpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&as); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			g.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				"request body exceeds the %d byte cap", g.cfg.MaxRequestBody)
-			return
-		}
-		g.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad array spec: %v", err)
+	if status, code, err := jobd.DecodeBody(r, &as); err != nil {
+		g.writeError(w, status, code, "bad array spec: %v", err)
 		return
 	}
 	// The tenant's class overrides whatever the spec asked for: class is
@@ -197,7 +166,7 @@ func (g *Gateway) handleSubmitArray(w http.ResponseWriter, r *http.Request, t *T
 	as.Template.Class = t.Class
 	specs, err := as.Expand()
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		g.writeError(w, http.StatusBadRequest, jobd.CodeBadRequest, "%v", err)
 		return
 	}
 	g.mu.Lock()
@@ -241,7 +210,7 @@ func (g *Gateway) handleSubmitArray(w http.ResponseWriter, r *http.Request, t *T
 	g.mu.Unlock()
 	g.logf("fleet: array %s: %d children for tenant %s", arr.id, len(specs), t.Name)
 	g.kickMonitor()
-	writeJSON(w, http.StatusCreated, status)
+	jobd.WriteJSON(w, http.StatusCreated, status)
 }
 
 // ChildStatus is the gateway view of one fanned-out child.
@@ -342,7 +311,7 @@ func (g *Gateway) arrayFor(w http.ResponseWriter, r *http.Request, t *Tenant) (*
 	}
 	g.mu.Unlock()
 	if !ok {
-		g.writeError(w, http.StatusNotFound, CodeNotFound, "no array %q", id)
+		g.writeError(w, http.StatusNotFound, jobd.CodeNotFound, "no array %q", id)
 		return nil, false
 	}
 	return arr, true
@@ -357,7 +326,7 @@ func (g *Gateway) handleListArrays(w http.ResponseWriter, r *http.Request, t *Te
 		}
 	}
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	jobd.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleArrayStatus(w http.ResponseWriter, r *http.Request, t *Tenant) {
@@ -368,7 +337,7 @@ func (g *Gateway) handleArrayStatus(w http.ResponseWriter, r *http.Request, t *T
 	g.mu.Lock()
 	st := g.arrayStatusLocked(arr)
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	jobd.WriteJSON(w, http.StatusOK, st)
 }
 
 // ChildResult is one entry of the gateway's merged results aggregation,
@@ -431,7 +400,7 @@ func (g *Gateway) handleArrayResults(w http.ResponseWriter, r *http.Request, t *
 		res.Children = append(res.Children, row)
 	}
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, res)
+	jobd.WriteJSON(w, http.StatusOK, res)
 }
 
 func (g *Gateway) handleCancelArray(w http.ResponseWriter, r *http.Request, t *Tenant) {
@@ -466,7 +435,7 @@ func (g *Gateway) handleCancelArray(w http.ResponseWriter, r *http.Request, t *T
 		}
 	}
 	g.kickMonitor()
-	writeJSON(w, http.StatusAccepted, st)
+	jobd.WriteJSON(w, http.StatusAccepted, st)
 }
 
 // childFor resolves the {id} path value to a tenant-owned child.
@@ -479,7 +448,7 @@ func (g *Gateway) childFor(w http.ResponseWriter, r *http.Request, t *Tenant) (*
 	}
 	g.mu.Unlock()
 	if !ok {
-		g.writeError(w, http.StatusNotFound, CodeNotFound, "no job %q", id)
+		g.writeError(w, http.StatusNotFound, jobd.CodeNotFound, "no job %q", id)
 		return nil, false
 	}
 	return c, true
@@ -495,7 +464,7 @@ func (g *Gateway) serveChildBlob(w http.ResponseWriter, c *child, hash, daemonPa
 	if hash != "" && st != nil {
 		blob, err := st.Blob(hash)
 		if err != nil {
-			g.writeError(w, http.StatusInternalServerError, CodeInternal,
+			g.writeError(w, http.StatusInternalServerError, jobd.CodeInternal,
 				"replicated blob of %s: %v", c.id, err)
 			return
 		}
@@ -504,13 +473,13 @@ func (g *Gateway) serveChildBlob(w http.ResponseWriter, c *child, hash, daemonPa
 		return
 	}
 	if daemonURL == "" {
-		g.writeError(w, http.StatusConflict, CodeConflict,
+		g.writeError(w, http.StatusConflict, jobd.CodeConflict,
 			"job %s has not been placed on a daemon yet", c.id)
 		return
 	}
 	resp, err := g.client.Get(daemonURL + "/jobs/" + remoteID + daemonPath)
 	if err != nil {
-		g.writeError(w, http.StatusBadGateway, CodeInternal,
+		g.writeError(w, http.StatusBadGateway, jobd.CodeInternal,
 			"daemon %s: %v", daemonURL, err)
 		return
 	}
@@ -530,7 +499,7 @@ func (g *Gateway) handleChildResult(w http.ResponseWriter, r *http.Request, t *T
 	state := c.state
 	g.mu.Unlock()
 	if state != jobd.StateDone {
-		g.writeError(w, http.StatusConflict, CodeConflict,
+		g.writeError(w, http.StatusConflict, jobd.CodeConflict,
 			"job %s is %s; result exists only for done jobs", c.id, state)
 		return
 	}
@@ -557,7 +526,7 @@ type registerRequest struct {
 func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		g.writeError(w, http.StatusBadRequest, CodeBadRequest, "register body needs a url")
+		g.writeError(w, http.StatusBadRequest, jobd.CodeBadRequest, "register body needs a url")
 		return
 	}
 	g.mu.Lock()
@@ -573,7 +542,7 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 	d.lastSeen = time.Now()
 	g.mu.Unlock()
 	g.kickMonitor()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "registered"})
+	jobd.WriteJSON(w, http.StatusOK, map[string]string{"status": "registered"})
 }
 
 // DaemonStatus is the fleet-status view of one daemon.
@@ -647,7 +616,7 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	jobd.WriteJSON(w, http.StatusOK, st)
 }
 
 // GatewayHealth is the body of the gateway's /healthz.
@@ -668,13 +637,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "no_daemons"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	jobd.WriteJSON(w, code, h)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.publishGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	g.metrics.c.WriteTo(w)
+	_ = g.metrics.c.Scrape(w, g.publishGauges) // a failed write is a scraper that went away
 }
 
 // aliveCountLocked counts alive daemons; g.mu must be held.
@@ -687,6 +655,3 @@ func (g *Gateway) aliveCountLocked() int {
 	}
 	return n
 }
-
-// itoa is a tiny strconv alias keeping metric label construction terse.
-func itoa(code int) string { return strconv.Itoa(code) }

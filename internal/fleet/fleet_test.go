@@ -13,7 +13,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleet/fleettest"
 	"repro/internal/jobd"
-	"repro/internal/promtest"
+	"repro/internal/obs/promtest"
 )
 
 // fleet_test.go — federation acceptance, all hermetic via fleettest
@@ -82,7 +82,7 @@ func wantReject(t *testing.T, code int, body []byte, wantStatus int, wantCode st
 	if code != wantStatus {
 		t.Fatalf("status %d (%s), want %d", code, body, wantStatus)
 	}
-	var ae fleet.APIError
+	var ae jobd.APIError
 	if err := json.Unmarshal(body, &ae); err != nil {
 		t.Fatalf("unstructured error body %q: %v", body, err)
 	}
@@ -201,7 +201,7 @@ func TestFleetDaemonLossByteIdentical(t *testing.T) {
 	big.Name = strings.Repeat("x", 8192)
 	bigBlob, _ := json.Marshal(big)
 	code, body = doReq(t, http.MethodPost, fl.URL+"/arrays", acmeToken, bigBlob)
-	wantReject(t, code, body, http.StatusRequestEntityTooLarge, fleet.CodeTooLarge)
+	wantReject(t, code, body, http.StatusRequestEntityTooLarge, jobd.CodeTooLarge)
 
 	st := submitArray(t, fl.URL, acmeToken, as)
 	if len(st.Children) != 12 {
@@ -349,9 +349,9 @@ func TestFleetRateLimitIsolationCancel(t *testing.T) {
 	// Tenant isolation: another tenant's array reads as missing.
 	st := submitArray(t, fl.URL, acmeToken, sweepArray(400, []float64{0.03, 0.04}, []float64{1}))
 	code, body = doReq(t, http.MethodGet, fl.URL+"/arrays/"+st.ID, "other-token", nil)
-	wantReject(t, code, body, http.StatusNotFound, fleet.CodeNotFound)
+	wantReject(t, code, body, http.StatusNotFound, jobd.CodeNotFound)
 	code, body = doReq(t, http.MethodGet, fl.URL+"/jobs/"+st.Children[0].ID+"/result", "other-token", nil)
-	wantReject(t, code, body, http.StatusNotFound, fleet.CodeNotFound)
+	wantReject(t, code, body, http.StatusNotFound, jobd.CodeNotFound)
 
 	// Cancel fans out: every child reaches a terminal state and the array
 	// settles as canceled (long steps ensure children cannot finish first).

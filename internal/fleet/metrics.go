@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"strconv"
+
 	"repro/internal/jobd"
 	"repro/internal/obs"
 )
 
 // metrics.go — gateway observability: a small obs.Counters registry
-// scraped at GET /metrics in strict Prometheus text format. Counters are
-// updated at the event site; gauges are recomputed from gateway state at
-// scrape time (Reset + Set, so series for vanished label values drop out
+// scraped at GET /metrics in strict Prometheus text format, the same way
+// the daemons' is. Counters are updated at the event site; gauges are
+// recomputed from gateway state at scrape time (Reset + Set under
+// obs.Counters.Scrape, so series for vanished label values drop out
 // instead of freezing at their last value).
 
 // gwMetrics owns the gateway's counter registry.
@@ -35,7 +38,7 @@ func newGWMetrics() *gwMetrics {
 
 // request counts one authenticated (or rejected) tenant API request.
 func (m *gwMetrics) request(tenant string, code int) {
-	m.c.Add("solidifygw_requests_total", obs.Labels("tenant", tenant, "code", itoa(code)), 1)
+	m.c.Add("solidifygw_requests_total", obs.Labels("tenant", tenant, "code", strconv.Itoa(code)), 1)
 }
 
 // reject counts one structured rejection by error code.

@@ -205,8 +205,8 @@ func (g *Gateway) placeChildren() {
 
 // pollChildren pulls job states from every daemon hosting unsettled
 // children, one batched GET /jobs per daemon. A placed child missing
-// from its daemon's listing means the daemon lost its record (e.g. a
-// restart without spool) — the child is requeued.
+// from its daemon's listing means the daemon lost its record (e.g. it
+// restarted without its store) — the child is requeued.
 func (g *Gateway) pollChildren() {
 	g.mu.Lock()
 	byDaemon := map[string][]*child{}

@@ -5,12 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
-
-	"repro"
-	"repro/internal/obs"
-	"repro/internal/solver"
 )
 
 // api.go is the HTTP/JSON surface of the daemon:
@@ -59,52 +54,81 @@ func (s *Server) Handler() http.Handler {
 	return http.MaxBytesHandler(mux, MaxRequestBody)
 }
 
-// decodeErrorCode maps a body-decode failure to its status: 413 for a
-// body the MaxBytesHandler truncated, 400 otherwise.
-func decodeErrorCode(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
+// Error codes of the structured error body, shared by the daemon and the
+// federation gateway (which adds its tenant-facing ones).
+const (
+	CodeBadRequest = "bad_request"
+	CodeTooLarge   = "too_large"
+	CodeNotFound   = "not_found"
+	CodeConflict   = "conflict"
+	CodeInternal   = "internal"
+	// CodeDraining marks a submission refused because the daemon is
+	// shutting down (503).
+	CodeDraining = "draining"
+)
+
+// APIError is the uniform structured error body of every rejection, from
+// the daemon and the gateway alike.
+type APIError struct {
+	// Error is the human-readable message.
+	Error string `json:"error"`
+	// Code is the stable machine-readable rejection reason.
+	Code string `json:"code"`
 }
 
-// writeJSON emits v with status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON emits v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
+// WriteError emits the structured error body.
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, APIError{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+// DecodeBody strictly decodes a JSON request body into v (unknown fields
+// are errors). A failure comes with the rejection to answer with: 413
+// too_large for a body the MaxBytesHandler truncated, 400 bad_request
+// otherwise.
+func DecodeBody(r *http.Request, v any) (status int, code string, err error) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(v); err == nil {
+		return http.StatusOK, "", nil
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, CodeTooLarge, err
+	}
+	return http.StatusBadRequest, CodeBadRequest, err
+}
+
+// writeSubmitError answers a rejected Submit/SubmitArray: 503 while
+// draining, 400 for everything the validation refused.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	status, code := http.StatusBadRequest, CodeBadRequest
+	if IsDraining(err) {
+		status, code = http.StatusServiceUnavailable, CodeDraining
+	}
+	WriteError(w, status, code, "%v", err)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, decodeErrorCode(err), "bad job spec: %v", err)
+	if status, code, err := DecodeBody(r, &spec); err != nil {
+		WriteError(w, status, code, "bad job spec: %v", err)
 		return
 	}
 	j, err := s.Submit(spec)
 	if err != nil {
-		code := http.StatusBadRequest
-		if IsDraining(err) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, j.Status())
+	WriteJSON(w, http.StatusCreated, j.Status())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +137,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out = append(out, j.Status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // jobFor resolves the {id} path value or writes a 404.
@@ -121,7 +145,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no job %q", id)
 		return nil, false
 	}
 	return j, true
@@ -129,7 +153,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 	}
 }
 
@@ -169,7 +193,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ClassUsage())
+	WriteJSON(w, http.StatusOK, s.ClassUsage())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -180,182 +204,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// at risk until the store recovers.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
-}
-
-// flowRow is one (peer, tag) halo-traffic aggregate of a running job,
-// summed over the job's local block ranks for export.
-type flowRow struct {
-	peer                  int
-	tag                   string
-	frames, bytes, sleeps int64
-}
-
-// flowRows aggregates a job's per-(rank,peer,tag) halo flows by (peer,tag)
-// in deterministic order.
-func flowRows(flows []phasefield.HaloFlow) []flowRow {
-	type key struct {
-		peer int
-		tag  string
-	}
-	agg := map[key]*flowRow{}
-	for _, f := range flows {
-		k := key{f.Peer, f.Tag}
-		row, ok := agg[k]
-		if !ok {
-			row = &flowRow{peer: f.Peer, tag: f.Tag}
-			agg[k] = row
-		}
-		row.frames += f.Frames
-		row.bytes += f.Bytes
-		row.sleeps += f.Sleeps
-	}
-	out := make([]flowRow, 0, len(agg))
-	for _, row := range agg {
-		out = append(out, *row)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].peer != out[b].peer {
-			return out[a].peer < out[b].peer
-		}
-		return out[a].tag < out[b].tag
-	})
-	return out
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleDaemonMetrics(w http.ResponseWriter, r *http.Request) {
-	byState := map[State]int{}
-	type jobGauge struct {
-		id    string
-		af    float64
-		tot   obs.StepTotals
-		flows []flowRow
-		lat   map[string]obs.HistogramSnapshot
-	}
-	var active []jobGauge
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		byState[j.state]++
-		if j.state == StateRunning {
-			af := j.activeFrac
-			if af == 0 {
-				af = 1 // no sample yet: the solver sweeps everything
-			}
-			// The latency map is replaced wholesale by the runner, never
-			// mutated in place, so holding a reference is safe.
-			active = append(active, jobGauge{j.ID, af, j.telemTot, flowRows(j.flows), j.latency})
-		}
-		j.mu.Unlock()
-	}
-	queued := len(s.queue)
-	running := len(s.running)
-	pending := len(s.pendingSpills)
-	s.mu.Unlock()
-
-	// Resource classes: the configured table plus any class the gauge has
-	// seen (a spooled job may name one the current flags don't).
-	classSet := map[string]bool{}
-	for name := range s.classes {
-		classSet[name] = true
-	}
-	s.gauge.EachClass(func(name string, _ *solver.WorkerGauge) { classSet[name] = true })
-	classes := make([]string, 0, len(classSet))
-	for name := range classSet {
-		classes = append(classes, name)
-	}
-	sort.Strings(classes)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP jobd_jobs Jobs known to the daemon, by lifecycle state.\n# TYPE jobd_jobs gauge\n")
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		fmt.Fprintf(w, "jobd_jobs{state=%q} %d\n", st, byState[st])
-	}
-	fmt.Fprintf(w, "# HELP jobd_queue_depth Jobs waiting for a slot.\n# TYPE jobd_queue_depth gauge\njobd_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# HELP jobd_running Jobs currently stepping.\n# TYPE jobd_running gauge\njobd_running %d\n", running)
-	fmt.Fprintf(w, "# HELP jobd_workers_active Sweep workers currently busy (unlabeled: all jobs; class label: that resource class only).\n# TYPE jobd_workers_active gauge\njobd_workers_active %d\n", s.gauge.Active())
-	for _, name := range classes {
-		fmt.Fprintf(w, "jobd_workers_active{class=%q} %d\n", name, s.gauge.Class(name).Active())
-	}
-	fmt.Fprintf(w, "# HELP jobd_workers_budget Sweep-worker budget (unlabeled: global; class label: that class's cap).\n# TYPE jobd_workers_budget gauge\njobd_workers_budget %d\n", s.cfg.Budget)
-	for _, name := range classes {
-		fmt.Fprintf(w, "jobd_workers_budget{class=%q} %d\n", name, s.classBudget(name))
-	}
-	fmt.Fprintf(w, "# HELP jobd_retries_total Automatic job retries since daemon start.\n# TYPE jobd_retries_total counter\njobd_retries_total %d\n", s.retriesTotal.Load())
-	fmt.Fprintf(w, "# HELP jobd_stalls_total Watchdog stall detections since daemon start.\n# TYPE jobd_stalls_total counter\njobd_stalls_total %d\n", s.stallsTotal.Load())
-	fmt.Fprintf(w, "# HELP jobd_spill_failures_total Failed result-store spills since daemon start.\n# TYPE jobd_spill_failures_total counter\njobd_spill_failures_total %d\n", s.spillFailsTotal.Load())
-	degraded := 0
-	if s.degraded.Load() {
-		degraded = 1
-	}
-	fmt.Fprintf(w, "# HELP jobd_store_degraded Whether the result store is in degraded mode.\n# TYPE jobd_store_degraded gauge\njobd_store_degraded %d\n", degraded)
-	fmt.Fprintf(w, "# HELP jobd_pending_spills Terminal jobs awaiting a successful store spill.\n# TYPE jobd_pending_spills gauge\njobd_pending_spills %d\n", pending)
-	sort.Slice(active, func(i, k int) bool { return active[i].id < active[k].id })
-	fmt.Fprintf(w, "# HELP jobd_active_fraction Fraction of z-slices the solver swept last step, per running job.\n# TYPE jobd_active_fraction gauge\n")
-	for _, g := range active {
-		fmt.Fprintf(w, "jobd_active_fraction{job=%q} %g\n", g.id, g.af)
-	}
-
-	// Step-phase seconds of the current attempt, per running job. Counter
-	// semantics hold within an attempt; a retry or preemption resume starts
-	// a fresh simulation and resets the series (rate() over a scrape
-	// straddling the restart sees one negative delta, as with any process
-	// restart).
-	fmt.Fprintf(w, "# HELP jobd_job_phase_seconds_total Step-phase time of the running attempt, per job and phase.\n# TYPE jobd_job_phase_seconds_total counter\n")
-	for _, g := range active {
-		for _, p := range []struct {
-			name string
-			d    time.Duration
-		}{
-			{"wall", g.tot.Wall}, {"phi_kernel", g.tot.PhiKernel}, {"mu_kernel", g.tot.MuKernel},
-			{"halo_pack", g.tot.HaloPack}, {"halo_transfer", g.tot.HaloTransfer},
-			{"halo_wait", g.tot.HaloWait}, {"halo_unpack", g.tot.HaloUnpack},
-			{"sched", g.tot.Sched}, {"ckpt", g.tot.Ckpt},
-		} {
-			fmt.Fprintf(w, "jobd_job_phase_seconds_total{job=%q,phase=%q} %g\n", g.id, p.name, p.d.Seconds())
-		}
-	}
-	fmt.Fprintf(w, "# HELP jobd_halo_bytes_total Halo payload bytes exchanged by the running attempt, per job, neighbor rank and tag.\n# TYPE jobd_halo_bytes_total counter\n")
-	for _, g := range active {
-		for _, f := range g.flows {
-			fmt.Fprintf(w, "jobd_halo_bytes_total{job=%q,peer=\"%d\",tag=%q} %d\n", g.id, f.peer, f.tag, f.bytes)
-		}
-	}
-	fmt.Fprintf(w, "# HELP jobd_halo_frames_total Halo frames sent by the running attempt, per job, neighbor rank and tag.\n# TYPE jobd_halo_frames_total counter\n")
-	for _, g := range active {
-		for _, f := range g.flows {
-			fmt.Fprintf(w, "jobd_halo_frames_total{job=%q,peer=\"%d\",tag=%q} %d\n", g.id, f.peer, f.tag, f.frames)
-		}
-	}
-	fmt.Fprintf(w, "# HELP jobd_halo_sleeps_total Zero-length sleep frames sent in place of halo payloads, per job, neighbor rank and tag.\n# TYPE jobd_halo_sleeps_total counter\n")
-	for _, g := range active {
-		for _, f := range g.flows {
-			fmt.Fprintf(w, "jobd_halo_sleeps_total{job=%q,peer=\"%d\",tag=%q} %d\n", g.id, f.peer, f.tag, f.sleeps)
-		}
-	}
-	bounds := obs.BucketBounds()
-	fmt.Fprintf(w, "# HELP jobd_exchange_latency_seconds Whole halo-exchange latency of the running attempt, per job and tag.\n# TYPE jobd_exchange_latency_seconds histogram\n")
-	for _, g := range active {
-		tags := make([]string, 0, len(g.lat))
-		for tag := range g.lat {
-			tags = append(tags, tag)
-		}
-		sort.Strings(tags)
-		for _, tag := range tags {
-			h := g.lat[tag]
-			cum := int64(0)
-			for i, c := range h.Buckets {
-				cum += c
-				le := "+Inf"
-				if i < obs.NumBuckets-1 {
-					le = fmt.Sprintf("%g", bounds[i].Seconds())
-				}
-				fmt.Fprintf(w, "jobd_exchange_latency_seconds_bucket{job=%q,tag=%q,le=%q} %d\n", g.id, tag, le, cum)
-			}
-			fmt.Fprintf(w, "jobd_exchange_latency_seconds_sum{job=%q,tag=%q} %g\n", g.id, tag, h.Sum.Seconds())
-			fmt.Fprintf(w, "jobd_exchange_latency_seconds_count{job=%q,tag=%q} %d\n", g.id, tag, h.Count)
-		}
-	}
+	_ = s.metrics.Scrape(w, s.publishMetrics) // a failed write is a scraper that went away
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -365,7 +219,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	blob, err := s.scheduleBytes(j)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -378,14 +232,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.hasResult(j) {
-		writeError(w, http.StatusConflict, "job %s is %s; result exists only for done jobs",
+		WriteError(w, http.StatusConflict, CodeConflict, "job %s is %s; result exists only for done jobs",
 			j.ID, j.State())
 		return
 	}
 	final, err := s.resultBytes(j)
 	if err != nil {
 		// A torn or corrupted stored result is an error, never served.
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -398,27 +252,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, _ := s.Cancel(j.ID)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": j.ID, "state": st})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"id": j.ID, "state": st})
 }
 
 func (s *Server) handleSubmitArray(w http.ResponseWriter, r *http.Request) {
 	var as ArraySpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&as); err != nil {
-		writeError(w, decodeErrorCode(err), "bad array spec: %v", err)
+	if status, code, err := DecodeBody(r, &as); err != nil {
+		WriteError(w, status, code, "bad array spec: %v", err)
 		return
 	}
 	arr, err := s.SubmitArray(as)
 	if err != nil {
-		code := http.StatusBadRequest
-		if IsDraining(err) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.ArrayStatus(arr))
+	WriteJSON(w, http.StatusCreated, s.ArrayStatus(arr))
 }
 
 func (s *Server) handleListArrays(w http.ResponseWriter, r *http.Request) {
@@ -427,7 +275,7 @@ func (s *Server) handleListArrays(w http.ResponseWriter, r *http.Request) {
 	for _, a := range arrays {
 		out = append(out, s.ArrayStatus(a))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // arrayFor resolves the {id} path value or writes a 404.
@@ -435,7 +283,7 @@ func (s *Server) arrayFor(w http.ResponseWriter, r *http.Request) (*Array, bool)
 	id := r.PathValue("id")
 	a, ok := s.GetArray(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no array %q", id)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no array %q", id)
 		return nil, false
 	}
 	return a, true
@@ -443,13 +291,13 @@ func (s *Server) arrayFor(w http.ResponseWriter, r *http.Request) (*Array, bool)
 
 func (s *Server) handleArrayStatus(w http.ResponseWriter, r *http.Request) {
 	if a, ok := s.arrayFor(w, r); ok {
-		writeJSON(w, http.StatusOK, s.ArrayStatus(a))
+		WriteJSON(w, http.StatusOK, s.ArrayStatus(a))
 	}
 }
 
 func (s *Server) handleArrayResults(w http.ResponseWriter, r *http.Request) {
 	if a, ok := s.arrayFor(w, r); ok {
-		writeJSON(w, http.StatusOK, s.ArrayResults(a))
+		WriteJSON(w, http.StatusOK, s.ArrayResults(a))
 	}
 }
 
@@ -459,5 +307,5 @@ func (s *Server) handleCancelArray(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, _ := s.CancelArray(a.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }

@@ -47,6 +47,39 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
+// postBytes POSTs a JSON body and returns status + response body.
+func postBytes(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// wantAPIError asserts a structured {error, code} rejection with the given
+// status and machine-readable code.
+func wantAPIError(t *testing.T, what string, status int, body []byte, wantStatus int, wantCode string) {
+	t.Helper()
+	if status != wantStatus {
+		t.Errorf("%s: status %d (%s), want %d", what, status, body, wantStatus)
+		return
+	}
+	var ae APIError
+	if err := json.Unmarshal(body, &ae); err != nil {
+		t.Errorf("%s: unstructured error body %q: %v", what, body, err)
+		return
+	}
+	if ae.Code != wantCode || ae.Error == "" {
+		t.Errorf("%s: error body %+v, want code %q and a message", what, ae, wantCode)
+	}
+}
+
 // submit POSTs a spec and returns the created job's status.
 func submit(t *testing.T, base string, spec any) Status {
 	t.Helper()
@@ -218,52 +251,49 @@ func TestAPIPreemptResumeColdwall(t *testing.T) {
 }
 
 func TestAPIErrors(t *testing.T) {
-	_, ts := apiServer(t, Config{MaxConcurrent: 1, Budget: 1})
+	s, ts := apiServer(t, Config{MaxConcurrent: 1, Budget: 1})
 
-	// Malformed and invalid submissions.
+	// Malformed and invalid submissions, jobs and arrays alike.
 	for _, body := range []string{
 		`{not json`,
 		`{"nx":8,"ny":8,"nz":8}`,         // no steps
 		`{"nx":8,"ny":8,"nz":8,"wat":1}`, // unknown field
 		`{"nx":-1,"ny":8,"nz":8,"steps":5}`,
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
-		}
+		code, resp := postBytes(t, ts.URL+"/jobs", body)
+		wantAPIError(t, "POST /jobs "+body, code, resp, http.StatusBadRequest, CodeBadRequest)
+	}
+	for _, body := range []string{
+		`{not json`,
+		`{"template":{"nx":8,"ny":8,"nz":8,"steps":5}}`, // no axes
+	} {
+		code, resp := postBytes(t, ts.URL+"/arrays", body)
+		wantAPIError(t, "POST /arrays "+body, code, resp, http.StatusBadRequest, CodeBadRequest)
 	}
 
-	// Unknown job ids.
+	// Unknown job and array ids.
 	for _, path := range []string{"/jobs/job-9999", "/jobs/job-9999/metrics",
-		"/jobs/job-9999/schedule", "/jobs/job-9999/result"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
-		}
+		"/jobs/job-9999/schedule", "/jobs/job-9999/result",
+		"/arrays/arr-9999", "/arrays/arr-9999/results"} {
+		code, resp := getBytes(t, ts.URL+path)
+		wantAPIError(t, "GET "+path, code, resp, http.StatusNotFound, CodeNotFound)
 	}
 
 	// Result of an unfinished job conflicts.
 	st := submit(t, ts.URL, Spec{NX: 10, NY: 10, NZ: 12, Steps: 2000, Scenario: "interface"})
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("GET result of running job: status %d, want 409", resp.StatusCode)
-	}
+	code, resp := getBytes(t, ts.URL+"/jobs/"+st.ID+"/result")
+	wantAPIError(t, "GET result of running job", code, resp, http.StatusConflict, CodeConflict)
 	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+st.ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
 	}
+
+	// A draining daemon refuses submissions with its own code.
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	code, resp = postBytes(t, ts.URL+"/jobs", `{"nx":8,"ny":8,"nz":8,"steps":5}`)
+	wantAPIError(t, "POST /jobs while draining", code, resp, http.StatusServiceUnavailable, CodeDraining)
 }
 
 // The spec example from the package documentation must parse.

@@ -61,8 +61,8 @@ type ArrayStatus struct {
 	// then failed/canceled/done by worst outcome.
 	State  State         `json:"state"`
 	Counts map[State]int `json:"counts"`
-	// Missing counts children absent from the registry (possible after a
-	// restart that restored the store but not the spool).
+	// Missing counts children absent from the registry (possible only
+	// after a restart once store retention evicted their records).
 	Missing  int      `json:"missing,omitempty"`
 	Children []Status `json:"children"`
 }

@@ -374,12 +374,14 @@ func TestClassValidation(t *testing.T) {
 	}
 }
 
-// An array drained mid-campaign respools: the restarted daemon restores
+// An array drained mid-campaign resumes: the restarted daemon restores
 // the array record and the children finish.
-func TestArrayDrainSpoolResume(t *testing.T) {
-	spool := t.TempDir()
-	cfg := Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, SpoolDir: spool}
+func TestArrayDrainResume(t *testing.T) {
+	cfg := Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, StoreDir: t.TempDir()}
 	s1 := New(cfg)
+	if _, err := s1.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
 	s1.Start()
 	arr, err := s1.SubmitArray(sweepArraySpec("", 12, []float64{0.03, 0.05}, []float64{1}))
 	if err != nil {
@@ -394,12 +396,12 @@ func TestArrayDrainSpoolResume(t *testing.T) {
 	}
 
 	s2 := New(cfg)
-	n, err := s2.LoadSpool()
+	n, err := s2.LoadStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("spool restored %d jobs, want 2", n)
+		t.Fatalf("store restored %d jobs, want 2", n)
 	}
 	arr2, ok := s2.GetArray(arr.ID)
 	if !ok {
@@ -407,7 +409,7 @@ func TestArrayDrainSpoolResume(t *testing.T) {
 	}
 	s2.Start()
 	defer s2.Close()
-	waitFor(t, "array to finish after respool", 60*time.Second, func() bool {
+	waitFor(t, "array to finish after the restart", 60*time.Second, func() bool {
 		return s2.ArrayStatus(arr2).State == StateDone
 	})
 	st := s2.ArrayStatus(arr2)

@@ -101,8 +101,8 @@ func resolveClasses(budget int, classes map[string]int) map[string]int {
 }
 
 // classBudget returns the worker cap of a class. Submissions validate the
-// name up front; a name that is unknown anyway (a spooled or stored job
-// restored under different -class flags) is capped at one worker — the
+// name up front; a name that is unknown anyway (a stored job restored
+// under different -class flags) is capped at one worker — the
 // conservative reading that preserves the anti-starvation guarantee for
 // the classes that *are* configured. warnUnknownClass makes the situation
 // loud at load time.

@@ -1,13 +1,10 @@
 package jobd
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -173,7 +170,6 @@ func TestRetriesExhaustedQuarantined(t *testing.T) {
 func TestWatchdogStallRetry(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.StallTimeout = 300 * time.Millisecond
-	cfg.WatchdogTick = 25 * time.Millisecond
 	cfg.SnapshotEvery = 2
 	s := New(cfg)
 	s.Start()
@@ -236,28 +232,32 @@ func TestAPICancelDuringRetryBackoff(t *testing.T) {
 	_ = s
 }
 
-// A corrupt resume snapshot (here: spooled by a previous daemon) makes
-// buildSim fail; the job is quarantined as failed, not retried forever,
-// and the API reports the checkpoint error.
+// A corrupt resume snapshot (here: a well-hashed blob a previous daemon
+// drained that is not a checkpoint) makes buildSim fail; the job is
+// quarantined as failed, not retried forever, and the API reports the
+// checkpoint error.
 func TestAPIBuildSimErrorFromCorruptSnapshot(t *testing.T) {
-	spool := t.TempDir()
-	m := spoolManifest{
-		ID:       "job-0001",
-		Spec:     smallSpec("corrupt"),
-		Step:     2,
-		Snapshot: base64.StdEncoding.EncodeToString([]byte("not a checkpoint")),
-	}
-	blob, err := json.Marshal(&m)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(spool, "job-0001.job.json"), blob, 0o644); err != nil {
+	hash, err := st.PutBlob([]byte("not a checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobManifest{ID: "job-0001", Spec: smallSpec("corrupt"), State: StateQueued,
+		Step: 2, Snapshot: hash}
+	if err := st.PutManifest(store.JobsBucket, m.ID, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s := New(Config{MaxConcurrent: 1, Budget: 2, SpoolDir: spool})
-	if n, err := s.LoadSpool(); err != nil || n != 1 {
-		t.Fatalf("LoadSpool = %d, %v", n, err)
+	s := New(Config{MaxConcurrent: 1, Budget: 2, StoreDir: dir})
+	if n, err := s.LoadStore(); err != nil || n != 1 {
+		t.Fatalf("LoadStore = %d, %v", n, err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -270,14 +270,8 @@ func TestAPIBuildSimErrorFromCorruptSnapshot(t *testing.T) {
 		return now.State == StateFailed && now.Error != ""
 	})
 	// No result must be claimed for it.
-	resp, err := http.Get(ts.URL + "/jobs/job-0001/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("GET /result of failed job: %d, want 409", resp.StatusCode)
-	}
+	code, body := getBytes(t, ts.URL+"/jobs/job-0001/result")
+	wantAPIError(t, "GET /result of failed job", code, body, http.StatusConflict, CodeConflict)
 }
 
 // A schedule that ramps dt past the stability limit fails mid-run inside
@@ -307,14 +301,8 @@ func TestAPIRequestBodyCap(t *testing.T) {
 	_, ts := apiServer(t, Config{MaxConcurrent: 1, Budget: 2})
 	big := fmt.Sprintf(`{"nx":8,"ny":8,"nz":8,"steps":3,"name":%q}`,
 		strings.Repeat("x", MaxRequestBody+1))
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized POST /jobs: %d, want 413", resp.StatusCode)
-	}
+	code, body := postBytes(t, ts.URL+"/jobs", big)
+	wantAPIError(t, "oversized POST /jobs", code, body, http.StatusRequestEntityTooLarge, CodeTooLarge)
 }
 
 // The daemon-wide metrics endpoint exports the fleet counters.
@@ -373,17 +361,19 @@ func TestFaultBudgetPerJob(t *testing.T) {
 	}
 }
 
-// Retry state survives a drain/restart cycle: a job spooled mid-backoff
+// Retry state survives a drain/restart cycle: a job drained mid-backoff
 // comes back with its retry count, stall count and last error.
-func TestSpoolPreservesRetryState(t *testing.T) {
-	spool := t.TempDir()
+func TestDrainPreservesRetryState(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.SpoolDir = spool
+	cfg.StoreDir = t.TempDir()
 	cfg.RetryBackoff = time.Hour
 	s := New(cfg)
+	if _, err := s.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
 	s.Start()
 
-	spec := smallSpec("spooled")
+	spec := smallSpec("drained")
 	spec.Steps = 6
 	spec.MaxRetries = 3
 	spec.Fault = &FaultSpec{Mode: FaultFailStep, Step: 2, Times: 10}
@@ -400,9 +390,9 @@ func TestSpoolPreservesRetryState(t *testing.T) {
 	}
 
 	s2 := New(cfg)
-	n, err := s2.LoadSpool()
+	n, err := s2.LoadStore()
 	if err != nil || n != 1 {
-		t.Fatalf("LoadSpool = %d, %v", n, err)
+		t.Fatalf("LoadStore = %d, %v", n, err)
 	}
 	defer s2.Close()
 	j2, ok := s2.Get(j.ID)

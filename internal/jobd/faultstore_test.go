@@ -1,6 +1,7 @@
 package jobd
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -227,6 +228,162 @@ func TestSpillCrashPointTable(t *testing.T) {
 				_ = s
 			})
 		}
+	}
+}
+
+// drainRamp is the schedule of the drain suites' job: the ramp spans the
+// whole run, so any drain point is mid-ramp.
+const drainRamp = `{"events":[
+	{"type":"ramp","param":"v","step":0,"over":40,"from":0.02,"to":0.05}]}`
+
+// The crash-point table of the drain sequence. Drain writes a preempted
+// job as a live record — snapshot blob, applied-schedule blob, manifest —
+// through the same store discipline as a terminal spill; kill the
+// filesystem at every named operation of every one of the three files,
+// restart a daemon over the frozen directory, and require: the job resumes
+// and finishes byte-identical to an uninterrupted run, or the daemon does
+// not know it (resubmittable). A job that comes back failed — a torn
+// snapshot reached the restore — fails the walk.
+func TestDrainCrashPointTable(t *testing.T) {
+	spec := preemptResumeSpec(drainRamp)
+	want := uninterruptedFinal(t, spec, 2)
+	ops := []string{
+		faultfs.OpCreateTemp, faultfs.OpWrite, faultfs.OpSync,
+		faultfs.OpClose, faultfs.OpRename, faultfs.OpSyncDir,
+	}
+	// After selects which file of the drain sequence dies: 0 = snapshot
+	// blob, 1 = schedule blob, 2 = manifest.
+	for _, op := range ops {
+		for after := 0; after <= 2; after++ {
+			t.Run(fmt.Sprintf("%s-file%d", op, after), func(t *testing.T) {
+				dir := t.TempDir()
+				inj := faultfs.NewInject(nil)
+				cfg := Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, StoreDir: dir}
+				cfg.StoreFS = inj
+				s1 := New(cfg)
+				if _, err := s1.LoadStore(); err != nil {
+					t.Fatal(err)
+				}
+				s1.Start()
+				a, err := s1.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "job to take a few steps", 30*time.Second, func() bool {
+					return a.Status().Step >= 3
+				})
+				// Armed only now, so the rule counts the drain's writes alone.
+				inj.AddRule(&faultfs.Rule{Op: op, After: after, Times: 1, Crash: true})
+				err = s1.Drain()
+				if crashed, at := inj.Crashed(); !crashed || !strings.Contains(at, op) {
+					t.Fatalf("crash point %s/%d did not fire (crashed at %q)", op, after, at)
+				}
+				if err == nil {
+					t.Fatal("Drain over a crashed store reported success")
+				}
+
+				// "Restart" on the real filesystem (Drain released the flock).
+				cfg.StoreFS = nil
+				cfg.StoreGCMaxBytes = 1 << 30 // arms a GC pass over the frozen state
+				s2 := New(cfg)
+				n, err := s2.LoadStore()
+				if err != nil {
+					t.Fatalf("restart over crashed drain: %v", err)
+				}
+				s2.Start()
+				defer s2.Close()
+				a2, ok := s2.Get(a.ID)
+				if !ok {
+					// Cleanly absent: the crash predates the manifest.
+					if n != 0 {
+						t.Fatalf("no job yet LoadStore restored %d", n)
+					}
+					return
+				}
+				waitFor(t, "resumed job to finish", 60*time.Second, func() bool {
+					return a2.State().terminal()
+				})
+				if st := a2.Status(); st.State != StateDone || st.Preemptions < 1 {
+					t.Fatalf("resumed job ended %+v", st)
+				}
+				diffCheckpoints(t, a2.FinalCheckpoint(), want)
+			})
+		}
+	}
+}
+
+// A drained job whose snapshot blob is torn on disk is never resumed from
+// the torn bytes and never silently restarted from step 0: the restarted
+// daemon registers that one job as failed, with the store's verdict, and
+// the other drained jobs load and run. The verdict is durable.
+func TestTornDrainSnapshotFailsOnlyThatJob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, StoreDir: dir}
+	s1 := New(cfg)
+	if _, err := s1.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	a, err := s1.Submit(preemptResumeSpec(drainRamp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s1.Submit(smallSpec("behind")) // waits behind a; drained unstarted
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first job to take a few steps", 30*time.Second, func() bool {
+		return a.Status().Step >= 3
+	})
+	if err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear a's snapshot object (simulates a torn disk write).
+	blob, err := os.ReadFile(filepath.Join(dir, "jobs", a.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m jobManifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.State != StateQueued || m.Snapshot == "" {
+		t.Fatalf("drained record %+v, want queued with a snapshot", m)
+	}
+	objPath := filepath.Join(dir, "objects", m.Snapshot[:2], m.Snapshot)
+	raw, err := os.ReadFile(objPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(objPath, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(cfg)
+	if n, err := s2.LoadStore(); err != nil || n != 2 {
+		t.Fatalf("restart LoadStore = %d, %v; want both jobs and no error", n, err)
+	}
+	s2.Start()
+	a2, _ := s2.Get(a.ID)
+	if st := a2.Status(); st.State != StateFailed || !strings.Contains(st.Error, "corrupt") {
+		t.Fatalf("job with the torn snapshot: %+v, want failed with the store's corruption error", st)
+	}
+	b2, _ := s2.Get(b.ID)
+	waitFor(t, "the intact drained job to finish", 60*time.Second, func() bool {
+		return b2.State() == StateDone
+	})
+	if err := s2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := New(cfg)
+	if _, err := s3.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if a3, ok := s3.Get(a.ID); !ok || a3.State() != StateFailed {
+		t.Fatalf("the failed verdict did not survive a further restart (present=%v)", ok)
 	}
 }
 

@@ -315,6 +315,10 @@ type Job struct {
 	lastBeat  atomic.Int64
 	faultLeft atomic.Int32
 
+	// spillMu serializes store spills of this job (spillJob), so the record
+	// on disk is always the latest state any spill observed.
+	spillMu sync.Mutex
+
 	mu          sync.Mutex
 	state       State
 	err         error

@@ -32,35 +32,32 @@
 //     jobs of one class may hold collectively, shares assigned by
 //     per-class water-filling, so an array of cheap scouts cannot starve
 //     a production run — observable per class via WorkerGauge.Class;
-//   - the persistent result store (Config.StoreDir, internal/jobd/store)
-//     spills every terminal job's final checkpoint, replayable schedule
-//     and metrics summary to a content-addressed layout; a restarted
-//     daemon serves /result and /schedule byte-identical to its
-//     predecessor, and GET /arrays/{id}/results aggregates a campaign's
-//     per-child parameters and metrics.
+//   - the persistent store (Config.StoreDir, internal/jobd/store) is the
+//     daemon's only disk format: every terminal job spills its final
+//     checkpoint, replayable schedule and metrics summary to a
+//     content-addressed layout; a restarted daemon serves /result and
+//     /schedule byte-identical to its predecessor, and
+//     GET /arrays/{id}/results aggregates a campaign's per-child
+//     parameters and metrics.
 //
 // On SIGTERM the daemon (cmd/solidifyd) drains: every in-flight job is
-// preempted, snapshotted, and spooled to disk together with the queue and
-// the array records, so a restarted daemon resumes where the old one
-// stopped.
+// preempted and snapshotted, and it and every queued job are written to
+// the same store as live ("queued") records, so a daemon restarted over
+// the store (LoadStore) resumes where the old one stopped. Without a
+// store nothing outlives the process.
 package jobd
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/jobd/store"
-	"repro/internal/schedule"
+	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -74,12 +71,10 @@ type Config struct {
 	// ⌊Budget/n⌋ workers; a job whose block count exceeds that share is
 	// not admitted until slots free up.
 	Budget int
-	// SpoolDir, when non-empty, is where Drain persists preempted and
-	// queued jobs for the next daemon instance (LoadSpool).
-	SpoolDir string
-	// StoreDir, when non-empty, is the persistent result store: terminal
-	// jobs spill their final checkpoint, replayable schedule and metrics
-	// summary there, and a restarted daemon serves them byte-identically
+	// StoreDir, when non-empty, is the persistent store: terminal jobs
+	// spill their final checkpoint, replayable schedule and metrics summary
+	// there, Drain adds the preempted and queued ones, and a restarted
+	// daemon serves the former byte-identically and resumes the latter
 	// (LoadStore).
 	StoreDir string
 	// Classes maps resource-class names to per-class worker budgets W_c.
@@ -104,10 +99,9 @@ type Config struct {
 	// reaches no timestep boundary within the window is declared stalled,
 	// canceled cooperatively at its next boundary, and routed through the
 	// retry/quarantine path. Size it above the worst-case initialization
-	// plus one step. Spec.StallSeconds overrides it per job.
+	// plus one step. Spec.StallSeconds overrides it per job. The scan
+	// runs every StallTimeout/4.
 	StallTimeout time.Duration
-	// WatchdogTick is the stall-scan cadence (default StallTimeout/4).
-	WatchdogTick time.Duration
 	// AllowFaults permits submitted specs to carry a FaultSpec
 	// (deterministic fault injection for tests and recovery drills;
 	// solidifyd -chaos). Off, a fault-bearing spec is rejected.
@@ -139,6 +133,7 @@ type Server struct {
 	cfg     Config
 	gauge   *solver.WorkerGauge
 	classes map[string]int // resolved resource classes (name → W_c)
+	metrics *obs.Counters  // the jobd_* families of GET /metrics
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -216,13 +211,11 @@ func New(cfg Config) *Server {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
-	if cfg.WatchdogTick <= 0 && cfg.StallTimeout > 0 {
-		cfg.WatchdogTick = cfg.StallTimeout / 4
-	}
 	return &Server{
 		cfg:       cfg,
 		gauge:     &solver.WorkerGauge{},
 		classes:   resolveClasses(cfg.Budget, cfg.Classes),
+		metrics:   newMetrics(),
 		jobs:      make(map[string]*Job),
 		running:   make(map[string]*Job),
 		arrays:    make(map[string]*Array),
@@ -253,37 +246,29 @@ func (s *Server) Start() {
 		}
 	}()
 	if s.cfg.StallTimeout > 0 {
-		s.schedulerWG.Add(1)
-		go func() {
-			defer s.schedulerWG.Done()
-			tick := time.NewTicker(s.cfg.WatchdogTick)
-			defer tick.Stop()
-			for {
-				select {
-				case <-s.quit:
-					return
-				case <-tick.C:
-					s.checkStalls()
-				}
-			}
-		}()
+		s.every(s.cfg.StallTimeout/4, s.checkStalls)
 	}
 	if s.cfg.StoreGCEvery > 0 && s.retention().Enabled() {
-		s.schedulerWG.Add(1)
-		go func() {
-			defer s.schedulerWG.Done()
-			tick := time.NewTicker(s.cfg.StoreGCEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-s.quit:
-					return
-				case <-tick.C:
-					_, _ = s.RunStoreGC()
-				}
-			}
-		}()
+		s.every(s.cfg.StoreGCEvery, func() { _, _ = s.RunStoreGC() })
 	}
+}
+
+// every runs fn on a ticker until the daemon quits.
+func (s *Server) every(d time.Duration, fn func()) {
+	s.schedulerWG.Add(1)
+	go func() {
+		defer s.schedulerWG.Done()
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.quit:
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // checkStalls is one watchdog pass: every running job whose last timestep
@@ -669,8 +654,9 @@ func (s *Server) onRunnerExit(j *Job) {
 
 // Drain stops the daemon gracefully: no new submissions, every running job
 // is preempted (checkpointed at its next timestep boundary), and — when a
-// spool directory is configured — all queued/preempted jobs are persisted
-// for the next daemon instance. Blocks until every runner has exited.
+// store is configured — every queued or preempted job is written to it as
+// a live record for the next daemon instance (LoadStore). Blocks until
+// every runner has exited; returns the first store write error.
 func (s *Server) Drain() error {
 	s.mu.Lock()
 	if s.draining {
@@ -695,184 +681,31 @@ func (s *Server) Drain() error {
 	// memory-only results behind as possible.
 	s.flushPending()
 
+	// Every runner has exited and the scheduler is stopped, so the queue is
+	// the complete set of live jobs: never started, preempted above, or
+	// sitting out a retry backoff.
+	s.mu.Lock()
+	st := s.store
+	live := append([]*Job(nil), s.queue...)
+	s.mu.Unlock()
+	var first error
+	for _, j := range live {
+		if err := s.spillJob(j); err != nil {
+			s.logf("jobd: drain: %v", err)
+			if first == nil {
+				first = err
+			}
+		}
+	}
+
 	// Release the store directory's exclusive lock so a successor daemon
 	// can open it; the store keeps serving reads for /result requests that
 	// arrive after the drain.
-	s.mu.Lock()
-	st := s.store
-	s.mu.Unlock()
 	if st != nil {
 		_ = st.Close()
 	}
-
-	if s.cfg.SpoolDir == "" {
-		return nil
-	}
-	return s.writeSpool()
+	return first
 }
 
-// Close is Drain for tests that configured no spool directory.
+// Close is Drain for tests that ignore its error.
 func (s *Server) Close() { _ = s.Drain() }
-
-// spoolManifest is the on-disk form of a drained job.
-type spoolManifest struct {
-	ID          string          `json:"id"`
-	Array       string          `json:"array,omitempty"`
-	Spec        Spec            `json:"spec"`
-	Preemptions int             `json:"preemptions"`
-	Step        int             `json:"step"`
-	Retries     int             `json:"retries,omitempty"`
-	Stalls      int             `json:"stalls,omitempty"`
-	LastError   string          `json:"last_error,omitempty"`
-	Applied     json.RawMessage `json:"applied,omitempty"`
-	// Snapshot is the base64 lossless checkpoint of a preempted job
-	// (absent for never-started jobs).
-	Snapshot string `json:"snapshot,omitempty"`
-}
-
-// writeSpool persists every resumable job and every array record.
-func (s *Server) writeSpool() error {
-	if err := os.MkdirAll(s.cfg.SpoolDir, 0o755); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.state != StateQueued {
-			j.mu.Unlock()
-			continue
-		}
-		m := spoolManifest{ID: j.ID, Array: j.array, Spec: j.Spec,
-			Preemptions: j.preemptions, Step: j.step,
-			Retries: j.retries, Stalls: j.stalls}
-		if j.lastErr != nil {
-			m.LastError = j.lastErr.Error()
-		}
-		if len(j.snapshot) > 0 {
-			m.Snapshot = base64.StdEncoding.EncodeToString(j.snapshot)
-		}
-		if len(j.applied) > 0 {
-			if blob, err := schedule.EncodeJSON(j.applied); err == nil {
-				m.Applied = blob
-			}
-		}
-		j.mu.Unlock()
-		blob, err := json.Marshal(&m)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(s.cfg.SpoolDir, m.ID+".job.json"), blob, 0o644); err != nil {
-			return err
-		}
-	}
-	for _, arr := range s.arrays {
-		m := arrayManifest{ID: arr.ID, Spec: arr.Spec, Children: arr.Children}
-		blob, err := json.Marshal(&m)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(s.cfg.SpoolDir, arr.ID+".array.json"), blob, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadSpool requeues jobs a previous daemon instance drained to the spool
-// directory. Call before Start. Returns the number of jobs restored.
-func (s *Server) LoadSpool() (int, error) {
-	if s.cfg.SpoolDir == "" {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(s.cfg.SpoolDir)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		path := filepath.Join(s.cfg.SpoolDir, e.Name())
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".array.json") {
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				return n, err
-			}
-			var m arrayManifest
-			if err := json.Unmarshal(blob, &m); err != nil {
-				return n, fmt.Errorf("jobd: spool %s: %w", e.Name(), err)
-			}
-			s.mu.Lock()
-			s.restoreArrayLocked(&m)
-			s.mu.Unlock()
-			_ = os.Remove(path)
-			continue
-		}
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job.json") {
-			continue
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return n, err
-		}
-		var m spoolManifest
-		if err := json.Unmarshal(blob, &m); err != nil {
-			return n, fmt.Errorf("jobd: spool %s: %w", e.Name(), err)
-		}
-		sched, err := m.Spec.normalize()
-		if err != nil {
-			return n, fmt.Errorf("jobd: spool %s: %w", e.Name(), err)
-		}
-		s.mu.Lock()
-		s.nextSeq++
-		j := newJob(m.ID, s.nextSeq, m.Spec, sched)
-		j.step = m.Step
-		j.preemptions = m.Preemptions
-		j.retries = m.Retries
-		j.stalls = m.Stalls
-		if m.LastError != "" {
-			j.lastErr = fmt.Errorf("%s", m.LastError)
-		}
-		j.array = m.Array
-		if j.array != "" {
-			j.group = j.array
-		}
-		if m.Snapshot != "" {
-			if j.snapshot, err = base64.StdEncoding.DecodeString(m.Snapshot); err != nil {
-				s.mu.Unlock()
-				return n, fmt.Errorf("jobd: spool %s: %w", e.Name(), err)
-			}
-		}
-		if len(m.Applied) > 0 {
-			if as, err := schedule.FromJSONBytes(m.Applied); err == nil {
-				j.mergeApplied(as.Events)
-			}
-		}
-		// Keep ids unique if the spool and fresh submissions mix.
-		if id := idNumber(m.ID); id >= s.nextID {
-			s.nextID = id
-		}
-		s.jobs[j.ID] = j
-		s.enqueueLocked(j)
-		s.mu.Unlock()
-		j.mark("restore", "restored from spool")
-		s.warnUnknownClass(j.ID, j.Spec.Class)
-		_ = os.Remove(path)
-		n++
-	}
-	if n > 0 {
-		s.wakeup()
-	}
-	return n, nil
-}
-
-// idNumber extracts the numeric suffix of a job id ("job-0042" → 42).
-func idNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
-		return 0
-	}
-	return n
-}

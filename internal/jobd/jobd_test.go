@@ -232,16 +232,20 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// Drain preempts in-flight jobs to the spool; a fresh server resumes them
-// and the completed trajectory is still bit-identical to an uninterrupted
-// run (daemon restarts are invisible to the physics).
-func TestDrainSpoolResume(t *testing.T) {
-	spool := t.TempDir()
+// Drain preempts in-flight jobs into the store; a fresh server over the
+// same directory resumes them and the completed trajectory is still
+// bit-identical to an uninterrupted run (daemon restarts are invisible to
+// the physics).
+func TestDrainResume(t *testing.T) {
+	cfg := Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, StoreDir: t.TempDir()}
 	spec := preemptResumeSpec(`{"events":[
 		{"type":"ramp","param":"v","step":0,"over":40,"from":0.02,"to":0.05}
 	]}`)
 
-	s1 := New(Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, SpoolDir: spool})
+	s1 := New(cfg)
+	if _, err := s1.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
 	s1.Start()
 	a, err := s1.Submit(spec)
 	if err != nil {
@@ -260,25 +264,25 @@ func TestDrainSpoolResume(t *testing.T) {
 		t.Errorf("submit while draining: err %v", err)
 	}
 
-	s2 := New(Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1, SpoolDir: spool})
-	n, err := s2.LoadSpool()
+	s2 := New(cfg)
+	n, err := s2.LoadStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("spool restored %d jobs, want 1", n)
+		t.Fatalf("store restored %d jobs, want 1", n)
 	}
 	s2.Start()
 	defer s2.Close()
 	a2, ok := s2.Get(a.ID)
 	if !ok {
-		t.Fatalf("job %s not found after spool load", a.ID)
+		t.Fatalf("job %s not found after store load", a.ID)
 	}
-	waitFor(t, "respooled job to finish", 60*time.Second, func() bool {
+	waitFor(t, "resumed job to finish", 60*time.Second, func() bool {
 		return a2.State() == StateDone
 	})
 	if a2.Status().Preemptions < 1 {
-		t.Error("respooled job lost its preemption count")
+		t.Error("resumed job lost its preemption count")
 	}
 	diffCheckpoints(t, a2.FinalCheckpoint(), uninterruptedFinal(t, spec, 2))
 }

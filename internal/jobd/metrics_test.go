@@ -10,14 +10,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/promtest"
+	"repro/internal/obs/promtest"
 )
 
 // metrics_test.go — the daemon observability surface: GET /metrics must be
 // strictly valid Prometheus text exposition (format 0.0.4) including the
 // telemetry series, survive concurrent scrapes under -race, and
 // GET /jobs/{id}/trace must serve loadable Chrome trace_event JSON.
-// Strict format validation lives in internal/promtest, shared with the
+// Strict format validation lives in internal/obs/promtest, shared with the
 // federation gateway's scrape tests.
 
 // scrape fetches GET /metrics and returns the body.

@@ -7,20 +7,26 @@ import (
 	"time"
 
 	"repro/internal/jobd/store"
+	"repro/internal/schedule"
 )
 
-// persist.go — the daemon side of the persistent result store. Terminal
-// jobs spill their final checkpoint, replayable schedule and metrics
-// summary into a content-addressed store (internal/jobd/store); a
-// restarted daemon reloads the manifests and keeps serving /result and
-// /schedule byte-identical to the pre-restart responses, because both
-// endpoints serve the stored blobs verbatim (and the store verifies every
-// blob against its content hash before it leaves disk).
+// persist.go — the daemon side of the persistent store, the only way a
+// job record reaches disk. Terminal jobs spill their final checkpoint,
+// replayable schedule and metrics summary into a content-addressed store
+// (internal/jobd/store); a restarted daemon reloads the manifests and
+// keeps serving /result and /schedule byte-identical to the pre-restart
+// responses, because both endpoints serve the stored blobs verbatim (and
+// the store verifies every blob against its content hash before it leaves
+// disk). Drain writes queued and preempted jobs through the same sequence
+// as live records, which the restarted daemon requeues.
 
-// jobManifest is the on-store record of a terminal job: the metrics
-// summary plus the content addresses of the result and schedule blobs.
-// Name, class, params and total steps live in the embedded Spec — the one
-// source of truth.
+// jobManifest is the on-store record of a job, one per id, last writer
+// wins: the metrics summary plus the content addresses of its blobs. A
+// terminal job references its result and schedule; a live one (State
+// queued, written by Drain) its resume snapshot and the schedule applied
+// so far, and is overwritten by the terminal record once the resumed job
+// finishes. Name, class, params and total steps live in the embedded Spec
+// — the one source of truth.
 type jobManifest struct {
 	ID          string  `json:"id"`
 	Array       string  `json:"array,omitempty"`
@@ -36,9 +42,10 @@ type jobManifest struct {
 	Error       string  `json:"error,omitempty"`
 	Result      string  `json:"result,omitempty"`   // blob hash, ckpt container bytes
 	Schedule    string  `json:"schedule,omitempty"` // blob hash, replayable schedule JSON
+	Snapshot    string  `json:"snapshot,omitempty"` // blob hash, lossless resume checkpoint (live jobs that ran)
 }
 
-// arrayManifest is the on-store (and on-spool) record of an array.
+// arrayManifest is the on-store record of an array.
 type arrayManifest struct {
 	ID       string    `json:"id"`
 	Spec     ArraySpec `json:"spec"`
@@ -54,9 +61,9 @@ func (s *Server) logf(format string, args ...any) {
 
 // LoadStore opens the configured store directory and restores the
 // manifests a previous daemon instance left: terminal jobs (served from
-// disk) and array records. Call before Start, before LoadSpool (spooled
-// live jobs then layer on top of the stored terminal ones). Returns the
-// number of jobs restored.
+// disk), live jobs a Drain recorded (requeued; they resume from their
+// snapshot) and array records. Call before Start. Returns the number of
+// jobs restored, of both kinds.
 func (s *Server) LoadStore() (int, error) {
 	if s.cfg.StoreDir == "" {
 		return 0, nil
@@ -66,7 +73,8 @@ func (s *Server) LoadStore() (int, error) {
 		return 0, err
 	}
 	// Retention runs before the restore walk so the daemon only learns
-	// about jobs whose results actually survived the policy.
+	// about jobs whose results actually survived the policy (live records
+	// are exempt from it, see store.GC).
 	if pol := s.retention(); pol.Enabled() {
 		if rep, err := st.GC(pol, time.Now()); err != nil {
 			s.logf("jobd: store gc at load: %v", err)
@@ -76,7 +84,6 @@ func (s *Server) LoadStore() (int, error) {
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.store = st
 
 	n := 0
@@ -89,17 +96,19 @@ func (s *Server) LoadStore() (int, error) {
 		if m.ID != id {
 			return fmt.Errorf("manifest id %q names job %q", id, m.ID)
 		}
-		if !m.State.terminal() {
-			return fmt.Errorf("stored job %s has non-terminal state %q", id, m.State)
+		if !m.State.terminal() && m.State != StateQueued {
+			return fmt.Errorf("stored job %s has state %q", id, m.State)
 		}
 		manifests = append(manifests, m)
 		return nil
 	})
 	if err != nil {
+		s.mu.Unlock()
 		return 0, err
 	}
 	// Directory order is not submission order; sort for stable listings.
 	sort.Slice(manifests, func(i, j int) bool { return manifests[i].ID < manifests[j].ID })
+	var requeued, unresumable []*Job
 	for _, m := range manifests {
 		if _, exists := s.jobs[m.ID]; exists {
 			continue
@@ -123,19 +132,31 @@ func (s *Server) LoadStore() (int, error) {
 		if j.array != "" {
 			j.group = j.array
 		}
-		j.storedResult = m.Result
-		j.storedSchedule = m.Schedule
 		s.jobs[j.ID] = j
-		if id := idNumber(m.ID); id > s.nextID {
+		if id := idNumber("job-%d", m.ID); id > s.nextID {
 			s.nextID = id
 		}
 		// Child manifests also pin the array counter: the array's own
 		// manifest may be missing (persistArray is best-effort), and a
 		// reused array id would overwrite the stored children.
-		if id := arrayNumber(m.Array); id > s.nextArrayID {
+		if id := idNumber("arr-%d", m.Array); id > s.nextArrayID {
 			s.nextArrayID = id
 		}
 		n++
+		if m.State.terminal() {
+			j.storedResult = m.Result
+			j.storedSchedule = m.Schedule
+		} else if err := j.resumeFrom(st, &m); err != nil {
+			// Never resumed from torn bytes and never silently restarted
+			// from step 0: this one job fails, the others load.
+			j.state = StateFailed
+			j.err = fmt.Errorf("jobd: restore %s: %w", j.ID, err)
+			j.snapshot = nil
+			unresumable = append(unresumable, j)
+		} else {
+			s.enqueueLocked(j)
+			requeued = append(requeued, j)
+		}
 	}
 
 	err = st.Manifests(store.ArraysBucket, func(id string, blob []byte) error {
@@ -143,33 +164,67 @@ func (s *Server) LoadStore() (int, error) {
 		if err := json.Unmarshal(blob, &m); err != nil {
 			return err
 		}
-		s.restoreArrayLocked(&m)
+		if _, exists := s.arrays[m.ID]; !exists {
+			s.nextSeq++
+			s.arrays[m.ID] = &Array{ID: m.ID, Spec: m.Spec, Children: m.Children, seq: s.nextSeq}
+			if id := idNumber("arr-%d", m.ID); id > s.nextArrayID {
+				s.nextArrayID = id
+			}
+		}
 		return nil
 	})
+	s.mu.Unlock()
+
+	for _, j := range requeued {
+		j.mark("restore", "restored from store")
+		s.warnUnknownClass(j.ID, j.Spec.Class)
+	}
+	for _, j := range unresumable {
+		j.mark(string(StateFailed), j.err.Error())
+		// Make the verdict durable: the terminal record replaces the live
+		// one, and the unreadable blobs become orphans the sweeps reclaim.
+		s.spillDone(j)
+	}
+	if len(requeued) > 0 {
+		s.logf("jobd: requeued %d drained job(s)", len(requeued))
+		s.wakeup()
+	}
+	return n, err
+}
+
+// resumeFrom turns a freshly built job into the live one its manifest
+// recorded: the parsed schedule, the resume snapshot and the audit log
+// applied so far, the blobs verified against their content addresses.
+func (j *Job) resumeFrom(st *store.Store, m *jobManifest) error {
+	sched, err := j.Spec.normalize()
 	if err != nil {
-		return n, err
+		return err
 	}
-	return n, nil
+	j.sched = sched
+	if m.Snapshot != "" {
+		if j.snapshot, err = st.Blob(m.Snapshot); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	if m.Schedule != "" {
+		blob, err := st.Blob(m.Schedule)
+		if err != nil {
+			return fmt.Errorf("applied schedule: %w", err)
+		}
+		applied, err := schedule.FromJSONBytes(blob)
+		if err != nil {
+			return fmt.Errorf("applied schedule: %w", err)
+		}
+		j.mergeApplied(applied.Events)
+	}
+	return nil
 }
 
-// restoreArrayLocked registers an array record loaded from the store or
-// spool; s.mu must be held.
-func (s *Server) restoreArrayLocked(m *arrayManifest) {
-	if _, exists := s.arrays[m.ID]; exists {
-		return
-	}
-	s.nextSeq++
-	arr := &Array{ID: m.ID, Spec: m.Spec, Children: m.Children, seq: s.nextSeq}
-	s.arrays[arr.ID] = arr
-	if id := arrayNumber(m.ID); id > s.nextArrayID {
-		s.nextArrayID = id
-	}
-}
-
-// arrayNumber extracts the numeric suffix of an array id ("arr-0042" → 42).
-func arrayNumber(id string) int {
+// idNumber extracts the numeric suffix of a job or array id
+// (idNumber("job-%d", "job-0042") → 42); 0 for an id of another shape.
+func idNumber(format, id string) int {
 	var n int
-	if _, err := fmt.Sscanf(id, "arr-%d", &n); err != nil {
+	if _, err := fmt.Sscanf(id, format, &n); err != nil {
 		return 0
 	}
 	return n
@@ -192,11 +247,13 @@ func (s *Server) persistArray(arr *Array) {
 	}
 }
 
-// spillJob persists a terminal job: result and schedule blobs first, the
-// manifest referencing them last, so a manifest never points at a blob
-// that was not fully written. A returned error means nothing authoritative
-// landed — the job keeps serving from memory and the caller (spillDone)
-// parks it for the degraded-mode flusher to retry.
+// spillJob persists a job's current record: blobs first, the manifest
+// referencing them last, so a manifest never points at a blob that was not
+// fully written. A terminal job stores its result and schedule; a queued
+// one (Drain) its resume snapshot and the schedule applied so far. A
+// returned error means nothing authoritative landed — a terminal job keeps
+// serving from memory and the caller (spillDone) parks it for the
+// degraded-mode flusher to retry.
 func (s *Server) spillJob(j *Job) error {
 	s.mu.Lock()
 	st := s.store
@@ -204,6 +261,11 @@ func (s *Server) spillJob(j *Job) error {
 	if st == nil {
 		return nil
 	}
+	// One spill of a job at a time, state read to manifest written: a
+	// cancel racing Drain must not have its terminal record overwritten by
+	// the older queued one.
+	j.spillMu.Lock()
+	defer j.spillMu.Unlock()
 	j.mu.Lock()
 	m := jobManifest{
 		ID: j.ID, Array: j.array, Spec: j.Spec, State: j.state,
@@ -216,11 +278,8 @@ func (s *Server) spillJob(j *Job) error {
 	if j.lastErr != nil {
 		m.LastError = j.lastErr.Error()
 	}
-	final := j.final
+	final, snapshot := j.final, j.snapshot
 	j.mu.Unlock()
-	if !m.State.terminal() {
-		return nil
-	}
 
 	// The whole blob+manifest sequence runs under one GC reservation, so
 	// retention GC never observes the gap between a written blob and the
@@ -228,19 +287,21 @@ func (s *Server) spillJob(j *Job) error {
 	release := st.Reserve()
 	defer release()
 
+	var err error
 	if final != nil {
-		hash, err := st.PutBlob(final)
-		if err != nil {
+		if m.Result, err = st.PutBlob(final); err != nil {
 			return fmt.Errorf("store result of %s: %w", j.ID, err)
 		}
-		m.Result = hash
+	}
+	if len(snapshot) > 0 {
+		if m.Snapshot, err = st.PutBlob(snapshot); err != nil {
+			return fmt.Errorf("store snapshot of %s: %w", j.ID, err)
+		}
 	}
 	if blob, err := j.AppliedScheduleJSON(); err != nil {
 		return fmt.Errorf("encode schedule of %s: %w", j.ID, err)
-	} else if hash, err := st.PutBlob(blob); err != nil {
+	} else if m.Schedule, err = st.PutBlob(blob); err != nil {
 		return fmt.Errorf("store schedule of %s: %w", j.ID, err)
-	} else {
-		m.Schedule = hash
 	}
 	if err := st.PutManifest(store.JobsBucket, j.ID, &m); err != nil {
 		return fmt.Errorf("store manifest of %s: %w", j.ID, err)

@@ -23,8 +23,9 @@ import (
 // brackets itself with Reserve, GC takes the write side, and therefore
 // only ever runs when no spill is between its first blob and its
 // manifest. That makes "unreferenced" unambiguous at GC time: any
-// unowned blob is a leftover from a crashed process (the same class of
-// garbage sweepOrphans reclaims at Open), not a spill about to publish.
+// unowned blob is a leftover from a crashed process or a superseded live
+// record (Open runs a pass with no bounds just to reclaim those), not a
+// spill about to publish.
 
 // RetentionPolicy bounds the store. Zero values mean "no bound".
 type RetentionPolicy struct {
@@ -81,6 +82,9 @@ type gcManifest struct {
 	id     string
 	mtime  time.Time
 	hashes []string
+	// queued marks the record of a job still owed a run (see GC); it is
+	// never evicted.
+	queued bool
 }
 
 // GC applies the retention policy at time now: age-evicts job manifests,
@@ -88,7 +92,11 @@ type gcManifest struct {
 // then deletes every blob left with no referencing manifest. Array
 // manifests are bookkeeping (spec + child ids, no content addresses) and
 // are never evicted — a restarted daemon reports evicted children as
-// missing rather than forgetting the campaign existed.
+// missing rather than forgetting the campaign existed. A jobs/ manifest
+// whose top-level "state" is "queued" is exempt too, with its blobs: it is
+// the only record of a job a drained daemon still owes a run, and however
+// long ago the drain was, evicting it would lose the job. This is the one
+// manifest field the store interprets.
 func (s *Store) GC(pol RetentionPolicy, now time.Time) (GCReport, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -104,6 +112,9 @@ func (s *Store) GC(pol RetentionPolicy, now time.Time) (GCReport, error) {
 		set := map[string]bool{}
 		collectHashes(doc, set)
 		m := gcManifest{id: id}
+		if obj, ok := doc.(map[string]any); ok {
+			m.queued = obj["state"] == "queued"
+		}
 		for h := range set {
 			m.hashes = append(m.hashes, h)
 		}
@@ -213,7 +224,7 @@ func (s *Store) GC(pol RetentionPolicy, now time.Time) (GCReport, error) {
 	if pol.MaxAge > 0 {
 		cutoff := now.Add(-pol.MaxAge)
 		for _, m := range mans {
-			if m.mtime.Before(cutoff) {
+			if !m.queued && m.mtime.Before(cutoff) {
 				if err := release(m); err != nil {
 					return rep, err
 				}
@@ -225,7 +236,7 @@ func (s *Store) GC(pol RetentionPolicy, now time.Time) (GCReport, error) {
 			if refBytes <= pol.MaxBytes {
 				break
 			}
-			if !evicted[m.id] {
+			if !m.queued && !evicted[m.id] {
 				if err := release(m); err != nil {
 					return rep, err
 				}
@@ -234,7 +245,7 @@ func (s *Store) GC(pol RetentionPolicy, now time.Time) (GCReport, error) {
 	}
 
 	// Sweep: delete every blob no surviving manifest references (this
-	// also reclaims crashed-process orphans, like sweepOrphans at Open).
+	// also reclaims crashed-process orphans; it is Open's orphan sweep).
 	for h, size := range sizes {
 		if refs[h] > 0 {
 			continue

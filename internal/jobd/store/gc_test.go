@@ -21,16 +21,24 @@ import (
 // refcount walks by shape, not schema).
 type gcManifestDoc struct {
 	ID     string   `json:"id"`
+	State  string   `json:"state"`
 	Result string   `json:"result,omitempty"`
 	Blobs  []string `json:"blobs,omitempty"`
 }
 
-// putJob stores the given blobs, writes a manifest referencing them all,
-// and stamps the manifest's mtime, giving the eviction order a
-// deterministic clock. Returns the content addresses in blob order.
+// putJob stores the given blobs, writes a terminal ("done") manifest
+// referencing them all, and stamps the manifest's mtime, giving the
+// eviction order a deterministic clock. Returns the content addresses in
+// blob order.
 func putJob(t *testing.T, s *Store, id string, mtime time.Time, blobs ...[]byte) []string {
 	t.Helper()
-	doc := gcManifestDoc{ID: id}
+	return putJobState(t, s, id, "done", mtime, blobs...)
+}
+
+// putJobState is putJob with the manifest's lifecycle state chosen.
+func putJobState(t *testing.T, s *Store, id, state string, mtime time.Time, blobs ...[]byte) []string {
+	t.Helper()
+	doc := gcManifestDoc{ID: id, State: state}
 	for _, b := range blobs {
 		h, err := s.PutBlob(b)
 		if err != nil {
@@ -113,6 +121,42 @@ func TestGCNeverEvictsReferencedBlob(t *testing.T) {
 	}
 	if !hasBlob(s, youngHash) {
 		t.Fatal("the youngest job's blob was evicted within quota")
+	}
+}
+
+// TestGCNeverEvictsQueuedRecord: the record of a job a drained daemon still
+// owes a run is exempt from retention with its blobs — older than MaxAge
+// and over MaxBytes it survives, where a terminal record of the same age
+// and size does not.
+func TestGCNeverEvictsQueuedRecord(t *testing.T) {
+	now := time.Now()
+	old := now.Add(-48 * time.Hour)
+	for name, pol := range map[string]RetentionPolicy{
+		"age":   {MaxAge: 24 * time.Hour},
+		"quota": {MaxBytes: 100}, // below either blob alone
+		"both":  {MaxAge: 24 * time.Hour, MaxBytes: 100},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := putJobState(t, s, "job-0001", "queued", old, bytes.Repeat([]byte("snap"), 100))[0]
+			result := putJobState(t, s, "job-0002", "done", old, bytes.Repeat([]byte("done"), 100))[0]
+			rep, err := s.GC(pol, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hasManifest(s, "job-0001") || !hasBlob(s, snapshot) {
+				t.Fatalf("GC evicted the queued record or its snapshot; report %+v", rep)
+			}
+			if hasManifest(s, "job-0002") || hasBlob(s, result) {
+				t.Fatalf("GC kept the terminal record of the same age and size; report %+v", rep)
+			}
+			if rep.LiveManifests != 1 || rep.LiveBlobs != 1 {
+				t.Fatalf("report %+v, want one live manifest and one live blob", rep)
+			}
+		})
 	}
 }
 

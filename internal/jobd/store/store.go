@@ -34,6 +34,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"repro/internal/faultfs"
 )
@@ -104,7 +105,14 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 		_ = s.Close()
 		return nil, err
 	}
-	if err := s.sweepOrphans(); err != nil {
+	// Reclaim content objects no manifest references: a spill writes blobs
+	// first and the manifest last, so a crash between the two leaves
+	// fully-written blobs with no owner, and a live record's snapshot is
+	// orphaned when the terminal record overwrites it. A GC pass with no
+	// retention bound is exactly that sweep; it is safe here because Open
+	// precedes the daemon's first write, and safe against a crash mid-sweep
+	// because deleting an unreferenced object never invalidates a manifest.
+	if _, err := s.GC(RetentionPolicy{}, time.Time{}); err != nil {
 		_ = s.Close()
 		return nil, err
 	}
@@ -175,57 +183,6 @@ func (s *Store) sweepTemp() error {
 				if err := s.fs.Remove(filepath.Join(d, e.Name())); err != nil {
 					return err
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// sweepOrphans deletes content objects no manifest references. The spill
-// discipline writes blobs first and the manifest last, so a crash between
-// the two leaves fully-written blobs with no owner; without this sweep they
-// would accumulate forever (the retried spill re-hashes identical content
-// to the same address, but a retry after the inputs changed — or a job that
-// is never resubmitted — strands the old bytes). Running at Open is safe
-// against concurrent spills because Open precedes the daemon's first write,
-// and safe against crashes mid-sweep because deleting an unreferenced
-// object never invalidates a manifest.
-func (s *Store) sweepOrphans() error {
-	referenced := map[string]bool{}
-	for _, bucket := range []string{JobsBucket, ArraysBucket} {
-		err := s.Manifests(bucket, func(id string, blob []byte) error {
-			var doc any
-			if err := json.Unmarshal(blob, &doc); err != nil {
-				return err
-			}
-			collectHashes(doc, referenced)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	objects := filepath.Join(s.dir, "objects")
-	fans, err := s.fs.ReadDir(objects)
-	if err != nil {
-		return err
-	}
-	for _, fan := range fans {
-		if !fan.IsDir() {
-			continue
-		}
-		dir := filepath.Join(objects, fan.Name())
-		ents, err := s.fs.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() || !isHash(name) || referenced[name] {
-				continue
-			}
-			if err := s.fs.Remove(filepath.Join(dir, name)); err != nil {
-				return err
 			}
 		}
 	}

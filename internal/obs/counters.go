@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -11,28 +12,33 @@ import (
 // counters.go — the service-metrics side of the observability package.
 // Ring, StepTotals and Histogram serve the solver's hot path (zero
 // allocation, zero locking); Counters serves the opposite regime: a
-// control-plane process (the federation gateway) counting requests,
-// rejections and fleet transitions at human rates, where a mutex per
-// update is irrelevant but deterministic, strictly valid Prometheus text
-// exposition is mandatory. Families are emitted in declaration order and
-// series in sorted label order, so two scrapes of the same state are
+// control-plane process (the job daemon, the federation gateway) counting
+// requests, rejections and fleet transitions at human rates, where a mutex
+// per update is irrelevant but deterministic, strictly valid Prometheus
+// text exposition is mandatory. Families are emitted in declaration order
+// and series in sorted label order, so two scrapes of the same state are
 // byte-identical — the property the strict exposition-format tests pin.
 
 // Counters is a registry of Prometheus metric families for service-level
-// exposition. Declare every family up front, then Add (counters) or Set
-// (gauges) labeled series at runtime; WriteTo renders the text format.
-// All methods are safe for concurrent use.
+// exposition. Declare every family up front, then Add (counters), Set
+// (gauges) or SetHistogram labeled series at runtime; WriteTo renders the
+// text format. All methods are safe for concurrent use.
 type Counters struct {
+	// scrape serializes Scrape calls: publish + render is one unit.
+	scrape sync.Mutex
+
 	mu    sync.Mutex
 	order []string
 	fams  map[string]*counterFamily
 }
 
-// counterFamily is one declared metric family and its labeled series.
+// counterFamily is one declared metric family and its labeled series:
+// values for counters and gauges, snapshots for histograms.
 type counterFamily struct {
 	typ    string
 	help   string
-	series map[string]float64 // label block (no braces) → value
+	series map[string]float64           // label block (no braces) → value
+	hists  map[string]HistogramSnapshot // label block (no braces) → snapshot
 }
 
 // NewCounters returns an empty registry.
@@ -41,8 +47,9 @@ func NewCounters() *Counters {
 }
 
 // Declare registers a metric family. typ is a Prometheus metric type
-// ("counter" or "gauge"); declaring the same name twice panics — families
-// are a fixed part of a service's surface, not runtime data.
+// ("counter", "gauge" or "histogram"); declaring the same name twice
+// panics — families are a fixed part of a service's surface, not runtime
+// data.
 func (c *Counters) Declare(name, typ, help string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -50,11 +57,12 @@ func (c *Counters) Declare(name, typ, help string) {
 		panic("obs: duplicate counter family " + name)
 	}
 	switch typ {
-	case "counter", "gauge":
+	case "counter", "gauge", "histogram":
 	default:
 		panic("obs: counter family " + name + " has unsupported type " + typ)
 	}
-	c.fams[name] = &counterFamily{typ: typ, help: help, series: map[string]float64{}}
+	c.fams[name] = &counterFamily{typ: typ, help: help,
+		series: map[string]float64{}, hists: map[string]HistogramSnapshot{}}
 	c.order = append(c.order, name)
 }
 
@@ -76,6 +84,15 @@ func (c *Counters) Set(name, labels string, v float64) {
 	c.family(name).series[labels] = v
 }
 
+// SetHistogram overwrites one labeled series of a declared histogram
+// family with a snapshot; WriteTo renders it as cumulative
+// _bucket{…,le=…} lines plus _sum and _count.
+func (c *Counters) SetHistogram(name, labels string, h HistogramSnapshot) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.family(name).hists[labels] = h
+}
+
 // Reset drops every series of a family. Gauges whose label sets shrink
 // between scrapes (a daemon deregisters, a tenant goes idle) call Reset
 // before re-Setting the current population, so stale series disappear
@@ -83,7 +100,9 @@ func (c *Counters) Set(name, labels string, v float64) {
 func (c *Counters) Reset(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.family(name).series = map[string]float64{}
+	f := c.family(name)
+	f.series = map[string]float64{}
+	f.hists = map[string]HistogramSnapshot{}
 }
 
 // family resolves a declared family; c.mu must be held.
@@ -103,31 +122,76 @@ func (c *Counters) WriteTo(w io.Writer) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
-	for _, name := range c.order {
-		f := c.fams[name]
-		m, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.typ)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			line := name
-			if k != "" {
-				line += "{" + k + "}"
-			}
-			m, err := fmt.Fprintf(w, "%s %g\n", line, f.series[k])
+	var err error
+	emit := func(format string, args ...any) {
+		if err == nil {
+			var m int
+			m, err = fmt.Fprintf(w, format, args...)
 			n += int64(m)
-			if err != nil {
-				return n, err
-			}
 		}
 	}
-	return n, nil
+	bounds := BucketBounds()
+	for _, name := range c.order {
+		f := c.fams[name]
+		emit("# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.typ)
+		for _, k := range sortedKeys(f.series) {
+			emit("%s%s %g\n", name, braced(k), f.series[k])
+		}
+		for _, k := range sortedKeys(f.hists) {
+			h := f.hists[k]
+			sep := ""
+			if k != "" {
+				sep = ","
+			}
+			cum := int64(0)
+			for i, cnt := range h.Buckets {
+				cum += cnt
+				le := "+Inf"
+				if i < NumBuckets-1 {
+					le = fmt.Sprintf("%g", bounds[i].Seconds())
+				}
+				emit("%s_bucket{%s%sle=\"%s\"} %d\n", name, k, sep, le, cum)
+			}
+			emit("%s_sum%s %g\n", name, braced(k), h.Sum.Seconds())
+			emit("%s_count%s %d\n", name, braced(k), h.Count)
+		}
+	}
+	return n, err
+}
+
+// Scrape is one /metrics response: publish refreshes the scrape-time
+// series (Reset + Set from the service's live state), then the registry
+// is rendered to w. Scrapes are serialized, so a concurrent one never
+// renders a family between another's Reset and Set; the rendering is
+// buffered, so a slow reader holds no lock.
+func (c *Counters) Scrape(w io.Writer, publish func()) error {
+	var buf bytes.Buffer
+	func() {
+		c.scrape.Lock()
+		defer c.scrape.Unlock()
+		publish()
+		_, _ = c.WriteTo(&buf) // a bytes.Buffer write cannot fail
+	}()
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// sortedKeys returns a series map's label blocks in exposition order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// braced wraps a non-empty label block in braces.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
 }
 
 // Labels formats alternating key/value pairs as a Prometheus label block

@@ -4,9 +4,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
-	"repro/internal/promtest"
+	"repro/internal/obs/promtest"
 )
 
 // counters_test.go — the service-metrics registry must emit strictly valid,
@@ -72,6 +73,79 @@ func TestCountersExposition(t *testing.T) {
 	}
 }
 
+// TestCountersHistogram: a histogram family renders each snapshot as
+// cumulative _bucket{…,le=…} lines closing on +Inf, plus _sum and _count,
+// labeled and unlabeled, and Reset drops it like any other series.
+func TestCountersHistogram(t *testing.T) {
+	c := obs.NewCounters()
+	c.Declare("x_latency_seconds", "histogram", "Exchange latency by tag.")
+	var h obs.Histogram
+	h.Observe(time.Microsecond)     // bucket 0 (le 1e-06)
+	h.Observe(3 * time.Microsecond) // bucket 2 (le 4e-06)
+	h.Observe(time.Hour)            // open-ended last bucket
+	c.SetHistogram("x_latency_seconds", obs.Labels("tag", "phi"), h.Snapshot())
+	c.SetHistogram("x_latency_seconds", "", h.Snapshot())
+
+	body := render(c)
+	series := promtest.Parse(t, body)
+	for key, want := range map[string]float64{
+		`x_latency_seconds_bucket{tag="phi",le="1e-06"}`: 1,
+		`x_latency_seconds_bucket{tag="phi",le="2e-06"}`: 1,
+		`x_latency_seconds_bucket{tag="phi",le="4e-06"}`: 2,
+		`x_latency_seconds_bucket{tag="phi",le="+Inf"}`:  3,
+		`x_latency_seconds_count{tag="phi"}`:             3,
+		`x_latency_seconds_sum{tag="phi"}`:               3600.000004,
+		`x_latency_seconds_bucket{le="+Inf"}`:            3,
+		`x_latency_seconds_count{}`:                      3,
+	} {
+		if got, ok := series[key]; !ok || got != want {
+			t.Errorf("series %s = %g (present=%v), want %g", key, got, ok, want)
+		}
+	}
+	if want := 2 * (obs.NumBuckets + 2); len(series) != want {
+		t.Errorf("got %d series, want %d:\n%s", len(series), want, body)
+	}
+	if again := render(c); again != body {
+		t.Errorf("scrapes differ:\n--- first\n%s--- second\n%s", body, again)
+	}
+
+	c.Reset("x_latency_seconds")
+	if left := promtest.Parse(t, render(c)); len(left) != 0 {
+		t.Errorf("Reset left histogram series behind: %v", left)
+	}
+}
+
+// TestCountersScrape: concurrent scrapes each see a fully published
+// registry — never a family between another scrape's Reset and Set.
+func TestCountersScrape(t *testing.T) {
+	c := newTestCounters()
+	publish := func() {
+		c.Reset("gw_daemons")
+		c.Set("gw_daemons", obs.Labels("state", "alive"), 2)
+		c.Set("gw_daemons", obs.Labels("state", "dead"), 1)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				var b strings.Builder
+				if err := c.Scrape(&b, publish); err != nil {
+					t.Error(err)
+					return
+				}
+				if !strings.Contains(b.String(), `gw_daemons{state="alive"} 2`) ||
+					!strings.Contains(b.String(), `gw_daemons{state="dead"} 1`) {
+					t.Errorf("scrape saw a half-published family:\n%s", b.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestCountersReset(t *testing.T) {
 	c := newTestCounters()
 	c.Set("gw_daemons", obs.Labels("state", "alive"), 3)
@@ -110,7 +184,7 @@ func TestCountersPanics(t *testing.T) {
 	}
 	c := newTestCounters()
 	mustPanic("duplicate Declare", func() { c.Declare("gw_daemons", "gauge", "again") })
-	mustPanic("bad type", func() { c.Declare("gw_hist", "histogram", "unsupported") })
+	mustPanic("bad type", func() { c.Declare("gw_summary", "summary", "unsupported") })
 	mustPanic("undeclared Add", func() { c.Add("gw_nope_total", "", 1) })
 	mustPanic("odd Labels", func() { obs.Labels("tenant") })
 }

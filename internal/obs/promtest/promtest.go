@@ -1,8 +1,8 @@
 // Package promtest is the shared test-side parser for Prometheus text
-// exposition format (0.0.4). It began life inside the job daemon's
-// metrics tests; the federation gateway exports its own /metrics, and
-// both services' scrape tests must enforce the same strict reading of
-// the format: every series line parses, every family has exactly one
+// exposition format (0.0.4), kept beside the format's only writer
+// (obs.Counters). The job daemon and the federation gateway both export
+// /metrics through that writer, and both services' scrape tests must
+// enforce the same strict reading of the format: every series line parses, every family has exactly one
 // HELP and one TYPE line (in that order, before any of its series),
 // label pairs are well-formed, values are floats, and no series repeats.
 //

@@ -67,20 +67,6 @@ func (g *WorkerGauge) exit() {
 	}
 }
 
-// EachClass calls fn for every named sub-gauge created so far (in
-// sync.Map iteration order; callers sort). On a sub-gauge it delegates to
-// the root, mirroring Class.
-func (g *WorkerGauge) EachClass(fn func(name string, sub *WorkerGauge)) {
-	if g.parent != nil {
-		g.parent.EachClass(fn)
-		return
-	}
-	g.classes.Range(func(k, v any) bool {
-		fn(k.(string), v.(*WorkerGauge))
-		return true
-	})
-}
-
 // Active returns the number of currently busy sweep workers.
 func (g *WorkerGauge) Active() int { return int(g.cur.Load()) }
 
