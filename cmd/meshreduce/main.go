@@ -78,8 +78,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := final.WriteSTL(f); err != nil {
+	err = final.WriteSTL(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("wrote", *out)

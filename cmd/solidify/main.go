@@ -252,10 +252,13 @@ func writeMeshes(sim *phasefield.Simulation, dir string, target, step int, names
 		if err != nil {
 			fatal(err)
 		}
-		if err := m.WriteSTL(f); err != nil {
+		err = m.WriteSTL(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatal(err)
 		}
-		f.Close()
 		fmt.Printf("  mesh %s: %d triangles\n", path, m.NumTris())
 	}
 }

@@ -51,8 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := m.WriteSTL(f); err != nil {
+	err = m.WriteSTL(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote window_interface.stl (%d -> %d triangles)\n", before, m.NumTris())

@@ -5,6 +5,12 @@
 // can be stitched seamlessly), coarsened with a quadric-error
 // edge-collapse simplifier that preserves block-boundary vertices via high
 // weights, and reduced pairwise in log₂(P) gather-stitch-coarsen rounds.
+//
+// Every stage is a deterministic function of its input, so the same φ
+// field always yields the same STL bytes. The simplifier collapses edges
+// cheapest first under the total order (cost, u, v) and re-costs a queue
+// entry lazily, only when it is popped after one of its endpoints changed
+// (see Simplify).
 package mesh
 
 import (
@@ -105,31 +111,40 @@ func (m *Mesh) IsClosed() bool {
 	return len(m.Tris) > 0
 }
 
-// Compact drops unreferenced vertices and remaps triangle indices.
+// Compact drops unreferenced vertices and renumbers the rest in order of
+// first use by the triangle list.
 func (m *Mesh) Compact() {
 	used := make([]int32, len(m.Verts))
 	for i := range used {
 		used[i] = -1
 	}
-	var verts []Vec3
-	var bnd []bool
+	n := int32(0)
 	for ti := range m.Tris {
 		for e := 0; e < 3; e++ {
 			v := m.Tris[ti][e]
 			if used[v] < 0 {
-				used[v] = int32(len(verts))
-				verts = append(verts, m.Verts[v])
-				if m.Boundary != nil {
-					bnd = append(bnd, m.Boundary[v])
-				}
+				used[v] = n
+				n++
 			}
 			m.Tris[ti][e] = used[v]
 		}
 	}
-	m.Verts = verts
+	verts := make([]Vec3, n)
+	var bnd []bool
 	if m.Boundary != nil {
-		m.Boundary = bnd
+		bnd = make([]bool, n)
 	}
+	for old, nw := range used {
+		if nw < 0 {
+			continue
+		}
+		verts[nw] = m.Verts[old]
+		if bnd != nil {
+			bnd[nw] = m.Boundary[old]
+		}
+	}
+	m.Verts = verts
+	m.Boundary = bnd
 }
 
 // WriteSTL writes the mesh in binary STL format.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,23 +211,98 @@ func TestSimplifyRespectsMaxError(t *testing.T) {
 	}
 }
 
-func TestBoundaryWeightPreservesBoundary(t *testing.T) {
-	f := sphereField(20, 7)
-	// Split the domain logically at x=10 by extracting with boundary
-	// marks and simplifying: boundary vertices must survive near their
-	// original positions.
-	m := ExtractPhase(f, 0, Vec3{}, true)
-	var bndBefore []Vec3
-	for i, b := range m.Boundary {
-		if b {
-			bndBefore = append(bndBefore, m.Verts[i])
+// cylinderField builds a φ field whose phase-0 component is a z-aligned
+// cylinder of radius r: its surface leaves the block through the bottom and
+// top hull.
+func cylinderField(n int, r float64) *grid.Field {
+	f := grid.NewField(n, n, n, 1, 1, grid.SoA)
+	c := float64(n-1) / 2
+	for z := -1; z <= n; z++ {
+		for y := -1; y <= n; y++ {
+			for x := -1; x <= n; x++ {
+				d := math.Sqrt(sq(float64(x)-c) + sq(float64(y)-c))
+				f.Set(0, x, y, z, 0.5*(1-math.Tanh(2*(d-r))))
+			}
 		}
 	}
-	Simplify(m, SimplifyOptions{TargetTris: m.NumTris() / 4, BoundaryWeight: 1e6})
-	// For a sphere fully interior to the block there are no boundary
-	// verts; fabricate the check only when they exist.
-	if len(bndBefore) == 0 {
-		t.Skip("sphere does not touch block hull")
+	return f
+}
+
+// onHull is ExtractPhase's markBoundary predicate for an n³ block at the
+// origin: within half a cell of the ghost-layer hull.
+func onHull(v Vec3, n int) bool {
+	for _, c := range v {
+		if c <= -0.5 || c >= float64(n)-0.5 {
+			return true
+		}
+	}
+	return false
+}
+
+func TestBoundaryWeightPreservesBoundary(t *testing.T) {
+	// The cylinder's sides are flat along z, so interior collapses are
+	// nearly free and pile up toward the hull; only the boundary point
+	// quadric keeps a collapse from dragging a hull vertex inward.
+	const n = 16
+	m := ExtractPhase(cylinderField(n, 5), 0, Vec3{}, true)
+	tris0, bnd0 := m.NumTris(), 0
+	for _, b := range m.Boundary {
+		if b {
+			bnd0++
+		}
+	}
+	if bnd0 == 0 {
+		t.Fatal("no boundary vertices on a surface crossing the hull")
+	}
+	Simplify(m, SimplifyOptions{TargetTris: tris0 / 4})
+	if m.NumTris() > tris0/3 {
+		t.Fatalf("simplify left %d of %d tris", m.NumTris(), tris0)
+	}
+	bnd1 := 0
+	for i, b := range m.Boundary {
+		if !b {
+			continue
+		}
+		bnd1++
+		if !onHull(m.Verts[i], n) {
+			t.Errorf("boundary vertex %d moved off the hull to %v", i, m.Verts[i])
+		}
+	}
+	if bnd1 == 0 {
+		t.Error("no boundary vertex survived simplification")
+	}
+}
+
+// cloneMesh returns a deep copy of m.
+func cloneMesh(m *Mesh) *Mesh {
+	return &Mesh{
+		Verts:    slices.Clone(m.Verts),
+		Tris:     slices.Clone(m.Tris),
+		Boundary: slices.Clone(m.Boundary),
+	}
+}
+
+// Simplify's allocations are a fixed set of per-call arrays: nothing is
+// allocated per queue entry or per collapse, so coarsening five times
+// further costs no more allocations.
+func TestSimplifyAllocsIndependentOfCollapses(t *testing.T) {
+	base := ExtractPhase(sphereField(24, 8), 0, Vec3{}, false)
+	allocs := func(target int) float64 {
+		const runs = 5
+		in := make([]*Mesh, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range in {
+			in[i] = cloneMesh(base)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			Simplify(in[i], SimplifyOptions{TargetTris: target})
+			i++
+		})
+	}
+	n := base.NumTris()
+	half, tenth := allocs(n/2), allocs(n/10)
+	if math.Abs(half-tenth) > 2 {
+		t.Errorf("allocs per Simplify: %v at n/2, %v at n/10 — allocation scales with collapses", half, tenth)
 	}
 }
 
