@@ -16,7 +16,8 @@
 //	            computed face values per cell, halving staggered work;
 //	shortcut  — + region-dependent early exits (bulk cells skip the φ
 //	            update; cells without liquid skip the anti-trapping
-//	            current).
+//	            current; rows whose whole µ stencil is pure liquid take a
+//	            7-point diffusion loop instead of the D3C19 machinery).
 //
 // A regularly running equivalence suite (kernels_test.go) checks all
 // variants against each other, mirroring the paper's own test strategy.
@@ -218,6 +219,13 @@ type Scratch struct {
 	// previous slice of the current sweep.
 	zValidPhi bool
 	zValidMu  bool
+
+	// µ liquid-bulk row flags (shortcut rung), indexed by y+1 for
+	// y ∈ [−1, ny]: liqWin is a rolling window over φsrc slices z−1, z,
+	// z+1 — liqWin[i][y+1] reports row (y, z−1+i) exactly liquid over
+	// x ∈ [−1, nx] — and liqCol ANDs the three slices.
+	liqWin [3][]bool
+	liqCol []bool
 }
 
 // NewScratch allocates buffers for blocks up to nx×ny cells per slice.
@@ -230,6 +238,9 @@ func NewScratch(nx, ny int) *Scratch {
 		phX: make([]float64, NP),
 		phY: make([]float64, nx*NP),
 		phZ: make([]float64, nx*ny*NP),
+
+		liqWin: [3][]bool{make([]bool, ny+2), make([]bool, ny+2), make([]bool, ny+2)},
+		liqCol: make([]bool, ny+2),
 	}
 }
 

@@ -44,7 +44,17 @@ func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
 		ts.Fill(p, ctx.ZOff+z, ctx.Time)
 		tsPrev.Fill(p, ctx.ZOff+z-1, ctx.Time)
 		st.zSlice = z
+		if o.shortcut {
+			sc.slideLiquidRows(phiS, z, z == z0)
+		}
 		for y := 0; y < ny; y++ {
+			// A pure-liquid row takes the bulk loop as a whole,
+			// remainder cells included, under the same row test as
+			// muSweepScalar: "shortcut" means the same at every width.
+			if o.shortcut && sc.liquidBulkRow(phiD, y, z) {
+				muLiquidRow(&st, sc, y, z, dTdt)
+				continue
+			}
 			x0 := 0
 			for ; x0+4 <= nx; x0 += 4 {
 				muFourCellGroup(&st, phiS, phiD, muS, muD, sc, x0, y, z, dTdt, o)

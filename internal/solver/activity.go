@@ -32,7 +32,11 @@ import (
 //
 // Every proxy interior cell must agree bitwise, which covers the SIMD
 // four-cell group lanes and the scalar remainder path alike (the proxy is
-// min(NX, 7) cells wide so both paths execute). Because all stencil inputs
+// min(NX, 7) cells wide so both paths execute). The proxy's ghost ring
+// holds the same vertex, so a liquid proxy takes the µ-kernel's
+// liquid-bulk row path exactly as the real slice's rows would; since the
+// proxy runs through the same MuSweepRange, a sleeping slice stays
+// consistent with the sweep by construction. Because all stencil inputs
 // of a sleeping cell are bitwise-equal to the proxy's inputs and the
 // kernels are deterministic, the full sweep would compute exactly the
 // proxy's output — the invariant "a slab never sleeps through a change
