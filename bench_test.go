@@ -51,40 +51,13 @@ func reportMLUPs(b *testing.B) {
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
 }
 
-// --- Figure 5: φ-kernel vectorization strategies ------------------------
-
-func benchmarkPhiStrategy(b *testing.B, st kernels.PhiStrategy, sc solver.Scenario) {
-	f, ctx, scratch := benchSetup(b, sc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernels.PhiSweepStrategy(ctx, f, scratch, st)
-	}
-	reportMLUPs(b)
-}
-
-func BenchmarkFig5(b *testing.B) {
-	strategies := map[string]kernels.PhiStrategy{
-		"Cellwise":         kernels.StratCellwise,
-		"CellwiseShortcut": kernels.StratCellwiseShortcut,
-		"FourCell":         kernels.StratFourCell,
-	}
-	for name, st := range strategies {
-		for _, sc := range []solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid, solver.ScenarioSolid} {
-			b.Run(fmt.Sprintf("%s/%s", name, sc), func(b *testing.B) {
-				benchmarkPhiStrategy(b, st, sc)
-			})
-		}
-	}
-}
-
-// --- Figure 6: optimization ladder for both kernels ---------------------
+// --- Figure 6: oracle vs production for both kernels -------------------
 
 func BenchmarkFig6Phi(b *testing.B) {
-	for v := kernels.VarGeneral; v < kernels.NumVariants; v++ {
+	for _, v := range kernels.Variants {
 		for _, sc := range []solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid, solver.ScenarioSolid} {
 			b.Run(fmt.Sprintf("%s/%s", v, sc), func(b *testing.B) {
 				f, ctx, scratch := benchSetup(b, sc)
-				v := v
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					kernels.PhiSweep(ctx, f, scratch, v)
@@ -96,11 +69,10 @@ func BenchmarkFig6Phi(b *testing.B) {
 }
 
 func BenchmarkFig6Mu(b *testing.B) {
-	for v := kernels.VarGeneral; v < kernels.NumVariants; v++ {
+	for _, v := range kernels.Variants {
 		for _, sc := range []solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid, solver.ScenarioSolid} {
 			b.Run(fmt.Sprintf("%s/%s", v, sc), func(b *testing.B) {
 				f, ctx, scratch := benchSetup(b, sc)
-				v := v
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					kernels.MuSweep(ctx, f, scratch, v)

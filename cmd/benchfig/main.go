@@ -2,8 +2,7 @@
 //
 // Usage:
 //
-//	benchfig -fig 5 [-edge 60] [-steps 5]
-//	benchfig -fig 6 ...
+//	benchfig -fig 6 [-edge 60] [-steps 3]
 //	benchfig -fig 7 [-cores 16] [-par 1]
 //	benchfig -fig 8
 //	benchfig -fig 9
@@ -11,7 +10,7 @@
 //	benchfig -roofline
 //	benchfig -all
 //
-// Figures 5–7 and the measured half of Fig. 8 run live on this machine;
+// Figures 6–7 and the measured half of Fig. 8 run live on this machine;
 // Figs. 8 (model half) and 9 use the calibrated analytic machine models
 // (see DESIGN.md).
 package main
@@ -26,7 +25,7 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure number to regenerate (5..9)")
+	fig := flag.Int("fig", 0, "figure number to regenerate (6..9)")
 	roofline := flag.Bool("roofline", false, "print the §5.1.1 roofline / in-core analysis")
 	parscale := flag.Bool("parscale", false, "measure intra-block parallel sweep scaling on one block")
 	all := flag.Bool("all", false, "regenerate everything")
@@ -45,11 +44,6 @@ func main() {
 	}
 
 	did := false
-	if *all || *fig == 5 {
-		run(experiments.Fig5(w, *edge, *steps))
-		fmt.Fprintln(w)
-		did = true
-	}
 	if *all || *fig == 6 {
 		run(experiments.Fig6(w, *edge, *steps))
 		did = true

@@ -2,16 +2,17 @@
 // Phase-Field Simulations for Ternary Eutectic Directional Solidification"
 // (Bauer, Hötzer et al., SC 2015): a thermodynamically consistent
 // grand-potential phase-field solver for the four-phase, three-component
-// Ag-Al-Cu eutectic system, with the paper's full optimization ladder
-// (explicit vectorization, T(z) precomputation, staggered-value buffers,
-// region shortcuts), block-structured domain decomposition with
+// Ag-Al-Cu eutectic system, with the production kernels the paper's
+// optimization ladder ends in (explicit vectorization, T(z) precomputation,
+// staggered-value buffers, region shortcuts), block-structured domain
+// decomposition with
 // communication hiding, the moving-window technique, single-precision
 // checkpointing and the hierarchical mesh-based I/O reduction pipeline.
 //
 // This package is the facade over the internal subsystems — see
 // ARCHITECTURE.md for the full layering:
 //
-//	kernels  — the φ/µ sweeps (production kernel + the ladder as apparatus)
+//	kernels  — the φ/µ sweeps (production kernels + the general-code oracle)
 //	solver   — timestep loop, intra-block parallel sweep engine, window
 //	schedule — typed production events (bursts, ramps, BC events)
 //	comm     — the in-process MPI analogue: staged halo exchange

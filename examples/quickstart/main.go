@@ -13,7 +13,7 @@ import (
 func main() {
 	// A small domain: 32×32 laterally, 64 cells along the growth
 	// direction, single block. DefaultConfig selects the calibrated
-	// Ag-Al-Cu parameters, the fastest kernel variant and µ-overlap
+	// Ag-Al-Cu parameters, the production kernel variant and µ-overlap
 	// communication hiding.
 	cfg := phasefield.DefaultConfig(32, 32, 64)
 	sim, err := phasefield.New(cfg)

@@ -18,9 +18,9 @@ import (
 // production schedule — nucleation burst, pull-velocity ramp, moving-window
 // shift, mid-ramp checkpoint — is run for a fixed
 // number of steps and its solid-fraction/µ-norm series compared against a
-// committed fixture. The kernel equivalence tests prove the variants agree
-// with each other; only this harness catches a regression that moves all
-// of them together (a changed coefficient, a broken ramp, a mis-seeded
+// committed fixture. The kernel equivalence tests prove the oracle and the
+// production kernels agree; only this harness catches a regression that
+// moves both together (a changed coefficient, a broken ramp, a mis-seeded
 // burst, an off-by-one window shift).
 //
 // Regenerate the fixture after an intentional physics change with
@@ -60,7 +60,7 @@ const (
 func goldenConfig() Config {
 	cfg := DefaultConfig(16, 16, 24)
 	cfg.PX = 2
-	cfg.Variant = kernels.VarStag
+	cfg.Variant = kernels.VarShortcut
 	cfg.MovingWindow = true
 	cfg.WindowFraction = 0.5
 	cfg.Seed = 42
@@ -209,7 +209,7 @@ func TestGoldenTrajectory(t *testing.T) {
 		fx := goldenFixture{
 			Description: "16x16x24 production run (PX=2, moving window): " +
 				"v ramp 0.02→0.05 over steps 0–30, 3-nucleus burst at step 10, " +
-				"stag kernels throughout, checkpoint at step 20, " +
+				"production kernels throughout, checkpoint at step 20, " +
 				"composed BC leg (µ bottom wall ramp over steps 12–28, " +
 				"φ top wall → dirichlet at step 32)",
 			Steps: goldenSteps, SampleEvery: goldenEvery, CheckpointStep: goldenCkptStep,
@@ -251,8 +251,8 @@ func TestGoldenTrajectory(t *testing.T) {
 	if restored.Step() != fx.CheckpointStep {
 		t.Fatalf("restored at step %d, want %d", restored.Step(), fx.CheckpointStep)
 	}
-	if restored.cfg.Variant != kernels.VarStag {
-		t.Fatalf("restored kernel %v, want the checkpointed stag", restored.cfg.Variant)
+	if restored.cfg.Variant != kernels.VarShortcut {
+		t.Fatalf("restored kernel %v, want the checkpointed production kernel", restored.cfg.Variant)
 	}
 	// The V3 header must have carried the mid-ramp wall state bit-exactly:
 	// the last BC application before the checkpointed step ran at step

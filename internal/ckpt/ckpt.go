@@ -106,7 +106,11 @@ func (h *Header) SetVariant(v kernels.Variant) {
 // Variant returns the kernel variant a restart must be built with. Files
 // written while kernels were switchable at run time may carry different φ
 // and µ variants or a pinned φ strategy; those no longer describe a
-// runnable simulation and are rejected.
+// runnable simulation and are rejected. Ids 1–4 name the retired middle
+// rungs of the optimization ladder: 3 ("with T(z) optimization") and 4
+// ("with staggered buffer") computed the production trajectory bit for
+// bit in both kernels and restore as kernels.VarShortcut; 1 and 2 did not
+// and are refused.
 func (h *Header) Variant() (kernels.Variant, error) {
 	if h.PhiVariant != h.MuVariant {
 		return 0, fmt.Errorf("ckpt: header records different φ and µ kernel variants (%d, %d); per-kernel run-time switching was removed, a simulation has one variant",
@@ -115,11 +119,21 @@ func (h *Header) Variant() (kernels.Variant, error) {
 	if h.PhiStrategy != -1 {
 		return 0, fmt.Errorf("ckpt: header pins φ vectorization strategy %d; strategy pinning was removed with run-time kernel switching", h.PhiStrategy)
 	}
-	if h.PhiVariant < 0 || h.PhiVariant >= int32(kernels.NumVariants) {
-		return 0, fmt.Errorf("ckpt: header records unknown kernel variant %d", h.PhiVariant)
+	switch id := h.PhiVariant; id {
+	case int32(kernels.VarGeneral), int32(kernels.VarShortcut):
+		return kernels.Variant(id), nil
+	case 3, 4:
+		return kernels.VarShortcut, nil
+	case 1, 2:
+		return 0, fmt.Errorf("ckpt: header records kernel variant %d (%q), a retired optimization-ladder rung that was not bitwise identical to the production kernel",
+			id, retiredRungs[id])
+	default:
+		return 0, fmt.Errorf("ckpt: header records unknown kernel variant %d", id)
 	}
-	return kernels.Variant(h.PhiVariant), nil
 }
+
+// retiredRungs names the refused retired variant ids.
+var retiredRungs = map[int32]string{1: "basic waLBerla implementation", 2: "with SIMD intrinsics"}
 
 // EncodeBCs packs a boundary set into the header's fixed-width form.
 func EncodeBCs(b grid.BoundarySet) [grid.NumFaces]FaceBC {

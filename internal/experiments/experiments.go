@@ -1,8 +1,10 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5): the vectorization-strategy comparison (Fig. 5), the
-// optimization ladder (Fig. 6), intranode scaling (Fig. 7), communication
-// hiding (Fig. 8), weak scaling on the three machines (Fig. 9), and the
-// roofline/in-core analysis of §5.1.1. Single-core and intranode numbers
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§5): the oracle-vs-production ends of the optimization ladder
+// (Fig. 6), intranode scaling (Fig. 7), communication hiding (Fig. 8), weak
+// scaling on the three machines (Fig. 9), and the roofline/in-core analysis
+// of §5.1.1. The vectorization-strategy comparison (Fig. 5) and the ladder's
+// middle rungs were removed with the kernels they measured; their last
+// measurements are recorded at Fig6. Single-core and intranode numbers
 // are measured live from the Go kernels; extreme-scale curves come from the
 // calibrated analytic models in internal/perfmodel (see DESIGN.md for the
 // substitution rationale).
@@ -44,31 +46,7 @@ func benchFields(edge int, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx, g
 	return f, ctx, bcs, nil
 }
 
-// MeasurePhiStrategy times the φ-kernel under a Fig. 5 vectorization
-// strategy and returns MLUP/s.
-func MeasurePhiStrategy(strategy kernels.PhiStrategy, sc solver.Scenario, edge, steps int) (float64, error) {
-	f, ctx, bcs, err := benchFields(edge, sc)
-	if err != nil {
-		return 0, err
-	}
-	scch := kernels.NewScratch(edge, edge)
-	// Warm up once (also produces a valid φdst for subsequent sweeps).
-	kernels.PhiSweepStrategy(ctx, f, scch, strategy)
-	bcs.Apply(f.PhiDst)
-	best := 0.0
-	for trial := 0; trial < benchTrials; trial++ {
-		t0 := time.Now()
-		for i := 0; i < steps; i++ {
-			kernels.PhiSweepStrategy(ctx, f, scch, strategy)
-		}
-		if r := mlups(edge, steps, time.Since(t0)); r > best {
-			best = r
-		}
-	}
-	return best, nil
-}
-
-// MeasurePhiVariant times the φ-kernel at one optimization-ladder rung.
+// MeasurePhiVariant times the φ-kernel of one variant and returns MLUP/s.
 func MeasurePhiVariant(v kernels.Variant, sc solver.Scenario, edge, steps int) (float64, error) {
 	f, ctx, bcs, err := benchFields(edge, sc)
 	if err != nil {
@@ -90,7 +68,7 @@ func MeasurePhiVariant(v kernels.Variant, sc solver.Scenario, edge, steps int) (
 	return best, nil
 }
 
-// MeasureMuVariant times the µ-kernel at one optimization-ladder rung.
+// MeasureMuVariant times the µ-kernel of one variant and returns MLUP/s.
 func MeasureMuVariant(v kernels.Variant, sc solver.Scenario, edge, steps int) (float64, error) {
 	f, ctx, bcs, err := benchFields(edge, sc)
 	if err != nil {
@@ -123,37 +101,36 @@ func mlups(edge, steps int, el time.Duration) float64 {
 	return cells * float64(steps) / el.Seconds() / 1e6
 }
 
-// Fig5 regenerates the vectorization-strategy comparison: MLUP/s of the
-// φ-kernel for cellwise / cellwise-with-shortcuts / four-cell on the three
-// domain compositions (paper: block size 60³ on one SuperMUC core).
-func Fig5(w io.Writer, edge, steps int) error {
-	fmt.Fprintf(w, "Figure 5: phi-kernel vectorization strategies, block %d^3 (MLUP/s)\n", edge)
-	fmt.Fprintf(w, "%-28s %12s %12s %12s\n", "strategy", "interface", "liquid", "solid")
-	strategies := []kernels.PhiStrategy{kernels.StratCellwise, kernels.StratCellwiseShortcut, kernels.StratFourCell}
-	for _, st := range strategies {
-		fmt.Fprintf(w, "%-28s", st)
-		for _, sc := range Scenarios {
-			v, err := MeasurePhiStrategy(st, sc, edge, steps)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, " %12.2f", v)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(paper: cellwise-with-shortcuts fastest in all three compositions)")
-	return nil
-}
-
-// Fig6 regenerates the optimization ladder for both kernels across the
-// three compositions, and reports the end-to-end speedup over the emulated
-// general-purpose code.
+// Fig6 regenerates the two ends of the optimization ladder — the emulated
+// general-purpose code and the production kernels — for both kernels across
+// the three compositions, and reports the production speedup.
+//
+// The middle rungs and the Fig. 5 vectorization strategies were removed
+// after one last measurement on the tree that still had them (benchfig
+// -fig 5 / -fig 6 -edge 60 -steps 3, best of 3 trials, 2 vCPU, go1.24),
+// MLUP/s interface / liquid / solid:
+//
+//	φ-kernel                        µ-kernel
+//	general   0.72  0.95  0.97      0.98   0.81  1.86
+//	basic     1.14  1.20  1.15      0.69   0.67  1.71
+//	simd      0.93  0.96  0.94      0.85   1.01  1.44
+//	tz        1.00  1.01  1.00      1.04   1.09  1.45
+//	stag      1.21  1.10  1.01      1.30   1.64  1.59
+//	shortcut  1.57 12.65  4.42      1.58  28.01  2.02
+//
+//	Fig. 5 (φ): cellwise 1.14 1.08 1.01; cellwise with shortcuts
+//	1.40 9.53 3.01; four cells 0.76 8.10 0.92
+//
+// No rung beat production in any composition. Before removal, tz and stag
+// were checked to compute the production trajectory bit for bit (φ and µ,
+// kernel inputs and whole golden-schedule runs), so checkpoints naming them
+// restore as production; basic and simd were only roundoff-equal.
 func Fig6(w io.Writer, edge, steps int) error {
 	for _, kernel := range []string{"phi", "mu"} {
-		fmt.Fprintf(w, "Figure 6 (%s-kernel): optimization ladder, block %d^3 (MLUP/s)\n", kernel, edge)
+		fmt.Fprintf(w, "Figure 6 (%s-kernel): general-purpose code vs production, block %d^3 (MLUP/s)\n", kernel, edge)
 		fmt.Fprintf(w, "%-32s %12s %12s %12s\n", "variant", "interface", "liquid", "solid")
 		var base, best float64
-		for v := kernels.VarGeneral; v < kernels.NumVariants; v++ {
+		for _, v := range kernels.Variants {
 			fmt.Fprintf(w, "%-32s", v)
 			for i, sc := range Scenarios {
 				var rate float64
@@ -182,6 +159,10 @@ func Fig6(w io.Writer, edge, steps int) error {
 			fmt.Fprintf(w, "speedup over general-purpose code (interface): %.1fx\n\n", best/base)
 		}
 	}
+	fmt.Fprintln(w, "(measured at 60^3 before the middle rungs were removed, interface MLUP/s phi / mu:")
+	fmt.Fprintln(w, " general 0.72/0.98, basic 1.14/0.69, simd 0.93/0.85, tz 1.00/1.04, stag 1.21/1.30, shortcut 1.57/1.58;")
+	fmt.Fprintln(w, " Fig. 5 phi strategies interface/liquid/solid: cellwise 1.14/1.08/1.01,")
+	fmt.Fprintln(w, " cellwise with shortcuts 1.40/9.53/3.01, four cells 0.76/8.10/0.92)")
 	return nil
 }
 
@@ -392,15 +373,15 @@ func Roofline(w io.Writer, edge, steps int) error {
 	fmt.Fprintf(w, "  IACA-style in-core bound:    %.0f%% peak (paper: <=43%%, add/mul imbalance + div latency)\n",
 		100*perfmodel.SandyBridge.PeakFraction(perfmodel.MuKernelOps))
 
-	phiRate, err := MeasurePhiVariant(kernels.VarStag, solver.ScenarioInterface, edge, steps)
+	phiRate, err := MeasurePhiVariant(kernels.VarShortcut, solver.ScenarioInterface, edge, steps)
 	if err != nil {
 		return err
 	}
-	muRate, err := MeasureMuVariant(kernels.VarStag, solver.ScenarioInterface, edge, steps)
+	muRate, err := MeasureMuVariant(kernels.VarShortcut, solver.ScenarioInterface, edge, steps)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  this machine (Go, %d^3):      phi %.2f MLUP/s, mu %.2f MLUP/s (no shortcuts)\n",
+	fmt.Fprintf(w, "  this machine (Go, %d^3):      phi %.2f MLUP/s, mu %.2f MLUP/s (production kernels, interface)\n",
 		edge, phiRate, muRate)
 	return nil
 }

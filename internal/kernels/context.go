@@ -1,26 +1,26 @@
 // Package kernels implements the two compute kernels of the solver — the
 // φ-sweep (Eq. 1, D3C7) and the µ-sweep (Eq. 3, D3C19 including the
-// anti-trapping current of Eq. 4) — in every variant of the paper's
-// optimization ladder (§3.3, §5.1.1):
+// anti-trapping current of Eq. 4) — in the two variants at the ends of the
+// paper's optimization ladder (§3.3, §5.1.1):
 //
-//	general   — emulation of the original general-purpose code: indirect
-//	            per-cell function calls, no specialization;
-//	basic     — straightforward specialized scalar port ("basic waLBerla
-//	            implementation");
-//	simd      — explicitly vectorized kernels: cellwise vectorization over
-//	            the four phases for φ, four-cell vectorization for µ, plus
-//	            common-subexpression precomputation;
-//	tz        — + per-z-slice precomputation of all temperature-dependent
-//	            quantities (valid because T = T(z,t));
-//	stag      — + staggered-value buffers that reuse the three already
-//	            computed face values per cell, halving staggered work;
-//	shortcut  — + region-dependent early exits (bulk cells skip the φ
-//	            update; cells without liquid skip the anti-trapping
-//	            current; rows whose whole µ stencil is pure liquid take a
-//	            7-point diffusion loop instead of the D3C19 machinery).
+//	general   — the oracle: an emulation of the original general-purpose
+//	            code, with indirect per-cell function calls and no
+//	            specialization (phi_general.go, mu_general.go);
+//	shortcut  — the production kernels: explicit vectorization with
+//	            common-subexpression precomputation (cellwise over the four
+//	            phases for φ, four cells per vector for µ), per-z-slice
+//	            tables of every temperature-dependent quantity (T = T(z,t)),
+//	            staggered-value buffers that compute each face flux once,
+//	            and region-dependent early exits (bulk cells skip the φ
+//	            update; cells without liquid skip the anti-trapping current;
+//	            rows whose whole µ stencil is pure liquid take a 7-point
+//	            diffusion loop instead of the D3C19 machinery).
 //
-// A regularly running equivalence suite (kernels_test.go) checks all
-// variants against each other, mirroring the paper's own test strategy.
+// The ladder's middle rungs (basic, simd, tz, stag) were retired; their
+// last measurements are recorded at experiments.Fig6. The equivalence
+// suite (kernels_test.go) checks production against the oracle within
+// roundoff, mirroring the paper's own test strategy, and the µ shortcuts
+// bit for bit against the same kernel with them switched off.
 package kernels
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/thermo"
 )
 
 // NP and NR alias the model dimensions for brevity.
@@ -38,61 +37,29 @@ const (
 	LQ = core.Liquid
 )
 
-// Variant selects a rung of the optimization ladder.
+// Variant selects a kernel implementation. The values are the wire ids
+// checkpoint headers store; ids 1–4 belonged to the retired middle rungs of
+// the ladder (see ckpt.Header.Variant).
 type Variant int
 
 const (
-	VarGeneral Variant = iota
-	VarBasic
-	VarSIMD
-	VarTz
-	VarStag
-	VarShortcut
-	NumVariants
+	// VarGeneral is the oracle, the emulated general-purpose code.
+	VarGeneral Variant = 0
+	// VarShortcut is the production kernel pair.
+	VarShortcut Variant = 5
 )
+
+// Variants lists every valid variant, oracle first.
+var Variants = [...]Variant{VarGeneral, VarShortcut}
 
 func (v Variant) String() string {
 	switch v {
 	case VarGeneral:
 		return "general purpose code"
-	case VarBasic:
-		return "basic waLBerla implementation"
-	case VarSIMD:
-		return "with SIMD intrinsics"
-	case VarTz:
-		return "with T(z) optimization"
-	case VarStag:
-		return "with staggered buffer"
 	case VarShortcut:
 		return "with shortcuts"
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// PhiStrategy selects the φ-kernel vectorization strategy compared in
-// Fig. 5.
-type PhiStrategy int
-
-const (
-	// StratCellwise vectorizes over the four phases of one cell.
-	StratCellwise PhiStrategy = iota
-	// StratCellwiseShortcut is cellwise with per-cell branching.
-	StratCellwiseShortcut
-	// StratFourCell processes four consecutive cells per iteration and
-	// can only skip work when a condition holds for all four.
-	StratFourCell
-)
-
-func (s PhiStrategy) String() string {
-	switch s {
-	case StratCellwise:
-		return "cellwise"
-	case StratCellwiseShortcut:
-		return "cellwise, with shortcuts"
-	case StratFourCell:
-		return "four cells"
-	}
-	return fmt.Sprintf("PhiStrategy(%d)", int(s))
 }
 
 // Fields bundles the four lattices of Algorithm 1: source and destination
@@ -171,17 +138,6 @@ func (ts *TempSlice) Fill(p *core.Params, zGlobal int, t float64) {
 	}
 }
 
-// GrandPots evaluates ω_α(µ,T) for all phases from the precomputed tables.
-func (ts *TempSlice) GrandPots(mu *[NR]float64, out *[NP]float64) {
-	for a := 0; a < NP; a++ {
-		w := ts.B[a]
-		for k := 0; k < NR; k++ {
-			w -= mu[k]*mu[k]*ts.Inv4A[k][a] + mu[k]*ts.C0T[k][a]
-		}
-		out[a] = w
-	}
-}
-
 // Conc evaluates c_α(µ,T) for phase a from the tables.
 func (ts *TempSlice) Conc(a int, mu *[NR]float64) [NR]float64 {
 	var c [NR]float64
@@ -191,22 +147,12 @@ func (ts *TempSlice) Conc(a int, mu *[NR]float64) [NR]float64 {
 	return c
 }
 
-// grandPotsDirect evaluates ω_α(µ,T) through the thermodynamic database
-// (per-cell path of the non-T(z) variants).
-func grandPotsDirect(sys *thermo.System, mu *[NR]float64, dT float64, out *[NP]float64) {
-	m := [NR]float64{mu[0], mu[1]}
-	for a := 0; a < NP; a++ {
-		out[a] = sys.Phases[a].GrandPot(m, dT)
-	}
-}
-
 // Scratch holds per-goroutine staggered-value buffers sized for a block of
 // nx×ny cells per slice. Buffers are reused across slices and timesteps.
 type Scratch struct {
 	nx, ny int
 
 	// µ staggered buffers: flux component per reduced component.
-	muX []float64 // east-face fluxes of the previous x cell: NR values
 	muY []float64 // north-face fluxes of the previous y row: nx*NR
 	muZ []float64 // top-face fluxes of the previous z slab: nx*ny*NR
 
@@ -220,10 +166,10 @@ type Scratch struct {
 	zValidPhi bool
 	zValidMu  bool
 
-	// µ liquid-bulk row flags (shortcut rung), indexed by y+1 for
-	// y ∈ [−1, ny]: liqWin is a rolling window over φsrc slices z−1, z,
-	// z+1 — liqWin[i][y+1] reports row (y, z−1+i) exactly liquid over
-	// x ∈ [−1, nx] — and liqCol ANDs the three slices.
+	// µ liquid-bulk row flags, indexed by y+1 for y ∈ [−1, ny]: liqWin
+	// is a rolling window over φsrc slices z−1, z, z+1 — liqWin[i][y+1]
+	// reports row (y, z−1+i) exactly liquid over x ∈ [−1, nx] — and
+	// liqCol ANDs the three slices.
 	liqWin [3][]bool
 	liqCol []bool
 }
@@ -232,7 +178,6 @@ type Scratch struct {
 func NewScratch(nx, ny int) *Scratch {
 	return &Scratch{
 		nx: nx, ny: ny,
-		muX: make([]float64, NR),
 		muY: make([]float64, nx*NR),
 		muZ: make([]float64, nx*ny*NR),
 		phX: make([]float64, NP),

@@ -1,15 +1,15 @@
 package kernels
 
 // kernels.go is the public dispatch surface: one entry point per kernel,
-// selecting the optimization-ladder variant, plus the Fig. 5 vectorization
-// strategies. Every kernel also has a *Range form restricted to the z-slab
-// [z0,z1), the unit of intra-block parallelism: disjoint slabs write
-// disjoint destination slices, so multiple workers (each with its own
-// Scratch) may sweep one block concurrently. At a
-// slab's first slice the staggered z-buffers are invalid, so the stag and
-// shortcut variants recompute that slice's low z-face fluxes instead of
-// reusing a neighbor worker's buffer — bitwise identical to the serial sweep
-// because the buffered value is exactly the recomputed one.
+// selecting the oracle or the production variant. Every kernel also has a
+// *Range form restricted to the z-slab [z0,z1), the unit of intra-block
+// parallelism: disjoint slabs write disjoint destination slices, so
+// multiple workers (each with its own Scratch) may sweep one block
+// concurrently. At a slab's first slice the staggered z-buffers are
+// invalid, so the production kernels recompute that slice's low z-face
+// fluxes instead of reusing a neighbor worker's buffer — bitwise identical
+// to the serial sweep because the buffered value is exactly the recomputed
+// one.
 
 // clampRange clips [z0,z1) to the block's interior [0,nz).
 func clampRange(nz, z0, z1 int) (int, int) {
@@ -33,42 +33,11 @@ func PhiSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
 	if z0 >= z1 {
 		return
 	}
-	switch v {
-	case VarGeneral:
+	if v == VarGeneral {
 		phiSweepGeneral(ctx, f, z0, z1)
-	case VarBasic:
-		phiSweepScalar(ctx, f, sc, phiOpts{}, z0, z1)
-	case VarSIMD:
-		phiSweepVec(ctx, f, sc, phiOpts{}, z0, z1)
-	case VarTz:
-		phiSweepVec(ctx, f, sc, phiOpts{tz: true}, z0, z1)
-	case VarStag:
-		phiSweepVec(ctx, f, sc, phiOpts{tz: true, stag: true}, z0, z1)
-	default: // VarShortcut
-		phiSweepVec(ctx, f, sc, phiOpts{tz: true, stag: true, shortcut: true}, z0, z1)
-	}
-}
-
-// PhiSweepStrategy updates the φ-field with one of the Fig. 5 vectorization
-// strategies, all at the full remaining optimization level.
-func PhiSweepStrategy(ctx *Ctx, f *Fields, sc *Scratch, s PhiStrategy) {
-	PhiSweepStrategyRange(ctx, f, sc, s, 0, f.PhiSrc.NZ)
-}
-
-// PhiSweepStrategyRange is PhiSweepStrategy restricted to the z-slab [z0,z1).
-func PhiSweepStrategyRange(ctx *Ctx, f *Fields, sc *Scratch, s PhiStrategy, z0, z1 int) {
-	z0, z1 = clampRange(f.PhiSrc.NZ, z0, z1)
-	if z0 >= z1 {
 		return
 	}
-	switch s {
-	case StratCellwise:
-		phiSweepVec(ctx, f, sc, phiOpts{tz: true, stag: true}, z0, z1)
-	case StratCellwiseShortcut:
-		phiSweepVec(ctx, f, sc, phiOpts{tz: true, stag: true, shortcut: true}, z0, z1)
-	default: // StratFourCell
-		phiSweepFourCell(ctx, f, sc, true, z0, z1)
-	}
+	phiSweepVec(ctx, f, sc, z0, z1)
 }
 
 // MuSweep updates f.MuDst (the fused Algorithm-1 µ-kernel, including the
@@ -83,18 +52,9 @@ func MuSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
 	if z0 >= z1 {
 		return
 	}
-	switch v {
-	case VarGeneral:
+	if v == VarGeneral {
 		muSweepGeneral(ctx, f, z0, z1)
-	case VarBasic:
-		muSweepScalar(ctx, f, sc, muOpts{}, z0, z1)
-	case VarSIMD:
-		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true}, z0, z1)
-	case VarTz:
-		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true}, z0, z1)
-	case VarStag:
-		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true, stag: true}, z0, z1)
-	default: // VarShortcut
-		muSweepFourCell(ctx, f, sc, muOpts{simdCSE: true, tz: true, stag: true, shortcut: true}, z0, z1)
+		return
 	}
+	muSweepFourCell(ctx, f, sc, true, z0, z1)
 }

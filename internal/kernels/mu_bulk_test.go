@@ -10,8 +10,9 @@ import (
 	"repro/internal/grid"
 )
 
-// The µ liquid-bulk row path must be invisible: VarShortcut ≡ VarStag (the
-// rung without shortcuts) bit for bit, including the sign of zero, on
+// The µ liquid-bulk row path must be invisible: VarShortcut ≡ the
+// no-shortcut reference (the production µ sweep with its shortcut flag
+// off) bit for bit, including the sign of zero, on
 // fields that put exact-liquid rows beside interface rows and beside
 // decoys that must not take the bulk path. The subnormal and 1−2⁻⁵³ decoys
 // round away in the interpolation (the general path returns the bulk bits
@@ -102,13 +103,14 @@ func setGhostDecoy(f *Fields, x, y, z int) {
 	f.PhiSrc.Set(1, x, y, z, 0.1)
 }
 
-// sweepMu runs MuSweepRange of v over consecutive slabs split at cuts,
-// one fresh Scratch per slab as the engine's workers have, on a clone.
-func sweepMu(ctx *Ctx, f0 *Fields, v Variant, cuts []int) *Fields {
+// sweepMu runs MuSweepRange of VarShortcut over consecutive slabs split at
+// cuts, one fresh Scratch per slab as the engine's workers have, on a
+// clone.
+func sweepMu(ctx *Ctx, f0 *Fields, cuts []int) *Fields {
 	f := f0.Clone()
 	z0 := 0
 	for _, z1 := range append(cuts, f.MuSrc.NZ) {
-		MuSweepRange(ctx, f, NewScratch(f.MuSrc.NX, f.MuSrc.NY), v, z0, z1)
+		MuSweepRange(ctx, f, NewScratch(f.MuSrc.NX, f.MuSrc.NY), VarShortcut, z0, z1)
 		z0 = z1
 	}
 	return f
@@ -133,15 +135,16 @@ func bitsDiff(a, b *grid.Field) string {
 }
 
 // checkShortcutBitwise compares VarShortcut, whole and split at cuts,
-// against a whole VarStag sweep.
+// against a whole no-shortcut reference sweep.
 func checkShortcutBitwise(t *testing.T, p *core.Params, f *Fields, cuts []int) {
 	t.Helper()
 	ctx := &Ctx{P: p, Time: 3 * p.Dt}
-	ref := sweepMu(ctx, f, VarStag, nil)
+	ref := f.Clone()
+	muSweepFourCell(ctx, ref, NewScratch(f.MuSrc.NX, f.MuSrc.NY), false, 0, f.MuSrc.NZ)
 	for _, c := range [][]int{nil, cuts} {
-		got := sweepMu(ctx, f, VarShortcut, c)
+		got := sweepMu(ctx, f, c)
 		if d := bitsDiff(got.MuDst, ref.MuDst); d != "" {
-			t.Fatalf("nx=%d slabs cut at %v: shortcut differs from stag: %s", f.MuSrc.NX, c, d)
+			t.Fatalf("nx=%d slabs cut at %v: shortcut differs from the reference: %s", f.MuSrc.NX, c, d)
 		}
 	}
 }
@@ -182,9 +185,9 @@ func TestMuLiquidRowsBitwise(t *testing.T) {
 	}
 }
 
-// FuzzMuShortcut checks VarShortcut ≡ VarStag bitwise on seeded fields
-// whose rows are randomly exact liquid, a decoy or interface, at fuzzed
-// widths and slab splits.
+// FuzzMuShortcut checks VarShortcut ≡ the no-shortcut reference bitwise on
+// seeded fields whose rows are randomly exact liquid, a decoy or interface,
+// at fuzzed widths and slab splits.
 func FuzzMuShortcut(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(3), uint8(5))
 	f.Add(int64(2), uint8(1), uint8(0), uint8(0))

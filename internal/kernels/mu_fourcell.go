@@ -5,9 +5,9 @@ import (
 	"repro/internal/simd"
 )
 
-// mu_fourcell.go implements the explicitly vectorized µ-kernel. As the
-// paper notes, four-cell vectorization is "the only possible" strategy for
-// this kernel: one SIMD lane per consecutive x-cell. The local source
+// mu_fourcell.go implements the production µ-kernel sweep. As the paper
+// notes, four-cell vectorization is "the only possible" strategy for this
+// kernel: one SIMD lane per consecutive x-cell. The local source
 // terms, susceptibility and diffusive face fluxes are evaluated lanewise;
 // the anti-trapping current — dominated by data-dependent guards — is
 // evaluated per staggered face (it can only be skipped when the shortcut
@@ -16,18 +16,16 @@ import (
 // the high faces of lanes 0–2.
 
 // muSweepFourCell runs the vectorized µ-kernel over the z-slab [z0,z1).
-func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
+// shortcut is on in production; off, the sweep is the bitwise reference
+// the shortcut tests compare against.
+func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, shortcut bool, z0, z1 int) {
 	p := ctx.P
 	phiS, phiD := f.PhiSrc, f.PhiDst
 	muS, muD := f.MuSrc, f.MuDst
 	nx, ny := muS.NX, muS.NY
-	if nx < 4 {
-		muSweepScalar(ctx, f, sc, o, z0, z1)
-		return
-	}
 	sc.ensure(nx, ny)
 
-	st := muFaceState{ctx: ctx, f: f, o: o, invDx: 1 / p.Dx, invDt: 1 / p.Dt}
+	st := muFaceState{ctx: ctx, f: f, shortcut: shortcut, invDx: 1 / p.Dx, invDt: 1 / p.Dt}
 	for a := 0; a < NP; a++ {
 		for k := 0; k < NR; k++ {
 			st.dInvTwoA[k][a] = p.D[a] / (2 * p.Sys.Phases[a].A[k])
@@ -44,26 +42,24 @@ func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
 		ts.Fill(p, ctx.ZOff+z, ctx.Time)
 		tsPrev.Fill(p, ctx.ZOff+z-1, ctx.Time)
 		st.zSlice = z
-		if o.shortcut {
+		if shortcut {
 			sc.slideLiquidRows(phiS, z, z == z0)
 		}
 		for y := 0; y < ny; y++ {
 			// A pure-liquid row takes the bulk loop as a whole,
-			// remainder cells included, under the same row test as
-			// muSweepScalar: "shortcut" means the same at every width.
-			if o.shortcut && sc.liquidBulkRow(phiD, y, z) {
+			// remainder cells included.
+			if shortcut && sc.liquidBulkRow(phiD, y, z) {
 				muLiquidRow(&st, sc, y, z, dTdt)
 				continue
 			}
 			x0 := 0
 			for ; x0+4 <= nx; x0 += 4 {
-				muFourCellGroup(&st, phiS, phiD, muS, muD, sc, x0, y, z, dTdt, o)
+				muFourCellGroup(&st, phiS, phiD, muS, muD, sc, x0, y, z, dTdt)
 			}
-			// Remainder cells (nx mod 4) take the scalar path; the
-			// x staggered buffer is not maintained across groups,
-			// so it is disabled for them.
+			// Remainder cells (nx mod 4, the whole row when nx < 4)
+			// are updated one at a time.
 			for x := x0; x < nx; x++ {
-				muCellUpdate(&st, sc, x, y, z, dTdt, o, false)
+				muCellUpdate(&st, sc, x, y, z, dTdt)
 			}
 		}
 		sc.zValidMu = true
@@ -72,22 +68,15 @@ func muSweepFourCell(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
 
 // muFourCellGroup updates cells (x..x+3, y, z).
 func muFourCellGroup(st *muFaceState, phiS, phiD, muS, muD *grid.Field, sc *Scratch,
-	x, y, z int, dTdt float64, o muOpts) {
+	x, y, z int, dTdt float64) {
 
 	p := st.ctx.P
 	ts := st.ts
-	if !o.tz {
-		// Without the T(z) optimization the temperature-dependent
-		// tables are rebuilt per group instead of per slice.
-		var local TempSlice
-		local.Fill(p, st.ctx.ZOff+z, st.ctx.Time)
-		ts = &local
-	}
 
 	// Group-level shortcut: the anti-trapping machinery is skipped only
 	// when no lane's neighborhood carries liquid.
 	skipJat := false
-	if o.shortcut {
+	if st.shortcut {
 		skipJat = true
 		for i := 0; i < 4 && skipJat; i++ {
 			if regionHasLiquid(phiS, x+i, y, z) {
@@ -130,11 +119,7 @@ func muFourCellGroup(st *muFaceState, phiS, phiD, muS, muD *grid.Field, sc *Scra
 		}
 		for i := 0; i < 4; i++ {
 			var fl [NR]float64
-			got := false
-			if o.stag {
-				got = loadMuBuffer(sc, axis, x+i, y, &fl)
-			}
-			if !got {
+			if !loadMuBuffer(sc, axis, x+i, y, &fl) {
 				lx, ly, lz := x+i, y, z
 				if axis == 1 {
 					ly--
@@ -150,14 +135,12 @@ func muFourCellGroup(st *muFaceState, phiS, phiD, muS, muD *grid.Field, sc *Scra
 		for k := 0; k < NR; k++ {
 			div[k] = div[k].Add(hi[k].Sub(lo[k]).Scale(st.invDx))
 		}
-		if o.stag {
-			for i := 0; i < 4; i++ {
-				var fl [NR]float64
-				for k := 0; k < NR; k++ {
-					fl[k] = hi[k][i]
-				}
-				storeMuBuffer(sc, axis, x+i, y, &fl)
+		for i := 0; i < 4; i++ {
+			var fl [NR]float64
+			for k := 0; k < NR; k++ {
+				fl[k] = hi[k][i]
 			}
+			storeMuBuffer(sc, axis, x+i, y, &fl)
 		}
 	}
 

@@ -6,31 +6,19 @@ import (
 	"repro/internal/simd"
 )
 
-// mu_scalar.go implements the µ-kernel (Eq. 3): the evolution of the two
-// reduced chemical potentials with gradient flux M∇µ, anti-trapping current
-// J_at (Eq. 4) and the φ- and T-coupling source terms. The kernel is a
-// D3C19 stencil on φ (face-transverse gradients touch the planar diagonal
-// neighbors) and needs both φ(t) and φ(t+Δt), matching Fig. 1(b).
+// mu_scalar.go holds the per-face and per-cell pieces of the production
+// µ-kernel (Eq. 3): the evolution of the two reduced chemical potentials
+// with gradient flux M∇µ, anti-trapping current J_at (Eq. 4) and the φ- and
+// T-coupling source terms. The kernel is a D3C19 stencil on φ
+// (face-transverse gradients touch the planar diagonal neighbors) and needs
+// both φ(t) and φ(t+Δt), matching Fig. 1(b). The sweep itself is in
+// mu_fourcell.go.
 
 // Guard tolerances for the anti-trapping term.
 const (
 	tolPhiProd = 1e-9  // minimum φ_α·φ_ℓ at a face
 	tolGrad2   = 1e-12 // minimum squared gradient norm
 )
-
-// muOpts selects the µ-kernel's optimizations.
-type muOpts struct {
-	tz       bool // per-slice temperature tables
-	stag     bool // staggered flux buffering
-	shortcut bool // solid-region anti-trapping skip + liquid-bulk rows
-	simdCSE  bool // precomputed mobility/susceptibility products (SIMD rung)
-}
-
-// interpWeights computes the normalized interpolation weights of a phase
-// vector (shared helper; the general kernel recomputes them redundantly).
-func interpWeights(phi *[NP]float64, h *[NP]float64) {
-	core.Interp(phi, h)
-}
 
 // muFaceState carries everything the face-flux evaluation needs.
 type muFaceState struct {
@@ -39,11 +27,12 @@ type muFaceState struct {
 	ts     *TempSlice // tables for the current slice zSlice
 	tsPrev *TempSlice // tables for slice zSlice−1 (z-face evaluations)
 	zSlice int
-	o      muOpts
-	invDx  float64
-	invDt  float64
-	// dInvTwoA[k][a] = D_a/(2A_k,a), the mobility product precomputed by
-	// the SIMD/CSE rung.
+	// shortcut enables the solid-region anti-trapping skip and the
+	// liquid-bulk rows (see muSweepFourCell).
+	shortcut bool
+	invDx    float64
+	invDt    float64
+	// dInvTwoA[k][a] = D_a/(2A_k,a), the precomputed mobility product.
 	dInvTwoA [NR][NP]float64
 }
 
@@ -69,19 +58,12 @@ func (st *muFaceState) diffFlux(x, y, z, axis int, out *[NR]float64) {
 	for a := 0; a < NP; a++ {
 		phiF[a] = 0.5 * (phiS.At(a, x, y, z) + phiS.At(a, x+ox, y+oy, z+oz))
 	}
-	interpWeights(&phiF, &hf)
+	core.Interp(&phiF, &hf)
 
-	p := st.ctx.P
 	for k := 0; k < NR; k++ {
 		m := 0.0
-		if st.o.simdCSE {
-			for a := 0; a < NP; a++ {
-				m += hf[a] * st.dInvTwoA[k][a]
-			}
-		} else {
-			for a := 0; a < NP; a++ {
-				m += hf[a] * p.D[a] / (2 * p.Sys.Phases[a].A[k])
-			}
+		for a := 0; a < NP; a++ {
+			m += hf[a] * st.dInvTwoA[k][a]
 		}
 		dmu := (muS.At(k, x+ox, y+oy, z+oz) - muS.At(k, x, y, z)) * st.invDx
 		out[k] = m * dmu
@@ -109,22 +91,15 @@ func (st *muFaceState) jatFlux(x, y, z, axis int, out *[NR]float64) {
 	if phiF[LQ] <= tolPhiProd {
 		return
 	}
-	interpWeights(&phiF, &hf)
+	core.Interp(&phiF, &hf)
 	if hf[LQ] <= 0 {
 		return
 	}
 
-	// Face gradients: the CSE rung evaluates them lazily per phase (only
-	// the liquid and the solids actually present at the face); the basic
-	// rung computes all four up front.
-	var fg [NP][3]float64
-	lazy := st.o.simdCSE
-	if lazy {
-		faceGradPhiOne(phiS, x, y, z, axis, LQ, st.invDx, &fg[LQ])
-	} else {
-		faceGradPhi(phiS, x, y, z, axis, st.invDx, &fg)
-	}
-	gl := fg[LQ]
+	// Face gradients are evaluated lazily per phase: only the liquid and
+	// the solids actually present at the face.
+	var gl [3]float64
+	faceGradPhiOne(phiS, x, y, z, axis, LQ, st.invDx, &gl)
 	n2l := gl[0]*gl[0] + gl[1]*gl[1] + gl[2]*gl[2]
 	// Second check: vanishing liquid gradient ⇒ skip.
 	if n2l < tolGrad2 {
@@ -137,22 +112,15 @@ func (st *muFaceState) jatFlux(x, y, z, axis int, out *[NR]float64) {
 		muF[k] = 0.5 * (muS.At(k, x, y, z) + muS.At(k, x+ox, y+oy, z+oz))
 	}
 	ft := st.faceTables(z)
-	var cl [NR]float64
-	if st.o.tz {
-		cl = ft.Conc(LQ, &muF)
-	} else {
-		cl = p.Sys.Phases[LQ].Conc(muF, ft.DT)
-	}
+	cl := ft.Conc(LQ, &muF)
 
 	pref0 := core.ATPrefactor * p.Eps * p.AT * hf[LQ]
 	for a := 0; a < NP-1; a++ {
 		if phiF[a] <= tolPhiProd {
 			continue
 		}
-		if lazy {
-			faceGradPhiOne(phiS, x, y, z, axis, a, st.invDx, &fg[a])
-		}
-		ga := fg[a]
+		var ga [3]float64
+		faceGradPhiOne(phiS, x, y, z, axis, a, st.invDx, &ga)
 		n2a := ga[0]*ga[0] + ga[1]*ga[1] + ga[2]*ga[2]
 		if n2a < tolGrad2 {
 			continue
@@ -163,12 +131,7 @@ func (st *muFaceState) jatFlux(x, y, z, axis int, out *[NR]float64) {
 		dphidt := 0.5 * ((phiD.At(a, x, y, z) - phiS.At(a, x, y, z)) +
 			(phiD.At(a, x+ox, y+oy, z+oz) - phiS.At(a, x+ox, y+oy, z+oz))) * st.invDt
 
-		var ca [NR]float64
-		if st.o.tz {
-			ca = ft.Conc(a, &muF)
-		} else {
-			ca = p.Sys.Phases[a].Conc(muF, ft.DT)
-		}
+		ca := ft.Conc(a, &muF)
 
 		pref := pref0 * core.GAT(phiF[a]) * simd.FastRSqrt2(phiF[a]*phiF[LQ]) * dphidt * ndot
 		nAxis := ga[axis] * invNa
@@ -191,56 +154,10 @@ func (st *muFaceState) totalFaceFlux(x, y, z, axis int, skipJat bool, out *[NR]f
 	}
 }
 
-// muSweepScalar runs the scalar µ-kernel over the z-slab [z0,z1) of the
-// block interior.
-func muSweepScalar(ctx *Ctx, f *Fields, sc *Scratch, o muOpts, z0, z1 int) {
-	p := ctx.P
-	nx, ny := f.MuSrc.NX, f.MuSrc.NY
-	sc.ensure(nx, ny)
-
-	st := muFaceState{
-		ctx: ctx, f: f, o: o,
-		invDx: 1 / p.Dx,
-		invDt: 1 / p.Dt,
-	}
-	if o.simdCSE {
-		for a := 0; a < NP; a++ {
-			for k := 0; k < NR; k++ {
-				st.dInvTwoA[k][a] = p.D[a] / (2 * p.Sys.Phases[a].A[k])
-			}
-		}
-	}
-
-	dTdt := p.Temp.DTdt()
-	var ts, tsPrev TempSlice
-	st.ts = &ts
-	st.tsPrev = &tsPrev
-
-	sc.zValidMu = false
-	for z := z0; z < z1; z++ {
-		ts.Fill(p, ctx.ZOff+z, ctx.Time)
-		tsPrev.Fill(p, ctx.ZOff+z-1, ctx.Time)
-		st.zSlice = z
-		if o.shortcut {
-			sc.slideLiquidRows(f.PhiSrc, z, z == z0)
-		}
-		for y := 0; y < ny; y++ {
-			if o.shortcut && sc.liquidBulkRow(f.PhiDst, y, z) {
-				muLiquidRow(&st, sc, y, z, dTdt)
-				continue
-			}
-			for x := 0; x < nx; x++ {
-				muCellUpdate(&st, sc, x, y, z, dTdt, o, o.stag)
-			}
-		}
-		sc.zValidMu = true
-	}
-}
-
-// muCellUpdate performs the full per-cell µ update. useXBuf controls
-// whether the x staggered buffer may be consulted (the four-cell kernel's
-// remainder cells must not, since groups do not maintain it).
-func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64, o muOpts, useXBuf bool) {
+// muCellUpdate performs the full per-cell µ update of one cell that is not
+// part of a four-cell group. Its low x face is always computed: groups do
+// not maintain an x staggered buffer.
+func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64) {
 	p := st.ctx.P
 	phiS, phiD := st.f.PhiSrc, st.f.PhiDst
 	muS, muD := st.f.MuSrc, st.f.MuDst
@@ -249,17 +166,13 @@ func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64, o muO
 	var phiC, phiDC, hSrc, hDst [NP]float64
 	var muC, flux, fluxLo [NR]float64
 
-	skipJat := o.shortcut && !regionHasLiquid(phiS, x, y, z)
+	skipJat := st.shortcut && !regionHasLiquid(phiS, x, y, z)
 
 	// Flux divergence over the six staggered faces.
 	var div [NR]float64
 	for axis := 0; axis < 3; axis++ {
 		st.totalFaceFlux(x, y, z, axis, skipJat, &flux)
-		gotLow := false
-		if o.stag && (axis != 0 || useXBuf) {
-			gotLow = loadMuBuffer(sc, axis, x, y, &fluxLo)
-		}
-		if !gotLow {
+		if axis == 0 || !loadMuBuffer(sc, axis, x, y, &fluxLo) {
 			lx, ly, lz := x, y, z
 			switch axis {
 			case 0:
@@ -274,46 +187,35 @@ func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64, o muO
 		for k := 0; k < NR; k++ {
 			div[k] += (flux[k] - fluxLo[k]) * st.invDx
 		}
-		if o.stag {
+		if axis != 0 {
 			storeMuBuffer(sc, axis, x, y, &flux)
 		}
 	}
 
 	loadPhi(phiS, x, y, z, &phiC)
-	interpWeights(&phiC, &hSrc)
+	core.Interp(&phiC, &hSrc)
 	loadMu(muS, x, y, z, &muC)
 
 	// Susceptibility χ = Σ_α h_α/(2A_α).
 	var chi [NR]float64
 	for k := 0; k < NR; k++ {
 		s := 0.0
-		if o.tz || o.simdCSE {
-			for a := 0; a < NP; a++ {
-				s += hSrc[a] * ts.InvTwoA[k][a]
-			}
-		} else {
-			for a := 0; a < NP; a++ {
-				s += hSrc[a] / (2 * p.Sys.Phases[a].A[k])
-			}
+		for a := 0; a < NP; a++ {
+			s += hSrc[a] * ts.InvTwoA[k][a]
 		}
 		chi[k] = s
 	}
 
 	// Source terms: −Σ_α c_α ∂h_α/∂t − (∂c/∂T)(∂T/∂t).
 	loadPhi(phiD, x, y, z, &phiDC)
-	interpWeights(&phiDC, &hDst)
+	core.Interp(&phiDC, &hDst)
 	var src [NR]float64
 	for a := 0; a < NP; a++ {
 		dh := (hDst[a] - hSrc[a]) * st.invDt
 		if dh == 0 {
 			continue
 		}
-		var ca [NR]float64
-		if o.tz {
-			ca = ts.Conc(a, &muC)
-		} else {
-			ca = p.Sys.Phases[a].Conc(muC, ts.DT)
-		}
+		ca := ts.Conc(a, &muC)
 		for k := 0; k < NR; k++ {
 			src[k] -= ca[k] * dh
 		}
@@ -331,7 +233,7 @@ func muCellUpdate(st *muFaceState, sc *Scratch, x, y, z int, dTdt float64, o muO
 	}
 }
 
-// Liquid-bulk rows (shortcut rung). A row (y, z) is bulk when its whole
+// Liquid-bulk rows (shortcut). A row (y, z) is bulk when its whole
 // D3C19 neighbourhood — φsrc rows (y−1..y+1) × (z−1..z+1) over x ∈ [−1, nx]
 // and the φdst row itself (the ∂h/∂t source) — is exactly the liquid vertex
 // (0,0,0,1). There every face interpolation is h = (0,0,0,1), so the
@@ -441,15 +343,11 @@ func muLiquidRow(st *muFaceState, sc *Scratch, y, z int, dTdt float64) {
 	}
 }
 
-// Staggered buffer plumbing for the µ-kernel.
+// Staggered buffer plumbing for the µ-kernel's y (axis 1) and z (axis 2)
+// faces.
 
 func loadMuBuffer(sc *Scratch, axis, x, y int, out *[NR]float64) bool {
 	switch axis {
-	case 0:
-		if x == 0 {
-			return false
-		}
-		copy(out[:], sc.muX[:NR])
 	case 1:
 		if y == 0 {
 			return false
@@ -467,8 +365,6 @@ func loadMuBuffer(sc *Scratch, axis, x, y int, out *[NR]float64) bool {
 
 func storeMuBuffer(sc *Scratch, axis, x, y int, flux *[NR]float64) {
 	switch axis {
-	case 0:
-		copy(sc.muX[:NR], flux[:])
 	case 1:
 		copy(sc.muY[x*NR:x*NR+NR], flux[:])
 	default:

@@ -46,11 +46,11 @@ func (gradientTerm) accumulate(st *phiCellState, rhs *[NP]float64) {
 	for axis := 0; axis < 3; axis++ {
 		hi := &st.nb[2*axis]
 		lo := &st.nb[2*axis+1]
-		phiFaceFluxGeneral(p, &st.phi, hi, 1/p.Dx, &flux)
+		phiFaceFluxGeneral(p, &st.phi, hi, &flux)
 		for a := 0; a < NP; a++ {
 			div[a] += flux[a] / p.Dx
 		}
-		phiFaceFluxGeneral(p, lo, &st.phi, 1/p.Dx, &flux)
+		phiFaceFluxGeneral(p, lo, &st.phi, &flux)
 		for a := 0; a < NP; a++ {
 			div[a] -= flux[a] / p.Dx
 		}
@@ -60,10 +60,11 @@ func (gradientTerm) accumulate(st *phiCellState, rhs *[NP]float64) {
 	}
 }
 
-// phiFaceFluxGeneral matches phiFaceFlux but with the general code's
-// per-call recomputation style (divisions instead of reciprocal
+// phiFaceFluxGeneral computes the normal gradient-energy flux of every
+// phase at the staggered face between the lo and hi cells, in the general
+// code's per-call recomputation style (divisions instead of reciprocal
 // multiplication).
-func phiFaceFluxGeneral(p *core.Params, lo, hi *[NP]float64, invDx float64, out *[NP]float64) {
+func phiFaceFluxGeneral(p *core.Params, lo, hi *[NP]float64, out *[NP]float64) {
 	for a := 0; a < NP; a++ {
 		s := 0.0
 		for b := 0; b < NP; b++ {
@@ -79,7 +80,6 @@ func phiFaceFluxGeneral(p *core.Params, lo, hi *[NP]float64, invDx float64, out 
 		}
 		out[a] = s
 	}
-	_ = invDx
 }
 
 // obstacleTerm evaluates (T/ε)∂ω/∂φ.

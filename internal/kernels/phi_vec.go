@@ -6,16 +6,18 @@ import (
 	"repro/internal/simd"
 )
 
-// phi_vec.go implements the explicitly vectorized φ-kernel using the
-// cellwise strategy (§5.1.1): one SIMD vector holds the four phase values
-// of a single cell, so the field is updated cell by cell and per-cell
-// branching (the "shortcuts") remains possible. The price is permute-style
-// horizontal operations when single components of the φ vector appear in a
-// term (e.g. φ_α·Σ_β φ_β); the benefit is fewer live registers and per-cell
-// early exits. Common subexpressions are precomputed aggressively — the
+// phi_vec.go implements the production φ-kernel, vectorized cellwise
+// (§5.1.1): one SIMD vector holds the four phase values of a single cell,
+// so the field is updated cell by cell and per-cell branching (the bulk
+// shortcut) remains possible. The price is permute-style horizontal
+// operations when single components of the φ vector appear in a term (e.g.
+// φ_α·Σ_β φ_β); the benefit is fewer live registers and per-cell early
+// exits — the paper measured it ahead of four-cell vectorization in every
+// composition. Common subexpressions are precomputed aggressively — the
 // driving force collapses to w'(φ_α)/S · (ω_α − ω·h), the triple-obstacle
-// sum to a closed form in Σφ and Σφ² — which is why this rung of the ladder
-// exceeds the 4× vector width (the paper reports 5–7×).
+// sum to a closed form in Σφ and Σφ² — the grand potentials come from
+// per-slice temperature tables, and each staggered face flux is computed
+// once and buffered for the neighbor that shares the face.
 
 // phiGammaRows caches the rows of the γ matrix as SIMD vectors.
 func phiGammaRows(p *core.Params) [NP]simd.Vec4 {
@@ -32,13 +34,16 @@ func loadPhiVec(f *grid.Field, x, y, z int) simd.Vec4 {
 	return simd.Set(f.At(0, x, y, z), f.At(1, x, y, z), f.At(2, x, y, z), f.At(3, x, y, z))
 }
 
-// phiFaceFluxVec computes the staggered face flux for all phases with the
-// phases in SIMD lanes, using the factored common-subexpression form
+// phiFaceFluxVec computes, for all phases with the phases in SIMD lanes,
+// the normal component of the gradient-energy flux ∂a/∂∇φ_α at the
+// staggered face between the lo and hi cells along one axis. For the
+// isotropic gradient energy a = Σ γ_{αβ}|q_{αβ}|² the normal component
+// needs only the normal derivative — the reason the φ-kernel is a D3C7
+// stencil. The factored common-subexpression form
 //
 //	F_α = −2[ pf_α (γ_row·(pf∘g)) − g_α (γ_row·(pf∘pf)) ]
 //
-// which shares pf∘g and pf∘pf across all four phases (the CSE work the
-// paper bundles into the SIMD rung).
+// shares pf∘g and pf∘pf across all four phases.
 func phiFaceFluxVec(gamma *[NP]simd.Vec4, lo, hi simd.Vec4, invDx float64) simd.Vec4 {
 	pf := lo.Add(hi).Scale(0.5)
 	g := hi.Sub(lo).Scale(invDx)
@@ -79,10 +84,8 @@ func (tv *tempVecs) grandPotsVec(mu *[NR]float64) simd.Vec4 {
 	return w
 }
 
-// phiSweepVec is the cellwise-vectorized φ-kernel with optional T(z),
-// staggered-buffer and shortcut optimizations stacked on top, over the
-// z-slab [z0,z1).
-func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, o phiOpts, z0, z1 int) {
+// phiSweepVec is the production φ-kernel over the z-slab [z0,z1).
+func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, z0, z1 int) {
 	p := ctx.P
 	src, dst, mu := f.PhiSrc, f.PhiDst, f.MuSrc
 	nx, ny := src.NX, src.NY
@@ -103,18 +106,16 @@ func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, o phiOpts, z0, z1 int) {
 	sc.zValidPhi = false
 	for z := z0; z < z1; z++ {
 		ts.Fill(p, ctx.ZOff+z, ctx.Time)
-		if o.tz {
-			tv.fill(&ts)
-		}
+		tv.fill(&ts)
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
-				if o.shortcut && isBulkCell(src, x, y, z) {
+				if isBulkCell(src, x, y, z) {
+					// Bulk region B_α: ∂φ/∂t = 0 and every
+					// staggered flux vanishes.
 					for a := 0; a < NP; a++ {
 						dst.Set(a, x, y, z, src.At(a, x, y, z))
 					}
-					if o.stag {
-						zeroPhiBuffers(sc, x, y)
-					}
+					zeroPhiBuffers(sc, x, y)
 					continue
 				}
 
@@ -141,30 +142,20 @@ func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, o phiOpts, z0, z1 int) {
 					}
 				}
 
-				// Divergence of the staggered fluxes.
+				// Divergence of the staggered fluxes: the three high
+				// faces are computed, the low faces reused from the
+				// buffers except at block/slab starts.
 				var div simd.Vec4
 				lows := [3]simd.Vec4{nbW, nbS, nbB}
 				highs := [3]simd.Vec4{nbE, nbN, nbT}
 				for axis := 0; axis < 3; axis++ {
 					hi := phiFaceFluxVec(&gamma, phiC, highs[axis], invDx)
-					var lo simd.Vec4
-					gotLow := false
-					if o.stag {
-						var tmp [NP]float64
-						if loadPhiBuffer(sc, axis, x, y, &tmp) {
-							lo = simd.Load(tmp[:])
-							gotLow = true
-						}
-					}
-					if !gotLow {
+					lo, ok := loadPhiBuffer(sc, axis, x, y)
+					if !ok {
 						lo = phiFaceFluxVec(&gamma, lows[axis], phiC, invDx)
 					}
 					div = div.Add(hi.Sub(lo).Scale(invDx))
-					if o.stag {
-						var tmp [NP]float64
-						hi.Store(tmp[:])
-						storePhiBuffer(sc, axis, x, y, &tmp)
-					}
+					storePhiBuffer(sc, axis, x, y, hi)
 				}
 
 				// Obstacle potential derivative:
@@ -181,17 +172,7 @@ func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, o phiOpts, z0, z1 int) {
 				// Driving force ∂ψ/∂φ_α = w'(φ_α)/S (ω_α − ω·h).
 				muC[0] = mu.At(0, x, y, z)
 				muC[1] = mu.At(1, x, y, z)
-				var pots simd.Vec4
-				if o.tz {
-					pots = tv.grandPotsVec(&muC)
-				} else {
-					// Without T(z) the grand potentials go
-					// through the thermodynamic database per
-					// cell, like the scalar rungs.
-					var pd [NP]float64
-					grandPotsDirect(p.Sys, &muC, ts.DT, &pd)
-					pots = simd.Load(pd[:])
-				}
+				pots := tv.grandPotsVec(&muC)
 				w := phiC.Mul(phiC).Mul(simd.Splat(3).Sub(phiC.Scale(2)))
 				var df simd.Vec4
 				if sw := w.HSum(); sw > 0 {
@@ -216,5 +197,51 @@ func phiSweepVec(ctx *Ctx, f *Fields, sc *Scratch, o phiOpts, z0, z1 int) {
 			}
 		}
 		sc.zValidPhi = true
+	}
+}
+
+// Staggered-buffer plumbing: lane a of a buffered flux belongs to phase a
+// (NP equals the vector width).
+
+func zeroPhiBuffers(sc *Scratch, x, y int) {
+	for a := 0; a < NP; a++ {
+		sc.phX[a] = 0
+		sc.phY[x*NP+a] = 0
+		sc.phZ[(y*sc.nx+x)*NP+a] = 0
+	}
+}
+
+// loadPhiBuffer fetches the buffered low-face flux for the given axis; it
+// reports false at block-boundary cells where no buffered value exists and
+// the face must be computed explicitly.
+func loadPhiBuffer(sc *Scratch, axis, x, y int) (simd.Vec4, bool) {
+	switch axis {
+	case 0:
+		if x == 0 {
+			return simd.Vec4{}, false
+		}
+		return simd.Load(sc.phX), true
+	case 1:
+		if y == 0 {
+			return simd.Vec4{}, false
+		}
+		return simd.Load(sc.phY[x*NP:]), true
+	default:
+		// The z slab buffer is valid from the second slice onward.
+		if !sc.zValidPhi {
+			return simd.Vec4{}, false
+		}
+		return simd.Load(sc.phZ[(y*sc.nx+x)*NP:]), true
+	}
+}
+
+func storePhiBuffer(sc *Scratch, axis, x, y int, flux simd.Vec4) {
+	switch axis {
+	case 0:
+		flux.Store(sc.phX)
+	case 1:
+		flux.Store(sc.phY[x*NP:])
+	default:
+		flux.Store(sc.phZ[(y*sc.nx+x)*NP:])
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"repro/internal/grid"
 )
 
-// Small stencil-access helpers shared by all kernel variants.
+// Small stencil-access helpers shared by both kernel variants.
 
 func loadPhi(f *grid.Field, x, y, z int, out *[NP]float64) {
 	for a := 0; a < NP; a++ {
@@ -21,12 +21,6 @@ func loadMu(f *grid.Field, x, y, z int, out *[NR]float64) {
 func storePhi(f *grid.Field, x, y, z int, v *[NP]float64) {
 	for a := 0; a < NP; a++ {
 		f.Set(a, x, y, z, v[a])
-	}
-}
-
-func storeMu(f *grid.Field, x, y, z int, v *[NR]float64) {
-	for k := 0; k < NR; k++ {
-		f.Set(k, x, y, z, v[k])
 	}
 }
 
@@ -54,16 +48,6 @@ func transverseAxes(axis int) (t1, t2 int) {
 	}
 }
 
-// centralGradPhi computes the central-difference gradient of every phase at
-// (x,y,z): out[a][d] = (φ_{+d} − φ_{−d}) / (2dx).
-func centralGradPhi(f *grid.Field, x, y, z int, halfInvDx float64, out *[NP][3]float64) {
-	for a := 0; a < NP; a++ {
-		out[a][0] = (f.At(a, x+1, y, z) - f.At(a, x-1, y, z)) * halfInvDx
-		out[a][1] = (f.At(a, x, y+1, z) - f.At(a, x, y-1, z)) * halfInvDx
-		out[a][2] = (f.At(a, x, y, z+1) - f.At(a, x, y, z-1)) * halfInvDx
-	}
-}
-
 // faceGradPhi computes the full gradient of every phase at the staggered
 // face between cell (x,y,z) and its +axis neighbor: the normal component is
 // the direct difference, the transverse components average the central
@@ -84,7 +68,7 @@ func faceGradPhi(f *grid.Field, x, y, z, axis int, invDx float64, out *[NP][3]fl
 }
 
 // faceGradPhiOne computes the full staggered-face gradient of a single
-// phase (the lazy per-phase path of the CSE-optimized µ-kernel: most faces
+// phase (the lazy per-phase path of the production µ-kernel: most faces
 // only carry one solid plus liquid, so computing all four gradients up
 // front wastes two thirds of the loads).
 func faceGradPhiOne(f *grid.Field, x, y, z, axis, a int, invDx float64, out *[3]float64) {

@@ -4,13 +4,14 @@
 // explicit intrinsics (SSE2/SSE4/AVX/AVX2 on x86, QPX on Blue Gene/Q)
 // behind a thin API so that kernels are written once against vector-width-4
 // double-precision registers. This package is the Go analogue of that thin
-// API: a Vec4 value type with the operations the kernels need (arithmetic,
-// fused multiply-add, blends, rotations, broadcasts, and the fast inverse
-// square root used for vector normalization). The Go compiler keeps Vec4 in
-// registers for the hot loops; more importantly the package preserves the
-// *algorithmic* structure of the paper's two vectorization strategies:
-// cellwise (one Vec4 = the four phase values of one cell) and four-cell
-// (one Vec4 = one quantity for four consecutive cells in x).
+// API: a Vec4 value type with exactly the operations the two production
+// kernels use (lanewise arithmetic, broadcasts, horizontal sums and dot
+// products, a lane rotation, and the fast inverse square root used for
+// vector normalization). The Go compiler keeps Vec4 in registers for the
+// hot loops; more importantly the package preserves the *algorithmic*
+// structure of the paper's two vectorization strategies: cellwise for the
+// φ-kernel (one Vec4 = the four phase values of one cell) and four-cell for
+// the µ-kernel (one Vec4 = one quantity for four consecutive cells in x).
 package simd
 
 import "math"
@@ -27,9 +28,6 @@ func Set(a, b, c, d float64) Vec4 { return Vec4{a, b, c, d} }
 
 // Splat returns a Vec4 with all lanes set to x (broadcast).
 func Splat(x float64) Vec4 { return Vec4{x, x, x, x} }
-
-// Zero returns the zero vector.
-func Zero() Vec4 { return Vec4{} }
 
 // Load loads four consecutive values from s. s must have at least 4 elements.
 func Load(s []float64) Vec4 { return Vec4{s[0], s[1], s[2], s[3]} }
@@ -49,132 +47,21 @@ func (v Vec4) Mul(w Vec4) Vec4 { return Vec4{v[0] * w[0], v[1] * w[1], v[2] * w[
 // Div returns v / w lanewise.
 func (v Vec4) Div(w Vec4) Vec4 { return Vec4{v[0] / w[0], v[1] / w[1], v[2] / w[2], v[3] / w[3]} }
 
-// Neg returns -v lanewise.
-func (v Vec4) Neg() Vec4 { return Vec4{-v[0], -v[1], -v[2], -v[3]} }
-
 // Scale returns v * s with scalar s broadcast to all lanes.
 func (v Vec4) Scale(s float64) Vec4 { return Vec4{v[0] * s, v[1] * s, v[2] * s, v[3] * s} }
 
-// FMA returns v*w + a lanewise (fused multiply-add).
-func (v Vec4) FMA(w, a Vec4) Vec4 {
-	return Vec4{v[0]*w[0] + a[0], v[1]*w[1] + a[1], v[2]*w[2] + a[2], v[3]*w[3] + a[3]}
-}
-
-// FMS returns v*w - a lanewise (fused multiply-subtract).
-func (v Vec4) FMS(w, a Vec4) Vec4 {
-	return Vec4{v[0]*w[0] - a[0], v[1]*w[1] - a[1], v[2]*w[2] - a[2], v[3]*w[3] - a[3]}
-}
-
-// Min returns the lanewise minimum of v and w.
-func (v Vec4) Min(w Vec4) Vec4 {
-	return Vec4{math.Min(v[0], w[0]), math.Min(v[1], w[1]), math.Min(v[2], w[2]), math.Min(v[3], w[3])}
-}
-
-// Max returns the lanewise maximum of v and w.
-func (v Vec4) Max(w Vec4) Vec4 {
-	return Vec4{math.Max(v[0], w[0]), math.Max(v[1], w[1]), math.Max(v[2], w[2]), math.Max(v[3], w[3])}
-}
-
-// Abs returns the lanewise absolute value.
-func (v Vec4) Abs() Vec4 {
-	return Vec4{math.Abs(v[0]), math.Abs(v[1]), math.Abs(v[2]), math.Abs(v[3])}
-}
-
-// Sqrt returns the lanewise square root.
-func (v Vec4) Sqrt() Vec4 {
-	return Vec4{math.Sqrt(v[0]), math.Sqrt(v[1]), math.Sqrt(v[2]), math.Sqrt(v[3])}
-}
-
 // HSum returns the horizontal sum of all lanes.
 func (v Vec4) HSum() float64 { return v[0] + v[1] + v[2] + v[3] }
-
-// HMax returns the horizontal maximum of all lanes.
-func (v Vec4) HMax() float64 {
-	return math.Max(math.Max(v[0], v[1]), math.Max(v[2], v[3]))
-}
 
 // Dot returns the dot product of v and w across lanes.
 func (v Vec4) Dot(w Vec4) float64 {
 	return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] + v[3]*w[3]
 }
 
-// RotateL rotates lanes left by one: {a,b,c,d} -> {b,c,d,a}. On AVX2 this is
-// a single permute; the abstraction layer emulates it on older extensions.
-func (v Vec4) RotateL() Vec4 { return Vec4{v[1], v[2], v[3], v[0]} }
-
-// RotateR rotates lanes right by one: {a,b,c,d} -> {d,a,b,c}.
+// RotateR rotates lanes right by one: {a,b,c,d} -> {d,a,b,c}. On AVX2 this
+// is a single permute; the abstraction layer emulates it on older
+// extensions.
 func (v Vec4) RotateR() Vec4 { return Vec4{v[3], v[0], v[1], v[2]} }
-
-// Blend selects lanewise from v where mask lane is nonzero, else from w.
-// This is the branch-free select the cellwise kernel uses for per-phase
-// conditionals.
-func (v Vec4) Blend(w, mask Vec4) Vec4 {
-	var r Vec4
-	for i := 0; i < Width; i++ {
-		if mask[i] != 0 {
-			r[i] = v[i]
-		} else {
-			r[i] = w[i]
-		}
-	}
-	return r
-}
-
-// CmpGT returns a mask with lanes set to 1 where v > w, else 0.
-func (v Vec4) CmpGT(w Vec4) Vec4 {
-	var r Vec4
-	for i := 0; i < Width; i++ {
-		if v[i] > w[i] {
-			r[i] = 1
-		}
-	}
-	return r
-}
-
-// CmpGE returns a mask with lanes set to 1 where v >= w, else 0.
-func (v Vec4) CmpGE(w Vec4) Vec4 {
-	var r Vec4
-	for i := 0; i < Width; i++ {
-		if v[i] >= w[i] {
-			r[i] = 1
-		}
-	}
-	return r
-}
-
-// AnyGT reports whether any lane of v is greater than the scalar x.
-func (v Vec4) AnyGT(x float64) bool {
-	return v[0] > x || v[1] > x || v[2] > x || v[3] > x
-}
-
-// AllZero reports whether every lane is exactly zero.
-func (v Vec4) AllZero() bool {
-	return v[0] == 0 && v[1] == 0 && v[2] == 0 && v[3] == 0
-}
-
-// Clamp returns v with each lane clamped to [lo, hi].
-func (v Vec4) Clamp(lo, hi float64) Vec4 {
-	var r Vec4
-	for i := 0; i < Width; i++ {
-		r[i] = math.Min(math.Max(v[i], lo), hi)
-	}
-	return r
-}
-
-// RSqrt returns the lanewise fast inverse square root using the Lomont
-// bit-trick with one Newton-Raphson refinement step, matching the paper's
-// replacement of inverse square roots in vector normalizations. Accuracy
-// after one refinement is ~0.2%; callers needing full precision refine once
-// more (RSqrtRefined).
-func (v Vec4) RSqrt() Vec4 {
-	return Vec4{FastRSqrt(v[0]), FastRSqrt(v[1]), FastRSqrt(v[2]), FastRSqrt(v[3])}
-}
-
-// RSqrtRefined is RSqrt with a second Newton-Raphson step (~1e-6 relative
-// error), used where the kernels need near-exact normalization.
-func (v Vec4) RSqrtRefined() Vec4 {
-	return Vec4{FastRSqrt2(v[0]), FastRSqrt2(v[1]), FastRSqrt2(v[2]), FastRSqrt2(v[3])}
-}
 
 // FastRSqrt computes an approximate 1/sqrt(x) for x > 0 using the Lomont
 // magic-constant method on the 64-bit float representation with one

@@ -34,7 +34,7 @@ func parSim(t *testing.T, blocks, par int, v kernels.Variant, ov OverlapMode) *S
 }
 
 func TestParallelSimMatchesSerial(t *testing.T) {
-	for v := kernels.VarGeneral; v < kernels.NumVariants; v++ {
+	for _, v := range kernels.Variants {
 		for _, par := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%v/par%d", v, par), func(t *testing.T) {
 				ref := parSim(t, 1, 1, v, OverlapMu)

@@ -304,7 +304,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		schedule.SetBC{Step: 2, Face: grid.ZMax, Field: schedule.BCPhi,
 			Kind: grid.BCDirichlet, To: []float64{0, 0, 0, 1}})
 
-	full := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarStag, OverlapMu)
+	full := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
 	if err := full.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarStag, OverlapMu)
+	pre := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
 	if err := pre.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		fields[r] = pre.RankFields(r).Clone()
 	}
 
-	restart := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarStag, OverlapMu)
+	restart := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
 	// Mirror the checkpoint-restore order: BC state first, so the ghost
 	// rebuild in RestoreState already uses the mid-ramp wall values.
 	phiBCs, muBCs := pre.DomainBCs()

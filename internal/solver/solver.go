@@ -88,8 +88,8 @@ type Config struct {
 	Params *core.Params
 	BG     *grid.BlockGrid
 	// Variant is the kernel both sweeps run for the simulation's whole
-	// life; the other ladder rungs are experiment apparatus reached through
-	// the kernels package directly.
+	// life: kernels.VarShortcut (production) or kernels.VarGeneral (the
+	// slow oracle, the zero value).
 	Variant kernels.Variant
 	Overlap OverlapMode
 

@@ -226,23 +226,25 @@ func TestLiquidScenarioStaysLiquidAboveTE(t *testing.T) {
 	}
 }
 
+// The oracle and the production kernels must agree through the whole
+// solver (halo exchange, boundary conditions, activity tracking) within the
+// kernel suite's per-sweep tolerances after one step; later steps compound
+// the µ difference through the driving force.
 func TestVariantsAgreeThroughSolver(t *testing.T) {
-	ref := mkSim(t, 1, 1, 1, 8, 8, 8, kernels.VarShortcut, OverlapNone)
-	if err := ref.InitScenario(ScenarioInterface); err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(3)
-	refPhi := ref.GatherGlobalPhi()
-
-	for _, v := range []kernels.Variant{kernels.VarBasic, kernels.VarSIMD, kernels.VarTz, kernels.VarStag} {
-		s := mkSim(t, 1, 1, 1, 8, 8, 8, v, OverlapNone)
-		if err := s.InitScenario(ScenarioInterface); err != nil {
+	var sims [2]*Sim
+	for i, v := range kernels.Variants {
+		sims[i] = mkSim(t, 1, 1, 1, 8, 8, 8, v, OverlapNone)
+		if err := sims[i].InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
 		}
-		s.Run(3)
-		if ok, maxd := s.GatherGlobalPhi().InteriorEqual(refPhi, 1e-7); !ok {
-			t.Errorf("variant %v: φ differs by %g", v, maxd)
-		}
+		sims[i].Run(1)
+	}
+	general, production := sims[0], sims[1]
+	if ok, maxd := general.GatherGlobalPhi().InteriorEqual(production.GatherGlobalPhi(), 1e-8); !ok {
+		t.Errorf("φ differs by %g", maxd)
+	}
+	if ok, maxd := general.GatherGlobalMu().InteriorEqual(production.GatherGlobalMu(), 5e-6); !ok {
+		t.Errorf("µ differs by %g", maxd)
 	}
 }
 

@@ -55,9 +55,9 @@ type Config struct {
 	// Ag-Al-Cu set).
 	Params *core.Params
 	// Variant is the kernel both sweeps run for the simulation's whole
-	// life (DefaultConfig selects the fastest, "with shortcuts"; the zero
-	// value is the general-purpose reference). Restore takes it from the
-	// checkpoint. See internal/kernels for the full ladder.
+	// life: kernels.VarShortcut, the production kernels DefaultConfig
+	// selects, or kernels.VarGeneral, the general-purpose oracle (the zero
+	// value). Restore takes it from the checkpoint.
 	Variant kernels.Variant
 	// Overlap selects communication hiding: solver.OverlapMu (DefaultConfig,
 	// the paper's production choice) or solver.OverlapNone (the zero value).

@@ -75,7 +75,8 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		nx, ny, nz := px*(4+rng.Intn(3)), py*(4+rng.Intn(3)), 8+rng.Intn(6)
 		cfg := DefaultConfig(nx, ny, nz)
 		cfg.PX, cfg.PY = px, py
-		cfg.Variant = kernels.Variant(rng.Intn(int(kernels.NumVariants)))
+		pick := rng.Intn(len(kernels.Variants))
+		cfg.Variant = kernels.Variants[pick]
 		cfg.Seed = rng.Int63()
 		pre := 1 + rng.Intn(4)
 
@@ -98,7 +99,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		// (odd trials).
 		rcfg := Config{Overlap: cfg.Overlap}
 		if trial%2 == 1 {
-			rcfg.Variant = (cfg.Variant + 1) % kernels.NumVariants
+			rcfg.Variant = kernels.Variants[1-pick]
 		}
 		restored, err := Restore(path, rcfg)
 		if err != nil {
@@ -182,9 +183,11 @@ func TestRestoreCarriesRampedParameters(t *testing.T) {
 	}
 }
 
-// Checkpoints written while kernels were switchable at run time may carry
-// kernel state a simulation can no longer be built with; Restore must
-// refuse them naming the removed feature, never guess a variant.
+// Checkpoints written while kernels were switchable at run time, or by a
+// retired ladder rung, may carry kernel state a simulation can no longer be
+// built with; Restore must refuse them naming the removed feature, never
+// guess a variant. The two retired rungs that computed the production
+// trajectory bit for bit restore as production.
 func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 	sim, err := New(DefaultConfig(8, 8, 8))
 	if err != nil {
@@ -204,10 +207,14 @@ func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 	cases := []struct {
 		name           string
 		phi, mu, strat int32
-		wantSub        string // "" = must restore
+		wantSub        string // "" = must restore as production
 	}{
 		{"as written", short, short, -1, ""},
-		{"φ≠µ variant", short, int32(kernels.VarStag), -1, "different φ and µ kernel variants"},
+		{"retired T(z) rung", 3, 3, -1, ""},
+		{"retired staggered-buffer rung", 4, 4, -1, ""},
+		{"retired basic rung", 1, 1, -1, `("basic waLBerla implementation"), a retired optimization-ladder rung`},
+		{"retired SIMD rung", 2, 2, -1, `("with SIMD intrinsics"), a retired optimization-ladder rung`},
+		{"φ≠µ variant", short, int32(kernels.VarGeneral), -1, "different φ and µ kernel variants"},
 		{"pinned strategy", short, short, 2 /* the former four-cell pin */, "strategy pinning was removed"},
 		{"unknown variant", 77, 77, -1, "unknown kernel variant"},
 	}
@@ -216,10 +223,12 @@ func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 		for i, v := range [3]int32{c.phi, c.mu, c.strat} {
 			binary.LittleEndian.PutUint32(raw[slotsOff+4*i:], uint32(v))
 		}
-		_, err := RestoreReader(bytes.NewReader(raw), Config{})
+		sim, err := RestoreReader(bytes.NewReader(raw), Config{})
 		if c.wantSub == "" {
 			if err != nil {
 				t.Errorf("%s: rejected: %v", c.name, err)
+			} else if sim.cfg.Variant != kernels.VarShortcut {
+				t.Errorf("%s: restored as %v, want the production kernel", c.name, sim.cfg.Variant)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.wantSub)
