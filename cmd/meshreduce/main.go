@@ -46,7 +46,9 @@ func main() {
 	bs.Apply(phi)
 
 	// Split the domain into z-slab "blocks" and extract per block with
-	// ghost overlap, as each rank would in a distributed run.
+	// ghost overlap, as each rank would in a distributed run. The global
+	// field's zero-gradient ghost layer supplies the outer ghosts, so every
+	// ghost-inclusive row of a block is a row of the global field.
 	slab := *n / *blocks
 	var meshes []*mesh.Mesh
 	totalTris := 0
@@ -55,9 +57,7 @@ func main() {
 		sub := grid.NewField(*n, *n, slab, 1, 1, grid.SoA)
 		for z := -1; z <= slab; z++ {
 			for y := -1; y <= *n; y++ {
-				for x := -1; x <= *n; x++ {
-					sub.Set(0, x, y, z, phi.At(*phase, clamp(x, *n), clamp(y, *n), clamp(zlo+z, *n)))
-				}
+				copy(sub.Row(0, y, z), phi.Row(*phase, y, zlo+z))
 			}
 		}
 		m := mesh.ExtractPhase(sub, 0, mesh.Vec3{0, 0, float64(zlo)}, true)
@@ -86,16 +86,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println("wrote", *out)
-}
-
-func clamp(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v >= n {
-		return n - 1
-	}
-	return v
 }
 
 func fatal(err error) {

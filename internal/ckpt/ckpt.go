@@ -195,47 +195,82 @@ func WritePrecision(w io.Writer, h Header, fields []*kernels.Fields, prec Precis
 			len(fields), h.PX, h.PY, h.PZ)
 	}
 	for _, f := range fields {
-		if err := writeField(bw, f.PhiSrc, prec); err != nil {
-			return err
-		}
-		if err := writeField(bw, f.MuSrc, prec); err != nil {
-			return err
+		for _, fld := range srcFields(f) {
+			if err := writeField(bw, fld, prec); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
 }
 
-func writeField(w io.Writer, f *grid.Field, prec Precision) error {
-	if prec == Float64 {
-		buf := make([]float64, f.NX*f.NComp)
-		for z := 0; z < f.NZ; z++ {
-			for y := 0; y < f.NY; y++ {
-				i := 0
-				for c := 0; c < f.NComp; c++ {
-					for x := 0; x < f.NX; x++ {
-						buf[i] = f.At(c, x, y, z)
-						i++
-					}
-				}
-				if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+// srcFields lists a bundle's source fields in file order: φ, then µ.
+func srcFields(f *kernels.Fields) [2]*grid.Field { return [2]*grid.Field{f.PhiSrc, f.MuSrc} }
+
+// bytes is the on-disk size of one field value.
+func (p Precision) bytes() int {
+	if p == Float64 {
+		return 8
 	}
-	buf := make([]float32, f.NX*f.NComp)
+	return 4
+}
+
+// encode writes row into dst as little-endian values of precision p.
+func (p Precision) encode(dst []byte, row []float64) {
+	if p == Float64 {
+		for i, v := range row {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		}
+		return
+	}
+	for i, v := range row {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
+	}
+}
+
+// decode is encode's inverse.
+func (p Precision) decode(row []float64, src []byte) {
+	if p == Float64 {
+		for i := range row {
+			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+		return
+	}
+	for i := range row {
+		row[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+	}
+}
+
+// writeField writes f's interior at precision prec, one record per (y,z)
+// with z outermost: the interior x-rows of every component, in component
+// order.
+func writeField(w io.Writer, f *grid.Field, prec Precision) error {
+	n := f.NX * prec.bytes()
+	rec := make([]byte, f.NComp*n)
 	for z := 0; z < f.NZ; z++ {
 		for y := 0; y < f.NY; y++ {
-			i := 0
 			for c := 0; c < f.NComp; c++ {
-				for x := 0; x < f.NX; x++ {
-					buf[i] = float32(f.At(c, x, y, z))
-					i++
-				}
+				prec.encode(rec[c*n:], f.Row(c, y, z)[f.G:f.G+f.NX])
 			}
-			if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
+			if _, err := w.Write(rec); err != nil {
 				return err
+			}
+		}
+	}
+	return nil
+}
+
+// readField fills f's interior from records in writeField's order.
+func readField(r io.Reader, f *grid.Field, prec Precision) error {
+	n := f.NX * prec.bytes()
+	rec := make([]byte, f.NComp*n)
+	for z := 0; z < f.NZ; z++ {
+		for y := 0; y < f.NY; y++ {
+			if _, err := io.ReadFull(r, rec); err != nil {
+				return err
+			}
+			for c := 0; c < f.NComp; c++ {
+				prec.decode(f.Row(c, y, z)[f.G:f.G+f.NX], rec[c*n:])
 			}
 		}
 	}
@@ -286,18 +321,17 @@ func ReadPrecision(r io.Reader) (Header, []*kernels.Fields, Precision, error) {
 	default:
 		return Header{}, nil, Float32, fmt.Errorf("ckpt: unsupported version %d (this build reads versions %d and %d)", version, Version3, Version4)
 	}
-	if h.PX <= 0 || h.PY <= 0 || h.PZ <= 0 || h.BX <= 0 || h.BY <= 0 || h.BZ <= 0 {
-		return Header{}, nil, Float32, fmt.Errorf("ckpt: corrupt header %+v", h)
+	n, err := rankCount(h)
+	if err != nil {
+		return Header{}, nil, Float32, err
 	}
-	n := int(h.PX) * int(h.PY) * int(h.PZ)
 	fields := make([]*kernels.Fields, n)
-	for i := 0; i < n; i++ {
+	for i := range fields {
 		f := kernels.NewFields(int(h.BX), int(h.BY), int(h.BZ))
-		if err := readField(br, f.PhiSrc, prec); err != nil {
-			return h, nil, prec, err
-		}
-		if err := readField(br, f.MuSrc, prec); err != nil {
-			return h, nil, prec, err
+		for _, fld := range srcFields(f) {
+			if err := readField(br, fld, prec); err != nil {
+				return h, nil, prec, err
+			}
 		}
 		f.PhiDst.CopyFrom(f.PhiSrc)
 		f.MuDst.CopyFrom(f.MuSrc)
@@ -306,41 +340,38 @@ func ReadPrecision(r io.Reader) (Header, []*kernels.Fields, Precision, error) {
 	return h, fields, prec, nil
 }
 
-func readField(r io.Reader, f *grid.Field, prec Precision) error {
-	if prec == Float64 {
-		buf := make([]float64, f.NX*f.NComp)
-		for z := 0; z < f.NZ; z++ {
-			for y := 0; y < f.NY; y++ {
-				if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-				i := 0
-				for c := 0; c < f.NComp; c++ {
-					for x := 0; x < f.NX; x++ {
-						f.Set(c, x, y, z, buf[i])
-						i++
-					}
-				}
-			}
-		}
-		return nil
+// rankCount validates a header's decomposition before anything is sized
+// from it and returns its rank count. Extents must be positive, and the
+// rank count, one rank's ghosted field bundle and the whole restored state
+// in bytes must each fit in an int: a crafted header is an error, not an
+// overflowed allocation.
+func rankCount(h Header) (int, error) {
+	if h.PX <= 0 || h.PY <= 0 || h.PZ <= 0 || h.BX <= 0 || h.BY <= 0 || h.BZ <= 0 {
+		return 0, fmt.Errorf("ckpt: corrupt header %+v", h)
 	}
-	buf := make([]float32, f.NX*f.NComp)
-	for z := 0; z < f.NZ; z++ {
-		for y := 0; y < f.NY; y++ {
-			if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-				return err
-			}
-			i := 0
-			for c := 0; c < f.NComp; c++ {
-				for x := 0; x < f.NX; x++ {
-					f.Set(c, x, y, z, float64(buf[i]))
-					i++
-				}
-			}
-		}
+	n, okN := mulInts(int(h.PX), int(h.PY), int(h.PZ))
+	// kernels.NewFields: src and dst of φ (NP components) and µ (NR), one
+	// ghost layer on every side, 8 bytes per value.
+	bundle, okB := mulInts(int(h.BX)+2, int(h.BY)+2, int(h.BZ)+2, 2*(kernels.NP+kernels.NR), 8)
+	_, okT := mulInts(n, bundle)
+	if !okN || !okB || !okT {
+		return 0, fmt.Errorf("ckpt: corrupt header: %dx%dx%d blocks of %dx%dx%d cells overflow the address space",
+			h.PX, h.PY, h.PZ, h.BX, h.BY, h.BZ)
 	}
-	return nil
+	return n, nil
+}
+
+// mulInts returns the product of nonnegative xs, and false if it overflows
+// an int.
+func mulInts(xs ...int) (int, bool) {
+	p := 1
+	for _, x := range xs {
+		if x != 0 && p > math.MaxInt/x {
+			return 0, false
+		}
+		p *= x
+	}
+	return p, true
 }
 
 // SizeBytes returns the on-disk size of a single-precision checkpoint for

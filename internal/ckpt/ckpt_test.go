@@ -303,18 +303,33 @@ func TestCorruptedMagic(t *testing.T) {
 	}
 }
 
+// A header whose extents are zero, or whose decomposition or block size
+// would overflow an allocation, is a read error before anything is sized
+// from it — never a panic or an attempt at an absurd allocation.
 func TestCorruptHeaderExtentsRejected(t *testing.T) {
 	fields := randomFields(rand.New(rand.NewSource(6)), 1, 3, 3, 3)
 	var buf bytes.Buffer
-	if err := Write(&buf, Header{PX: 1, PY: 1, PZ: 1, BX: 3, BY: 3, BZ: 3}, fields); err != nil {
+	if err := WritePrecision(&buf, Header{PX: 1, PY: 1, PZ: 1, BX: 3, BY: 3, BZ: 3}, fields, Float64); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	// PX lives right after magic+version+Step+Time+WindowShift.
-	off := 8 + 8 + 8 + 8
-	binary.LittleEndian.PutUint32(raw[off:], 0)
-	if _, _, err := Read(bytes.NewReader(raw)); err == nil {
-		t.Error("zero decomposition accepted")
+	// PX..PZ and BX..BZ live right after magic+version+Step+Time+WindowShift.
+	const off = 8 + 8 + 8 + 8
+	for _, tc := range []struct {
+		name    string
+		extents [6]uint32 // PX, PY, PZ, BX, BY, BZ
+	}{
+		{"zero decomposition", [6]uint32{0, 1, 1, 3, 3, 3}},
+		{"rank count overflows", [6]uint32{1 << 21, 1 << 21, 1 << 21, 3, 3, 3}},
+		{"ghosted block overflows", [6]uint32{1, 1, 1, 1<<31 - 1, 1<<31 - 1, 1<<31 - 1}},
+		{"whole state overflows", [6]uint32{1 << 5, 1 << 5, 1 << 5, 1 << 14, 1 << 14, 1 << 14}},
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		for i, v := range tc.extents {
+			binary.LittleEndian.PutUint32(raw[off+4*i:], v)
+		}
+		if _, _, err := Read(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: header accepted", tc.name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"fmt"
 
+	"repro/internal/grid"
 	"repro/internal/kernels"
 )
 
@@ -36,31 +37,31 @@ func Reshard(h Header, fields []*kernels.Fields, px, py, pz int) (Header, []*ker
 	for i := range out {
 		out[i] = kernels.NewFields(tbx, tby, tbz)
 	}
-	// Walk the source blocks and scatter each interior cell into the target
-	// block that owns its global coordinate. Ghost layers stay zero on the
+	// Walk the source blocks' interior rows and scatter each x-run into the
+	// target block that owns its global coordinates; a row splits into as
+	// many runs as target blocks it crosses. Ghost layers stay zero on the
 	// targets — the restore path reconstructs them with a full exchange,
 	// exactly as it does for freshly read bundles.
-	for obz_ := 0; obz_ < int(h.PZ); obz_++ {
-		for oby_ := 0; oby_ < int(h.PY); oby_++ {
-			for obx_ := 0; obx_ < int(h.PX); obx_++ {
-				src := fields[(obz_*int(h.PY)+oby_)*int(h.PX)+obx_]
-				ox, oy, oz := obx_*obx, oby_*oby, obz_*obz
-				for z := 0; z < obz; z++ {
-					gz := oz + z
-					for y := 0; y < oby; y++ {
-						gy := oy + y
-						for x := 0; x < obx; x++ {
-							gx := ox + x
-							dst := out[((gz/tbz)*py+gy/tby)*px+gx/tbx]
-							lx, ly, lz := gx%tbx, gy%tby, gz%tbz
-							for c := 0; c < kernels.NP; c++ {
-								dst.PhiSrc.Set(c, lx, ly, lz, src.PhiSrc.At(c, x, y, z))
-							}
-							for c := 0; c < kernels.NR; c++ {
-								dst.MuSrc.Set(c, lx, ly, lz, src.MuSrc.At(c, x, y, z))
-							}
+	from := grid.BlockGrid{PX: int(h.PX), PY: int(h.PY), PZ: int(h.PZ), BX: obx, BY: oby, BZ: obz}
+	to := grid.BlockGrid{PX: px, PY: py, PZ: pz, BX: tbx, BY: tby, BZ: tbz}
+	for r, src := range fields {
+		ox, oy, oz := from.Origin(r)
+		for z := 0; z < obz; z++ {
+			gz := oz + z
+			for y := 0; y < oby; y++ {
+				gy := oy + y
+				for x := 0; x < obx; {
+					gx := ox + x
+					lx := gx % tbx
+					w := min(tbx-lx, obx-x)
+					dsts := srcFields(out[to.Rank(gx/tbx, gy/tby, gz/tbz)])
+					for k, sf := range srcFields(src) {
+						df := dsts[k]
+						for c := 0; c < sf.NComp; c++ {
+							copy(df.Row(c, gy%tby, gz%tbz)[df.G+lx:df.G+lx+w], sf.Row(c, y, z)[sf.G+x:])
 						}
 					}
+					x += w
 				}
 			}
 		}

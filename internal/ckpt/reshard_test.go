@@ -137,3 +137,40 @@ func TestReshardPreservesPrecisionThroughFiles(t *testing.T) {
 		t.Fatal("split+merge through v4 files is not byte-identical")
 	}
 }
+
+// Source and target blocks whose x-extents do not nest split a source row
+// into runs that start and end mid-block on both sides; every φ and µ
+// value must still land on its global coordinate.
+func TestReshardMisalignedRuns(t *testing.T) {
+	value := func(c, gx, gy, gz int) float64 { return float64(((c*12+gx)*4+gy)*6 + gz) }
+	h := Header{PX: 2, PY: 1, PZ: 2, BX: 6, BY: 4, BZ: 3}
+	fields := make([]*kernels.Fields, 4)
+	for r := range fields {
+		f := kernels.NewFields(6, 4, 3)
+		ox, oz := r%2*6, r/2*3
+		for _, fld := range srcFields(f) {
+			fld.Interior(func(x, y, z int) {
+				for c := 0; c < fld.NComp; c++ {
+					fld.Set(c, x, y, z, value(c, ox+x, y, oz+z))
+				}
+			})
+		}
+		fields[r] = f
+	}
+	_, out, err := Reshard(h, fields, 3, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, f := range out {
+		ox, oz := r%3*4, r/3*2
+		for _, fld := range srcFields(f) {
+			fld.Interior(func(x, y, z int) {
+				for c := 0; c < fld.NComp; c++ {
+					if got, want := fld.At(c, x, y, z), value(c, ox+x, y, oz+z); got != want {
+						t.Fatalf("block %d cell (%d,%d,%d,%d) = %g, want %g", r, c, x, y, z, got, want)
+					}
+				}
+			})
+		}
+	}
+}

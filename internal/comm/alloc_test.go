@@ -61,48 +61,57 @@ func TestExchangePackPathAllocFree(t *testing.T) {
 }
 
 func TestPackRegionSoAFastPathMatchesGeneric(t *testing.T) {
-	// The contiguous-row SoA fast path must produce the same buffer layout
-	// as the generic element-wise path (which AoS fields still use), and
-	// unpack must restore exactly what pack read.
+	// The row-copy pack must produce the component-major, z/y/x buffer an
+	// element-wise At loop produces, and unpack must write back exactly the
+	// region pack read, leaving every other cell alone.
 	nx, ny, nz := 7, 5, 6
-	soa := grid.NewField(nx, ny, nz, 3, 1, grid.SoA)
-	aos := grid.NewField(nx, ny, nz, 3, 1, grid.AoS)
-	i := 0
-	for c := 0; c < 3; c++ {
-		for z := -1; z <= nz; z++ {
-			for y := -1; y <= ny; y++ {
-				for x := -1; x <= nx; x++ {
-					soa.Set(c, x, y, z, float64(i))
-					aos.Set(c, x, y, z, float64(i))
-					i++
+	f := grid.NewField(nx, ny, nz, 3, 1, grid.SoA)
+	for i := range f.Data {
+		f.Data[i] = float64(i)
+	}
+	for face := grid.Face(0); face < grid.NumFaces; face++ {
+		pack, unpack := stageRegions(f, face)
+		var want []float64
+		for c := 0; c < 3; c++ {
+			for z := pack.z0; z < pack.z1; z++ {
+				for y := pack.y0; y < pack.y1; y++ {
+					for x := pack.x0; x < pack.x1; x++ {
+						want = append(want, f.At(c, x, y, z))
+					}
 				}
 			}
 		}
-	}
-	for face := grid.Face(0); face < grid.NumFaces; face++ {
-		pack, unpack := stageRegions(soa, face)
-		bufS := packRegion(soa, pack, nil)
-		bufA := packRegion(aos, pack, nil)
-		if len(bufS) != len(bufA) {
-			t.Fatalf("face %v: buffer length %d vs %d", face, len(bufS), len(bufA))
+		buf := packRegion(f, pack, nil)
+		if len(buf) != len(want) {
+			t.Fatalf("face %v: buffer length %d, want %d", face, len(buf), len(want))
 		}
-		for j := range bufS {
-			if bufS[j] != bufA[j] {
-				t.Fatalf("face %v: SoA fast path differs from generic at %d: %g vs %g", face, j, bufS[j], bufA[j])
+		for j := range want {
+			if buf[j] != want[j] {
+				t.Fatalf("face %v: row pack differs from the At loop at %d: %g vs %g", face, j, buf[j], want[j])
 			}
 		}
 
-		// Round-trip: unpack into a cleared clone and compare the region.
+		// Unpack the packed buffer into the unpack region of a field filled
+		// with -1: the region must read back in At-loop order, and every
+		// cell outside it must keep -1.
 		dst := grid.NewField(nx, ny, nz, 3, 1, grid.SoA)
-		unpackRegion(dst, unpack, packRegion(soa, pack, nil))
-		ref := grid.NewField(nx, ny, nz, 3, 1, grid.AoS)
-		unpackRegion(ref, unpack, bufA)
+		dst.Fill(-1)
+		unpackRegion(dst, unpack, buf)
+		j := 0
 		for c := 0; c < 3; c++ {
-			for z := unpack.z0; z < unpack.z1; z++ {
-				for y := unpack.y0; y < unpack.y1; y++ {
-					for x := unpack.x0; x < unpack.x1; x++ {
-						if dst.At(c, x, y, z) != ref.At(c, x, y, z) {
-							t.Fatalf("face %v: unpack mismatch at (%d,%d,%d,%d)", face, c, x, y, z)
+			for z := -1; z <= nz; z++ {
+				for y := -1; y <= ny; y++ {
+					for x := -1; x <= nx; x++ {
+						in := x >= unpack.x0 && x < unpack.x1 && y >= unpack.y0 && y < unpack.y1 && z >= unpack.z0 && z < unpack.z1
+						got := dst.At(c, x, y, z)
+						switch {
+						case in && got != want[j]:
+							t.Fatalf("face %v: unpack (%d,%d,%d,%d) = %g, want %g", face, c, x, y, z, got, want[j])
+						case !in && got != -1:
+							t.Fatalf("face %v: unpack wrote (%d,%d,%d,%d) outside its region", face, c, x, y, z)
+						}
+						if in {
+							j++
 						}
 					}
 				}

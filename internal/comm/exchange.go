@@ -68,69 +68,37 @@ func stageRegions(f *grid.Field, face grid.Face) (pack, unpack haloRegion) {
 }
 
 // packRegion copies region r of all components of f into buf (allocating if
-// needed) and returns the buffer. For SoA fields each x-run of a row is
-// contiguous in memory, so whole rows move with copy instead of per-element
-// At calls — this is the fast path the x-axis stage (which packs full
-// y×z slabs row by row) lives on.
+// needed) and returns the buffer, component-major with z, y, x inner order.
+// Each x-run is a slice of one field row, so it moves with one copy.
 func packRegion(f *grid.Field, r haloRegion, buf []float64) []float64 {
 	n := r.numCells() * f.NComp
 	if cap(buf) < n {
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
-	if f.Lay == grid.SoA {
-		w := r.x1 - r.x0
-		i := 0
-		for c := 0; c < f.NComp; c++ {
-			for z := r.z0; z < r.z1; z++ {
-				for y := r.y0; y < r.y1; y++ {
-					base := f.Idx(c, r.x0, y, z)
-					copy(buf[i:i+w], f.Data[base:base+w])
-					i += w
-				}
-			}
-		}
-		return buf
-	}
 	i := 0
-	for c := 0; c < f.NComp; c++ {
-		for z := r.z0; z < r.z1; z++ {
-			for y := r.y0; y < r.y1; y++ {
-				for x := r.x0; x < r.x1; x++ {
-					buf[i] = f.At(c, x, y, z)
-					i++
-				}
-			}
-		}
-	}
+	r.rows(f, func(run []float64) {
+		i += copy(buf[i:], run)
+	})
 	return buf
 }
 
-// unpackRegion copies buf into region r of all components of f, with the
-// same contiguous-row fast path as packRegion for SoA fields.
+// unpackRegion copies buf into region r of all components of f, in
+// packRegion's order.
 func unpackRegion(f *grid.Field, r haloRegion, buf []float64) {
-	if f.Lay == grid.SoA {
-		w := r.x1 - r.x0
-		i := 0
-		for c := 0; c < f.NComp; c++ {
-			for z := r.z0; z < r.z1; z++ {
-				for y := r.y0; y < r.y1; y++ {
-					base := f.Idx(c, r.x0, y, z)
-					copy(f.Data[base:base+w], buf[i:i+w])
-					i += w
-				}
-			}
-		}
-		return
-	}
 	i := 0
+	r.rows(f, func(run []float64) {
+		i += copy(run, buf[i:])
+	})
+}
+
+// rows calls fn with the x-run [x0,x1) of every row of region r, over all
+// components of f in pack order.
+func (r haloRegion) rows(f *grid.Field, fn func(run []float64)) {
 	for c := 0; c < f.NComp; c++ {
 		for z := r.z0; z < r.z1; z++ {
 			for y := r.y0; y < r.y1; y++ {
-				for x := r.x0; x < r.x1; x++ {
-					f.Set(c, x, y, z, buf[i])
-					i++
-				}
+				fn(f.Row(c, y, z)[f.G+r.x0 : f.G+r.x1])
 			}
 		}
 	}

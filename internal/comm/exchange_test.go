@@ -41,7 +41,7 @@ func globalValue(c, x, y, z, nx, ny, nz int, periodic [3]bool) float64 {
 // runExchange decomposes a domain, fills each block with the global pattern,
 // exchanges ghosts on all ranks concurrently, and verifies every ghost cell
 // against the wrapped global pattern.
-func runExchange(t *testing.T, px, py, pz, bx, by, bz, ncomp int, periodic [3]bool, lay grid.Layout) {
+func runExchange(t *testing.T, px, py, pz, bx, by, bz, ncomp int, periodic [3]bool) {
 	t.Helper()
 	bg, err := grid.NewBlockGrid(px, py, pz, bx, by, bz, periodic)
 	if err != nil {
@@ -52,7 +52,7 @@ func runExchange(t *testing.T, px, py, pz, bx, by, bz, ncomp int, periodic [3]bo
 
 	fields := make([]*grid.Field, bg.NumBlocks())
 	for r := range fields {
-		f := grid.NewField(bx, by, bz, ncomp, 1, lay)
+		f := grid.NewField(bx, by, bz, ncomp, 1, grid.SoA)
 		ox, oy, oz := bg.Origin(r)
 		f.Interior(func(x, y, z int) {
 			for c := 0; c < ncomp; c++ {
@@ -103,25 +103,25 @@ func runExchange(t *testing.T, px, py, pz, bx, by, bz, ncomp int, periodic [3]bo
 }
 
 func TestExchangeFullyPeriodic(t *testing.T) {
-	runExchange(t, 2, 2, 2, 4, 4, 4, 2, [3]bool{true, true, true}, grid.SoA)
+	runExchange(t, 2, 2, 2, 4, 4, 4, 2, [3]bool{true, true, true})
 }
 
 func TestExchangeMixedBoundaries(t *testing.T) {
-	runExchange(t, 2, 2, 2, 4, 3, 5, 1, [3]bool{true, true, false}, grid.AoS)
+	runExchange(t, 2, 2, 2, 4, 3, 5, 1, [3]bool{true, true, false})
 }
 
 func TestExchangeSingleBlockPeriodic(t *testing.T) {
-	runExchange(t, 1, 1, 1, 5, 5, 5, 3, [3]bool{true, true, true}, grid.SoA)
+	runExchange(t, 1, 1, 1, 5, 5, 5, 3, [3]bool{true, true, true})
 }
 
 func TestExchangeAnisotropicDecomposition(t *testing.T) {
-	runExchange(t, 4, 1, 2, 3, 8, 4, 2, [3]bool{true, true, false}, grid.SoA)
+	runExchange(t, 4, 1, 2, 3, 8, 4, 2, [3]bool{true, true, false})
 }
 
 func TestExchangeTwoBlocksPeriodicAxis(t *testing.T) {
 	// Two blocks on a periodic axis: each rank sends two messages to the
 	// same neighbor, arriving at different faces.
-	runExchange(t, 2, 1, 1, 4, 4, 4, 1, [3]bool{true, true, true}, grid.AoS)
+	runExchange(t, 2, 1, 1, 4, 4, 4, 1, [3]bool{true, true, true})
 }
 
 func TestOverlappedExchangeMatchesBlocking(t *testing.T) {

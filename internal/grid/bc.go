@@ -2,16 +2,24 @@ package grid
 
 import "fmt"
 
-// Face identifies one of the six block faces.
+// Face identifies one of the six block faces. Faces are numbered axis by
+// axis, low face first, so Axis and IsMin are arithmetic on the value.
 type Face int
 
 const (
+	// XMin is the low-x face.
 	XMin Face = iota
+	// XMax is the high-x face.
 	XMax
+	// YMin is the low-y face.
 	YMin
+	// YMax is the high-y face.
 	YMax
+	// ZMin is the low-z face: the bottom wall in the paper's setup.
 	ZMin
+	// ZMax is the high-z face: the top wall in the paper's setup.
 	ZMax
+	// NumFaces is the number of faces, for sizing per-face arrays.
 	NumFaces
 )
 
@@ -197,94 +205,49 @@ func (b *BoundarySet) Apply(f *Field) {
 	}
 }
 
-// faceRange gives, for a face sweep on the given axis, the transverse loop
-// ranges extended into already-filled ghost regions (x first, then y
-// including x-ghosts, then z including x- and y-ghosts).
-func transverseRange(f *Field, axis int) (x0, x1, y0, y1, z0, z1 int) {
-	g := f.G
-	switch axis {
-	case 0: // x faces: transverse y,z interior only
-		return 0, 0, 0, f.NY, 0, f.NZ
-	case 1: // y faces: include x ghosts
-		return -g, f.NX + g, 0, 0, 0, f.NZ
-	default: // z faces: include x and y ghosts
-		return -g, f.NX + g, -g, f.NY + g, 0, 0
-	}
-}
-
+// applyFace fills face's ghost layers of every component of f, one ghost
+// layer at a time. The transverse extent grows with the axis so the staged
+// sweep reaches edges and corners: x faces cover interior y and z, y faces
+// add the x ghosts (whole rows), z faces add the x and y ghosts.
 func applyFace(f *Field, face Face, bc BC) {
 	g := f.G
-	axis := face.Axis()
-	n := [3]int{f.NX, f.NY, f.NZ}[axis]
-	x0, x1, y0, y1, z0, z1 := transverseRange(f, axis)
-
-	// For each ghost depth layer d = 1..g.
+	n := [3]int{f.NX, f.NY, f.NZ}[face.Axis()]
 	for d := 1; d <= g; d++ {
-		var ghost, src int
-		switch bc.Kind {
-		case BCPeriodic:
-			if face.IsMin() {
-				ghost, src = -d, n-d
-			} else {
-				ghost, src = n-1+d, d-1
-			}
-		case BCNeumann:
-			if face.IsMin() {
-				ghost, src = -d, d-1
-			} else {
-				ghost, src = n-1+d, n-d
-			}
-		case BCDirichlet:
-			if face.IsMin() {
-				ghost, src = -d, d-1
-			} else {
-				ghost, src = n-1+d, n-d
-			}
+		// ghost is the layer written; src the interior layer a Neumann
+		// face mirrors, and a periodic face wraps from the opposite side.
+		ghost, src := -d, d-1
+		if !face.IsMin() {
+			ghost, src = n-1+d, n-d
 		}
-		forFacePlane(f, axis, x0, x1, y0, y1, z0, z1, func(x, y, z int) {
-			gx, gy, gz := x, y, z
-			sx, sy, sz := x, y, z
-			switch axis {
-			case 0:
-				gx, sx = ghost, src
-			case 1:
-				gy, sy = ghost, src
-			default:
-				gz, sz = ghost, src
-			}
-			for c := 0; c < f.NComp; c++ {
-				switch bc.Kind {
-				case BCDirichlet:
-					f.Set(c, gx, gy, gz, bc.Values[c])
-				default:
-					f.Set(c, gx, gy, gz, f.At(c, sx, sy, sz))
+		if bc.Kind == BCPeriodic {
+			src = n - 1 - src
+		}
+		for c := 0; c < f.NComp; c++ {
+			fill := func(dst, from []float64) {
+				if bc.Kind != BCDirichlet {
+					copy(dst, from)
+					return
+				}
+				for i := range dst {
+					dst[i] = bc.Values[c]
 				}
 			}
-		})
-	}
-}
-
-// forFacePlane iterates the transverse plane of a face sweep. The axis'
-// own coordinate is supplied by the caller through the closure; the unused
-// range (x0==x1 etc. for the swept axis) is collapsed to a single iteration.
-func forFacePlane(f *Field, axis int, x0, x1, y0, y1, z0, z1 int, fn func(x, y, z int)) {
-	switch axis {
-	case 0:
-		for z := z0; z < z1; z++ {
-			for y := y0; y < y1; y++ {
-				fn(0, y, z)
-			}
-		}
-	case 1:
-		for z := z0; z < z1; z++ {
-			for x := x0; x < x1; x++ {
-				fn(x, 0, z)
-			}
-		}
-	default:
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				fn(x, y, 0)
+			switch face.Axis() {
+			case 0:
+				for z := 0; z < f.NZ; z++ {
+					for y := 0; y < f.NY; y++ {
+						row := f.Row(c, y, z)
+						fill(row[g+ghost:g+ghost+1], row[g+src:])
+					}
+				}
+			case 1:
+				for z := 0; z < f.NZ; z++ {
+					fill(f.Row(c, ghost, z), f.Row(c, src, z))
+				}
+			default:
+				for y := -g; y < f.NY+g; y++ {
+					fill(f.Row(c, y, ghost), f.Row(c, y, src))
+				}
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestFaceStrings(t *testing.T) {
 }
 
 func TestPeriodicGhosts(t *testing.T) {
-	f := NewField(4, 4, 4, 1, 1, AoS)
+	f := NewField(4, 4, 4, 1, 1, SoA)
 	fillPattern(f)
 	bs := AllPeriodic()
 	bs.Apply(f)
@@ -88,7 +88,7 @@ func TestNeumannGhosts(t *testing.T) {
 }
 
 func TestDirichletGhosts(t *testing.T) {
-	f := NewField(3, 3, 3, 2, 1, AoS)
+	f := NewField(3, 3, 3, 2, 1, SoA)
 	f.Fill(0)
 	f.Interior(func(x, y, z int) {
 		f.Set(0, x, y, z, 4)
@@ -122,7 +122,7 @@ func TestDirectionalSolidificationSet(t *testing.T) {
 // Property: applying periodic BCs twice is idempotent on ghosts.
 func TestPeriodicIdempotent(t *testing.T) {
 	f := func(seed uint8) bool {
-		fl := NewField(3, 4, 2, 1, 1, AoS)
+		fl := NewField(3, 4, 2, 1, 1, SoA)
 		v := float64(seed)
 		fl.Interior(func(x, y, z int) {
 			v = v*1.7 + 0.3

@@ -2,14 +2,17 @@
 // solver, modeled after the waLBerla framework the paper builds on: the
 // simulation domain is partitioned into equally sized blocks, each holding a
 // regular grid extended by ghost layers for communication, with per-face
-// boundary conditions and support for both array-of-structures (AoS) and
-// structure-of-arrays (SoA) memory layouts.
+// boundary conditions.
 //
-// The paper's data layout discussion (§5.1.1) is reproduced faithfully: the
-// µ-kernel prefers SoA (it processes four cells at a time), the cellwise
-// φ-kernel prefers AoS (it loads the four phase values of one cell as one
-// SIMD vector); the production choice is SoA for the φ-field because the
-// µ-kernel touches 38 φ cells versus the φ-kernel's 7.
+// Fields are stored structure-of-arrays (SoA), the outcome of the paper's
+// data-layout study (§5.1.1). The µ-kernel prefers SoA because it updates
+// four consecutive cells of one component at a time; the cellwise φ-kernel
+// would load one cell's four phases as a vector from AoS. The paper picks
+// SoA for φ as well because the µ-kernel reads 38 φ values per cell against
+// the φ-kernel's 7. With one layout, an x-row of one component is one
+// contiguous run of memory: Field.Row hands it out, and every copy of field
+// data outside the kernels (halo packing, checkpoints, resharding, gathers)
+// moves whole rows through it. Only this package knows where a row lives.
 package grid
 
 import (
@@ -17,54 +20,39 @@ import (
 	"math"
 )
 
-// Layout selects the memory layout of a multi-component Field.
+// Layout names the memory layout of a multi-component Field. SoA is the
+// only one; NewField takes it so a caller states the layout it relies on.
 type Layout int
 
-const (
-	// AoS stores the components of one cell contiguously
-	// (cell-major). A SIMD vector can load all components of a cell
-	// directly from contiguous memory.
-	AoS Layout = iota
-	// SoA stores each component as its own contiguous sub-array
-	// (component-major). A SIMD vector can load one component of four
-	// consecutive cells directly.
-	SoA
-)
-
-func (l Layout) String() string {
-	switch l {
-	case AoS:
-		return "AoS"
-	case SoA:
-		return "SoA"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
+// SoA stores each component as its own contiguous sub-array
+// (component-major), so one component of consecutive cells is contiguous.
+const SoA Layout = 0
 
 // Field is a regular grid of NComp-component double-precision cells with a
-// ghost layer of width G on every side. Interior cells are addressed with
-// x ∈ [0,NX), y ∈ [0,NY), z ∈ [0,NZ); ghost cells with coordinates in
-// [-G, N+G).
+// ghost layer of width G on every side, stored SoA. Interior cells are
+// addressed with x ∈ [0,NX), y ∈ [0,NY), z ∈ [0,NZ); ghost cells with
+// coordinates in [-G, N+G).
 type Field struct {
 	NX, NY, NZ int // interior extents
 	NComp      int // components per cell
 	G          int // ghost layer width
-	Lay        Layout
 
 	sx, sy, sz int // allocated extents including ghosts
-	cellStride int // component stride for SoA (= sx*sy*sz)
+	cellStride int // distance between components (= sx*sy*sz)
 	Data       []float64
 }
 
-// NewField allocates a zero-initialized field.
+// NewField allocates a zero-initialized field. lay must be SoA.
 func NewField(nx, ny, nz, ncomp, ghost int, lay Layout) *Field {
 	if nx <= 0 || ny <= 0 || nz <= 0 || ncomp <= 0 || ghost < 0 {
 		panic(fmt.Sprintf("grid: invalid field extents %dx%dx%d comp=%d ghost=%d", nx, ny, nz, ncomp, ghost))
 	}
+	if lay != SoA {
+		panic(fmt.Sprintf("grid: unsupported field layout %d", int(lay)))
+	}
 	f := &Field{
 		NX: nx, NY: ny, NZ: nz,
-		NComp: ncomp, G: ghost, Lay: lay,
+		NComp: ncomp, G: ghost,
 		sx: nx + 2*ghost, sy: ny + 2*ghost, sz: nz + 2*ghost,
 	}
 	f.cellStride = f.sx * f.sy * f.sz
@@ -80,11 +68,17 @@ func (f *Field) Clone() *Field {
 	return &c
 }
 
+// sameShape reports whether g has f's extents, component count and ghost
+// width.
+func (f *Field) sameShape(g *Field) bool {
+	return f.NX == g.NX && f.NY == g.NY && f.NZ == g.NZ && f.NComp == g.NComp && f.G == g.G
+}
+
 // CopyFrom copies all data (including ghosts) from src, which must have
-// identical shape and layout.
+// identical shape.
 func (f *Field) CopyFrom(src *Field) {
-	if f.NX != src.NX || f.NY != src.NY || f.NZ != src.NZ || f.NComp != src.NComp || f.G != src.G || f.Lay != src.Lay {
-		panic("grid: CopyFrom shape/layout mismatch")
+	if !f.sameShape(src) {
+		panic("grid: CopyFrom shape mismatch")
 	}
 	copy(f.Data, src.Data)
 }
@@ -92,14 +86,16 @@ func (f *Field) CopyFrom(src *Field) {
 // Idx returns the flat index of component c at cell (x,y,z). Coordinates may
 // lie in the ghost region.
 func (f *Field) Idx(c, x, y, z int) int {
-	ix := x + f.G
-	iy := y + f.G
-	iz := z + f.G
-	cell := (iz*f.sy+iy)*f.sx + ix
-	if f.Lay == SoA {
-		return c*f.cellStride + cell
-	}
-	return cell*f.NComp + c
+	return c*f.cellStride + ((z+f.G)*f.sy+y+f.G)*f.sx + x + f.G
+}
+
+// Row returns the ghost-inclusive x-row of component c at (y,z): element
+// x+G is cell (x,y,z) for x ∈ [-G, NX+G). The slice aliases Data, and its
+// capacity ends with the row, so an overrun panics instead of reading the
+// next row.
+func (f *Field) Row(c, y, z int) []float64 {
+	i := f.Idx(c, -f.G, y, z)
+	return f.Data[i : i+f.sx : i+f.sx]
 }
 
 // At returns component c at cell (x,y,z).
@@ -107,23 +103,6 @@ func (f *Field) At(c, x, y, z int) float64 { return f.Data[f.Idx(c, x, y, z)] }
 
 // Set stores v in component c at cell (x,y,z).
 func (f *Field) Set(c, x, y, z int, v float64) { f.Data[f.Idx(c, x, y, z)] = v }
-
-// Add adds v to component c at cell (x,y,z).
-func (f *Field) Add(c, x, y, z int, v float64) { f.Data[f.Idx(c, x, y, z)] += v }
-
-// Cell reads all components at (x,y,z) into dst (len >= NComp).
-func (f *Field) Cell(x, y, z int, dst []float64) {
-	for c := 0; c < f.NComp; c++ {
-		dst[c] = f.Data[f.Idx(c, x, y, z)]
-	}
-}
-
-// SetCell writes all components at (x,y,z) from src (len >= NComp).
-func (f *Field) SetCell(x, y, z int, src []float64) {
-	for c := 0; c < f.NComp; c++ {
-		f.Data[f.Idx(c, x, y, z)] = src[c]
-	}
-}
 
 // Fill sets every cell (including ghosts) of every component to v.
 func (f *Field) Fill(v float64) {
@@ -134,15 +113,9 @@ func (f *Field) Fill(v float64) {
 
 // FillComp sets every cell (including ghosts) of component c to v.
 func (f *Field) FillComp(c int, v float64) {
-	if f.Lay == SoA {
-		base := c * f.cellStride
-		for i := 0; i < f.cellStride; i++ {
-			f.Data[base+i] = v
-		}
-		return
-	}
-	for i := c; i < len(f.Data); i += f.NComp {
-		f.Data[i] = v
+	comp := f.Data[c*f.cellStride : (c+1)*f.cellStride]
+	for i := range comp {
+		comp[i] = v
 	}
 }
 
@@ -150,8 +123,8 @@ func (f *Field) FillComp(c int, v float64) {
 // This implements the source/destination field swap at the end of each
 // timestep (Algorithm 1, line 7).
 func (f *Field) Swap(g *Field) {
-	if f.NX != g.NX || f.NY != g.NY || f.NZ != g.NZ || f.NComp != g.NComp || f.G != g.G || f.Lay != g.Lay {
-		panic("grid: Swap shape/layout mismatch")
+	if !f.sameShape(g) {
+		panic("grid: Swap shape mismatch")
 	}
 	f.Data, g.Data = g.Data, f.Data
 }
@@ -160,21 +133,7 @@ func (f *Field) Swap(g *Field) {
 // order the paper chooses so temperature-dependent terms can be precomputed
 // per z-slice) and calls fn for each.
 func (f *Field) Interior(fn func(x, y, z int)) {
-	f.InteriorRange(0, f.NZ, fn)
-}
-
-// InteriorRange iterates over the interior cells of the z-slab [z0,z1) in
-// z-outermost order — the slab unit of the parallel sweep engine, so
-// per-slab initialization and analysis can share the kernels' partitioning.
-// Bounds are clamped to [0,NZ).
-func (f *Field) InteriorRange(z0, z1 int, fn func(x, y, z int)) {
-	if z0 < 0 {
-		z0 = 0
-	}
-	if z1 > f.NZ {
-		z1 = f.NZ
-	}
-	for z := z0; z < z1; z++ {
+	for z := 0; z < f.NZ; z++ {
 		for y := 0; y < f.NY; y++ {
 			for x := 0; x < f.NX; x++ {
 				fn(x, y, z)
@@ -226,11 +185,8 @@ func (f *Field) HasNaN() bool {
 // slice z takes the former contents of z+cells; the topmost `cells` slices
 // are filled per component from fillVals. This implements the moving-window
 // advance. Ghost layers are left untouched (they are refreshed by the next
-// communication + boundary handling).
-//
-// Rows are moved with contiguous copy: in SoA layout an interior x-row of
-// one component is contiguous, in AoS an x-row of all components is. copy's
-// memmove semantics make the overlapping downward shift safe.
+// communication + boundary handling). Rows move with copy, whose memmove
+// semantics make the overlapping downward shift safe.
 func (f *Field) ShiftZDown(cells int, fillVals []float64) {
 	if cells <= 0 {
 		return
@@ -238,40 +194,18 @@ func (f *Field) ShiftZDown(cells int, fillVals []float64) {
 	if cells > f.NZ {
 		cells = f.NZ
 	}
-	if f.Lay == SoA {
-		for c := 0; c < f.NComp; c++ {
-			for z := 0; z < f.NZ-cells; z++ {
-				for y := 0; y < f.NY; y++ {
-					dst := f.Idx(c, 0, y, z)
-					src := f.Idx(c, 0, y, z+cells)
-					copy(f.Data[dst:dst+f.NX], f.Data[src:src+f.NX])
+	g := f.G
+	for c := 0; c < f.NComp; c++ {
+		for z := 0; z < f.NZ; z++ {
+			for y := 0; y < f.NY; y++ {
+				dst := f.Row(c, y, z)[g : g+f.NX]
+				if z < f.NZ-cells {
+					copy(dst, f.Row(c, y, z+cells)[g:])
+					continue
 				}
-			}
-			v := fillVals[c]
-			for z := f.NZ - cells; z < f.NZ; z++ {
-				for y := 0; y < f.NY; y++ {
-					row := f.Data[f.Idx(c, 0, y, z):]
-					for x := 0; x < f.NX; x++ {
-						row[x] = v
-					}
+				for x := range dst {
+					dst[x] = fillVals[c]
 				}
-			}
-		}
-		return
-	}
-	rowLen := f.NX * f.NComp
-	for z := 0; z < f.NZ-cells; z++ {
-		for y := 0; y < f.NY; y++ {
-			dst := f.Idx(0, 0, y, z)
-			src := f.Idx(0, 0, y, z+cells)
-			copy(f.Data[dst:dst+rowLen], f.Data[src:src+rowLen])
-		}
-	}
-	for z := f.NZ - cells; z < f.NZ; z++ {
-		for y := 0; y < f.NY; y++ {
-			row := f.Data[f.Idx(0, 0, y, z):]
-			for x := 0; x < f.NX; x++ {
-				copy(row[x*f.NComp:(x+1)*f.NComp], fillVals)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewFieldShape(t *testing.T) {
-	f := NewField(4, 5, 6, 3, 1, AoS)
+	f := NewField(4, 5, 6, 3, 1, SoA)
 	if f.NumInterior() != 120 {
 		t.Errorf("NumInterior = %d, want 120", f.NumInterior())
 	}
@@ -17,83 +17,112 @@ func TestNewFieldShape(t *testing.T) {
 }
 
 func TestNewFieldPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero extent")
-		}
-	}()
-	NewField(0, 1, 1, 1, 1, AoS)
+	for name, mk := range map[string]func(){
+		"zero extent": func() { NewField(0, 1, 1, 1, 1, SoA) },
+		"layout":      func() { NewField(1, 1, 1, 1, 1, SoA+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			mk()
+		}()
+	}
 }
 
-func TestIdxDistinctBothLayouts(t *testing.T) {
-	for _, lay := range []Layout{AoS, SoA} {
-		f := NewField(3, 4, 5, 2, 1, lay)
-		seen := make(map[int]bool)
-		for c := 0; c < f.NComp; c++ {
-			for z := -1; z < f.NZ+1; z++ {
-				for y := -1; y < f.NY+1; y++ {
-					for x := -1; x < f.NX+1; x++ {
-						i := f.Idx(c, x, y, z)
-						if i < 0 || i >= len(f.Data) {
-							t.Fatalf("%v: idx out of range: %d", lay, i)
-						}
-						if seen[i] {
-							t.Fatalf("%v: duplicate index %d at c=%d (%d,%d,%d)", lay, i, c, x, y, z)
-						}
-						seen[i] = true
+func TestIdxDistinct(t *testing.T) {
+	f := NewField(3, 4, 5, 2, 1, SoA)
+	seen := make(map[int]bool)
+	for c := 0; c < f.NComp; c++ {
+		for z := -1; z < f.NZ+1; z++ {
+			for y := -1; y < f.NY+1; y++ {
+				for x := -1; x < f.NX+1; x++ {
+					i := f.Idx(c, x, y, z)
+					if i < 0 || i >= len(f.Data) {
+						t.Fatalf("idx out of range: %d", i)
 					}
+					if seen[i] {
+						t.Fatalf("duplicate index %d at c=%d (%d,%d,%d)", i, c, x, y, z)
+					}
+					seen[i] = true
 				}
 			}
 		}
-		if len(seen) != len(f.Data) {
-			t.Errorf("%v: covered %d of %d slots", lay, len(seen), len(f.Data))
-		}
+	}
+	if len(seen) != len(f.Data) {
+		t.Errorf("covered %d of %d slots", len(seen), len(f.Data))
 	}
 }
 
 func TestAtSetRoundTrip(t *testing.T) {
-	for _, lay := range []Layout{AoS, SoA} {
-		f := NewField(3, 3, 3, 4, 1, lay)
-		f.Set(2, 1, 0, 2, 7.5)
-		if got := f.At(2, 1, 0, 2); got != 7.5 {
-			t.Errorf("%v: At = %v", lay, got)
-		}
-		f.Add(2, 1, 0, 2, 0.5)
-		if got := f.At(2, 1, 0, 2); got != 8 {
-			t.Errorf("%v: after Add At = %v", lay, got)
-		}
+	f := NewField(3, 3, 3, 4, 1, SoA)
+	f.Set(2, 1, 0, 2, 7.5)
+	if got := f.At(2, 1, 0, 2); got != 7.5 {
+		t.Errorf("At = %v", got)
 	}
 }
 
-func TestCellSetCell(t *testing.T) {
-	f := NewField(2, 2, 2, 3, 1, SoA)
-	in := []float64{1, 2, 3}
-	f.SetCell(1, 1, 0, in)
-	out := make([]float64, 3)
-	f.Cell(1, 1, 0, out)
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("comp %d = %v, want %v", i, out[i], in[i])
+// Property: for every (c,x,y,z), ghosts included, element x+G of Row(c,y,z)
+// aliases Data[Idx(c,x,y,z)], and the row's capacity stops at the row end.
+func TestRowAliasesIdx(t *testing.T) {
+	check := func(nx, ny, nz, nc, ng uint8) bool {
+		f := NewField(int(nx%5)+1, int(ny%4)+1, int(nz%4)+1, int(nc%3)+1, int(ng%3), SoA)
+		g := f.G
+		for i := range f.Data {
+			f.Data[i] = float64(i)
 		}
+		for c := 0; c < f.NComp; c++ {
+			for z := -g; z < f.NZ+g; z++ {
+				for y := -g; y < f.NY+g; y++ {
+					row := f.Row(c, y, z)
+					if len(row) != f.NX+2*g || cap(row) != len(row) {
+						return false
+					}
+					for x := -g; x < f.NX+g; x++ {
+						i := f.Idx(c, x, y, z)
+						if row[x+g] != float64(i) {
+							return false
+						}
+						row[x+g] = -1 // a write through the row lands in Data
+						if f.Data[i] != -1 {
+							return false
+						}
+						f.Data[i] = float64(i)
+					}
+				}
+			}
+		}
+		return true
 	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+	f := NewField(3, 2, 2, 2, 1, SoA)
+	defer func() {
+		if recover() == nil {
+			t.Error("reslicing a row past its end did not panic")
+		}
+	}()
+	row := f.Row(0, 0, 0)
+	_ = row[:len(row)+1]
 }
 
 func TestFillComp(t *testing.T) {
-	for _, lay := range []Layout{AoS, SoA} {
-		f := NewField(3, 3, 3, 2, 1, lay)
-		f.FillComp(1, 9)
-		if f.At(0, 0, 0, 0) != 0 {
-			t.Errorf("%v: comp 0 contaminated", lay)
-		}
-		if f.At(1, 2, 2, 2) != 9 || f.At(1, -1, -1, -1) != 9 {
-			t.Errorf("%v: comp 1 not filled", lay)
-		}
+	f := NewField(3, 3, 3, 2, 1, SoA)
+	f.FillComp(1, 9)
+	if f.At(0, 0, 0, 0) != 0 {
+		t.Error("comp 0 contaminated")
+	}
+	if f.At(1, 2, 2, 2) != 9 || f.At(1, -1, -1, -1) != 9 {
+		t.Error("comp 1 not filled")
 	}
 }
 
 func TestSwap(t *testing.T) {
-	a := NewField(2, 2, 2, 1, 1, AoS)
-	b := NewField(2, 2, 2, 1, 1, AoS)
+	a := NewField(2, 2, 2, 1, 1, SoA)
+	b := NewField(2, 2, 2, 1, 1, SoA)
 	a.Fill(1)
 	b.Fill(2)
 	a.Swap(b)
@@ -103,8 +132,8 @@ func TestSwap(t *testing.T) {
 }
 
 func TestSwapMismatchPanics(t *testing.T) {
-	a := NewField(2, 2, 2, 1, 1, AoS)
-	b := NewField(2, 2, 3, 1, 1, AoS)
+	a := NewField(2, 2, 2, 1, 1, SoA)
+	b := NewField(2, 2, 3, 1, 1, SoA)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on shape mismatch")
@@ -124,11 +153,11 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestInteriorVisitsAllOnce(t *testing.T) {
-	f := NewField(3, 4, 5, 1, 1, AoS)
+	f := NewField(3, 4, 5, 1, 1, SoA)
 	count := 0
 	f.Interior(func(x, y, z int) {
 		count++
-		f.Add(0, x, y, z, 1)
+		f.Set(0, x, y, z, f.At(0, x, y, z)+1)
 	})
 	if count != 60 {
 		t.Errorf("visited %d cells, want 60", count)
@@ -145,8 +174,8 @@ func TestInteriorVisitsAllOnce(t *testing.T) {
 }
 
 func TestInteriorEqual(t *testing.T) {
-	a := NewField(3, 3, 3, 2, 1, AoS)
-	b := NewField(3, 3, 3, 2, 1, SoA) // layout may differ; comparison is logical
+	a := NewField(3, 3, 3, 2, 1, SoA)
+	b := NewField(3, 3, 3, 2, 1, SoA)
 	a.Set(1, 2, 2, 2, 1.0)
 	b.Set(1, 2, 2, 2, 1.0+1e-12)
 	if ok, _ := a.InteriorEqual(b, 1e-10); !ok {
@@ -159,7 +188,7 @@ func TestInteriorEqual(t *testing.T) {
 }
 
 func TestHasNaN(t *testing.T) {
-	f := NewField(2, 2, 2, 1, 1, AoS)
+	f := NewField(2, 2, 2, 1, 1, SoA)
 	if f.HasNaN() {
 		t.Error("zero field reported NaN")
 	}
@@ -193,7 +222,7 @@ func TestShiftZDown(t *testing.T) {
 }
 
 func TestShiftZDownFullAndZero(t *testing.T) {
-	f := NewField(2, 2, 3, 1, 1, AoS)
+	f := NewField(2, 2, 3, 1, 1, SoA)
 	f.Fill(5)
 	f.ShiftZDown(0, []float64{0})
 	if f.At(0, 0, 0, 0) != 5 {
@@ -208,45 +237,31 @@ func TestShiftZDownFullAndZero(t *testing.T) {
 }
 
 // Property: Idx is a bijection between (c,x,y,z) and flat indices for random
-// small shapes under both layouts.
+// small shapes.
 func TestIdxBijectionProperty(t *testing.T) {
 	f := func(nx, ny, nz, nc uint8) bool {
 		x := int(nx%4) + 1
 		y := int(ny%4) + 1
 		z := int(nz%4) + 1
 		c := int(nc%3) + 1
-		for _, lay := range []Layout{AoS, SoA} {
-			fl := NewField(x, y, z, c, 1, lay)
-			seen := make(map[int]bool, len(fl.Data))
-			for cc := 0; cc < c; cc++ {
-				for zz := -1; zz <= z; zz++ {
-					for yy := -1; yy <= y; yy++ {
-						for xx := -1; xx <= x; xx++ {
-							i := fl.Idx(cc, xx, yy, zz)
-							if seen[i] {
-								return false
-							}
-							seen[i] = true
+		fl := NewField(x, y, z, c, 1, SoA)
+		seen := make(map[int]bool, len(fl.Data))
+		for cc := 0; cc < c; cc++ {
+			for zz := -1; zz <= z; zz++ {
+				for yy := -1; yy <= y; yy++ {
+					for xx := -1; xx <= x; xx++ {
+						i := fl.Idx(cc, xx, yy, zz)
+						if seen[i] {
+							return false
 						}
+						seen[i] = true
 					}
 				}
 			}
-			if len(seen) != len(fl.Data) {
-				return false
-			}
 		}
-		return true
+		return len(seen) == len(fl.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLayoutString(t *testing.T) {
-	if AoS.String() != "AoS" || SoA.String() != "SoA" {
-		t.Error("layout names wrong")
-	}
-	if Layout(9).String() != "Layout(9)" {
-		t.Error("unknown layout name wrong")
 	}
 }

@@ -177,8 +177,7 @@ func (s *Sim) invalidateActivity() {
 // rowBits reports whether the x-row [x0,x1) of component c at (y,z) holds
 // exactly the bit pattern want in every cell.
 func rowBits(f *grid.Field, c, x0, x1, y, z int, want uint64) bool {
-	i := f.Idx(c, x0, y, z)
-	for _, v := range f.Data[i : i+x1-x0] {
+	for _, v := range f.Row(c, y, z)[f.G+x0 : f.G+x1] {
 		if math.Float64bits(v) != want {
 			return false
 		}
@@ -472,8 +471,7 @@ func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
 func copySliceInterior(dst, src *grid.Field, z int) {
 	for c := 0; c < src.NComp; c++ {
 		for y := 0; y < src.NY; y++ {
-			i := src.Idx(c, 0, y, z)
-			copy(dst.Data[i:i+src.NX], src.Data[i:i+src.NX])
+			copy(dst.Row(c, y, z)[dst.G:dst.G+dst.NX], src.Row(c, y, z)[src.G:])
 		}
 	}
 }
@@ -484,8 +482,7 @@ func broadcastSlice(f *grid.Field, z int, val *[kernels.NR]float64) {
 	for k := 0; k < f.NComp; k++ {
 		v := val[k]
 		for y := 0; y < f.NY; y++ {
-			i := f.Idx(k, 0, y, z)
-			row := f.Data[i : i+f.NX]
+			row := f.Row(k, y, z)[f.G : f.G+f.NX]
 			for j := range row {
 				row[j] = v
 			}

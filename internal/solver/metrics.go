@@ -159,21 +159,25 @@ func (s *Sim) HasNaN() bool {
 	return false
 }
 
-// packFields flattens a block's source-field interiors (φ then µ,
-// component-major, z/y/x inner order) for the cross-process gather.
-func packFields(f *kernels.Fields) []float64 {
-	phi, mu := f.PhiSrc, f.MuSrc
-	out := make([]float64, 0, (phi.NComp+mu.NComp)*phi.NX*phi.NY*phi.NZ)
-	for _, fld := range []*grid.Field{phi, mu} {
-		for c := 0; c < fld.NComp; c++ {
-			for z := 0; z < fld.NZ; z++ {
-				for y := 0; y < fld.NY; y++ {
-					for x := 0; x < fld.NX; x++ {
-						out = append(out, fld.At(c, x, y, z))
-					}
-				}
+// interiorRows calls fn with the interior x-row of component c at (y,z)
+// for every c, z and y of f, in that nesting order.
+func interiorRows(f *grid.Field, fn func(c, y, z int, row []float64)) {
+	for c := 0; c < f.NComp; c++ {
+		for z := 0; z < f.NZ; z++ {
+			for y := 0; y < f.NY; y++ {
+				fn(c, y, z, f.Row(c, y, z)[f.G:f.G+f.NX])
 			}
 		}
+	}
+}
+
+// packFields flattens a block's source-field interiors (φ then µ, in
+// interiorRows order) for the cross-process gather.
+func packFields(f *kernels.Fields) []float64 {
+	phi, mu := f.PhiSrc, f.MuSrc
+	out := make([]float64, 0, (phi.NComp+mu.NComp)*phi.NumInterior())
+	for _, fld := range []*grid.Field{phi, mu} {
+		interiorRows(fld, func(_, _, _ int, row []float64) { out = append(out, row...) })
 	}
 	return out
 }
@@ -182,28 +186,16 @@ func packFields(f *kernels.Fields) []float64 {
 // zero — consumers read interiors only (checkpoint writer, global
 // assembly).
 func unpackFields(f *kernels.Fields, data []float64) error {
+	phi, mu := f.PhiSrc, f.MuSrc
+	if n := (phi.NComp + mu.NComp) * phi.NumInterior(); len(data) != n {
+		return fmt.Errorf("solver: gathered block payload has %d floats, want %d", len(data), n)
+	}
 	i := 0
-	for _, fld := range []*grid.Field{f.PhiSrc, f.MuSrc} {
-		n := fld.NComp * fld.NX * fld.NY * fld.NZ
-		if i+n > len(data) {
-			return fmt.Errorf("solver: gathered block payload too short: %d floats", len(data))
-		}
-		for c := 0; c < fld.NComp; c++ {
-			for z := 0; z < fld.NZ; z++ {
-				for y := 0; y < fld.NY; y++ {
-					for x := 0; x < fld.NX; x++ {
-						fld.Set(c, x, y, z, data[i])
-						i++
-					}
-				}
-			}
-		}
+	for _, fld := range []*grid.Field{phi, mu} {
+		interiorRows(fld, func(_, _, _ int, row []float64) { i += copy(row, data[i:]) })
 	}
-	if i != len(data) {
-		return fmt.Errorf("solver: gathered block payload has %d trailing floats", len(data)-i)
-	}
-	f.PhiDst.CopyFrom(f.PhiSrc)
-	f.MuDst.CopyFrom(f.MuSrc)
+	f.PhiDst.CopyFrom(phi)
+	f.MuDst.CopyFrom(mu)
 	return nil
 }
 
@@ -268,11 +260,8 @@ func (s *Sim) gatherGlobal(pick func(*kernels.Fields) *grid.Field, ncomp int) (*
 	out := grid.NewField(nx, ny, nz, ncomp, 1, grid.SoA)
 	for r, bundle := range fields {
 		ox, oy, oz := s.Cfg.BG.Origin(r)
-		f := pick(bundle)
-		f.Interior(func(x, y, z int) {
-			for a := 0; a < ncomp; a++ {
-				out.Set(a, ox+x, oy+y, oz+z, f.At(a, x, y, z))
-			}
+		interiorRows(pick(bundle), func(a, y, z int, row []float64) {
+			copy(out.Row(a, oy+y, oz+z)[out.G+ox:], row)
 		})
 	}
 	return out, nil

@@ -379,8 +379,12 @@ func (s *Simulation) GlobalPhi() *grid.Field {
 }
 
 // ExtractInterfaces extracts one triangle mesh per solid phase describing
-// the interface between that phase and all others, via the per-block
-// marching pipeline of §3.2, already hierarchically reduced.
+// the interface between that phase and all others. It gathers the global φ
+// field onto the root process (GlobalPhi — in a distributed run a
+// full-field collective) and extracts once there; it is not the paper's
+// §3.2 per-block pipeline with hierarchical reduction, which cmd/meshreduce
+// demonstrates standalone (per-block extraction, local simplification,
+// pairwise log₂(P) merge).
 func (s *Simulation) ExtractInterfaces() []*mesh.Mesh {
 	phi := s.GlobalPhi()
 	if phi == nil {
