@@ -82,7 +82,7 @@ func TestPanicIsolationConcurrentJobs(t *testing.T) {
 	waitFor(t, "clean job to finish", 60*time.Second, func() bool {
 		return b.State() == StateDone
 	})
-	diffCheckpoints(t, b.FinalCheckpoint(), want)
+	diffCheckpoints(t, resultOf(t, s, b), want)
 
 	// The daemon still serves: a fresh job completes and the shared gauge
 	// is balanced (no worker leaked into the dead job).
@@ -131,7 +131,7 @@ func TestRetryResumesBitIdentical(t *testing.T) {
 			if st.Error != "" {
 				t.Fatalf("a recovered job must not report a terminal error, got %q", st.Error)
 			}
-			diffCheckpoints(t, j.FinalCheckpoint(), want)
+			diffCheckpoints(t, resultOf(t, s, j), want)
 		})
 	}
 }

@@ -306,7 +306,7 @@ func TestDrainCrashPointTable(t *testing.T) {
 				if st := a2.Status(); st.State != StateDone || st.Preemptions < 1 {
 					t.Fatalf("resumed job ended %+v", st)
 				}
-				diffCheckpoints(t, a2.FinalCheckpoint(), want)
+				diffCheckpoints(t, resultOf(t, s2, a2), want)
 			})
 		}
 	}

@@ -432,14 +432,6 @@ func (j *Job) AppliedScheduleJSON() ([]byte, error) {
 	return schedule.EncodeJSON(events)
 }
 
-// FinalCheckpoint returns the lossless checkpoint of a completed job (nil
-// until StateDone).
-func (j *Job) FinalCheckpoint() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.final
-}
-
 // subscribe registers a metrics listener. The channel is buffered and
 // lossy: a slow consumer drops samples, never stalls the runner. The
 // channel is closed when the job reaches a terminal state.

@@ -60,6 +60,17 @@ func uninterruptedFinal(t *testing.T, spec Spec, parallelism int) []byte {
 	return buf.Bytes()
 }
 
+// resultOf returns j's final checkpoint as GET /jobs/{id}/result serves
+// it: from memory until the result is spilled, then from the store.
+func resultOf(t *testing.T, s *Server, j *Job) []byte {
+	t.Helper()
+	b, err := s.resultBytes(j)
+	if err != nil {
+		t.Fatalf("result of %s: %v", j.ID, err)
+	}
+	return b
+}
+
 // diffCheckpoints fails the test unless two lossless checkpoints are
 // byte-identical, reporting the φ/µ field divergence when they are not.
 func diffCheckpoints(t *testing.T, got, want []byte) {
@@ -98,7 +109,7 @@ func preemptResumeSpec(scheduleJSON string) Spec {
 
 // runPreemptResume drives a server through submit → preempt (via a
 // higher-priority job) → resume → done, and returns the preempted job.
-func runPreemptResume(t *testing.T, spec Spec) *Job {
+func runPreemptResume(t *testing.T, spec Spec) (*Server, *Job) {
 	t.Helper()
 	s := New(Config{MaxConcurrent: 1, Budget: 2, ReportEvery: 1})
 	s.Start()
@@ -130,7 +141,7 @@ func runPreemptResume(t *testing.T, spec Spec) *Job {
 	if st.Step != spec.Steps {
 		t.Fatalf("job A finished at step %d, want %d", st.Step, spec.Steps)
 	}
-	return a
+	return s, a
 }
 
 // The core acceptance property: a job preempted mid-run (here mid-Ramp —
@@ -142,8 +153,8 @@ func TestPreemptResumeBitIdenticalMidRamp(t *testing.T) {
 		{"type":"ramp","param":"v","step":0,"over":40,"from":0.02,"to":0.06},
 		{"type":"burst","step":2,"count":2,"phase":-1,"radius":1.5,"zmin":10,"zmax":14,"seed":5}
 	]}`)
-	a := runPreemptResume(t, spec)
-	diffCheckpoints(t, a.FinalCheckpoint(), uninterruptedFinal(t, spec, 2))
+	s, a := runPreemptResume(t, spec)
+	diffCheckpoints(t, resultOf(t, s, a), uninterruptedFinal(t, spec, 2))
 }
 
 // Same property with the preemption landing mid-SetBC-ramp: the bottom µ
@@ -156,8 +167,8 @@ func TestPreemptResumeBitIdenticalMidSetBCRamp(t *testing.T) {
 		 "from":[0,0],"to":[0.08,-0.04]},
 		{"type":"ramp","param":"G","step":0,"over":40,"from":1,"to":1.5}
 	]}`)
-	a := runPreemptResume(t, spec)
-	diffCheckpoints(t, a.FinalCheckpoint(), uninterruptedFinal(t, spec, 2))
+	s, a := runPreemptResume(t, spec)
+	diffCheckpoints(t, resultOf(t, s, a), uninterruptedFinal(t, spec, 2))
 }
 
 // Two jobs running concurrently — plus a third rebalanced in as slots
@@ -284,7 +295,7 @@ func TestDrainResume(t *testing.T) {
 	if a2.Status().Preemptions < 1 {
 		t.Error("resumed job lost its preemption count")
 	}
-	diffCheckpoints(t, a2.FinalCheckpoint(), uninterruptedFinal(t, spec, 2))
+	diffCheckpoints(t, resultOf(t, s2, a2), uninterruptedFinal(t, spec, 2))
 }
 
 // Submissions that cannot run are rejected at the API boundary.

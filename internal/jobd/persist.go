@@ -253,7 +253,8 @@ func (s *Server) persistArray(arr *Array) {
 // one (Drain) its resume snapshot and the schedule applied so far. A
 // returned error means nothing authoritative landed — a terminal job keeps
 // serving from memory and the caller (spillDone) parks it for the
-// degraded-mode flusher to retry.
+// degraded-mode flusher to retry. Once a manifest holding the result is
+// written, the in-memory copy is dropped.
 func (s *Server) spillJob(j *Job) error {
 	s.mu.Lock()
 	st := s.store
@@ -279,6 +280,9 @@ func (s *Server) spillJob(j *Job) error {
 		m.LastError = j.lastErr.Error()
 	}
 	final, snapshot := j.final, j.snapshot
+	// A result already in the store is referenced, not written again:
+	// after the first spill the in-memory copy is gone.
+	m.Result = j.storedResult
 	j.mu.Unlock()
 
 	// The whole blob+manifest sequence runs under one GC reservation, so
@@ -309,6 +313,12 @@ func (s *Server) spillJob(j *Job) error {
 	j.mu.Lock()
 	j.storedResult = m.Result
 	j.storedSchedule = m.Schedule
+	if m.Result != "" {
+		// The store now holds the result: /result serves the
+		// content-verified blob, and the daemon's memory stops growing
+		// with the number of jobs it has finished.
+		j.final = nil
+	}
 	j.mu.Unlock()
 	return nil
 }
@@ -319,11 +329,10 @@ func (s *Server) retention() store.RetentionPolicy {
 }
 
 // RunStoreGC applies the retention policy to the result store now and
-// reconciles the in-memory registry with what was evicted: a restored
-// terminal job whose manifest is gone is forgotten (its children show as
-// missing in array aggregations, as after any restart without its
-// record), while a job this daemon ran keeps serving from memory with
-// its stale store references cleared. No-op without a store or policy.
+// reconciles the in-memory registry with what was evicted: a terminal job
+// whose manifest is gone is forgotten — its result lived only in the
+// store — and its children show as missing in array aggregations, as
+// after any restart without its record. No-op without a store or policy.
 func (s *Server) RunStoreGC() (store.GCReport, error) {
 	s.mu.Lock()
 	st := s.store
@@ -345,13 +354,8 @@ func (s *Server) RunStoreGC() (store.GCReport, error) {
 		}
 		j.mu.Lock()
 		terminal := j.state.terminal()
-		inMemory := j.final != nil
-		if terminal {
-			j.storedResult = ""
-			j.storedSchedule = ""
-		}
 		j.mu.Unlock()
-		if terminal && !inMemory {
+		if terminal {
 			delete(s.jobs, id)
 		}
 	}
@@ -371,8 +375,9 @@ func (s *Server) hasResult(j *Job) bool {
 	return j.final != nil || j.storedResult != ""
 }
 
-// resultBytes returns the job's final checkpoint: the in-memory copy when
-// this daemon ran the job, otherwise the stored blob (content-verified).
+// resultBytes returns the job's final checkpoint: the in-memory copy until
+// the result is spilled (or always, without a store), then the stored blob
+// (content-verified).
 func (s *Server) resultBytes(j *Job) ([]byte, error) {
 	j.mu.Lock()
 	final, hash := j.final, j.storedResult

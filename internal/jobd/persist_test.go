@@ -340,3 +340,64 @@ func TestStoreSpillOrderBlobsBeforeManifest(t *testing.T) {
 		t.Fatal("job registry not empty")
 	}
 }
+
+// A finished job's result lives in memory only until its spill lands:
+// after that /result serves the stored blob, so the daemon's memory does
+// not grow with the number of jobs it has settled. Without a store the
+// result has nowhere else to live and stays in memory.
+func TestSpilledResultsLeaveMemory(t *testing.T) {
+	const n = 5
+	spillLanded := func(s *Server, j *Job) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.storedResult != ""
+	}
+	run := func(cfg Config, settled func(*Server, *Job) bool) (*Server, []*Job) {
+		s := New(cfg)
+		if _, err := s.LoadStore(); err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		t.Cleanup(s.Close)
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			j, err := s.Submit(smallSpec("settle"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[i] = j
+		}
+		waitFor(t, "every job to settle", 60*time.Second, func() bool {
+			for _, j := range jobs {
+				if !settled(s, j) {
+					return false
+				}
+			}
+			return true
+		})
+		return s, jobs
+	}
+	stored, spilled := run(Config{MaxConcurrent: 2, Budget: 2, StoreDir: t.TempDir()}, spillLanded)
+	want := resultOf(t, stored, spilled[0])
+	if len(want) == 0 {
+		t.Fatal("no result served")
+	}
+	for _, j := range spilled {
+		j.mu.Lock()
+		inMemory := j.final != nil
+		j.mu.Unlock()
+		if inMemory {
+			t.Errorf("%s: result still held in memory after its spill", j.ID)
+		}
+		if got := resultOf(t, stored, j); !bytes.Equal(got, want) {
+			t.Errorf("%s: served result differs from %s's", j.ID, spilled[0].ID)
+		}
+	}
+
+	memOnly, kept := run(Config{MaxConcurrent: 2, Budget: 2}, (*Server).hasResult)
+	for _, j := range kept {
+		if got := resultOf(t, memOnly, j); !bytes.Equal(got, want) {
+			t.Errorf("%s without a store: served result differs from the stored one", j.ID)
+		}
+	}
+}

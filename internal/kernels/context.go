@@ -6,21 +6,36 @@
 //	general   — the oracle: an emulation of the original general-purpose
 //	            code, with indirect per-cell function calls and no
 //	            specialization (phi_general.go, mu_general.go);
-//	shortcut  — the production kernels: explicit vectorization with
-//	            common-subexpression precomputation (cellwise over the four
-//	            phases for φ, four cells per vector for µ), per-z-slice
-//	            tables of every temperature-dependent quantity (T = T(z,t)),
-//	            staggered-value buffers that compute each face flux once,
-//	            and region-dependent early exits (bulk cells skip the φ
-//	            update; cells without liquid skip the anti-trapping current;
-//	            rows whose whole µ stencil is pure liquid take a 7-point
-//	            diffusion loop instead of the D3C19 machinery).
+//	shortcut  — the production kernels (phi_prod.go, mu_prod.go,
+//	            mu_liquid.go): common-subexpression precomputation,
+//	            per-z-slice tables of every temperature-dependent quantity
+//	            (T = T(z,t)), staggered-value buffers that compute each face
+//	            flux once, and region-dependent early exits (bulk cells skip
+//	            the φ update; cells without liquid skip the anti-trapping
+//	            current; rows whose whole µ stencil is pure liquid take a
+//	            7-point diffusion loop instead of the D3C19 machinery).
+//
+// The register rule. The paper's intrinsics keep a cell's four φ lanes in
+// one vector register. Go has no vector types, and its compiler keeps a
+// value in registers only if cmd/compile's CanSSA accepts the type: an
+// array of at most one element, or a struct of at most four fields and 32
+// bytes. Any wider array — a [4]float64 lane vector, an [NP] or [NR]
+// per-cell temporary — lives on the stack, and every operation on it is a
+// store and a load. So the production kernels' hot paths hold no
+// array-typed lane or per-cell temporary (the one exception is the array
+// core.ProjectSimplex takes, filled once per φ cell): lanes are q4 (four
+// phases) and g3 (a face gradient), per-cell sums are small structs or
+// scalars, and neighbours are read at constant offsets (±1, ±sy, ±sz, the
+// component stride) from one flat index per cell instead of through
+// Field.At. Each cell runs one operation order whatever its position in
+// the block, so output bits do not depend on block width or decomposition.
 //
 // The ladder's middle rungs (basic, simd, tz, stag) were retired; their
 // last measurements are recorded at experiments.Fig6. The equivalence
 // suite (kernels_test.go) checks production against the oracle within
-// roundoff, mirroring the paper's own test strategy, and the µ shortcuts
-// bit for bit against the same kernel with them switched off.
+// roundoff, mirroring the paper's own test strategy, the µ shortcuts bit
+// for bit against the same kernel with them switched off, and pin_test.go
+// pins the production sweeps' output bytes.
 package kernels
 
 import (
@@ -116,10 +131,8 @@ type TempSlice struct {
 	C0T   [NR][NP]float64
 	B     [NP]float64
 
-	// Susceptibility contributions 1/(2A) and equilibrium-concentration
-	// temperature slopes per phase.
+	// Susceptibility contributions 1/(2A) per phase.
 	InvTwoA [NR][NP]float64
-	DC0dT   [NR][NP]float64
 }
 
 // Fill populates ts for global slice z at time t.
@@ -132,19 +145,9 @@ func (ts *TempSlice) Fill(p *core.Params, zGlobal int, t float64) {
 			ts.Inv4A[k][a] = 1 / (4 * ph.A[k])
 			ts.InvTwoA[k][a] = 1 / (2 * ph.A[k])
 			ts.C0T[k][a] = ph.C0[k] + ph.DC0dT[k]*ts.DT
-			ts.DC0dT[k][a] = ph.DC0dT[k]
 		}
 		ts.B[a] = ph.B0 + ph.DBdT*ts.DT
 	}
-}
-
-// Conc evaluates c_α(µ,T) for phase a from the tables.
-func (ts *TempSlice) Conc(a int, mu *[NR]float64) [NR]float64 {
-	var c [NR]float64
-	for k := 0; k < NR; k++ {
-		c[k] = mu[k]*ts.InvTwoA[k][a] + ts.C0T[k][a]
-	}
-	return c
 }
 
 // Scratch holds per-goroutine staggered-value buffers sized for a block of
@@ -156,8 +159,8 @@ type Scratch struct {
 	muY []float64 // north-face fluxes of the previous y row: nx*NR
 	muZ []float64 // top-face fluxes of the previous z slab: nx*ny*NR
 
-	// φ staggered buffers: flux component per phase.
-	phX []float64 // NP
+	// φ staggered buffers: flux component per phase. The x face is
+	// carried in registers from one cell to the next.
 	phY []float64 // nx*NP
 	phZ []float64 // nx*ny*NP
 
@@ -180,7 +183,6 @@ func NewScratch(nx, ny int) *Scratch {
 		nx: nx, ny: ny,
 		muY: make([]float64, nx*NR),
 		muZ: make([]float64, nx*ny*NR),
-		phX: make([]float64, NP),
 		phY: make([]float64, nx*NP),
 		phZ: make([]float64, nx*ny*NP),
 

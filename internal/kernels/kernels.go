@@ -37,7 +37,7 @@ func PhiSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
 		phiSweepGeneral(ctx, f, z0, z1)
 		return
 	}
-	phiSweepVec(ctx, f, sc, z0, z1)
+	phiSweepProd(ctx, f, sc, z0, z1)
 }
 
 // MuSweep updates f.MuDst (the fused Algorithm-1 µ-kernel, including the
@@ -56,5 +56,5 @@ func MuSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
 		muSweepGeneral(ctx, f, z0, z1)
 		return
 	}
-	muSweepFourCell(ctx, f, sc, true, z0, z1)
+	muSweepProd(ctx, f, sc, true, z0, z1)
 }

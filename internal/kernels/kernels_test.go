@@ -88,8 +88,7 @@ func TestMuVariantsEquivalent(t *testing.T) {
 	p := testParams(nz)
 	ctx := &Ctx{P: p}
 
-	// Widths below, at and off the four-cell group width: nx < 4 rows and
-	// remainder cells take the per-cell path.
+	// Narrow and wide blocks, at every width mod 4.
 	for _, nx := range []int{1, 3, 4, 7, 10, 12} {
 		// Produce a common φ(t+Δt) first so ∂φ/∂t is nontrivial.
 		mk := func() *Fields {
@@ -320,21 +319,18 @@ func TestTempSliceTablesMatchThermo(t *testing.T) {
 	p := testParams(16)
 	var ts TempSlice
 	ts.Fill(p, 10, 3.5)
-	var tv tempVecs
-	tv.fill(&ts)
 	mu := [NR]float64{0.2, -0.1}
-	pots := tv.grandPotsVec(&mu)
+	pots := grandPots(&ts, mu[0], mu[1])
 	dT := ts.T - p.Sys.TE
-	for a := 0; a < NP; a++ {
+	for a, got := range [NP]float64{pots.a0, pots.a1, pots.a2, pots.a3} {
 		want := p.Sys.Phases[a].GrandPot(mu, dT)
-		if math.Abs(pots[a]-want) > 1e-12 {
-			t.Errorf("table ω[%d]=%g, thermo %g", a, pots[a], want)
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("table ω[%d]=%g, thermo %g", a, got, want)
 		}
 		cw := p.Sys.Phases[a].Conc(mu, dT)
-		cg := ts.Conc(a, &mu)
 		for k := 0; k < NR; k++ {
-			if math.Abs(cg[k]-cw[k]) > 1e-12 {
-				t.Errorf("table c[%d][%d]=%g, thermo %g", a, k, cg[k], cw[k])
+			if cg := mu[k]*ts.InvTwoA[k][a] + ts.C0T[k][a]; math.Abs(cg-cw[k]) > 1e-12 {
+				t.Errorf("table c[%d][%d]=%g, thermo %g", a, k, cg, cw[k])
 			}
 		}
 	}

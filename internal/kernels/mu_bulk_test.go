@@ -140,7 +140,7 @@ func checkShortcutBitwise(t *testing.T, p *core.Params, f *Fields, cuts []int) {
 	t.Helper()
 	ctx := &Ctx{P: p, Time: 3 * p.Dt}
 	ref := f.Clone()
-	muSweepFourCell(ctx, ref, NewScratch(f.MuSrc.NX, f.MuSrc.NY), false, 0, f.MuSrc.NZ)
+	muSweepProd(ctx, ref, NewScratch(f.MuSrc.NX, f.MuSrc.NY), false, 0, f.MuSrc.NZ)
 	for _, c := range [][]int{nil, cuts} {
 		got := sweepMu(ctx, f, c)
 		if d := bitsDiff(got.MuDst, ref.MuDst); d != "" {

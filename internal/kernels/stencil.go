@@ -1,10 +1,88 @@
 package kernels
 
 import (
+	"math"
+
 	"repro/internal/grid"
 )
 
-// Small stencil-access helpers shared by both kernel variants.
+// Stencil-access helpers and the register types of the production kernels.
+
+// q4 holds one value per phase (φ) or the four lanes of a face-flux
+// partial sum. It is a four-field struct, not an array, so that the Go
+// compiler keeps it in registers (see the package doc). Every method is
+// written to inline and to round exactly as the lane-by-lane expression
+// it names.
+type q4 struct{ a0, a1, a2, a3 float64 }
+
+func splat(s float64) q4 { return q4{s, s, s, s} }
+
+func (v q4) add(w q4) q4 { return q4{v.a0 + w.a0, v.a1 + w.a1, v.a2 + w.a2, v.a3 + w.a3} }
+
+func (v q4) sub(w q4) q4 { return q4{v.a0 - w.a0, v.a1 - w.a1, v.a2 - w.a2, v.a3 - w.a3} }
+
+func (v q4) mul(w q4) q4 { return q4{v.a0 * w.a0, v.a1 * w.a1, v.a2 * w.a2, v.a3 * w.a3} }
+
+func (v q4) scale(s float64) q4 { return q4{v.a0 * s, v.a1 * s, v.a2 * s, v.a3 * s} }
+
+// dot is ((v0·w0 + v1·w1) + v2·w2) + v3·w3.
+func (v q4) dot(w q4) float64 { return v.a0*w.a0 + v.a1*w.a1 + v.a2*w.a2 + v.a3*w.a3 }
+
+// hsum is ((v0 + v1) + v2) + v3.
+func (v q4) hsum() float64 { return v.a0 + v.a1 + v.a2 + v.a3 }
+
+// row4 loads a per-phase table row.
+func row4(r *[NP]float64) q4 { return q4{r[0], r[1], r[2], r[3]} }
+
+// load4 reads the four components of one cell, cs apart, from flat index i.
+func load4(d []float64, i, cs int) q4 {
+	return q4{d[i], d[i+cs], d[i+2*cs], d[i+3*cs]}
+}
+
+func (v q4) store(d []float64, i, cs int) {
+	d[i], d[i+cs], d[i+2*cs], d[i+3*cs] = v.a0, v.a1, v.a2, v.a3
+}
+
+// strides are a field's flat-index distances between neighbours in y and
+// z and between components; x neighbours are 1 apart (grid.Field.Idx).
+// The kernels' four fields share one block shape, so one set of strides
+// and one flat cell index address all of them.
+type strides struct{ sy, sz, cs int }
+
+// sweepStrides returns the strides shared by all four fields of f. A field
+// of another shape is a bug in the caller.
+func sweepStrides(f *Fields) strides {
+	g := f.PhiSrc
+	for _, h := range []*grid.Field{f.PhiDst, f.MuSrc, f.MuDst} {
+		if h.NX != g.NX || h.NY != g.NY || h.NZ != g.NZ || h.G != g.G {
+			panic("kernels: fields of one sweep differ in shape")
+		}
+	}
+	o := g.Idx(0, 0, 0, 0)
+	return strides{sy: g.Idx(0, 0, 1, 0) - o, sz: g.Idx(0, 0, 0, 1) - o, cs: g.Idx(1, 0, 0, 0) - o}
+}
+
+// fastRSqrt computes an approximate 1/sqrt(x) for x > 0 using the Lomont
+// magic-constant method on the 64-bit float representation with one
+// Newton-Raphson iteration.
+func fastRSqrt(x float64) float64 {
+	i := math.Float64bits(x)
+	i = 0x5FE6EB50C7B537A9 - (i >> 1)
+	y := math.Float64frombits(i)
+	// One Newton-Raphson step: y <- y*(1.5 - 0.5*x*y*y).
+	y = y * (1.5 - 0.5*x*y*y)
+	return y
+}
+
+// fastRSqrt2 is fastRSqrt with a second Newton-Raphson refinement, the
+// normalization of the anti-trapping current (§5.1.1 replaces exact square
+// roots by it).
+func fastRSqrt2(x float64) float64 {
+	y := fastRSqrt(x)
+	return y * (1.5 - 0.5*x*y*y)
+}
+
+// Per-cell accessors of the oracle kernels and the tests.
 
 func loadPhi(f *grid.Field, x, y, z int, out *[NP]float64) {
 	for a := 0; a < NP; a++ {
@@ -65,59 +143,4 @@ func faceGradPhi(f *grid.Field, x, y, z, axis int, invDx float64, out *[NP][3]fl
 				f.At(a, x-tx, y-ty, z-tz) - f.At(a, x+ox-tx, y+oy-ty, z+oz-tz)) * q
 		}
 	}
-}
-
-// faceGradPhiOne computes the full staggered-face gradient of a single
-// phase (the lazy per-phase path of the production µ-kernel: most faces
-// only carry one solid plus liquid, so computing all four gradients up
-// front wastes two thirds of the loads).
-func faceGradPhiOne(f *grid.Field, x, y, z, axis, a int, invDx float64, out *[3]float64) {
-	ox, oy, oz := axisOffsets(axis)
-	q := 0.25 * invDx
-	out[axis] = (f.At(a, x+ox, y+oy, z+oz) - f.At(a, x, y, z)) * invDx
-	t1, t2 := transverseAxes(axis)
-	for _, t := range [2]int{t1, t2} {
-		tx, ty, tz := axisOffsets(t)
-		out[t] = (f.At(a, x+tx, y+ty, z+tz) + f.At(a, x+ox+tx, y+oy+ty, z+oz+tz) -
-			f.At(a, x-tx, y-ty, z-tz) - f.At(a, x+ox-tx, y+oy-ty, z+oz-tz)) * q
-	}
-}
-
-// isBulkCell reports whether cell (x,y,z) of the φ field is a bulk cell in
-// the sense of the shortcut optimization: a simplex vertex whose six face
-// neighbors all equal it, so both ∂φ/∂t and all staggered fluxes vanish.
-func isBulkCell(f *grid.Field, x, y, z int) bool {
-	vertex := -1
-	for a := 0; a < NP; a++ {
-		v := f.At(a, x, y, z)
-		if v == 1 {
-			vertex = a
-		} else if v != 0 {
-			return false
-		}
-	}
-	if vertex < 0 {
-		return false
-	}
-	for a := 0; a < NP; a++ {
-		c := f.At(a, x, y, z)
-		if f.At(a, x+1, y, z) != c || f.At(a, x-1, y, z) != c ||
-			f.At(a, x, y+1, z) != c || f.At(a, x, y-1, z) != c ||
-			f.At(a, x, y, z+1) != c || f.At(a, x, y, z-1) != c {
-			return false
-		}
-	}
-	return true
-}
-
-// regionHasLiquid reports whether the cell or any face neighbor carries
-// liquid phase; if not, every staggered face has φ_ℓ = 0 and the
-// anti-trapping current vanishes identically (the µ-kernel solid shortcut).
-func regionHasLiquid(f *grid.Field, x, y, z int) bool {
-	if f.At(LQ, x, y, z) != 0 {
-		return true
-	}
-	return f.At(LQ, x+1, y, z) != 0 || f.At(LQ, x-1, y, z) != 0 ||
-		f.At(LQ, x, y+1, z) != 0 || f.At(LQ, x, y-1, z) != 0 ||
-		f.At(LQ, x, y, z+1) != 0 || f.At(LQ, x, y, z-1) != 0
 }

@@ -30,9 +30,9 @@ import (
 //     also captures the frozen-gradient drift term ∂µ/∂T·∂T/∂t that makes
 //     bulk µ move even where nothing diffuses).
 //
-// Every proxy interior cell must agree bitwise, which covers the SIMD
-// four-cell group lanes and the scalar remainder path alike (the proxy is
-// min(NX, 7) cells wide so both paths execute). The proxy's ghost ring
+// Every proxy interior cell must agree bitwise, which covers a row's first
+// cell (it computes its own low x face) and the cells that take that face
+// from their neighbour alike (the proxy is min(NX, 7) cells wide). The proxy's ghost ring
 // holds the same vertex, so a liquid proxy takes the µ-kernel's
 // liquid-bulk row path exactly as the real slice's rows would; since the
 // proxy runs through the same MuSweepRange, a sleeping slice stays
@@ -81,9 +81,9 @@ const wakeMargin = 2
 // round of margin costs one real exchange per sleep onset.
 const quietRounds = 3
 
-// proxyNX caps the proxy field width: one SIMD four-cell group plus a
-// three-cell scalar remainder exercises every lane position and the scalar
-// tail, so any real cell's code path is represented by a proxy cell.
+// proxyNX caps the proxy field width: a row's first cell and several
+// cells after it, so any real cell's code path is represented by a proxy
+// cell.
 const proxyNX = 7
 
 // activity is the per-rank activity tracker. It lives on the rank and is
