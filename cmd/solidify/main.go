@@ -206,13 +206,13 @@ func main() {
 	}
 	if root {
 		if tot := sim.TelemetryTotals(); tot.Steps > 0 {
-			fmt.Printf("phase totals over %d steps: wall %v | phi %v  mu %v | halo pack %v transfer %v wait %v unpack %v | sched %v ckpt %v | %.2f MLUP/s, %d halo bytes, %d rounds skipped\n",
+			fmt.Printf("phase totals over %d steps: wall %v | phi %v  mu %v | halo pack %v transfer %v wait %v unpack %v | sched %v ckpt %v | %.2f MLUP/s, %d halo bytes\n",
 				tot.Steps, tot.Wall.Round(time.Millisecond),
 				tot.PhiKernel.Round(time.Millisecond), tot.MuKernel.Round(time.Millisecond),
 				tot.HaloPack.Round(time.Millisecond), tot.HaloTransfer.Round(time.Millisecond),
 				tot.HaloWait.Round(time.Millisecond), tot.HaloUnpack.Round(time.Millisecond),
 				tot.Sched.Round(time.Millisecond), tot.Ckpt.Round(time.Millisecond),
-				tot.MLUPs(sim.GlobalCells()), tot.HaloBytes, tot.HaloSkipped)
+				tot.MLUPs(sim.GlobalCells()), tot.HaloBytes)
 		}
 		if reconnects, replayed, ok := sim.NetStats(); ok {
 			fmt.Printf("transport: %d reconnect(s), %d frame(s) replayed\n", reconnects, replayed)

@@ -104,40 +104,25 @@ func (r haloRegion) rows(f *grid.Field, fn func(run []float64)) {
 	}
 }
 
-// sleepToken is the zero-length message a sender ships instead of a packed
-// halo when the face's pack region is marked quiet: the receiver's ghost
-// bytes are already identical, so it discards the token without unpacking.
-// Real pack buffers always hold at least one cell, so length zero is an
-// unambiguous discriminator. Every round still moves exactly one message
-// per face, keeping the staged protocol deadlock-free — each side decides
-// about its own sends independently.
-var sleepToken = make([]float64, 0)
-
 // ExchangeGhosts performs the blocking staged halo exchange for rank's
 // field, interleaving physical boundary-condition fills so edge and corner
 // ghosts are consistent. This corresponds to "ghostlayer communication +
-// boundary handling" in Algorithm 1. Faces marked quiet via SetQuietFaces
-// send a sleep token instead of packing — unless an earlier stage of this
-// same exchange unpacked real data, which may have refreshed the ghost
-// cells the later stages' pack regions include.
+// boundary handling" in Algorithm 1. Every neighbour face is packed,
+// sent, unpacked and released on every round.
 func (w *World) ExchangeGhosts(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet) {
 	t0 := time.Now()
 	var st Stats
 	var fc [grid.NumFaces]FlowCounters
-	quiet := w.takeQuiet(rank, tag)
-	realRecv := false
 	for axis := 0; axis < 3; axis++ {
-		w.exchangeAxis(rank, f, tag, bcs, axis, &st, &fc, &quiet, &realRecv)
+		w.exchangeAxis(rank, f, tag, bcs, axis, &st, &fc)
 	}
 	w.addStatsFlows(rank, tag, st, &fc)
 	w.latency[rank][tag].Observe(time.Since(t0))
 }
 
 // exchangeAxis handles one stage: sends both faces of the axis, applies the
-// axis' physical BCs, then receives and unpacks. realRecv records whether
-// any stage of the enclosing exchange has unpacked real (non-token) data
-// yet; once it has, later quiet faces are sent for real.
-func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, axis int, st *Stats, fc *[grid.NumFaces]FlowCounters, quiet *[grid.NumFaces]bool, realRecv *bool) {
+// axis' physical BCs, then receives and unpacks.
+func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, axis int, st *Stats, fc *[grid.NumFaces]FlowCounters) {
 	faces := [2]grid.Face{grid.Face(2 * axis), grid.Face(2*axis + 1)}
 
 	var recvs [2]grid.Face
@@ -152,14 +137,9 @@ func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.Boundary
 			continue // physical boundary or local periodic: BC handles it
 		}
 		t0 := time.Now()
-		buf := sleepToken
-		if !quiet[face] || *realRecv {
-			pack, _ := stageRegions(f, face)
-			buf = packRegion(f, pack, w.tr.TakeBuf(rank, face, tag, pack.numCells()*f.NComp))
-			st.Pack += time.Since(t0)
-		} else {
-			st.Skipped++
-		}
+		pack, _ := stageRegions(f, face)
+		buf := packRegion(f, pack, w.tr.TakeBuf(rank, face, tag, pack.numCells()*f.NComp))
+		st.Pack += time.Since(t0)
 
 		t0 = time.Now()
 		// Message arrives at the neighbor's opposite face.
@@ -169,9 +149,6 @@ func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.Boundary
 		st.Bytes += len(buf) * 8
 		fc[face].Frames++
 		fc[face].Bytes += int64(len(buf) * 8)
-		if len(buf) == 0 {
-			fc[face].Sleeps++
-		}
 
 		recvs[nrecv] = face
 		nrecv++
@@ -189,16 +166,10 @@ func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.Boundary
 	// arrival side: a message arriving at our XMin face fills our low
 	// ghost slab. The drained buffer goes back to its sender — the
 	// neighbor on the arrival face, which sent through its opposite face.
-	// A sleep token carries nothing: the ghost slab already holds the
-	// right bytes, and the token is not a pooled buffer to return.
 	for _, face := range recvs[:nrecv] {
 		t0 := time.Now()
 		buf := w.tr.Recv(rank, face, tag)
 		st.Transfer += time.Since(t0)
-		if len(buf) == 0 {
-			continue
-		}
-		*realRecv = true
 
 		t0 = time.Now()
 		unpackRegion(f, arrivalRegion(f, face), buf)

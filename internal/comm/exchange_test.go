@@ -237,7 +237,7 @@ func TestBarrierAndReduce(t *testing.T) {
 }
 
 func TestTagString(t *testing.T) {
-	if TagPhi.String() != "phi" || TagMu.String() != "mu" || TagAux.String() != "aux" {
+	if TagPhi.String() != "phi" || TagMu.String() != "mu" || Tag(2).String() != "Tag(2)" {
 		t.Error("tag names wrong")
 	}
 }

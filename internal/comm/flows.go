@@ -7,25 +7,21 @@ import (
 	"repro/internal/obs"
 )
 
-// FlowCounters counts traffic on one directed halo stream: frames sent,
-// payload bytes moved and sleep tokens among those frames. The World keeps
+// FlowCounters counts traffic on one directed halo stream: frames sent and
+// payload bytes moved. The World keeps
 // one per (rank, tag, face); accumulation happens in a stack-local array
 // during the staged exchange and is folded under the rank's stats mutex
 // once per exchange, so the hot path stays allocation-free.
 type FlowCounters struct {
-	// Frames is the number of messages sent (including sleep tokens).
+	// Frames is the number of messages sent.
 	Frames int64
-	// Bytes is the payload volume sent, 8 bytes per float64; sleep tokens
-	// contribute zero.
+	// Bytes is the payload volume sent, 8 bytes per float64.
 	Bytes int64
-	// Sleeps is how many of the frames were zero-length sleep tokens.
-	Sleeps int64
 }
 
 func (c *FlowCounters) add(other FlowCounters) {
 	c.Frames += other.Frames
 	c.Bytes += other.Bytes
-	c.Sleeps += other.Sleeps
 }
 
 // PeerFlow is the per-(sender, receiver, tag) aggregation of FlowCounters
@@ -37,7 +33,7 @@ type PeerFlow struct {
 	Peer int
 	// Tag is the message stream the flow belongs to.
 	Tag Tag
-	// FlowCounters holds the accumulated frame, byte and sleep counts.
+	// FlowCounters holds the accumulated frame and byte counts.
 	FlowCounters
 }
 

@@ -6,10 +6,10 @@ import (
 	"repro/internal/grid"
 )
 
-// TestPeerFlowsAndLatency runs the shared stats scenario (one real round,
-// one quiet round on a 2×1×1 x-periodic decomposition) and checks the
-// per-(peer, tag) flow counters and exchange-latency histograms that back
-// the daemon's /metrics series.
+// TestPeerFlowsAndLatency runs the shared stats scenario (two rounds on a
+// 2×1×1 x-periodic decomposition) and checks the per-(peer, tag) flow
+// counters and exchange-latency histograms that back the daemon's /metrics
+// series.
 func TestPeerFlowsAndLatency(t *testing.T) {
 	bg, err := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, [3]bool{true, false, false})
 	if err != nil {
@@ -21,8 +21,7 @@ func TestPeerFlowsAndLatency(t *testing.T) {
 
 	flows := w.PeerFlows()
 	// Each rank sends to the other through both x-faces, one tag: two
-	// aggregated streams. Per stream: 2 real frames (16 cells × 8 B) in
-	// round one, 2 sleep tokens in round two.
+	// aggregated streams. Per stream: 2 frames (16 cells × 8 B) per round.
 	if len(flows) != 2 {
 		t.Fatalf("got %d flows, want 2: %+v", len(flows), flows)
 	}
@@ -30,7 +29,7 @@ func TestPeerFlowsAndLatency(t *testing.T) {
 		if fl.Rank != i || fl.Peer != 1-i || fl.Tag != TagPhi {
 			t.Errorf("flow %d endpoints wrong: %+v", i, fl)
 		}
-		if fl.Frames != 4 || fl.Bytes != 2*16*8 || fl.Sleeps != 2 {
+		if fl.Frames != 4 || fl.Bytes != 4*16*8 {
 			t.Errorf("flow %d counters wrong: %+v", i, fl)
 		}
 	}

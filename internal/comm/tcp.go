@@ -278,9 +278,7 @@ func (t *tcpTransport) Send(from, to int, face grid.Face, tag Tag, buf []float64
 		Kind: kindData, Tag: byte(tag), Face: byte(face),
 		From: int32(from), To: int32(to), Payload: buf,
 	})
-	if len(buf) > 0 {
-		t.lt.Release(from, to, face, tag, buf)
-	}
+	t.lt.Release(from, to, face, tag, buf)
 }
 
 // send encodes f into the stream's replay ring and writes it, waiting out
@@ -401,7 +399,8 @@ func (s *tcpStream) ensureConn() (net.Conn, *bufio.Reader) {
 // indefinitely (an idle peer is computing); once it arrives the rest of
 // the frame must land within IOTimeout. Replayed duplicates (seq below the
 // next expected) are discarded; a gap means the peer could not replay far
-// enough back and is unrecoverable.
+// enough back and is unrecoverable. Every halo round carries at least one
+// cell, so a zero-length data frame is a protocol violation.
 func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wireFrame) error {
 	_ = c.SetReadDeadline(time.Time{})
 	if _, err := br.Peek(1); err != nil {
@@ -414,6 +413,9 @@ func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wi
 	}
 	if f.Kind != kindData || Tag(f.Tag) != s.tag {
 		return fmt.Errorf("unexpected frame kind %d tag %d on data stream %v", f.Kind, f.Tag, s.tag)
+	}
+	if n == 0 {
+		return fmt.Errorf("empty data frame on stream %v", s.tag)
 	}
 	s.mu.Lock()
 	expect := s.recvSeq
@@ -431,14 +433,11 @@ func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wi
 	if to < 0 || to >= t.lt.nRanks || t.Owner(to) != t.cfg.Proc || int(f.Face) >= int(grid.NumFaces) {
 		return fmt.Errorf("misrouted frame to rank %d face %d", to, f.Face)
 	}
-	buf := sleepToken
-	if n > 0 {
-		// Draw from the pool of the remote sender's (send face, tag)
-		// stream: Release refills exactly that pool after unpacking.
-		buf = t.lt.TakeBuf(int(f.From), face.Opposite(), tag, n)
-		if err := readFramePayload(br, buf, &s.scratch); err != nil {
-			return err
-		}
+	// Draw from the pool of the remote sender's (send face, tag) stream:
+	// Release refills exactly that pool after unpacking.
+	buf := t.lt.TakeBuf(int(f.From), face.Opposite(), tag, n)
+	if err := readFramePayload(br, buf, &s.scratch); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.recvSeq = f.Seq + 1

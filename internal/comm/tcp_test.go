@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"testing"
@@ -134,9 +135,8 @@ func TestTCPExchangeMatchesGlobalPattern(t *testing.T) {
 }
 
 // runStatsScenario performs the shared stats scenario on an arbitrary set
-// of worlds covering a 2×1×1 x-periodic decomposition: one real exchange
-// round, then one round with both x-faces marked quiet. Returns per-rank
-// TagPhi stats.
+// of worlds covering a 2×1×1 x-periodic decomposition: two exchange rounds
+// on TagPhi. Returns per-rank TagPhi stats.
 func runStatsScenario(t *testing.T, bg *grid.BlockGrid, worlds []*World) [2]Stats {
 	t.Helper()
 	domain := grid.AllNeumann()
@@ -144,7 +144,7 @@ func runStatsScenario(t *testing.T, bg *grid.BlockGrid, worlds []*World) [2]Stat
 	domain[grid.XMax] = grid.BC{Kind: grid.BCPeriodic}
 
 	fields := make([]*grid.Field, bg.NumBlocks())
-	round := func(quiet bool) {
+	round := func() {
 		var wg sync.WaitGroup
 		for _, w := range worlds {
 			for _, r := range w.LocalRanks() {
@@ -154,17 +154,14 @@ func runStatsScenario(t *testing.T, bg *grid.BlockGrid, worlds []*World) [2]Stat
 				wg.Add(1)
 				go func(w *World, r int) {
 					defer wg.Done()
-					if quiet {
-						w.SetQuietFaces(r, TagPhi, [grid.NumFaces]bool{true, true, false, false, false, false})
-					}
 					w.ExchangeGhosts(r, fields[r], TagPhi, w.BlockBCs(r, domain))
 				}(w, r)
 			}
 		}
 		wg.Wait()
 	}
-	round(false)
-	round(true)
+	round()
+	round()
 
 	var out [2]Stats
 	for _, w := range worlds {
@@ -177,9 +174,8 @@ func runStatsScenario(t *testing.T, bg *grid.BlockGrid, worlds []*World) [2]Stat
 
 // TestTransportStatsConsistent asserts the Fig. 8-style accounting cannot
 // diverge between transports: the same scenario must produce identical
-// Messages, Bytes (bytes on the wire, 8 per float64, zero for sleep
-// tokens) and Skipped counts whether the two ranks share a process or talk
-// over TCP.
+// Messages and Bytes (bytes on the wire, 8 per float64) whether the two
+// ranks share a process or talk over TCP.
 func TestTransportStatsConsistent(t *testing.T) {
 	bg, err := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, [3]bool{true, false, false})
 	if err != nil {
@@ -195,9 +191,8 @@ func TestTransportStatsConsistent(t *testing.T) {
 	closeAll(worlds)
 
 	for r := 0; r < 2; r++ {
-		// Round 1: two x-face messages of 4*4 cells; round 2: two sleep
-		// tokens (counted as messages, zero bytes, two skips).
-		if local[r].Messages != 4 || local[r].Bytes != 2*16*8 || local[r].Skipped != 2 {
+		// Each round: two x-face messages of 4*4 cells.
+		if local[r].Messages != 4 || local[r].Bytes != 4*16*8 {
 			t.Fatalf("in-process rank %d stats off: %+v", r, local[r])
 		}
 		if tcp[r].Messages != local[r].Messages {
@@ -206,9 +201,51 @@ func TestTransportStatsConsistent(t *testing.T) {
 		if tcp[r].Bytes != local[r].Bytes {
 			t.Errorf("rank %d: tcp Bytes %d != in-process %d", r, tcp[r].Bytes, local[r].Bytes)
 		}
-		if tcp[r].Skipped != local[r].Skipped {
-			t.Errorf("rank %d: tcp Skipped %d != in-process %d", r, tcp[r].Skipped, local[r].Skipped)
-		}
+	}
+}
+
+// TestReadOneRejectsEmptyDataFrame feeds a data stream's reader one frame
+// at a time: a one-cell halo frame reaches the receiving rank's mailbox,
+// while a zero-length data frame is a protocol error, which makes the
+// reader loop drop the connection, and the stream does not advance past it.
+func TestReadOneRejectsEmptyDataFrame(t *testing.T) {
+	bg, err := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, [3]bool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &tcpTransport{
+		lt:        newLocalTransport(2),
+		cfg:       TCPConfig{BG: bg, Proc: 0, IOTimeout: 5 * time.Second},
+		nprocs:    2,
+		maxFloats: 1024,
+	}
+	s := &tcpStream{t: tr, peer: 1, tag: TagPhi}
+	s.cond = sync.NewCond(&s.mu)
+	read := func(fr *wireFrame) error {
+		local, remote := net.Pipe()
+		defer local.Close()
+		defer remote.Close()
+		go func() { _, _ = remote.Write(appendFrame(nil, fr)) }()
+		var f wireFrame
+		return tr.readOne(s, local, bufio.NewReader(local), &f)
+	}
+
+	halo := &wireFrame{Kind: kindData, Tag: byte(TagPhi), Face: byte(grid.XMax),
+		From: 1, To: 0, Seq: 0, Payload: []float64{2.5}}
+	if err := read(halo); err != nil {
+		t.Fatalf("one-cell data frame rejected: %v", err)
+	}
+	if got := tr.lt.Recv(0, grid.XMax, TagPhi); len(got) != 1 || got[0] != 2.5 {
+		t.Fatalf("delivered payload %v, want [2.5]", got)
+	}
+
+	empty := &wireFrame{Kind: kindData, Tag: byte(TagPhi), Face: byte(grid.XMax),
+		From: 1, To: 0, Seq: 1, Payload: []float64{}}
+	if err := read(empty); err == nil {
+		t.Fatal("zero-length data frame accepted")
+	}
+	if s.recvSeq != 1 {
+		t.Errorf("stream advanced to seq %d past a rejected frame, want 1", s.recvSeq)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // Transport moves tagged per-face halo frames between ranks and provides
 // the process-level collectives. The World keeps everything above it —
-// staged pack/unpack, quiet-face sleep tokens, persistent comm workers,
-// statistics — so both implementations share the exchange protocol and its
-// accounting by construction.
+// staged pack/unpack, persistent comm workers, statistics — so both
+// implementations share the exchange protocol and its accounting by
+// construction.
 //
 // Two implementations exist: the in-process channel fabric (NewWorld's
 // default, every rank in one OS process) and the TCP transport
@@ -38,7 +38,7 @@ type Transport interface {
 	// (sendFace, tag) stream, n floats long.
 	TakeBuf(from int, sendFace grid.Face, tag Tag, n int) []float64
 	// Send delivers buf from rank `from` to rank `to`, arriving at face
-	// `face` of to's block. Zero-length buf is the sleep token.
+	// `face` of to's block. buf always holds at least one cell.
 	Send(from, to int, face grid.Face, tag Tag, buf []float64)
 	// Recv blocks until the message arriving at (to, face, tag) is
 	// available and returns its payload.

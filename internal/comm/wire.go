@@ -23,8 +23,9 @@ import (
 //	24     4     nfloats (uint32 LE: payload length in float64s)
 //	28     8×n   payload: nfloats little-endian IEEE-754 float64 bit patterns
 //
-// A zero-length data payload is the sleep token (see SetQuietFaces); NaN
-// and ±Inf payload values round-trip bit-exactly. The decoder enforces an
+// A zero-length payload is legal in the codec (barrier frames carry none;
+// the transport rejects it on a data stream); NaN and ±Inf payload values
+// round-trip bit-exactly. The decoder enforces an
 // upper payload bound so a corrupt length field cannot trigger an
 // unbounded allocation.
 
@@ -39,7 +40,7 @@ const wireHeaderSize = 28
 
 // Frame kinds.
 const (
-	kindData     = 1 // halo payload (or sleep token) on a data stream
+	kindData     = 1 // halo payload on a data stream
 	kindHello    = 2 // connect handshake: topology + ckpt version + next recv seq
 	kindHelloAck = 3 // accept handshake reply: next recv seq
 	kindContrib  = 4 // collective contribution, peer → root

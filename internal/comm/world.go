@@ -9,8 +9,8 @@
 // Frame movement is delegated to a Transport: the in-process channel fabric
 // (default) or the TCP transport, which lets one rank grid span OS
 // processes and machines. The World keeps everything above the transport —
-// pack/unpack, sleep tokens, persistent comm workers, statistics — so both
-// paths share the protocol and its accounting.
+// pack/unpack, persistent comm workers, statistics — so both paths share
+// the protocol and its accounting.
 //
 // The package reproduces the structural properties that matter for the
 // paper's system-level experiments: explicit pack/unpack into message
@@ -37,8 +37,6 @@ const (
 	TagPhi Tag = iota
 	// TagMu marks chemical-potential ghost exchanges.
 	TagMu
-	// TagAux is available for auxiliary fields.
-	TagAux
 	numTags
 )
 
@@ -48,8 +46,6 @@ func (t Tag) String() string {
 		return "phi"
 	case TagMu:
 		return "mu"
-	case TagAux:
-		return "aux"
 	}
 	return fmt.Sprintf("Tag(%d)", int(t))
 }
@@ -57,9 +53,8 @@ func (t Tag) String() string {
 // Stats accumulates per-rank communication timing, the measurement behind
 // the paper's Fig. 8 ("time spent in communication per timestep"). The
 // semantics are transport-independent: Transfer is blocking time in the
-// transport's send/receive (channel handoff or socket write/read), Bytes
-// counts payload bytes moved (8 per float64), and Skipped counts face
-// rounds replaced by a zero-length sleep token on either fabric.
+// transport's send/receive (channel handoff or socket write/read), and
+// Bytes counts payload bytes moved (8 per float64).
 type Stats struct {
 	Pack     time.Duration // packing ghost data into message buffers
 	Unpack   time.Duration // unpacking received buffers into ghost layers
@@ -67,11 +62,6 @@ type Stats struct {
 	Wait     time.Duration // time blocked in Finish() for overlapped exchanges
 	Messages int
 	Bytes    int
-	// Skipped counts face rounds replaced by a zero-length sleep token
-	// because the sender's pack region was marked quiet (SetQuietFaces):
-	// the receiver's ghost bytes are provably identical already, so
-	// nothing is packed, transferred or unpacked.
-	Skipped int
 }
 
 // Add accumulates other into s.
@@ -82,7 +72,6 @@ func (s *Stats) Add(other Stats) {
 	s.Wait += other.Wait
 	s.Messages += other.Messages
 	s.Bytes += other.Bytes
-	s.Skipped += other.Skipped
 }
 
 // Total returns the total time attributed to communication.
@@ -117,15 +106,8 @@ type World struct {
 	// finishes (and its Finish returns) before the workers shut down.
 	inflight sync.WaitGroup
 
-	// quiet[rank][tag] is the one-shot quiet-face mask SetQuietFaces
-	// stores for the next exchange of that (rank, tag) stream. Only the
-	// rank's own goroutine and its comm worker touch an entry, and never
-	// concurrently (the one-outstanding-per-(rank,tag) discipline orders
-	// them through the request and completion channels).
-	quiet [][][grid.NumFaces]bool
-
 	stats [][]Stats // per-rank, per-tag accumulated stats
-	// flows holds per-(rank, tag, face) frame/byte/sleep counters,
+	// flows holds per-(rank, tag, face) frame/byte counters,
 	// guarded by the same per-rank mutex as stats; latency holds the
 	// per-(rank, tag) whole-exchange wall-time histograms (atomic, no
 	// lock needed).
@@ -147,8 +129,8 @@ func NewWorld(bg *grid.BlockGrid) *World {
 
 // NewWorldTransport builds a communicator over an explicit transport (nil
 // selects the in-process fabric). The World drives the ranks the transport
-// assigns to this process; the halo protocol, sleep tokens and statistics
-// are identical on every transport.
+// assigns to this process; the halo protocol and statistics are identical
+// on every transport.
 func NewWorldTransport(bg *grid.BlockGrid, tr Transport) *World {
 	n := bg.NumBlocks()
 	if tr == nil {
@@ -171,9 +153,7 @@ func NewWorldTransport(bg *grid.BlockGrid, tr Transport) *World {
 	w.barrier = newBarrier(len(w.local))
 	w.workers = make([]commWorker, n)
 	w.pending = make([][]Pending, n)
-	w.quiet = make([][][grid.NumFaces]bool, n)
 	for r := 0; r < n; r++ {
-		w.quiet[r] = make([][grid.NumFaces]bool, numTags)
 		w.stats[r] = make([]Stats, numTags)
 		w.flows[r] = make([][grid.NumFaces]FlowCounters, numTags)
 		w.latency[r] = make([]obs.Histogram, numTags)
@@ -299,29 +279,6 @@ func (w *World) SetPeriodic(axis int, periodic bool) {
 // set under the live topology.
 func (w *World) BlockBCs(r int, domain grid.BoundarySet) grid.BoundarySet {
 	return w.topo.BlockBCs(r, domain)
-}
-
-// SetQuietFaces marks faces of rank's next exchange on tag as quiet: the
-// caller asserts the pack region of each masked face is bitwise-unchanged
-// since the bytes the receiving neighbor currently holds in its ghost
-// layer. The very next exchange for (rank, tag) consumes the mask — it
-// does not persist — and replaces each still-eligible masked round with a
-// zero-length sleep token the receiver discards without unpacking. A
-// masked face whose pack region was refreshed by a real unpack earlier in
-// the same staged exchange is sent for real (the token is suppressed), so
-// the staged corner/edge propagation stays exact. Must be called from the
-// goroutine that initiates the exchange, before initiating it.
-func (w *World) SetQuietFaces(rank int, tag Tag, mask [grid.NumFaces]bool) {
-	w.quiet[rank][int(tag)] = mask
-}
-
-// takeQuiet consumes the one-shot quiet mask for (rank, tag).
-func (w *World) takeQuiet(rank int, tag Tag) [grid.NumFaces]bool {
-	m := w.quiet[rank][int(tag)]
-	if m != ([grid.NumFaces]bool{}) {
-		w.quiet[rank][int(tag)] = [grid.NumFaces]bool{}
-	}
-	return m
 }
 
 // PackAllocs returns how many pack buffers have been freshly allocated so

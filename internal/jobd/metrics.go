@@ -32,7 +32,6 @@ var metricFamilies = []struct{ name, typ, help string }{
 	{"jobd_job_phase_seconds_total", "counter", "Step-phase time of the running attempt, per job and phase."},
 	{"jobd_halo_bytes_total", "counter", "Halo payload bytes exchanged by the running attempt, per job, neighbor rank and tag."},
 	{"jobd_halo_frames_total", "counter", "Halo frames sent by the running attempt, per job, neighbor rank and tag."},
-	{"jobd_halo_sleeps_total", "counter", "Zero-length sleep frames sent in place of halo payloads, per job, neighbor rank and tag."},
 	{"jobd_exchange_latency_seconds", "histogram", "Whole halo-exchange latency of the running attempt, per job and tag."},
 }
 
@@ -115,7 +114,6 @@ func (s *Server) publishRunningLocked(j *Job) {
 		l := obs.Labels("job", j.ID, "peer", strconv.Itoa(f.Peer), "tag", f.Tag)
 		c.Add("jobd_halo_bytes_total", l, float64(f.Bytes))
 		c.Add("jobd_halo_frames_total", l, float64(f.Frames))
-		c.Add("jobd_halo_sleeps_total", l, float64(f.Sleeps))
 	}
 	for tag, h := range j.latency {
 		c.SetHistogram("jobd_exchange_latency_seconds", obs.Labels("job", j.ID, "tag", tag), h)

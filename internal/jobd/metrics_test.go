@@ -72,7 +72,6 @@ func TestDaemonMetricsFormat(t *testing.T) {
 		{"jobd_job_phase_seconds_total", []string{`job="` + st.ID + `"`, `phase="phi_kernel"`}},
 		{"jobd_halo_bytes_total", []string{`job="` + st.ID + `"`, `tag="phi"`}},
 		{"jobd_halo_frames_total", []string{`job="` + st.ID + `"`}},
-		{"jobd_halo_sleeps_total", []string{`job="` + st.ID + `"`}},
 		{"jobd_exchange_latency_seconds_bucket", []string{`le="+Inf"`, `tag="phi"`}},
 		{"jobd_exchange_latency_seconds_sum", []string{`tag="phi"`}},
 		{"jobd_exchange_latency_seconds_count", []string{`tag="phi"`}},

@@ -41,11 +41,8 @@ type PhaseBreakdown struct {
 	SchedMs float64 `json:"sched_ms"`
 	// CkptMs is checkpoint-serialization time folded into the window.
 	CkptMs float64 `json:"ckpt_ms"`
-	// HaloBytes and HaloSkipped count exchanged payload bytes and
-	// activity-skipped halo messages over the window.
+	// HaloBytes counts exchanged payload bytes over the window.
 	HaloBytes int64 `json:"halo_bytes"`
-	// HaloSkipped counts halo messages elided by active-region sweeping.
-	HaloSkipped int64 `json:"halo_skipped"`
 }
 
 // breakdown converts a StepTotals window delta into the JSON form.
@@ -63,7 +60,6 @@ func breakdown(d obs.StepTotals) *PhaseBreakdown {
 		SchedMs:        ms(d.Sched),
 		CkptMs:         ms(d.Ckpt),
 		HaloBytes:      d.HaloBytes,
-		HaloSkipped:    d.HaloSkipped,
 	}
 }
 
@@ -152,7 +148,6 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 			map[string]any{
 				"active_fraction": rec.ActiveFraction,
 				"halo_bytes":      rec.HaloBytes,
-				"halo_skipped":    rec.HaloSkipped,
 			})
 		if rec.PhiKernel > 0 {
 			tw.Complete(1, traceTidPhi, "phi", ts, us(rec.PhiKernel), nil)

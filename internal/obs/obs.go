@@ -51,10 +51,8 @@ type StepRecord struct {
 	// ActiveFraction is the share of z-slices the activity tracker swept
 	// this step (1 = nothing slept or tracking off).
 	ActiveFraction float64
-	// HaloBytes counts payload bytes moved by this step's exchanges;
-	// HaloSkipped counts face rounds replaced by sleep tokens.
-	HaloBytes   int64
-	HaloSkipped int64
+	// HaloBytes counts payload bytes moved by this step's exchanges.
+	HaloBytes int64
 }
 
 // StepTotals is the cumulative form of StepRecord: every field summed
@@ -74,9 +72,8 @@ type StepTotals struct {
 	HaloUnpack   time.Duration
 	Sched        time.Duration
 	Ckpt         time.Duration
-	// HaloBytes and HaloSkipped sum the per-step counters.
-	HaloBytes   int64
-	HaloSkipped int64
+	// HaloBytes sums the per-step counter.
+	HaloBytes int64
 }
 
 // Add folds one step's record into the totals.
@@ -92,7 +89,6 @@ func (t *StepTotals) Add(r StepRecord) {
 	t.Sched += r.Sched
 	t.Ckpt += r.Ckpt
 	t.HaloBytes += r.HaloBytes
-	t.HaloSkipped += r.HaloSkipped
 }
 
 // Sub returns the window delta t − prev (prev must be an earlier snapshot
@@ -110,7 +106,6 @@ func (t StepTotals) Sub(prev StepTotals) StepTotals {
 		Sched:        t.Sched - prev.Sched,
 		Ckpt:         t.Ckpt - prev.Ckpt,
 		HaloBytes:    t.HaloBytes - prev.HaloBytes,
-		HaloSkipped:  t.HaloSkipped - prev.HaloSkipped,
 	}
 }
 

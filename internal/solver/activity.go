@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 
-	"repro/internal/comm"
 	"repro/internal/grid"
 	"repro/internal/kernels"
 )
@@ -43,7 +42,7 @@ import (
 // that could alter its next value" holds by construction, and the map is
 // conservatively re-derived from field data every step (window shifts,
 // restores and schedule events need no bespoke wake logic for kernel
-// correctness; they only reset the halo-skip counters below).
+// correctness; they only invalidate the map, which frontTop reads).
 //
 // The µ-sweep additionally reads φdst at the cell center (the ∂φ/∂t source
 // term) and at face neighbors inside the anti-trapping flux. A µ-slice
@@ -53,14 +52,8 @@ import (
 // face; pure liquid ⇒ zero φ gradient) before any φdst load, so the full
 // sweep takes the identical instruction path on identical φsrc inputs.
 //
-// Halo-round skipping: when a face's entire pack region slept for enough
-// consecutive steps (quietRounds, tracked per tag to bridge the two-step
-// ghost provenance of the double-buffered fields), the solver marks the
-// face quiet for the next exchange and comm sends a zero-length sleep
-// token instead of packing — the receiver keeps its (provably identical)
-// ghost bytes. Out-of-band events that rewrite field or ghost content
-// (bursts, SetBC, window shifts, restores) reset the counters, forcing
-// real rounds.
+// Sleeping saves compute only: every halo round still packs and ships each
+// neighbour face, so no rank's ghosts depend on another rank's tracker.
 
 // bitsOne is the IEEE-754 bit pattern of +1.0; a simplex vertex is one
 // component at exactly these bits and the rest at exactly zero bits (+0.0
@@ -73,13 +66,6 @@ const bitsOne = 0x3FF0000000000000
 // Conservatively wider than the stencil radius of 1 the re-derived-every-step
 // predicate strictly needs; a larger margin only reduces skipping.
 const wakeMargin = 2
-
-// quietRounds is how many consecutive clean steps a face must accumulate
-// before its halo round may be skipped. The minimum safe value is 2 for
-// the post-sweep dst exchanges and 3 for the deferred µsrc exchange (ghost
-// provenance spans two steps through the double-buffer swap); one extra
-// round of margin costs one real exchange per sleep onset.
-const quietRounds = 3
 
 // proxyNX caps the proxy field width: a row's first cell and several
 // cells after it, so any real cell's code path is represented by a proxy
@@ -109,20 +95,18 @@ type activity struct {
 
 	phiSleep []bool // per interior slice: φ-sweep skipped this step
 	muSleep  []bool // per interior slice: µ-sweep skipped this step
-	drift    []bool // sleeping µ-slice whose broadcast value ≠ step-start value
 	muBcast  [][kernels.NR]float64
 
 	phiActive int // awake slices in the last φ derivation
 	muActive  int
 
-	// Consecutive clean steps per face: the face's pack region slept (and,
-	// for µ, kept its exact value) through the step. Reset on any
-	// out-of-band field or ghost mutation.
-	cleanPhi [grid.NumFaces]int
-	cleanMu  [grid.NumFaces]int
-
 	proxy   *kernels.Fields
 	proxySc *kernels.Scratch
+	// proxyCtx is the proxy sweep's context. It lives here, not on the
+	// stack, because the sweep entry points leak their ctx argument (the
+	// oracle path), so a local would move to the heap once per candidate
+	// slice per step.
+	proxyCtx kernels.Ctx
 
 	runs  [][2]int  // reusable active-run scratch
 	runs1 [1][2]int // no-tracking fallback: one full-extent run
@@ -145,7 +129,6 @@ func (a *activity) ensure(nx, nz int) {
 	a.muRVal = make([][kernels.NR]float64, n)
 	a.phiSleep = make([]bool, nz)
 	a.muSleep = make([]bool, nz)
-	a.drift = make([]bool, nz)
 	a.muBcast = make([][kernels.NR]float64, nz)
 	a.runs = make([][2]int, 0, nz/2+2)
 	pnx := nx
@@ -156,15 +139,12 @@ func (a *activity) ensure(nx, nz int) {
 	a.proxySc = kernels.NewScratch(pnx, 1)
 }
 
-// invalidate discards the activity map and halo-skip history. Called
-// whenever field interiors or ghost fills change outside the timestep
-// protocol (window shift, restore, nucleation burst, BC change, re-init).
+// invalidate discards the activity map. Called whenever field interiors
+// or ghost fills change outside the timestep protocol (window shift,
+// restore, nucleation burst, BC change, re-init): frontTop trusts slept
+// slices only while the map is valid.
 func (a *activity) invalidate() {
 	a.valid = false
-	for f := range a.cleanPhi {
-		a.cleanPhi[f] = 0
-		a.cleanMu[f] = 0
-	}
 }
 
 // invalidateActivity resets every rank's tracker.
@@ -251,12 +231,12 @@ func (a *activity) fillProxy(vertex int, mu *[kernels.NR]float64) {
 	}
 }
 
-// proxyCtx builds the sweep context of local slice z: the proxy's single
-// slice must see the same analytic temperature as the real slice.
-func (a *activity) proxyCtx(r *rank, z int) kernels.Ctx {
-	ctx := r.ctx
-	ctx.ZOff += z
-	return ctx
+// setProxyCtx points the proxy context at local slice z: the proxy's
+// single slice must see the same analytic temperature as the real slice.
+func (a *activity) setProxyCtx(r *rank, z int) *kernels.Ctx {
+	a.proxyCtx = r.ctx
+	a.proxyCtx.ZOff += z
+	return &a.proxyCtx
 }
 
 // phiProxySleeps runs the φ-kernel on the proxy and reports whether
@@ -264,8 +244,7 @@ func (a *activity) proxyCtx(r *rank, z int) kernels.Ctx {
 // proxy cell — every lane and the scalar tail).
 func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) bool {
 	a.fillProxy(vertex, mu)
-	ctx := a.proxyCtx(r, z)
-	kernels.PhiSweepRange(&ctx, a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
+	kernels.PhiSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
 	d := a.proxy.PhiDst
 	for c := 0; c < kernels.NP; c++ {
 		want := uint64(0)
@@ -284,8 +263,7 @@ func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.N
 // slice awake.
 func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) (out [kernels.NR]float64, ok bool) {
 	a.fillProxy(vertex, mu)
-	ctx := a.proxyCtx(r, z)
-	kernels.MuSweepRange(&ctx, a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
+	kernels.MuSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
 	d := a.proxy.MuDst
 	for k := 0; k < kernels.NR; k++ {
 		out[k] = d.At(k, 0, 0, 0)
@@ -383,7 +361,6 @@ func (a *activity) deriveMu(s *Sim, r *rank) {
 			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1], &a.muRVal[z+1])
 		}
 		a.muSleep[z] = ok
-		a.drift[z] = ok && !sameMuBits(&a.muBcast[z], &a.muRVal[z+1])
 		if !ok {
 			active++
 		}
@@ -487,115 +464,6 @@ func broadcastSlice(f *grid.Field, z int, val *[kernels.NR]float64) {
 				row[j] = v
 			}
 		}
-	}
-}
-
-// faceAsleep reports whether a face's entire pack region slept this step:
-// z-faces pack one boundary slice (plus its ghost ring, covered by the
-// sleep predicate); x/y faces pack a region spanning every slice.
-func faceAsleep(sleep []bool, face grid.Face) bool {
-	switch face {
-	case grid.ZMin:
-		return sleep[0]
-	case grid.ZMax:
-		return sleep[len(sleep)-1]
-	default:
-		for _, slept := range sleep {
-			if !slept {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// faceMuClean is faceAsleep for µ with the extra demand that the value did
-// not drift — a token round asserts the pack bytes are unchanged, and bulk
-// µ moves with the frozen temperature gradient even while sleeping.
-func (a *activity) faceMuClean(face grid.Face) bool {
-	switch face {
-	case grid.ZMin:
-		return a.muSleep[0] && !a.drift[0]
-	case grid.ZMax:
-		n := len(a.muSleep) - 1
-		return a.muSleep[n] && !a.drift[n]
-	default:
-		for z, slept := range a.muSleep {
-			if !slept || a.drift[z] {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// updateClean advances the per-face clean-step counters at the end of a
-// step.
-func (a *activity) updateClean() {
-	if !a.valid {
-		for f := range a.cleanPhi {
-			a.cleanPhi[f] = 0
-			a.cleanMu[f] = 0
-		}
-		return
-	}
-	for f := grid.Face(0); f < grid.NumFaces; f++ {
-		if faceAsleep(a.phiSleep, f) {
-			a.cleanPhi[f]++
-		} else {
-			a.cleanPhi[f] = 0
-		}
-		if a.faceMuClean(f) {
-			a.cleanMu[f]++
-		} else {
-			a.cleanMu[f] = 0
-		}
-	}
-}
-
-// quietKind names the exchange sites of the timestep protocol; each has its
-// own skip precondition derived from the ghost provenance of the
-// double-buffered fields.
-type quietKind int
-
-const (
-	// quietPhiDst is the post-φ-sweep φdst exchange (both overlap modes).
-	quietPhiDst quietKind = iota
-	// quietMuDst is the post-µ-sweep µdst exchange (OverlapNone).
-	quietMuDst
-	// quietMuSrc is the deferred µsrc exchange at the start of the next
-	// step (OverlapMu); it relies on counters alone because the
-	// current step's sleep set is not derived yet.
-	quietMuSrc
-)
-
-// markQuiet flags faces whose next halo round for tag may be skipped. The
-// mask is one-shot: comm consumes it in the immediately following exchange
-// of this rank and tag.
-func (s *Sim) markQuiet(r *rank, tag comm.Tag, kind quietKind) {
-	a := &r.act
-	if s.Cfg.DisableActiveSweep || !a.valid {
-		return
-	}
-	var mask [grid.NumFaces]bool
-	any := false
-	for f := grid.Face(0); f < grid.NumFaces; f++ {
-		q := false
-		switch kind {
-		case quietPhiDst:
-			q = faceAsleep(a.phiSleep, f) && a.cleanPhi[f] >= quietRounds
-		case quietMuDst:
-			q = a.faceMuClean(f) && a.cleanMu[f] >= quietRounds
-		case quietMuSrc:
-			q = a.cleanMu[f] >= quietRounds+1
-		}
-		if q {
-			mask[f] = true
-			any = true
-		}
-	}
-	if any {
-		s.World.SetQuietFaces(r.id, tag, mask)
 	}
 }
 

@@ -41,6 +41,7 @@ type ScheduleError struct {
 	Reason string `json:"reason"`
 }
 
+// Error implements the error interface.
 func (e *ScheduleError) Error() string {
 	return fmt.Sprintf("solver: schedule unrealizable at step %d (face %s): %s", e.Step, e.Face, e.Reason)
 }

@@ -46,10 +46,11 @@ type ScheduleHooks struct {
 	StepDone func(step int) (stop bool)
 }
 
-// SchedulePos returns how many one-shot schedule events have fired;
+// SchedulePos returns how many one-shot schedule events have fired.
+func (s *Sim) SchedulePos() int { return s.schedPos }
+
 // SetSchedulePos installs the position recorded in a checkpoint so a
 // restarted run never re-fires a burst.
-func (s *Sim) SchedulePos() int       { return s.schedPos }
 func (s *Sim) SetSchedulePos(pos int) { s.schedPos = pos }
 
 // RunSchedule advances the simulation n timesteps under the given

@@ -281,9 +281,13 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Step returns the current step count; Time the simulated time.
-func (s *Sim) StepCount() int   { return s.step }
-func (s *Sim) Time() float64    { return s.time }
+// StepCount returns the current step count.
+func (s *Sim) StepCount() int { return s.step }
+
+// Time returns the simulated time.
+func (s *Sim) Time() float64 { return s.time }
+
+// WindowShift returns how many slices the moving window has scrolled.
 func (s *Sim) WindowShift() int { return s.windowShift }
 
 // GlobalCells returns the total interior cell count.
@@ -455,7 +459,6 @@ func (s *Sim) timestep(r *rank) {
 
 	var pMu *comm.Pending
 	if overlap {
-		s.markQuiet(r, comm.TagMu, quietMuSrc)
 		pMu = s.World.StartExchange(r.id, f.MuSrc, comm.TagMu, r.muBCs)
 	}
 	t0 := time.Now()
@@ -464,17 +467,14 @@ func (s *Sim) timestep(r *rank) {
 	if overlap {
 		pMu.Finish()
 	}
-	s.markQuiet(r, comm.TagPhi, quietPhiDst)
 	s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
 	t0 = time.Now()
 	s.runSweep(r, opMu)
 	r.muKernelTime += time.Since(t0)
 	if !overlap {
-		s.markQuiet(r, comm.TagMu, quietMuDst)
 		s.World.ExchangeGhosts(r.id, f.MuDst, comm.TagMu, r.muBCs)
 	}
 
-	r.act.updateClean()
 	f.Swap()
 }
 

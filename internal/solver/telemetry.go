@@ -46,7 +46,6 @@ func (s *Sim) captureStep(start time.Time) {
 		Sched:          s.pendSched,
 		ActiveFraction: s.ActiveFraction(),
 		HaloBytes:      int64(cs.Bytes - s.prevComm.Bytes),
-		HaloSkipped:    int64(cs.Skipped - s.prevComm.Skipped),
 	}
 	s.prevPhi, s.prevMu, s.prevComm = phi, mu, cs
 	s.pendSched = 0

@@ -263,8 +263,10 @@ func (s *Simulation) RunMeasured(n int) solver.Metrics { return s.sim.RunMeasure
 // simulation, e.g. via RunSchedule) and returns metrics for the steps taken.
 func (s *Simulation) ResetAndMeasure(fn func()) solver.Metrics { return s.sim.Measure(fn) }
 
-// Step returns the completed step count; Time the simulated time.
-func (s *Simulation) Step() int     { return s.sim.StepCount() }
+// Step returns the completed step count.
+func (s *Simulation) Step() int { return s.sim.StepCount() }
+
+// Time returns the simulated time.
 func (s *Simulation) Time() float64 { return s.sim.Time() }
 
 // Fault returns the first kernel panic captured by this simulation's
@@ -316,12 +318,13 @@ type HaloFlow struct {
 	// receiving rank, possibly on another process.
 	Rank int
 	Peer int
-	// Tag names the stream ("phi", "mu" or "aux").
+	// Tag names the stream ("phi" or "mu").
 	Tag string
-	// Frames, Bytes and Sleeps count messages sent, payload bytes moved
-	// and zero-length sleep tokens among the frames.
+	// Frames and Bytes count messages sent and payload bytes moved.
 	Frames int64
 	Bytes  int64
+	// Sleeps is always 0: every halo round carries its payload. It is
+	// kept until the repo benchmark drops its comm.sleep_tokens probe.
 	Sleeps int64
 }
 
@@ -334,7 +337,7 @@ func (s *Simulation) HaloFlows() []HaloFlow {
 	out := make([]HaloFlow, len(flows))
 	for i, f := range flows {
 		out[i] = HaloFlow{Rank: f.Rank, Peer: f.Peer, Tag: f.Tag.String(),
-			Frames: f.Frames, Bytes: f.Bytes, Sleeps: f.Sleeps}
+			Frames: f.Frames, Bytes: f.Bytes}
 	}
 	return out
 }
