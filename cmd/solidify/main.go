@@ -214,9 +214,6 @@ func main() {
 				tot.Sched.Round(time.Millisecond), tot.Ckpt.Round(time.Millisecond),
 				tot.MLUPs(sim.GlobalCells()), tot.HaloBytes)
 		}
-		if reconnects, replayed, ok := sim.NetStats(); ok {
-			fmt.Printf("transport: %d reconnect(s), %d frame(s) replayed\n", reconnects, replayed)
-		}
 	}
 	if *ckptPath != "" {
 		if err := sim.Checkpoint(*ckptPath); err != nil {

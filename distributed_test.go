@@ -48,7 +48,6 @@ func startDistSims(t *testing.T, nprocs int, mk func(proc int, d *DistConfig) (*
 				Proc: p, Peers: peers, Listener: listeners[p],
 				DialTimeout: 10 * time.Second,
 				IOTimeout:   10 * time.Second,
-				RetryWindow: 5 * time.Second,
 			})
 		}(p)
 	}

@@ -93,26 +93,3 @@ func (w *World) ExchangeLatency(tag Tag) obs.HistogramSnapshot {
 	}
 	return s
 }
-
-// NetCounters is the optional transport interface exposing network-fault
-// accounting. The TCP transport implements it; the in-process fabric does
-// not (it cannot lose a connection).
-type NetCounters interface {
-	// Reconnects returns how many broken per-(peer, tag) streams have been
-	// re-established.
-	Reconnects() int64
-	// ReplayedFrames returns how many frames were retransmitted from the
-	// replay ring during reconnect handshakes.
-	ReplayedFrames() int64
-}
-
-// NetStats reports the transport's reconnect and frame-replay counters.
-// ok is false when the transport keeps no such accounting (the in-process
-// fabric).
-func (w *World) NetStats() (reconnects, replayed int64, ok bool) {
-	nc, isNet := w.tr.(NetCounters)
-	if !isNet {
-		return 0, 0, false
-	}
-	return nc.Reconnects(), nc.ReplayedFrames(), true
-}

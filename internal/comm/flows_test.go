@@ -43,11 +43,6 @@ func TestPeerFlowsAndLatency(t *testing.T) {
 		t.Errorf("mu latency count = %d, want 0", s.Count)
 	}
 
-	// The in-process fabric keeps no network-fault accounting.
-	if _, _, ok := w.NetStats(); ok {
-		t.Error("in-process transport claims NetCounters")
-	}
-
 	w.ResetStats()
 	if flows := w.PeerFlows(); len(flows) != 0 {
 		t.Errorf("flows survived ResetStats: %+v", flows)

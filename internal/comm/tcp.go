@@ -12,8 +12,12 @@ import (
 )
 
 // TransportError is the fatal fault the TCP transport panics with on its
-// hot paths (which return no errors): a peer that stayed unreachable past
-// the retry window, a control-stream failure, or a protocol violation.
+// hot paths (which return no errors): a lost data or control stream, or a
+// protocol violation. Once the mesh is up any data-stream failure is
+// final: the transport records the first one, and from then on every
+// remote Send and every Recv that finds no frame waiting — including a
+// Recv already blocked — panics with that record. A lost link fails the
+// run, which resumes from its last checkpoint, as an MPI job would.
 // Callers that want to survive a lost peer recover it at a job boundary
 // (the job daemon's panic isolation already does).
 type TransportError struct {
@@ -61,49 +65,38 @@ type TCPConfig struct {
 	// frame may wait indefinitely — an idle peer is computing, not dead.
 	// Default 30s.
 	IOTimeout time.Duration
-	// RetryWindow bounds reconnect-and-retry after a connection drops;
-	// past it the stream is declared dead and hot-path calls panic with a
-	// *TransportError. Default 30s.
+	// RetryWindow is ignored. A dropped stream is never redialed: it fails
+	// the transport at once (see TransportError).
 	RetryWindow time.Duration
 }
 
-// ringSize is how many sent frames each stream retains for replay after a
-// reconnect. A gap wider than the ring (the peer lost more frames than we
-// kept) is unrecoverable and kills the stream. The halo protocol keeps at
-// most a handful of frames in flight per stream, so 64 is generous.
-const ringSize = 64
-
 // helloFloats is the handshake payload length: px, py, pz, bx, by, bz,
-// periodic bits, process count, ckpt version, next expected recv seq.
+// periodic bits, process count, ckpt version, and one reserved zero.
 const helloFloats = 10
 
 // tcpStream is one direction-agnostic data connection to a peer process
 // for one tag: both directions of that (proc pair, tag) stream share the
-// conn. The dialer side (higher proc index) re-establishes dropped
-// connections; the acceptor side waits for the dialer's reconnect.
+// conn. The conn is installed once, during NewTCPTransport, and any
+// failure on it is final.
 type tcpStream struct {
 	t      *tcpTransport
 	peer   int
 	tag    Tag
 	dialer bool
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	conn      net.Conn
-	br        *bufio.Reader
-	sendSeq   uint64           // next outgoing sequence number
-	ring      [ringSize][]byte // encoded sent frames, slot seq%ringSize
-	recvSeq   uint64           // next expected incoming sequence number
-	downSince time.Time        // when the conn dropped (zero while up)
-	dead      error            // non-nil: unrecoverable, hot paths panic
-	closed    bool
-	scratch   []byte // payload byte scratch (reader goroutine only)
+	mu      sync.Mutex // serializes writes; guards conn installation
+	conn    net.Conn
+	br      *bufio.Reader
+	sendSeq uint64 // next outgoing sequence number
+	enc     []byte // encoded outgoing frame, reused
+	recvSeq uint64 // next expected incoming sequence number (reader goroutine only)
+	scratch []byte // payload byte scratch (reader goroutine only)
 }
 
 // ctrlConn is the control stream to one peer: collectives and barriers.
 // Root holds one per peer; every other process holds one to the root.
 // Control reads/writes happen synchronously inside the collective calls —
-// no reader goroutine, no reconnect (a control failure is fatal).
+// no reader goroutine; a control failure is fatal.
 type ctrlConn struct {
 	mu      sync.Mutex
 	c       net.Conn
@@ -133,21 +126,13 @@ type tcpTransport struct {
 	acceptWG  sync.WaitGroup
 	readersWG sync.WaitGroup
 
-	// reconnects counts re-established data streams (a stream whose
-	// downSince was set and later cleared); replayed counts frames resent
-	// from the replay ring during those handshakes. Exposed through the
-	// NetCounters interface.
-	reconnects atomic.Int64
-	replayed   atomic.Int64
+	// fault is the transport's failure record: the first data-stream
+	// failure that Close did not cause, set once by fail. down is closed
+	// when it is set, which wakes every blocked Recv.
+	failOnce sync.Once
+	fault    *TransportError
+	down     chan struct{}
 }
-
-// Reconnects returns how many broken per-(peer, tag) streams have been
-// re-established since the transport came up.
-func (t *tcpTransport) Reconnects() int64 { return t.reconnects.Load() }
-
-// ReplayedFrames returns how many frames were retransmitted from replay
-// rings during reconnect handshakes.
-func (t *tcpTransport) ReplayedFrames() int64 { return t.replayed.Load() }
 
 // NewTCPTransport connects this process into the rank grid: it dials every
 // lower-index peer (per tag, plus the root control stream), accepts
@@ -177,9 +162,6 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = 30 * time.Second
 	}
-	if cfg.RetryWindow <= 0 {
-		cfg.RetryWindow = 30 * time.Second
-	}
 
 	t := &tcpTransport{
 		lt:     newLocalTransport(n),
@@ -190,6 +172,7 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 		maxFloats: cfg.BG.BX*cfg.BG.BY*cfg.BG.BZ*64 + 4096,
 		streams:   make([][]*tcpStream, nprocs),
 		ctrl:      make([]*ctrlConn, nprocs),
+		down:      make(chan struct{}),
 	}
 	for p := 0; p < nprocs; p++ {
 		if p == cfg.Proc {
@@ -197,9 +180,7 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 		}
 		t.streams[p] = make([]*tcpStream, int(numTags))
 		for tg := 0; tg < int(numTags); tg++ {
-			s := &tcpStream{t: t, peer: p, tag: Tag(tg), dialer: cfg.Proc > p}
-			s.cond = sync.NewCond(&s.mu)
-			t.streams[p][tg] = s
+			t.streams[p][tg] = &tcpStream{t: t, peer: p, tag: Tag(tg), dialer: cfg.Proc > p}
 		}
 	}
 
@@ -212,18 +193,26 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 	// come up.
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for p := 0; p < cfg.Proc; p++ {
-		for tg := 0; tg < int(numTags); tg++ {
-			if err := t.dialUntil(t.streams[p][tg], deadline); err != nil {
+		for _, s := range t.streams[p] {
+			c, br, err := t.dialUntil(p, byte(s.tag), deadline)
+			if err != nil {
 				t.Close()
 				return nil, err
 			}
+			s.mu.Lock()
+			s.conn, s.br = c, br
+			s.mu.Unlock()
 		}
 	}
 	if cfg.Proc != 0 {
-		if err := t.dialCtrlUntil(deadline); err != nil {
+		c, br, err := t.dialUntil(0, ctrlTag, deadline)
+		if err != nil {
 			t.Close()
 			return nil, err
 		}
+		t.ctrlMu.Lock()
+		t.ctrl[0] = &ctrlConn{c: c, br: br}
+		t.ctrlMu.Unlock()
 	}
 	if err := t.waitReady(deadline); err != nil {
 		t.Close()
@@ -253,8 +242,23 @@ func (t *tcpTransport) TakeBuf(from int, sendFace grid.Face, tag Tag, n int) []f
 	return t.lt.TakeBuf(from, sendFace, tag, n)
 }
 
+// Recv takes the next frame from the mailbox. A frame that arrived before
+// the transport failed is still delivered; otherwise the failure wakes the
+// receiver with a panic instead of leaving it blocked on a peer that is
+// gone.
 func (t *tcpTransport) Recv(to int, face grid.Face, tag Tag) []float64 {
-	return t.lt.Recv(to, face, tag)
+	box := t.lt.box(to, face, tag)
+	select {
+	case buf := <-box:
+		return buf
+	case <-t.down:
+	}
+	select {
+	case buf := <-box:
+		return buf
+	default:
+		panic(t.fault)
+	}
 }
 
 func (t *tcpTransport) Release(from, to int, face grid.Face, tag Tag, buf []float64) {
@@ -263,10 +267,21 @@ func (t *tcpTransport) Release(from, to int, face grid.Face, tag Tag, buf []floa
 
 func (t *tcpTransport) Allocs() int64 { return t.lt.Allocs() }
 
+// fail records the transport's fault, once, and wakes every blocked Recv.
+// It returns the recorded fault, which names the first failure — not
+// necessarily this one.
+func (t *tcpTransport) fail(peer int, op string, err error) *TransportError {
+	t.failOnce.Do(func() {
+		t.fault = &TransportError{Peer: peer, Op: op, Err: err}
+		close(t.down)
+	})
+	return t.fault
+}
+
 // Send delivers locally over the channel fabric, or encodes the frame onto
 // the stream to the receiver's owner. A remotely sent pack buffer goes
-// straight back into the local pool — its bytes now live in the stream's
-// replay ring — so the sender side allocates nothing in steady state.
+// straight back into the local pool — its bytes are already on the wire —
+// so the sender side allocates nothing in steady state.
 func (t *tcpTransport) Send(from, to int, face grid.Face, tag Tag, buf []float64) {
 	owner := t.Owner(to)
 	if owner == t.cfg.Proc {
@@ -281,126 +296,53 @@ func (t *tcpTransport) Send(from, to int, face grid.Face, tag Tag, buf []float64
 	t.lt.Release(from, to, face, tag, buf)
 }
 
-// send encodes f into the stream's replay ring and writes it, waiting out
-// a reconnect (or performing none of its own: the reader goroutine owns
-// redialing) and retrying after transient write failures.
+// send encodes f and writes it within IOTimeout. It panics with the
+// transport's fault once one is recorded, and any write error records
+// one. After Close, sends are dropped.
 func (s *tcpStream) send(f *wireFrame) {
+	t := s.t
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if t.closed.Load() {
+		return
+	}
+	select {
+	case <-t.down:
+		panic(t.fault)
+	default:
+	}
 	f.Seq = s.sendSeq
-	slot := &s.ring[s.sendSeq%ringSize]
-	*slot = appendFrame((*slot)[:0], f)
 	s.sendSeq++
-	for {
-		if s.closed {
-			return
-		}
-		if s.dead != nil {
-			panic(&TransportError{Peer: s.peer, Op: "send", Err: s.dead})
-		}
-		if s.conn == nil {
-			s.waitUpLocked()
-			continue
-		}
-		c := s.conn
-		_ = c.SetWriteDeadline(time.Now().Add(s.t.cfg.IOTimeout))
-		if _, err := c.Write(*slot); err == nil {
-			return
-		} else {
-			s.dropLocked(c, err)
-		}
-	}
-}
-
-// dropLocked records that c failed: if it is still the live conn the
-// stream goes down (starting the retry window); either way c is closed,
-// which wakes any goroutine blocked on it.
-func (s *tcpStream) dropLocked(c net.Conn, err error) {
-	if s.conn == c {
-		s.conn, s.br = nil, nil
-		if s.downSince.IsZero() {
-			s.downSince = time.Now()
-		}
-	}
-	_ = c.Close()
-	_ = err
-	s.cond.Broadcast()
-}
-
-// waitUpLocked blocks until the stream has a live conn again, is closed,
-// or the retry window expires (marking the stream dead).
-func (s *tcpStream) waitUpLocked() {
-	for s.conn == nil && s.dead == nil && !s.closed {
-		remaining := s.t.cfg.RetryWindow - time.Since(s.downSince)
-		if remaining <= 0 {
-			s.dead = fmt.Errorf("peer unreachable for %v", s.t.cfg.RetryWindow)
-			s.cond.Broadcast()
-			return
-		}
-		tm := time.AfterFunc(remaining, s.cond.Broadcast)
-		s.cond.Wait()
-		tm.Stop()
+	s.enc = appendFrame(s.enc[:0], f)
+	_ = s.conn.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
+	if _, err := s.conn.Write(s.enc); err != nil && !t.closed.Load() {
+		panic(t.fail(s.peer, "send", err))
 	}
 }
 
 // readLoop is the per-stream demultiplexer: it decodes inbound data frames
-// and feeds them into the channel fabric's mailboxes, reconnecting (dialer
-// side) or awaiting the peer's reconnect (acceptor side) after failures.
+// and feeds them into the channel fabric's mailboxes until the stream
+// fails. A failure that Close did not cause fails the transport; closing
+// the conn tells the peer.
 func (t *tcpTransport) readLoop(s *tcpStream) {
 	defer t.readersWG.Done()
 	var f wireFrame
 	for {
-		c, br := s.ensureConn()
-		if c == nil {
-			return // closed or dead
+		if err := t.readOne(s, s.conn, s.br, &f); err != nil {
+			_ = s.conn.Close()
+			if !t.closed.Load() {
+				t.fail(s.peer, "recv", err)
+			}
+			return
 		}
-		if err := t.readOne(s, c, br, &f); err != nil {
-			s.mu.Lock()
-			s.dropLocked(c, err)
-			s.mu.Unlock()
-		}
-	}
-}
-
-// ensureConn returns the live conn, redialing on the dialer side and
-// waiting for the accept loop on the acceptor side. Returns nil when the
-// stream is closed or dead.
-func (s *tcpStream) ensureConn() (net.Conn, *bufio.Reader) {
-	s.mu.Lock()
-	for {
-		if s.closed || s.dead != nil {
-			s.mu.Unlock()
-			return nil, nil
-		}
-		if s.conn != nil {
-			c, br := s.conn, s.br
-			s.mu.Unlock()
-			return c, br
-		}
-		if !s.dialer {
-			s.waitUpLocked()
-			continue
-		}
-		if time.Since(s.downSince) > s.t.cfg.RetryWindow {
-			s.dead = fmt.Errorf("peer unreachable for %v", s.t.cfg.RetryWindow)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return nil, nil
-		}
-		s.mu.Unlock()
-		if err := s.t.dialStream(s); err != nil {
-			time.Sleep(50 * time.Millisecond)
-		}
-		s.mu.Lock()
 	}
 }
 
 // readOne reads and dispatches one frame. The first byte may wait
 // indefinitely (an idle peer is computing); once it arrives the rest of
-// the frame must land within IOTimeout. Replayed duplicates (seq below the
-// next expected) are discarded; a gap means the peer could not replay far
-// enough back and is unrecoverable. Every halo round carries at least one
-// cell, so a zero-length data frame is a protocol violation.
+// the frame must land within IOTimeout. Sequence numbers are dense: a gap
+// or a repeat is a protocol violation. Every halo round carries at least
+// one cell, so a zero-length data frame is a protocol violation too.
 func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wireFrame) error {
 	_ = c.SetReadDeadline(time.Time{})
 	if _, err := br.Peek(1); err != nil {
@@ -417,15 +359,8 @@ func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wi
 	if n == 0 {
 		return fmt.Errorf("empty data frame on stream %v", s.tag)
 	}
-	s.mu.Lock()
-	expect := s.recvSeq
-	s.mu.Unlock()
-	if f.Seq < expect {
-		_, err := br.Discard(n * 8)
-		return err
-	}
-	if f.Seq > expect {
-		return fmt.Errorf("sequence gap: got %d want %d", f.Seq, expect)
+	if f.Seq != s.recvSeq {
+		return fmt.Errorf("sequence %d on stream %v, want %d", f.Seq, s.tag, s.recvSeq)
 	}
 	to := int(f.To)
 	face := grid.Face(f.Face)
@@ -439,19 +374,16 @@ func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wi
 	if err := readFramePayload(br, buf, &s.scratch); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.recvSeq = f.Seq + 1
-	s.mu.Unlock()
+	s.recvSeq++
 	_ = c.SetReadDeadline(time.Time{})
 	t.lt.Send(int(f.From), to, face, tag, buf)
 	return nil
 }
 
 // helloPayload builds the handshake payload: the grid topology and
-// checkpoint version (both must match the peer's exactly) plus the next
-// sequence number we expect to receive, which tells a reconnecting peer
-// where to start replaying.
-func (t *tcpTransport) helloPayload(nextRecv uint64) []float64 {
+// checkpoint version, both of which must match the peer's exactly, and a
+// reserved zero.
+func (t *tcpTransport) helloPayload() []float64 {
 	bg := t.cfg.BG
 	var per float64
 	for a := 0; a < 3; a++ {
@@ -463,16 +395,17 @@ func (t *tcpTransport) helloPayload(nextRecv uint64) []float64 {
 		float64(bg.PX), float64(bg.PY), float64(bg.PZ),
 		float64(bg.BX), float64(bg.BY), float64(bg.BZ),
 		per, float64(t.nprocs), float64(t.cfg.CkptVersion),
-		float64(nextRecv),
+		0,
 	}
 }
 
-// checkHello validates a peer's handshake payload against ours.
+// checkHello validates a peer's handshake payload against ours; the
+// reserved last slot is not compared.
 func (t *tcpTransport) checkHello(p []float64) error {
 	if len(p) != helloFloats {
 		return fmt.Errorf("hello payload %d floats, want %d", len(p), helloFloats)
 	}
-	want := t.helloPayload(0)
+	want := t.helloPayload()
 	for i := 0; i < helloFloats-1; i++ {
 		if p[i] != want[i] {
 			return fmt.Errorf("topology mismatch: hello field %d is %v, want %v", i, p[i], want[i])
@@ -481,107 +414,59 @@ func (t *tcpTransport) checkHello(p []float64) error {
 	return nil
 }
 
-// dialUntil dials a stream's peer, retrying refused connections until the
-// deadline (peers start at different times).
-func (t *tcpTransport) dialUntil(s *tcpStream, deadline time.Time) error {
+// dialUntil dials the stream with tag (a data tag or ctrlTag) to peer,
+// retrying refused connections and handshakes until the deadline (peers
+// start at different times).
+func (t *tcpTransport) dialUntil(peer int, tag byte, deadline time.Time) (net.Conn, *bufio.Reader, error) {
 	for {
-		err := t.dialStream(s)
+		c, br, err := t.dial(peer, tag)
 		if err == nil {
-			return nil
+			return c, br, nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("comm: tcp: connecting to proc %d (%s): %w", s.peer, t.cfg.Peers[s.peer], err)
+			return nil, nil, fmt.Errorf("comm: tcp: connecting to proc %d (%s): %w", peer, t.cfg.Peers[peer], err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-// dialStream establishes (or re-establishes) a dialer-side stream: dial,
-// hello/helloAck exchange, replay of frames the peer missed, install.
-func (t *tcpTransport) dialStream(s *tcpStream) error {
-	c, err := net.DialTimeout("tcp", t.cfg.Peers[s.peer], t.cfg.IOTimeout)
+// dial connects to peer and runs the dialer side of the handshake: send
+// hello, await the one-float helloAck. The acceptor closes the conn
+// instead of acking a mismatched or duplicate hello.
+func (t *tcpTransport) dial(peer int, tag byte) (net.Conn, *bufio.Reader, error) {
+	c, err := net.DialTimeout("tcp", t.cfg.Peers[peer], t.cfg.IOTimeout)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	br := bufio.NewReaderSize(c, 64<<10)
-	s.mu.Lock()
-	myNext := s.recvSeq
-	s.mu.Unlock()
 	hello := &wireFrame{
-		Kind: kindHello, Tag: byte(s.tag),
-		From: int32(t.cfg.Proc), To: int32(s.peer),
-		Payload: t.helloPayload(myNext),
+		Kind: kindHello, Tag: tag,
+		From: int32(t.cfg.Proc), To: int32(peer),
+		Payload: t.helloPayload(),
 	}
 	_ = c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
 	if _, err := c.Write(appendFrame(nil, hello)); err != nil {
 		_ = c.Close()
-		return err
+		return nil, nil, err
 	}
 	_ = c.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
 	var ack wireFrame
 	n, err := readFrameHeader(br, t.maxFloats, &ack)
+	if err == nil && (ack.Kind != kindHelloAck || n != 1) {
+		err = fmt.Errorf("bad handshake reply (kind %d, %d floats)", ack.Kind, n)
+	}
+	if err == nil {
+		_, err = br.Discard(8)
+	}
 	if err != nil {
 		_ = c.Close()
-		return err
-	}
-	if ack.Kind != kindHelloAck || n != 1 {
-		_ = c.Close()
-		return fmt.Errorf("bad handshake reply (kind %d)", ack.Kind)
-	}
-	var scratch []byte
-	pay := make([]float64, 1)
-	if err := readFramePayload(br, pay, &scratch); err != nil {
-		_ = c.Close()
-		return err
+		return nil, nil, err
 	}
 	_ = c.SetReadDeadline(time.Time{})
-	peerNext := uint64(pay[0])
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.dead != nil {
-		_ = c.Close()
-		return nil
-	}
-	if err := s.replayLocked(c, peerNext); err != nil {
-		_ = c.Close()
-		return err
-	}
-	if s.conn != nil {
-		_ = s.conn.Close()
-	}
-	s.conn, s.br = c, br
-	if !s.downSince.IsZero() {
-		s.t.reconnects.Add(1)
-	}
-	s.downSince = time.Time{}
-	s.cond.Broadcast()
-	return nil
+	return c, br, nil
 }
 
-// replayLocked resends the ring frames the peer has not received. A gap
-// wider than the ring is unrecoverable: the stream is marked dead.
-func (s *tcpStream) replayLocked(c net.Conn, peerNext uint64) error {
-	if peerNext > s.sendSeq {
-		return fmt.Errorf("peer expects seq %d beyond our %d", peerNext, s.sendSeq)
-	}
-	if s.sendSeq-peerNext > ringSize {
-		s.dead = fmt.Errorf("peer lost %d frames, replay ring holds %d", s.sendSeq-peerNext, ringSize)
-		s.cond.Broadcast()
-		return s.dead
-	}
-	for q := peerNext; q < s.sendSeq; q++ {
-		_ = c.SetWriteDeadline(time.Now().Add(s.t.cfg.IOTimeout))
-		if _, err := c.Write(s.ring[q%ringSize]); err != nil {
-			return err
-		}
-		s.t.replayed.Add(1)
-	}
-	return nil
-}
-
-// acceptLoop accepts inbound connections for the transport's lifetime:
-// initial stream establishment and dialer-side reconnects both land here.
+// acceptLoop accepts inbound connections for the transport's lifetime.
 func (t *tcpTransport) acceptLoop() {
 	defer t.acceptWG.Done()
 	for {
@@ -621,18 +506,15 @@ func (t *tcpTransport) handleConn(c net.Conn) {
 		_ = c.Close()
 		return
 	}
-	peerNext := uint64(payload[helloFloats-1])
 
 	if f.Tag == ctrlTag {
-		ack := &wireFrame{Kind: kindHelloAck, Tag: ctrlTag, From: int32(t.cfg.Proc), To: f.From, Payload: []float64{0}}
-		_ = c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
-		if _, err := c.Write(appendFrame(nil, ack)); err != nil {
+		t.ctrlMu.Lock()
+		defer t.ctrlMu.Unlock()
+		if t.ctrl[peer] != nil || t.closed.Load() || t.ack(c, ctrlTag, peer) != nil {
 			_ = c.Close()
 			return
 		}
-		t.ctrlMu.Lock()
 		t.ctrl[peer] = &ctrlConn{c: c, br: br}
-		t.ctrlMu.Unlock()
 		return
 	}
 	if int(f.Tag) >= int(numTags) {
@@ -644,93 +526,27 @@ func (t *tcpTransport) handleConn(c net.Conn) {
 		_ = c.Close()
 		return
 	}
-	s.acceptConn(c, br, peerNext)
-}
-
-// acceptConn completes the acceptor side of a handshake: ack with our next
-// expected seq, replay what the peer missed, install the conn.
-func (s *tcpStream) acceptConn(c net.Conn, br *bufio.Reader, peerNext uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.dead != nil {
+	if s.conn != nil || t.closed.Load() || t.ack(c, f.Tag, peer) != nil {
 		_ = c.Close()
 		return
-	}
-	ack := &wireFrame{
-		Kind: kindHelloAck, Tag: byte(s.tag),
-		From: int32(s.t.cfg.Proc), To: int32(s.peer),
-		Payload: []float64{float64(s.recvSeq)},
-	}
-	_ = c.SetWriteDeadline(time.Now().Add(s.t.cfg.IOTimeout))
-	if _, err := c.Write(appendFrame(nil, ack)); err != nil {
-		_ = c.Close()
-		return
-	}
-	if err := s.replayLocked(c, peerNext); err != nil {
-		_ = c.Close()
-		return
-	}
-	if s.conn != nil {
-		_ = s.conn.Close() // wakes the reader off the stale conn
 	}
 	s.conn, s.br = c, br
-	if !s.downSince.IsZero() {
-		s.t.reconnects.Add(1)
-	}
-	s.downSince = time.Time{}
-	s.cond.Broadcast()
 }
 
-// dialCtrlUntil establishes the control stream to the root.
-func (t *tcpTransport) dialCtrlUntil(deadline time.Time) error {
-	for {
-		err := t.dialCtrl()
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("comm: tcp: control stream to proc 0 (%s): %w", t.cfg.Peers[0], err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func (t *tcpTransport) dialCtrl() error {
-	c, err := net.DialTimeout("tcp", t.cfg.Peers[0], t.cfg.IOTimeout)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	hello := &wireFrame{
-		Kind: kindHello, Tag: ctrlTag,
-		From: int32(t.cfg.Proc), To: 0,
-		Payload: t.helloPayload(0),
+// ack writes the acceptor's handshake reply: a helloAck whose one float
+// is reserved zero. A stream is installed at most once, so the caller
+// acks only a hello for a stream that has no conn yet.
+func (t *tcpTransport) ack(c net.Conn, tag byte, peer int) error {
+	f := &wireFrame{
+		Kind: kindHelloAck, Tag: tag,
+		From: int32(t.cfg.Proc), To: int32(peer),
+		Payload: []float64{0},
 	}
 	_ = c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
-	if _, err := c.Write(appendFrame(nil, hello)); err != nil {
-		_ = c.Close()
-		return err
-	}
-	_ = c.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
-	var ack wireFrame
-	n, err := readFrameHeader(br, t.maxFloats, &ack)
-	if err != nil {
-		_ = c.Close()
-		return err
-	}
-	if ack.Kind != kindHelloAck {
-		_ = c.Close()
-		return fmt.Errorf("bad control handshake reply (kind %d)", ack.Kind)
-	}
-	if _, err := br.Discard(n * 8); err != nil {
-		_ = c.Close()
-		return err
-	}
-	_ = c.SetReadDeadline(time.Time{})
-	t.ctrlMu.Lock()
-	t.ctrl[0] = &ctrlConn{c: c, br: br}
-	t.ctrlMu.Unlock()
-	return nil
+	_, err := c.Write(appendFrame(nil, f))
+	return err
 }
 
 // waitReady blocks until every acceptor-side stream and expected inbound
@@ -932,12 +748,9 @@ func (t *tcpTransport) Close() error {
 				continue
 			}
 			s.mu.Lock()
-			s.closed = true
 			if s.conn != nil {
 				_ = s.conn.Close()
-				s.conn, s.br = nil, nil
 			}
-			s.cond.Broadcast()
 			s.mu.Unlock()
 		}
 	}
@@ -955,14 +768,12 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// breakStream hard-closes the live connection of one data stream without
-// marking it down — a test hook simulating a network fault. The next read
-// or write on the stream fails and triggers reconnect-and-replay.
+// breakStream hard-closes one data stream's connection — a test hook
+// simulating a network fault. The readers on both ends then fail their
+// transports.
 func (t *tcpTransport) breakStream(peer int, tag Tag) {
 	s := t.streams[peer][int(tag)]
 	s.mu.Lock()
-	if s.conn != nil {
-		_ = s.conn.Close()
-	}
+	_ = s.conn.Close()
 	s.mu.Unlock()
 }

@@ -16,6 +16,12 @@ import (
 // idempotent backstop only.
 func startTCPWorlds(t *testing.T, bg *grid.BlockGrid, nprocs int) []*World {
 	t.Helper()
+	return startTCPWorldsIO(t, bg, nprocs, 10*time.Second)
+}
+
+// startTCPWorldsIO is startTCPWorlds with the transports' IOTimeout.
+func startTCPWorldsIO(t *testing.T, bg *grid.BlockGrid, nprocs int, ioTimeout time.Duration) []*World {
+	t.Helper()
 	listeners := make([]net.Listener, nprocs)
 	peers := make([]string, nprocs)
 	for p := range listeners {
@@ -36,8 +42,7 @@ func startTCPWorlds(t *testing.T, bg *grid.BlockGrid, nprocs int) []*World {
 			tr, err := NewTCPTransport(TCPConfig{
 				BG: bg, Proc: p, Peers: peers, Listener: listeners[p],
 				DialTimeout: 10 * time.Second,
-				IOTimeout:   10 * time.Second,
-				RetryWindow: 5 * time.Second,
+				IOTimeout:   ioTimeout,
 			})
 			if err != nil {
 				errs[p] = err
@@ -220,7 +225,6 @@ func TestReadOneRejectsEmptyDataFrame(t *testing.T) {
 		maxFloats: 1024,
 	}
 	s := &tcpStream{t: tr, peer: 1, tag: TagPhi}
-	s.cond = sync.NewCond(&s.mu)
 	read := func(fr *wireFrame) error {
 		local, remote := net.Pipe()
 		defer local.Close()
@@ -249,84 +253,157 @@ func TestReadOneRejectsEmptyDataFrame(t *testing.T) {
 	}
 }
 
-// TestTCPReconnectReplay hard-kills the φ data stream twice mid-run — once
-// from each side of the connection — and verifies the exchange rounds
-// complete with every ghost still bit-correct: the reconnect handshake's
-// sequence negotiation and ring replay must hide the fault entirely.
-func TestTCPReconnectReplay(t *testing.T) {
-	periodic := [3]bool{true, false, false}
-	bg, err := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, periodic)
+// faultIOTimeout is the IOTimeout of the fault tests' transports: the
+// bound within which an exchange on a lost link must give up.
+const faultIOTimeout = 2 * time.Second
+
+// exchangeOrPanic runs one blocking φ exchange of rank r and returns what
+// it panicked with, or nil when it completed.
+func exchangeOrPanic(w *World, r int, f *grid.Field, domain grid.BoundarySet) (v any) {
+	defer func() { v = recover() }()
+	w.ExchangeGhosts(r, f, TagPhi, w.BlockBCs(r, domain))
+	return nil
+}
+
+// checkFault fails the test unless v is a *TransportError naming peer.
+func checkFault(t *testing.T, proc int, v any, peer int) {
+	t.Helper()
+	te, ok := v.(*TransportError)
+	if !ok {
+		t.Fatalf("proc %d: exchange ended with %v, want a *TransportError", proc, v)
+	}
+	if te.Peer != peer {
+		t.Fatalf("proc %d: %v names proc %d, want %d", proc, te, te.Peer, peer)
+	}
+}
+
+// xPeriodicPair is the fault tests' decomposition: two 4³ blocks, one per
+// process, periodic in x, so each rank exchanges both x faces with the
+// other over the φ stream.
+func xPeriodicPair(t *testing.T) (*grid.BlockGrid, grid.BoundarySet) {
+	t.Helper()
+	bg, err := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, [3]bool{true, false, false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nx, ny, nz := bg.GlobalCells()
-	worlds := startTCPWorlds(t, bg, 2)
-
 	domain := grid.AllNeumann()
 	domain[grid.XMin] = grid.BC{Kind: grid.BCPeriodic}
 	domain[grid.XMax] = grid.BC{Kind: grid.BCPeriodic}
+	return bg, domain
+}
 
-	const rounds = 30
+// TestTCPBlockedRecvFailsOnPeerLoss lets proc 0 block in ExchangeGhosts,
+// waiting for proc 1's halo, and then closes proc 1's transport. The lost
+// link must wake proc 0's receive with a *TransportError naming proc 1
+// within IOTimeout instead of leaving it blocked.
+func TestTCPBlockedRecvFailsOnPeerLoss(t *testing.T) {
+	bg, domain := xPeriodicPair(t)
+	worlds := startTCPWorldsIO(t, bg, 2, faultIOTimeout)
 	fields := [2]*grid.Field{
 		grid.NewField(4, 4, 4, 1, 1, grid.SoA),
 		grid.NewField(4, 4, 4, 1, 1, grid.SoA),
 	}
-	for round := 0; round < rounds; round++ {
-		switch round {
-		case 10:
-			// Dialer-side fault: proc 1 owns the dialer end.
-			worlds[1].tr.(*tcpTransport).breakStream(0, TagPhi)
-		case 20:
-			// Acceptor-side fault: proc 0 owns the accepting end of the
-			// same stream.
-			worlds[0].tr.(*tcpTransport).breakStream(1, TagPhi)
-		}
-		off := float64(round * 1000000)
-		var wg sync.WaitGroup
-		for _, w := range worlds {
-			for _, r := range w.LocalRanks() {
-				ox, oy, oz := bg.Origin(r)
-				f := fields[r]
-				f.Interior(func(x, y, z int) {
-					f.Set(0, x, y, z, off+globalValue(0, ox+x, oy+y, oz+z, nx, ny, nz, periodic))
-				})
-				wg.Add(1)
-				go func(w *World, r int, f *grid.Field) {
-					defer wg.Done()
-					w.ExchangeGhosts(r, f, TagPhi, w.BlockBCs(r, domain))
-				}(w, r, f)
-			}
-		}
-		wg.Wait()
-		for r, f := range fields {
-			ox, oy, oz := bg.Origin(r)
-			for x := -1; x <= 4; x++ {
-				want := globalValue(0, ox+x, oy, oz, nx, ny, nz, periodic)
-				if want < 0 {
-					continue
-				}
-				if got := f.At(0, x, 0, 0); got != off+want {
-					t.Fatalf("round %d rank %d x=%d: got %v want %v", round, r, x, got, off+want)
-				}
-			}
+
+	// One good round on both processes.
+	var good [2]any
+	var wg sync.WaitGroup
+	for p, w := range worlds {
+		wg.Add(1)
+		go func(p int, w *World) {
+			defer wg.Done()
+			good[p] = exchangeOrPanic(w, p, fields[p], domain)
+		}(p, w)
+	}
+	wg.Wait()
+	for p, v := range good {
+		if v != nil {
+			t.Fatalf("proc %d: first round panicked: %v", p, v)
 		}
 	}
 
-	// Both faults force the dialer (proc 1) to redial, so its transport
-	// must have counted at least two reconnects; the acceptor side counts
-	// its own, timing-dependent. Replay counts depend on how many frames
-	// were in flight at the kill, so only non-negativity is guaranteed.
-	rec1, rep1, ok := worlds[1].NetStats()
-	if !ok {
-		t.Fatal("tcp transport does not expose NetCounters")
+	// Proc 0 alone: it sends and then blocks receiving.
+	done := make(chan any, 1)
+	go func() { done <- exchangeOrPanic(worlds[0], 0, fields[0], domain) }()
+	time.Sleep(100 * time.Millisecond)
+	timeout := time.After(faultIOTimeout)
+	worlds[1].Close()
+	select {
+	case v := <-done:
+		checkFault(t, 0, v, 1)
+	case <-timeout:
+		t.Fatalf("proc 0 still blocked %v after proc 1 closed", faultIOTimeout)
 	}
-	if rec1 < 2 {
-		t.Errorf("dialer reconnects = %d, want >= 2", rec1)
+}
+
+// TestTCPBrokenStreamFailsBothSides breaks the φ stream between two
+// rounds, once from the dialer's end (proc 1) and once from the
+// acceptor's (proc 0). Every round before the break must deliver exact
+// ghosts; the round after must fail on both processes within IOTimeout,
+// each with a *TransportError naming the other. No side may hang or
+// complete the round.
+func TestTCPBrokenStreamFailsBothSides(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		breaker int
+	}{{"dialer", 1}, {"acceptor", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			bg, domain := xPeriodicPair(t)
+			nx, ny, nz := bg.GlobalCells()
+			periodic := bg.Periodic
+			worlds := startTCPWorldsIO(t, bg, 2, faultIOTimeout)
+			fields := [2]*grid.Field{
+				grid.NewField(4, 4, 4, 1, 1, grid.SoA),
+				grid.NewField(4, 4, 4, 1, 1, grid.SoA),
+			}
+			const breakAt = 3
+			for round := 0; round <= breakAt; round++ {
+				if round == breakAt {
+					worlds[tc.breaker].tr.(*tcpTransport).breakStream(1-tc.breaker, TagPhi)
+				}
+				off := float64(round * 1000000)
+				var ended [2]any
+				var wg sync.WaitGroup
+				for p, w := range worlds {
+					ox, oy, oz := bg.Origin(p)
+					f := fields[p]
+					f.Interior(func(x, y, z int) {
+						f.Set(0, x, y, z, off+globalValue(0, ox+x, oy+y, oz+z, nx, ny, nz, periodic))
+					})
+					wg.Add(1)
+					go func(p int, w *World) {
+						defer wg.Done()
+						ended[p] = exchangeOrPanic(w, p, fields[p], domain)
+					}(p, w)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(faultIOTimeout):
+					t.Fatalf("round %d: exchange still blocked after %v", round, faultIOTimeout)
+				}
+
+				if round == breakAt {
+					for p, v := range ended {
+						checkFault(t, p, v, 1-p)
+					}
+					return
+				}
+				for p, f := range fields {
+					if ended[p] != nil {
+						t.Fatalf("round %d proc %d: %v", round, p, ended[p])
+					}
+					ox, oy, oz := bg.Origin(p)
+					for x := -1; x <= 4; x++ {
+						want := off + globalValue(0, ox+x, oy, oz, nx, ny, nz, periodic)
+						if got := f.At(0, x, 0, 0); got != want {
+							t.Fatalf("round %d rank %d x=%d: got %v want %v", round, p, x, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
-	if rep1 < 0 {
-		t.Errorf("negative replay count %d", rep1)
-	}
-	closeAll(worlds)
 }
 
 // TestTCPCollectives exercises Barrier, GlobalSum, GlobalMax, AllReduce

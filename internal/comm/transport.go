@@ -24,8 +24,9 @@ import (
 // Release after unpacking, so steady-state exchanges allocate nothing.
 //
 // Hot-path methods return no errors: the in-process fabric cannot fail, and
-// the TCP transport retries transient faults internally, panicking with a
-// *TransportError only when a peer stays unreachable past its retry window.
+// the TCP transport panics with a *TransportError once any of its data
+// streams fails — a Recv already blocked on the lost peer included. A lost
+// link fails the run, which resumes from its last checkpoint.
 type Transport interface {
 	// Proc returns this process' index; NumProcs the total process count.
 	Proc() int

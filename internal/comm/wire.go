@@ -41,8 +41,8 @@ const wireHeaderSize = 28
 // Frame kinds.
 const (
 	kindData     = 1 // halo payload on a data stream
-	kindHello    = 2 // connect handshake: topology + ckpt version + next recv seq
-	kindHelloAck = 3 // accept handshake reply: next recv seq
+	kindHello    = 2 // connect handshake: topology + ckpt version + reserved zero
+	kindHelloAck = 3 // accept handshake reply: one reserved zero
 	kindContrib  = 4 // collective contribution, peer → root
 	kindResult   = 5 // collective result, root → peer
 	kindGather   = 6 // per-rank gather payload, peer → root

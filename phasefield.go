@@ -121,11 +121,12 @@ type DistConfig struct {
 	// highest-index non-root process (higher procs dial lower ones). When
 	// nil and required, New listens on Peers[Proc].
 	Listener net.Listener
-	// DialTimeout, IOTimeout and RetryWindow bound connection
-	// establishment, per-frame I/O and reconnect attempts; zero values
-	// select the transport's 30s defaults.
+	// DialTimeout and IOTimeout bound connection establishment and
+	// per-frame I/O; zero values select the transport's 30s defaults.
 	DialTimeout time.Duration
 	IOTimeout   time.Duration
+	// RetryWindow is ignored: a lost link fails the run at once (see
+	// comm.TransportError), and the run resumes from a checkpoint.
 	RetryWindow time.Duration
 }
 
@@ -203,7 +204,6 @@ func New(cfg Config) (*Simulation, error) {
 			CkptVersion: uint8(ckpt.Version4),
 			DialTimeout: d.DialTimeout,
 			IOTimeout:   d.IOTimeout,
-			RetryWindow: d.RetryWindow,
 		})
 		if err != nil {
 			return nil, err
@@ -352,11 +352,11 @@ func (s *Simulation) ExchangeLatencies() map[string]obs.HistogramSnapshot {
 	}
 }
 
-// NetStats reports the TCP transport's reconnect and frame-replay
-// counters; ok is false on the in-process transport (single-process
-// runs), which keeps no such accounting.
+// NetStats always returns zeros and ok false. No transport reconnects or
+// replays frames: a lost TCP link fails the run, which resumes from its
+// last checkpoint. Kept so existing callers compile.
 func (s *Simulation) NetStats() (reconnects, replayed int64, ok bool) {
-	return s.sim.World.NetStats()
+	return 0, 0, false
 }
 
 // FrontHeight returns the global z index of the solidification front.
