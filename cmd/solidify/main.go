@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/schedule"
 )
@@ -74,6 +75,17 @@ func main() {
 	proc := flag.Int("proc", 0, "this process' index into -peers")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof profiling endpoints during the run (empty = off; bind to localhost)")
 	flag.Parse()
+	// RunSchedule returns a lost TCP link as an error; the statistics and
+	// gathers between chunks are collectives too, and a link lost there
+	// fails the run the same way: one line on stderr, status 1.
+	defer func() {
+		if v := recover(); v != nil {
+			if te, ok := v.(*comm.TransportError); ok {
+				fatal(te)
+			}
+			panic(v)
+		}
+	}()
 
 	if *pprofAddr != "" {
 		dbg := http.NewServeMux()

@@ -1,6 +1,7 @@
 package phasefield
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -10,8 +11,10 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/comm"
 	"repro/internal/grid"
 	"repro/internal/schedule"
+	"repro/internal/solver"
 )
 
 // distributed_test.go proves the network transport and elastic resharding
@@ -317,4 +320,53 @@ func TestReshardTrajectory(t *testing.T) {
 	phi, mu := gatherDist(shrunk)
 	expectGatheredBitwise(t, "resharded trajectory", phi, mu, ref)
 	closeSims(shrunk)
+}
+
+// TestTCPLinkLossReturnedByRunSchedule runs a two-process DefaultConfig
+// simulation (µ exchange overlapped on the comm workers) and closes
+// proc 1 after 3 steps. Proc 0's RunSchedule must return, within
+// IOTimeout, an error that is a *comm.TransportError naming proc 1 — not
+// kill the process from a rank goroutine or a comm worker — and every
+// later call must return the same error.
+func TestTCPLinkLossReturnedByRunSchedule(t *testing.T) {
+	const ioTimeout = 10 * time.Second // startDistSims' IOTimeout
+	sims := startDistSims(t, 2, func(proc int, d *DistConfig) (*Simulation, error) {
+		cfg := DefaultConfig(16, 8, 16)
+		cfg.PX = 2
+		cfg.Distributed = d
+		s, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return s, s.InitProduction()
+	})
+	if sims[0].sim.Cfg.Overlap != solver.OverlapMu {
+		t.Fatalf("DefaultConfig overlap %v, want OverlapMu", sims[0].sim.Cfg.Overlap)
+	}
+
+	closed := make(chan error, 1)
+	go func() {
+		err := sims[1].RunSchedule(nil, 3, ScheduleOptions{})
+		sims[1].Close()
+		closed <- err
+	}()
+	ended := make(chan error, 1)
+	go func() { ended <- sims[0].RunSchedule(nil, 1<<30, ScheduleOptions{}) }()
+
+	if err := <-closed; err != nil {
+		t.Fatalf("proc 1: %v", err)
+	}
+	var err error
+	select {
+	case err = <-ended:
+	case <-time.After(ioTimeout):
+		t.Fatalf("proc 0 still running %v after proc 1 closed", ioTimeout)
+	}
+	var te *comm.TransportError
+	if !errors.As(err, &te) || te.Peer != 1 {
+		t.Fatalf("proc 0 RunSchedule returned %v, want a *comm.TransportError naming proc 1", err)
+	}
+	if again := sims[0].RunSchedule(nil, 1, ScheduleOptions{}); again != err {
+		t.Fatalf("next RunSchedule returned %v, want the same %v", again, err)
+	}
 }

@@ -205,10 +205,11 @@ func applyFaceBC(f *grid.Field, face grid.Face, bc grid.BC) {
 // hands out the same one every step, so overlapping a fixed set of
 // exchanges allocates nothing in steady state.
 type Pending struct {
-	done chan struct{} // capacity 1; the comm worker signals completion
-	w    *World
-	rank int
-	tag  Tag
+	done  chan struct{} // capacity 1; the comm worker signals completion
+	fault any           // what the exchange panicked with; written before done
+	w     *World
+	rank  int
+	tag   Tag
 }
 
 // exchangeReq is one overlapped-exchange order for a rank's comm worker.
@@ -247,9 +248,14 @@ func (w *World) StartExchange(rank int, f *grid.Field, tag Tag, bcs grid.Boundar
 // exactly once per StartExchange: the Pending handle is persistent across
 // steps, so a second Finish would steal a later exchange's signal and
 // deadlock its legitimate waiter (the old per-call Pending tolerated
-// double-Finish; this one does not).
+// double-Finish; this one does not). If the exchange panicked on the comm
+// worker (a *TransportError), Finish panics with the same value here.
 func (p *Pending) Finish() {
 	t0 := time.Now()
 	<-p.done
 	p.w.addStats(p.rank, p.tag, Stats{Wait: time.Since(t0)})
+	if v := p.fault; v != nil {
+		p.fault = nil
+		panic(v)
+	}
 }

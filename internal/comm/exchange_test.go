@@ -191,7 +191,7 @@ func TestStatsAccumulate(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	s := w.RankStats(0)
+	s := w.RankTagStats(0, TagPhi)
 	if s.Messages != 2 {
 		t.Errorf("rank 0 sent %d messages, want 2", s.Messages)
 	}
@@ -200,39 +200,8 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Errorf("rank 0 sent %d bytes, want %d", s.Bytes, 2*16*8)
 	}
 	w.ResetStats()
-	if w.RankStats(0).Messages != 0 {
+	if w.RankTagStats(0, TagPhi).Messages != 0 {
 		t.Error("ResetStats did not clear")
-	}
-}
-
-func TestBarrierAndReduce(t *testing.T) {
-	bg, _ := grid.NewBlockGrid(2, 2, 1, 2, 2, 2, [3]bool{})
-	w := NewWorld(bg)
-	n := w.NumRanks()
-
-	sums := make([][]float64, n)
-	maxs := make([][]float64, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			v := []float64{float64(r + 1), 1}
-			w.AllReduceSum(r, v)
-			sums[r] = v
-			m := []float64{float64(r), -float64(r)}
-			w.AllReduceMax(r, m)
-			maxs[r] = m
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < n; r++ {
-		if sums[r][0] != 10 || sums[r][1] != 4 {
-			t.Errorf("rank %d sum = %v, want [10 4]", r, sums[r])
-		}
-		if maxs[r][0] != 3 || maxs[r][1] != 0 {
-			t.Errorf("rank %d max = %v, want [3 0]", r, maxs[r])
-		}
 	}
 }
 

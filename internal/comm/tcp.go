@@ -12,17 +12,19 @@ import (
 )
 
 // TransportError is the fatal fault the TCP transport panics with on its
-// hot paths (which return no errors): a lost data or control stream, or a
-// protocol violation. Once the mesh is up any data-stream failure is
-// final: the transport records the first one, and from then on every
-// remote Send and every Recv that finds no frame waiting — including a
-// Recv already blocked — panics with that record. A lost link fails the
+// hot paths (which return no errors): a lost connection to a peer or a
+// protocol violation. Once the mesh is up any failure is final: the
+// transport records the first one, and from then on every remote Send,
+// every collective and every Recv that finds no frame waiting — including
+// one already blocked — panics with that record. A lost link fails the
 // run, which resumes from its last checkpoint, as an MPI job would.
-// Callers that want to survive a lost peer recover it at a job boundary
-// (the job daemon's panic isolation already does).
+// Callers that want to survive a lost peer recover it at a job boundary:
+// the World hands a panic of an overlapped exchange back to the rank that
+// finishes it, and the solver's RunSchedule returns the record as an
+// error.
 type TransportError struct {
 	Peer int    // peer process index
-	Op   string // "send", "recv", "reduce", "gather", "barrier", ...
+	Op   string // "send", "recv", "reduce" or "gather"
 	Err  error
 }
 
@@ -47,11 +49,9 @@ type TCPConfig struct {
 	// and must not exceed BG.NumBlocks() (every process owns at least one
 	// rank).
 	Peers []string
-	// Listener accepts inbound connections. Required for every process
-	// that receives connections (the convention is higher-index processes
-	// dial lower ones, and every non-root process dials the root's
-	// control stream), so only the highest-index non-root process may
-	// leave it nil.
+	// Listener accepts inbound connections. Each pair of processes shares
+	// one connection, which the higher-index process dials, so every
+	// process but the highest-index one needs a listener.
 	Listener net.Listener
 	// CkptVersion is the checkpoint format version the job reads/writes;
 	// the handshake rejects peers running a different one, so half a rank
@@ -65,8 +65,8 @@ type TCPConfig struct {
 	// frame may wait indefinitely — an idle peer is computing, not dead.
 	// Default 30s.
 	IOTimeout time.Duration
-	// RetryWindow is ignored. A dropped stream is never redialed: it fails
-	// the transport at once (see TransportError).
+	// RetryWindow is ignored. A dropped connection is never redialed: it
+	// fails the transport at once (see TransportError).
 	RetryWindow time.Duration
 }
 
@@ -74,15 +74,13 @@ type TCPConfig struct {
 // periodic bits, process count, ckpt version, and one reserved zero.
 const helloFloats = 10
 
-// tcpStream is one direction-agnostic data connection to a peer process
-// for one tag: both directions of that (proc pair, tag) stream share the
-// conn. The conn is installed once, during NewTCPTransport, and any
-// failure on it is final.
+// tcpStream is the one connection to a peer process. It carries φ and µ
+// halo frames and control frames in both directions under one sequence
+// per direction. The conn is installed once, during NewTCPTransport, and
+// any failure on it is final.
 type tcpStream struct {
-	t      *tcpTransport
-	peer   int
-	tag    Tag
-	dialer bool
+	t    *tcpTransport
+	peer int
 
 	mu      sync.Mutex // serializes writes; guards conn installation
 	conn    net.Conn
@@ -91,54 +89,45 @@ type tcpStream struct {
 	enc     []byte // encoded outgoing frame, reused
 	recvSeq uint64 // next expected incoming sequence number (reader goroutine only)
 	scratch []byte // payload byte scratch (reader goroutine only)
+
+	// ctrl is the control inbox: the reader delivers contrib, result and
+	// gather frames here, and Sum, Max and Gather read them.
+	ctrl chan *wireFrame
 }
 
-// ctrlConn is the control stream to one peer: collectives and barriers.
-// Root holds one per peer; every other process holds one to the root.
-// Control reads/writes happen synchronously inside the collective calls —
-// no reader goroutine; a control failure is fatal.
-type ctrlConn struct {
-	mu      sync.Mutex
-	c       net.Conn
-	br      *bufio.Reader
-	enc     []byte
-	scratch []byte
-}
-
-// tcpTransport implements Transport over per-(peer, tag) TCP streams. It
-// wraps the in-process channel fabric: frames between two local ranks take
-// the channel fast path untouched, remote frames are encoded onto the
-// stream to the receiving rank's owner, and the demultiplexer on the far
-// side feeds them into the same mailboxes local sends use. Pack-buffer
-// recycling survives the socket hop because pools are keyed by the sending
-// stream: on the sender, Send returns the packed buffer straight back to
-// the pool TakeBuf draws from; on the receiver, the demultiplexer draws
-// from the pool that Release refills after unpacking.
+// tcpTransport implements Transport over one TCP stream per peer process.
+// It wraps the in-process channel fabric: frames between two local ranks
+// take the channel fast path untouched, remote frames are encoded onto
+// the stream to the receiving rank's owner, and that stream's reader on
+// the far side feeds them into the same mailboxes local sends use. The
+// per-(to, face, tag) mailboxes keep φ and µ rounds apart, so the tags
+// can share the connection. Pack-buffer recycling survives the socket hop
+// because pools are keyed by the sending rank's (face, tag): on the
+// sender, Send returns the packed buffer straight back to the pool TakeBuf
+// draws from; on the receiver, the reader draws from the pool that
+// Release refills after unpacking.
 type tcpTransport struct {
 	lt        *localTransport
 	cfg       TCPConfig
 	nprocs    int
 	maxFloats int
-	streams   [][]*tcpStream // [peer][tag]; nil row for self
-	ctrl      []*ctrlConn    // by peer; root fills all, others only [0]
-	ctrlMu    sync.Mutex
+	streams   []*tcpStream // by peer; nil for self
 	closed    atomic.Bool
 	acceptWG  sync.WaitGroup
 	readersWG sync.WaitGroup
 
-	// fault is the transport's failure record: the first data-stream
-	// failure that Close did not cause, set once by fail. down is closed
-	// when it is set, which wakes every blocked Recv.
+	// fault is the transport's failure record: the first stream failure
+	// that Close did not cause, set once by fail. down is closed when it
+	// is set, which wakes every blocked Recv and collective.
 	failOnce sync.Once
 	fault    *TransportError
 	down     chan struct{}
 }
 
-// NewTCPTransport connects this process into the rank grid: it dials every
-// lower-index peer (per tag, plus the root control stream), accepts
-// connections from higher-index peers, verifies the topology/ckpt-version
-// handshake on every stream, and returns once the full mesh is up. Pass
-// the result to NewWorldTransport.
+// NewTCPTransport connects this process into the rank grid: it dials one
+// stream to every lower-index peer, accepts one from every higher-index
+// peer, verifies the topology/ckpt-version handshake on each, and returns
+// once all P−1 streams are up. Pass the result to NewWorldTransport.
 func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 	if cfg.BG == nil {
 		return nil, fmt.Errorf("comm: tcp: nil BlockGrid")
@@ -151,9 +140,7 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 	if cfg.Proc < 0 || cfg.Proc >= nprocs {
 		return nil, fmt.Errorf("comm: tcp: proc %d out of range [0,%d)", cfg.Proc, nprocs)
 	}
-	acceptsData := cfg.Proc < nprocs-1
-	acceptsCtrl := cfg.Proc == 0 && nprocs > 1
-	if cfg.Listener == nil && (acceptsData || acceptsCtrl) {
+	if cfg.Listener == nil && cfg.Proc < nprocs-1 {
 		return nil, fmt.Errorf("comm: tcp: proc %d accepts connections but has no listener", cfg.Proc)
 	}
 	if cfg.DialTimeout <= 0 {
@@ -170,18 +157,22 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 		// Bound on any legitimate payload: a whole-rank gather (two
 		// fields of every component) dwarfs a single halo slab.
 		maxFloats: cfg.BG.BX*cfg.BG.BY*cfg.BG.BZ*64 + 4096,
-		streams:   make([][]*tcpStream, nprocs),
-		ctrl:      make([]*ctrlConn, nprocs),
+		streams:   make([]*tcpStream, nprocs),
 		down:      make(chan struct{}),
 	}
-	for p := 0; p < nprocs; p++ {
+	for p := range t.streams {
 		if p == cfg.Proc {
 			continue
 		}
-		t.streams[p] = make([]*tcpStream, int(numTags))
-		for tg := 0; tg < int(numTags); tg++ {
-			t.streams[p][tg] = &tcpStream{t: t, peer: p, tag: Tag(tg), dialer: cfg.Proc > p}
+		// The control inbox holds one frame per rank the peer owns (at
+		// least one); see readLoop.
+		nctrl := 0
+		for r := 0; r < n; r++ {
+			if t.Owner(r) == p {
+				nctrl++
+			}
 		}
+		t.streams[p] = &tcpStream{t: t, peer: p, ctrl: make(chan *wireFrame, nctrl)}
 	}
 
 	if cfg.Listener != nil {
@@ -189,41 +180,26 @@ func NewTCPTransport(cfg TCPConfig) (Transport, error) {
 		go t.acceptLoop()
 	}
 
-	// Dial all streams we own the dialer side of, retrying while peers
-	// come up.
+	// Dial every lower-index peer, retrying while peers come up.
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for p := 0; p < cfg.Proc; p++ {
-		for _, s := range t.streams[p] {
-			c, br, err := t.dialUntil(p, byte(s.tag), deadline)
-			if err != nil {
-				t.Close()
-				return nil, err
-			}
-			s.mu.Lock()
-			s.conn, s.br = c, br
-			s.mu.Unlock()
-		}
-	}
-	if cfg.Proc != 0 {
-		c, br, err := t.dialUntil(0, ctrlTag, deadline)
+		c, br, err := t.dialUntil(p, deadline)
 		if err != nil {
 			t.Close()
 			return nil, err
 		}
-		t.ctrlMu.Lock()
-		t.ctrl[0] = &ctrlConn{c: c, br: br}
-		t.ctrlMu.Unlock()
+		s := t.streams[p]
+		s.mu.Lock()
+		s.conn, s.br = c, br
+		s.mu.Unlock()
 	}
 	if err := t.waitReady(deadline); err != nil {
 		t.Close()
 		return nil, err
 	}
 
-	for p := range t.streams {
-		for _, s := range t.streams[p] {
-			if s == nil {
-				continue
-			}
+	for _, s := range t.streams {
+		if s != nil {
 			t.readersWG.Add(1)
 			go t.readLoop(s)
 		}
@@ -242,20 +218,23 @@ func (t *tcpTransport) TakeBuf(from int, sendFace grid.Face, tag Tag, n int) []f
 	return t.lt.TakeBuf(from, sendFace, tag, n)
 }
 
-// Recv takes the next frame from the mailbox. A frame that arrived before
-// the transport failed is still delivered; otherwise the failure wakes the
-// receiver with a panic instead of leaving it blocked on a peer that is
-// gone.
+// Recv takes the next frame from the mailbox (see await).
 func (t *tcpTransport) Recv(to int, face grid.Face, tag Tag) []float64 {
-	box := t.lt.box(to, face, tag)
+	return await(t, t.lt.box(to, face, tag))
+}
+
+// await receives from ch. A value that arrived before the transport
+// failed is still delivered; otherwise the failure wakes the receiver
+// with a panic instead of leaving it blocked on a peer that is gone.
+func await[T any](t *tcpTransport, ch chan T) T {
 	select {
-	case buf := <-box:
-		return buf
+	case v := <-ch:
+		return v
 	case <-t.down:
 	}
 	select {
-	case buf := <-box:
-		return buf
+	case v := <-ch:
+		return v
 	default:
 		panic(t.fault)
 	}
@@ -267,9 +246,9 @@ func (t *tcpTransport) Release(from, to int, face grid.Face, tag Tag, buf []floa
 
 func (t *tcpTransport) Allocs() int64 { return t.lt.Allocs() }
 
-// fail records the transport's fault, once, and wakes every blocked Recv.
-// It returns the recorded fault, which names the first failure — not
-// necessarily this one.
+// fail records the transport's fault, once, and wakes every blocked Recv
+// and collective. It returns the recorded fault, which names the first
+// failure — not necessarily this one.
 func (t *tcpTransport) fail(peer int, op string, err error) *TransportError {
 	t.failOnce.Do(func() {
 		t.fault = &TransportError{Peer: peer, Op: op, Err: err}
@@ -288,8 +267,7 @@ func (t *tcpTransport) Send(from, to int, face grid.Face, tag Tag, buf []float64
 		t.lt.Send(from, to, face, tag, buf)
 		return
 	}
-	s := t.streams[owner][int(tag)]
-	s.send(&wireFrame{
+	t.streams[owner].send(&wireFrame{
 		Kind: kindData, Tag: byte(tag), Face: byte(face),
 		From: int32(from), To: int32(to), Payload: buf,
 	})
@@ -320,10 +298,21 @@ func (s *tcpStream) send(f *wireFrame) {
 	}
 }
 
-// readLoop is the per-stream demultiplexer: it decodes inbound data frames
-// and feeds them into the channel fabric's mailboxes until the stream
-// fails. A failure that Close did not cause fails the transport; closing
-// the conn tells the peer.
+// readLoop is the per-peer demultiplexer: it decodes inbound frames and
+// feeds data frames into the channel fabric's mailboxes and control frames
+// into the stream's control inbox until the stream fails. A failure that
+// Close did not cause fails the transport; closing the conn tells the
+// peer.
+//
+// The reader never blocks on a full channel, so a frame of one kind never
+// stalls a frame of another behind it. Each (to, face, tag) mailbox has
+// room for 2 frames and never gets a third: a sender cannot start round
+// k+2 of a tag before it has received the receiver's round k+1, which the
+// receiver sends only after it has taken every frame of round k. The
+// control inbox has room for as many frames as the peer sends before it
+// waits for a reply: one contribution, or one gather frame per rank it
+// owns; the root sends one reply and then waits for the next collective's
+// frames.
 func (t *tcpTransport) readLoop(s *tcpStream) {
 	defer t.readersWG.Done()
 	var f wireFrame
@@ -353,14 +342,25 @@ func (t *tcpTransport) readOne(s *tcpStream, c net.Conn, br *bufio.Reader, f *wi
 	if err != nil {
 		return err
 	}
-	if f.Kind != kindData || Tag(f.Tag) != s.tag {
-		return fmt.Errorf("unexpected frame kind %d tag %d on data stream %v", f.Kind, f.Tag, s.tag)
+	if f.Seq != s.recvSeq {
+		return fmt.Errorf("sequence %d from proc %d, want %d", f.Seq, s.peer, s.recvSeq)
+	}
+	if f.Tag == ctrlTag && (f.Kind == kindContrib || f.Kind == kindResult || f.Kind == kindGather) {
+		cf := *f
+		cf.Payload = make([]float64, n)
+		if err := readFramePayload(br, cf.Payload, &s.scratch); err != nil {
+			return err
+		}
+		s.recvSeq++
+		_ = c.SetReadDeadline(time.Time{})
+		s.ctrl <- &cf
+		return nil
+	}
+	if f.Kind != kindData || int(f.Tag) >= int(numTags) {
+		return fmt.Errorf("unexpected frame kind %d tag %d from proc %d", f.Kind, f.Tag, s.peer)
 	}
 	if n == 0 {
-		return fmt.Errorf("empty data frame on stream %v", s.tag)
-	}
-	if f.Seq != s.recvSeq {
-		return fmt.Errorf("sequence %d on stream %v, want %d", f.Seq, s.tag, s.recvSeq)
+		return fmt.Errorf("empty data frame on tag %v", Tag(f.Tag))
 	}
 	to := int(f.To)
 	face := grid.Face(f.Face)
@@ -414,12 +414,11 @@ func (t *tcpTransport) checkHello(p []float64) error {
 	return nil
 }
 
-// dialUntil dials the stream with tag (a data tag or ctrlTag) to peer,
-// retrying refused connections and handshakes until the deadline (peers
-// start at different times).
-func (t *tcpTransport) dialUntil(peer int, tag byte, deadline time.Time) (net.Conn, *bufio.Reader, error) {
+// dialUntil dials the stream to peer, retrying refused connections and
+// handshakes until the deadline (peers start at different times).
+func (t *tcpTransport) dialUntil(peer int, deadline time.Time) (net.Conn, *bufio.Reader, error) {
 	for {
-		c, br, err := t.dial(peer, tag)
+		c, br, err := t.dial(peer)
 		if err == nil {
 			return c, br, nil
 		}
@@ -433,14 +432,14 @@ func (t *tcpTransport) dialUntil(peer int, tag byte, deadline time.Time) (net.Co
 // dial connects to peer and runs the dialer side of the handshake: send
 // hello, await the one-float helloAck. The acceptor closes the conn
 // instead of acking a mismatched or duplicate hello.
-func (t *tcpTransport) dial(peer int, tag byte) (net.Conn, *bufio.Reader, error) {
+func (t *tcpTransport) dial(peer int) (net.Conn, *bufio.Reader, error) {
 	c, err := net.DialTimeout("tcp", t.cfg.Peers[peer], t.cfg.IOTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
 	br := bufio.NewReaderSize(c, 64<<10)
 	hello := &wireFrame{
-		Kind: kindHello, Tag: tag,
+		Kind: kindHello, Tag: ctrlTag,
 		From: int32(t.cfg.Proc), To: int32(peer),
 		Payload: t.helloPayload(),
 	}
@@ -478,9 +477,10 @@ func (t *tcpTransport) acceptLoop() {
 	}
 }
 
-// handleConn validates an inbound hello and installs the conn on its
-// stream (or as a peer's control stream). Mismatched topology or ckpt
-// version refuses the connection.
+// handleConn validates an inbound hello from a higher-index peer and
+// installs the conn as that peer's stream. Mismatched topology or ckpt
+// version, or a second hello from a peer already connected, refuses the
+// connection.
 func (t *tcpTransport) handleConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	_ = c.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
@@ -497,38 +497,15 @@ func (t *tcpTransport) handleConn(c net.Conn) {
 		return
 	}
 	_ = c.SetReadDeadline(time.Time{})
-	if err := t.checkHello(payload); err != nil {
-		_ = c.Close()
-		return
-	}
 	peer := int(f.From)
-	if peer < 0 || peer >= t.nprocs || peer == t.cfg.Proc {
+	if t.checkHello(payload) != nil || peer <= t.cfg.Proc || peer >= t.nprocs {
 		_ = c.Close()
 		return
 	}
-
-	if f.Tag == ctrlTag {
-		t.ctrlMu.Lock()
-		defer t.ctrlMu.Unlock()
-		if t.ctrl[peer] != nil || t.closed.Load() || t.ack(c, ctrlTag, peer) != nil {
-			_ = c.Close()
-			return
-		}
-		t.ctrl[peer] = &ctrlConn{c: c, br: br}
-		return
-	}
-	if int(f.Tag) >= int(numTags) {
-		_ = c.Close()
-		return
-	}
-	s := t.streams[peer][f.Tag]
-	if s == nil || s.dialer {
-		_ = c.Close()
-		return
-	}
+	s := t.streams[peer]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.conn != nil || t.closed.Load() || t.ack(c, f.Tag, peer) != nil {
+	if s.conn != nil || t.closed.Load() || t.ack(c, peer) != nil {
 		_ = c.Close()
 		return
 	}
@@ -536,11 +513,10 @@ func (t *tcpTransport) handleConn(c net.Conn) {
 }
 
 // ack writes the acceptor's handshake reply: a helloAck whose one float
-// is reserved zero. A stream is installed at most once, so the caller
-// acks only a hello for a stream that has no conn yet.
-func (t *tcpTransport) ack(c net.Conn, tag byte, peer int) error {
+// is reserved zero.
+func (t *tcpTransport) ack(c net.Conn, peer int) error {
 	f := &wireFrame{
-		Kind: kindHelloAck, Tag: tag,
+		Kind: kindHelloAck, Tag: ctrlTag,
 		From: int32(t.cfg.Proc), To: int32(peer),
 		Payload: []float64{0},
 	}
@@ -549,91 +525,46 @@ func (t *tcpTransport) ack(c net.Conn, tag byte, peer int) error {
 	return err
 }
 
-// waitReady blocks until every acceptor-side stream and expected inbound
-// control stream is connected.
+// waitReady blocks until every higher-index peer's stream is connected.
 func (t *tcpTransport) waitReady(deadline time.Time) error {
-	for {
-		ready := true
-		for p := range t.streams {
-			for _, s := range t.streams[p] {
-				if s == nil || s.dialer {
-					continue
-				}
-				s.mu.Lock()
-				up := s.conn != nil
-				s.mu.Unlock()
-				if !up {
-					ready = false
-				}
-			}
-		}
-		if t.cfg.Proc == 0 {
-			t.ctrlMu.Lock()
-			for p := 1; p < t.nprocs; p++ {
-				if t.ctrl[p] == nil {
-					ready = false
-				}
-			}
-			t.ctrlMu.Unlock()
-		}
-		if ready {
-			return nil
+	for p := t.cfg.Proc + 1; p < t.nprocs; {
+		s := t.streams[p]
+		s.mu.Lock()
+		up := s.conn != nil
+		s.mu.Unlock()
+		if up {
+			p++
+			continue
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("comm: tcp: peers did not connect within %v", t.cfg.DialTimeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	return nil
 }
 
-// ctrlPeer returns the control stream to a peer, panicking if it is gone.
-func (t *tcpTransport) ctrlPeer(p int, op string) *ctrlConn {
-	t.ctrlMu.Lock()
-	cc := t.ctrl[p]
-	t.ctrlMu.Unlock()
-	if cc == nil {
-		panic(&TransportError{Peer: p, Op: op, Err: fmt.Errorf("control stream not connected")})
+// recvCtrl takes the next control frame from peer's inbox and checks its
+// kind and, when want ≥ 0, its payload length. A mismatch is a protocol
+// violation, which fails the transport.
+func (t *tcpTransport) recvCtrl(peer int, op string, kind byte, want int) *wireFrame {
+	f := await(t, t.streams[peer].ctrl)
+	if f.Kind != kind || (want >= 0 && len(f.Payload) != want) {
+		panic(t.fail(peer, op, fmt.Errorf("control frame kind %d with %d floats, want kind %d", f.Kind, len(f.Payload), kind)))
 	}
-	return cc
+	return f
 }
 
-func (t *tcpTransport) ctrlWrite(cc *ctrlConn, peer int, f *wireFrame) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.enc = appendFrame(cc.enc[:0], f)
-	_ = cc.c.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
-	if _, err := cc.c.Write(cc.enc); err != nil {
-		panic(&TransportError{Peer: peer, Op: "ctrl write", Err: err})
+// release sends every peer the root's reply to a collective.
+func (t *tcpTransport) release(payload []float64) {
+	for p := 1; p < t.nprocs; p++ {
+		t.streams[p].send(&wireFrame{Kind: kindResult, Tag: ctrlTag, Payload: payload})
 	}
-}
-
-func (t *tcpTransport) ctrlRead(cc *ctrlConn, peer int, wantKind byte) *wireFrame {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	_ = cc.c.SetReadDeadline(time.Time{})
-	if _, err := cc.br.Peek(1); err != nil {
-		panic(&TransportError{Peer: peer, Op: "ctrl read", Err: err})
-	}
-	_ = cc.c.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
-	var f wireFrame
-	n, err := readFrameHeader(cc.br, t.maxFloats, &f)
-	if err != nil {
-		panic(&TransportError{Peer: peer, Op: "ctrl read", Err: err})
-	}
-	if f.Kind != wantKind {
-		panic(&TransportError{Peer: peer, Op: "ctrl read", Err: fmt.Errorf("frame kind %d, want %d", f.Kind, wantKind)})
-	}
-	f.Payload = make([]float64, n)
-	if err := readFramePayload(cc.br, f.Payload, &cc.scratch); err != nil {
-		panic(&TransportError{Peer: peer, Op: "ctrl read", Err: err})
-	}
-	_ = cc.c.SetReadDeadline(time.Time{})
-	return &f
 }
 
 // Sum implements the cross-process elementwise sum: peers send their
 // partial vector to the root, the root folds them in ascending process
-// order and broadcasts the result. With one nonzero contributor per slot
+// order and sends the result back. With one nonzero contributor per slot
 // (the solver's per-rank vectors) the fold is bitwise-exact regardless of
 // order, since x+0 == x in IEEE-754.
 func (t *tcpTransport) Sum(vals []float64) { t.reduce(vals, false) }
@@ -648,11 +579,7 @@ func (t *tcpTransport) reduce(vals []float64, isMax bool) {
 	}
 	if t.cfg.Proc == 0 {
 		for p := 1; p < t.nprocs; p++ {
-			cc := t.ctrlPeer(p, "reduce")
-			f := t.ctrlRead(cc, p, kindContrib)
-			if len(f.Payload) != len(vals) {
-				panic(&TransportError{Peer: p, Op: "reduce", Err: fmt.Errorf("contribution length %d, want %d", len(f.Payload), len(vals))})
-			}
+			f := t.recvCtrl(p, "reduce", kindContrib, len(vals))
 			for i, v := range f.Payload {
 				if isMax {
 					if v > vals[i] {
@@ -663,78 +590,46 @@ func (t *tcpTransport) reduce(vals []float64, isMax bool) {
 				}
 			}
 		}
-		res := &wireFrame{Kind: kindResult, Tag: ctrlTag, Payload: vals}
-		for p := 1; p < t.nprocs; p++ {
-			t.ctrlWrite(t.ctrlPeer(p, "reduce"), p, res)
-		}
+		t.release(vals)
 		return
 	}
-	cc := t.ctrlPeer(0, "reduce")
-	t.ctrlWrite(cc, 0, &wireFrame{Kind: kindContrib, Tag: ctrlTag, From: int32(t.cfg.Proc), Payload: vals})
-	f := t.ctrlRead(cc, 0, kindResult)
-	if len(f.Payload) != len(vals) {
-		panic(&TransportError{Peer: 0, Op: "reduce", Err: fmt.Errorf("result length %d, want %d", len(f.Payload), len(vals))})
-	}
-	copy(vals, f.Payload)
-}
-
-// Barrier blocks until every process has entered: peers signal the root,
-// the root releases them once all have arrived.
-func (t *tcpTransport) Barrier() {
-	if t.nprocs == 1 {
-		return
-	}
-	if t.cfg.Proc == 0 {
-		for p := 1; p < t.nprocs; p++ {
-			t.ctrlRead(t.ctrlPeer(p, "barrier"), p, kindBarrier)
-		}
-		bf := &wireFrame{Kind: kindBarrier, Tag: ctrlTag}
-		for p := 1; p < t.nprocs; p++ {
-			t.ctrlWrite(t.ctrlPeer(p, "barrier"), p, bf)
-		}
-		return
-	}
-	cc := t.ctrlPeer(0, "barrier")
-	t.ctrlWrite(cc, 0, &wireFrame{Kind: kindBarrier, Tag: ctrlTag, From: int32(t.cfg.Proc)})
-	t.ctrlRead(cc, 0, kindBarrier)
+	t.streams[0].send(&wireFrame{Kind: kindContrib, Tag: ctrlTag, From: int32(t.cfg.Proc), Payload: vals})
+	copy(vals, t.recvCtrl(0, "reduce", kindResult, len(vals)).Payload)
 }
 
 // Gather collects each process' local-rank payloads on the root, in global
-// rank order per peer.
+// rank order per peer. Each peer waits for the root's empty reply, so it
+// never runs more than one gather ahead of the root.
 func (t *tcpTransport) Gather(parts [][]float64) [][]float64 {
 	if t.nprocs == 1 {
 		return parts
 	}
 	if t.cfg.Proc == 0 {
-		for p := 1; p < t.nprocs; p++ {
-			cc := t.ctrlPeer(p, "gather")
-			for r := 0; r < t.lt.nRanks; r++ {
-				if t.Owner(r) != p {
-					continue
-				}
-				f := t.ctrlRead(cc, p, kindGather)
+		for r := range parts {
+			if p := t.Owner(r); p != 0 {
+				f := t.recvCtrl(p, "gather", kindGather, -1)
 				if int(f.From) != r {
-					panic(&TransportError{Peer: p, Op: "gather", Err: fmt.Errorf("rank %d payload, want %d", f.From, r)})
+					panic(t.fail(p, "gather", fmt.Errorf("rank %d payload, want %d", f.From, r)))
 				}
 				parts[r] = f.Payload
 			}
 		}
+		t.release(nil)
 		return parts
 	}
-	cc := t.ctrlPeer(0, "gather")
-	for r := 0; r < t.lt.nRanks; r++ {
-		if t.Owner(r) != t.cfg.Proc {
-			continue
+	for r := range parts {
+		if t.Owner(r) == t.cfg.Proc {
+			t.streams[0].send(&wireFrame{Kind: kindGather, Tag: ctrlTag, From: int32(r), Payload: parts[r]})
 		}
-		t.ctrlWrite(cc, 0, &wireFrame{Kind: kindGather, Tag: ctrlTag, From: int32(r), Payload: parts[r]})
 	}
+	t.recvCtrl(0, "gather", kindResult, 0)
 	return nil
 }
 
-// Close tears the mesh down: the listener, every stream, every control
-// conn. It must be the process' last collective act — after it, remote
-// exchanges and collectives fail. Local (same-process) exchanges keep
-// working, matching the in-process transport's post-Close behavior.
+// Close tears the mesh down: the listener and every stream. It must be the
+// process' last collective act — after it, remote exchanges and
+// collectives fail. Local (same-process) exchanges keep working, matching
+// the in-process transport's post-Close behavior.
 func (t *tcpTransport) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -742,25 +637,16 @@ func (t *tcpTransport) Close() error {
 	if t.cfg.Listener != nil {
 		_ = t.cfg.Listener.Close()
 	}
-	for p := range t.streams {
-		for _, s := range t.streams[p] {
-			if s == nil {
-				continue
-			}
-			s.mu.Lock()
-			if s.conn != nil {
-				_ = s.conn.Close()
-			}
-			s.mu.Unlock()
+	for _, s := range t.streams {
+		if s == nil {
+			continue
 		}
-	}
-	t.ctrlMu.Lock()
-	for _, cc := range t.ctrl {
-		if cc != nil {
-			_ = cc.c.Close()
+		s.mu.Lock()
+		if s.conn != nil {
+			_ = s.conn.Close()
 		}
+		s.mu.Unlock()
 	}
-	t.ctrlMu.Unlock()
 	t.readersWG.Wait()
 	if t.cfg.Listener != nil {
 		t.acceptWG.Wait()
@@ -768,11 +654,10 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// breakStream hard-closes one data stream's connection — a test hook
-// simulating a network fault. The readers on both ends then fail their
-// transports.
-func (t *tcpTransport) breakStream(peer int, tag Tag) {
-	s := t.streams[peer][int(tag)]
+// breakStream hard-closes the connection to peer — a test hook simulating
+// a network fault. The readers on both ends then fail their transports.
+func (t *tcpTransport) breakStream(peer int) {
+	s := t.streams[peer]
 	s.mu.Lock()
 	_ = s.conn.Close()
 	s.mu.Unlock()

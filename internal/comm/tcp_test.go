@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,13 +24,23 @@ func startTCPWorlds(t *testing.T, bg *grid.BlockGrid, nprocs int) []*World {
 func startTCPWorldsIO(t *testing.T, bg *grid.BlockGrid, nprocs int, ioTimeout time.Duration) []*World {
 	t.Helper()
 	listeners := make([]net.Listener, nprocs)
-	peers := make([]string, nprocs)
 	for p := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		listeners[p] = l
+	}
+	return startTCPWorldsOn(t, bg, listeners, ioTimeout)
+}
+
+// startTCPWorldsOn is startTCPWorldsIO on the given listeners, one per
+// process.
+func startTCPWorldsOn(t *testing.T, bg *grid.BlockGrid, listeners []net.Listener, ioTimeout time.Duration) []*World {
+	t.Helper()
+	nprocs := len(listeners)
+	peers := make([]string, nprocs)
+	for p, l := range listeners {
 		peers[p] = l.Addr().String()
 	}
 	worlds := make([]*World, nprocs)
@@ -224,7 +235,7 @@ func TestReadOneRejectsEmptyDataFrame(t *testing.T) {
 		nprocs:    2,
 		maxFloats: 1024,
 	}
-	s := &tcpStream{t: tr, peer: 1, tag: TagPhi}
+	s := &tcpStream{t: tr, peer: 1}
 	read := func(fr *wireFrame) error {
 		local, remote := net.Pipe()
 		defer local.Close()
@@ -247,6 +258,15 @@ func TestReadOneRejectsEmptyDataFrame(t *testing.T) {
 		From: 1, To: 0, Seq: 1, Payload: []float64{}}
 	if err := read(empty); err == nil {
 		t.Fatal("zero-length data frame accepted")
+	}
+	if s.recvSeq != 1 {
+		t.Errorf("stream advanced to seq %d past a rejected frame, want 1", s.recvSeq)
+	}
+
+	badTag := &wireFrame{Kind: kindData, Tag: byte(numTags), Face: byte(grid.XMax),
+		From: 1, To: 0, Seq: 1, Payload: []float64{2.5}}
+	if err := read(badTag); err == nil {
+		t.Fatalf("data frame with tag %d accepted", numTags)
 	}
 	if s.recvSeq != 1 {
 		t.Errorf("stream advanced to seq %d past a rejected frame, want 1", s.recvSeq)
@@ -358,7 +378,7 @@ func TestTCPBrokenStreamFailsBothSides(t *testing.T) {
 			const breakAt = 3
 			for round := 0; round <= breakAt; round++ {
 				if round == breakAt {
-					worlds[tc.breaker].tr.(*tcpTransport).breakStream(1-tc.breaker, TagPhi)
+					worlds[tc.breaker].tr.(*tcpTransport).breakStream(1 - tc.breaker)
 				}
 				off := float64(round * 1000000)
 				var ended [2]any
@@ -406,8 +426,8 @@ func TestTCPBrokenStreamFailsBothSides(t *testing.T) {
 	}
 }
 
-// TestTCPCollectives exercises Barrier, GlobalSum, GlobalMax, AllReduce
-// and GatherBlocks across two processes.
+// TestTCPCollectives exercises GlobalSum, GlobalMax and GatherBlocks
+// across two processes.
 func TestTCPCollectives(t *testing.T) {
 	bg, err := grid.NewBlockGrid(2, 2, 1, 2, 2, 2, [3]bool{true, true, false})
 	if err != nil {
@@ -466,30 +486,198 @@ func TestTCPCollectives(t *testing.T) {
 		}
 	}
 
-	// AllReduce across all ranks of both processes: every local rank
-	// participates.
-	results := make([][]float64, bg.NumBlocks())
-	for _, w := range worlds {
-		for _, r := range w.LocalRanks() {
-			wg.Add(1)
-			go func(w *World, r int) {
-				defer wg.Done()
-				v := make([]float64, bg.NumBlocks())
-				v[r] = float64(r + 1)
-				w.AllReduceSum(r, v)
-				results[r] = v
-			}(w, r)
+	closeAll(worlds)
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestTCPOneConnectionPerPeer starts three processes and checks that each
+// pair shares exactly one connection, dialed by the higher-index process:
+// every transport holds P−1 = 2 streams, and the listeners accept 3
+// connections in all (2 on proc 0, 1 on proc 1). Halo exchanges and
+// collectives then run over those connections alone.
+func TestTCPOneConnectionPerPeer(t *testing.T) {
+	bg, err := grid.NewBlockGrid(2, 2, 1, 4, 3, 5, [3]bool{true, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nprocs = 3
+	counters := make([]*countingListener, nprocs)
+	listeners := make([]net.Listener, nprocs)
+	for p := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters[p] = &countingListener{Listener: l}
+		listeners[p] = counters[p]
+	}
+	worlds := startTCPWorldsOn(t, bg, listeners, 10*time.Second)
+
+	for p, w := range worlds {
+		conns := 0
+		for _, s := range w.tr.(*tcpTransport).streams {
+			if s != nil && s.conn != nil {
+				conns++
+			}
+		}
+		if conns != nprocs-1 {
+			t.Errorf("proc %d holds %d connections, want %d", p, conns, nprocs-1)
+		}
+		if got, want := counters[p].accepted.Load(), int32(nprocs-1-p); got != want {
+			t.Errorf("proc %d accepted %d connections, want %d", p, got, want)
 		}
 	}
+
+	// Two φ rounds and one µ round, then a sum and a gather, on every
+	// process at once.
+	domain := grid.AllPeriodic()
+	domain[grid.ZMin] = grid.BC{Kind: grid.BCNeumann}
+	domain[grid.ZMax] = grid.BC{Kind: grid.BCNeumann}
+	nx, ny, nz := bg.GlobalCells()
+	sums := make([][]float64, nprocs)
+	gathered := make([][][]float64, nprocs)
+	fields := make([]*grid.Field, bg.NumBlocks())
+	var wg sync.WaitGroup
+	for p, w := range worlds {
+		wg.Add(1)
+		go func(p int, w *World) {
+			defer wg.Done()
+			var rg sync.WaitGroup
+			for _, r := range w.LocalRanks() {
+				f := grid.NewField(bg.BX, bg.BY, bg.BZ, 1, 1, grid.SoA)
+				ox, oy, oz := bg.Origin(r)
+				f.Interior(func(x, y, z int) {
+					f.Set(0, x, y, z, globalValue(0, ox+x, oy+y, oz+z, nx, ny, nz, bg.Periodic))
+				})
+				fields[r] = f
+				rg.Add(1)
+				go func(r int) {
+					defer rg.Done()
+					bcs := w.BlockBCs(r, domain)
+					w.ExchangeGhosts(r, f, TagPhi, bcs)
+					w.ExchangeGhosts(r, f, TagMu, bcs)
+					w.ExchangeGhosts(r, f, TagPhi, bcs)
+				}(r)
+			}
+			rg.Wait()
+			v := make([]float64, bg.NumBlocks())
+			parts := make([][]float64, bg.NumBlocks())
+			for _, r := range w.LocalRanks() {
+				v[r] = float64(r + 1)
+				parts[r] = []float64{float64(r), -1}
+			}
+			w.GlobalSum(v)
+			sums[p] = v
+			gathered[p] = w.GatherBlocks(parts)
+		}(p, w)
+	}
 	wg.Wait()
-	for r := 0; r < bg.NumBlocks(); r++ {
-		for q := 0; q < bg.NumBlocks(); q++ {
-			if results[r][q] != float64(q+1) {
-				t.Errorf("allreduce on rank %d slot %d = %v, want %v", r, q, results[r][q], q+1)
+	closeAll(worlds)
+
+	for r, f := range fields {
+		ox, oy, oz := bg.Origin(r)
+		for x := -1; x <= bg.BX; x++ {
+			want := globalValue(0, ox+x, oy, oz, nx, ny, nz, bg.Periodic)
+			if got := f.At(0, x, 0, 0); got != want {
+				t.Fatalf("rank %d x=%d: ghost %v, want %v", r, x, got, want)
 			}
 		}
 	}
+	for p := range worlds {
+		for r := 0; r < bg.NumBlocks(); r++ {
+			if sums[p][r] != float64(r+1) {
+				t.Errorf("proc %d sum[%d] = %v, want %v", p, r, sums[p][r], r+1)
+			}
+		}
+		if p != 0 && gathered[p] != nil {
+			t.Errorf("proc %d gather returned %v, want nil", p, gathered[p])
+		}
+	}
+	for r := 0; r < bg.NumBlocks(); r++ {
+		if got := gathered[0][r]; len(got) != 2 || got[0] != float64(r) || got[1] != -1 {
+			t.Errorf("root gather[%d] = %v", r, got)
+		}
+	}
+}
+
+// TestTCPRefusesSecondHello dials proc 0 again, as proc 1, once the mesh
+// is up: the acceptor must refuse the hello, and the existing connection
+// must keep working.
+func TestTCPRefusesSecondHello(t *testing.T) {
+	bg, _ := xPeriodicPair(t)
+	worlds := startTCPWorlds(t, bg, 2)
+	if c, _, err := worlds[1].tr.(*tcpTransport).dial(0); err == nil {
+		c.Close()
+		t.Fatal("a second hello from proc 1 was acknowledged")
+	}
+
+	sums := make([][]float64, 2)
+	var wg sync.WaitGroup
+	for p, w := range worlds {
+		wg.Add(1)
+		go func(p int, w *World) {
+			defer wg.Done()
+			v := []float64{0, 0}
+			v[p] = float64(p + 1)
+			w.GlobalSum(v)
+			sums[p] = v
+		}(p, w)
+	}
+	wg.Wait()
 	closeAll(worlds)
+	for p, v := range sums {
+		if v[0] != 1 || v[1] != 2 {
+			t.Errorf("proc %d sum after the refused hello = %v, want [1 2]", p, v)
+		}
+	}
+}
+
+// TestTCPBrokenStreamFailsCollective breaks the connection while proc 0 is
+// blocked in a GlobalSum waiting for proc 1's contribution, once from each
+// end; proc 1 then enters the sum. Both processes must give up within
+// IOTimeout, each with a *TransportError naming the other.
+func TestTCPBrokenStreamFailsCollective(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		breaker int
+	}{{"dialer", 1}, {"acceptor", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			bg, _ := xPeriodicPair(t)
+			worlds := startTCPWorldsIO(t, bg, 2, faultIOTimeout)
+			ended := make(chan [2]any, 2)
+			sum := func(p int) {
+				defer func() { ended <- [2]any{p, recover()} }()
+				worlds[p].GlobalSum([]float64{1, 2})
+			}
+			go sum(0)
+			time.Sleep(100 * time.Millisecond)
+			timeout := time.After(faultIOTimeout)
+			worlds[tc.breaker].tr.(*tcpTransport).breakStream(1 - tc.breaker)
+			go sum(1)
+			for i := 0; i < 2; i++ {
+				select {
+				case e := <-ended:
+					p := e[0].(int)
+					checkFault(t, p, e[1], 1-p)
+				case <-timeout:
+					t.Fatalf("a process still in GlobalSum %v after the break", faultIOTimeout)
+				}
+			}
+		})
+	}
 }
 
 // TestTCPHandshakeRejectsMismatch verifies the connect handshake refuses a

@@ -24,9 +24,10 @@ import (
 // Release after unpacking, so steady-state exchanges allocate nothing.
 //
 // Hot-path methods return no errors: the in-process fabric cannot fail, and
-// the TCP transport panics with a *TransportError once any of its data
-// streams fails — a Recv already blocked on the lost peer included. A lost
-// link fails the run, which resumes from its last checkpoint.
+// the TCP transport panics with a *TransportError once any of its
+// connections fails — a Recv or collective already blocked on the lost
+// peer included. A lost link fails the run, which resumes from its last
+// checkpoint.
 type Transport interface {
 	// Proc returns this process' index; NumProcs the total process count.
 	Proc() int
@@ -51,8 +52,6 @@ type Transport interface {
 	// allocation-guard tests assert it stays flat in steady state).
 	Allocs() int64
 
-	// Barrier blocks until every process has entered it.
-	Barrier()
 	// Sum adds vals elementwise across processes; every process receives
 	// the result. Callers preserve bitwise determinism by giving each
 	// vector slot exactly one nonzero contributor.
@@ -161,7 +160,6 @@ func (lt *localTransport) Release(from, to int, face grid.Face, tag Tag, buf []f
 
 // Single-process collectives are identities: the World's local reduction
 // already covers every rank.
-func (lt *localTransport) Barrier()                             {}
 func (lt *localTransport) Sum(vals []float64)                   {}
 func (lt *localTransport) Max(vals []float64)                   {}
 func (lt *localTransport) Gather(parts [][]float64) [][]float64 { return parts }

@@ -15,16 +15,20 @@ import (
 //	0      4     magic "PFWF"
 //	4      1     wire version (currently 1)
 //	5      1     kind (data, hello, helloAck, contrib, result, gather, barrier)
-//	6      1     tag (comm.Tag for data streams; 0xFF on the control stream)
+//	6      1     tag (comm.Tag for data frames; 0xFF marks control frames)
 //	7      1     face (arrival face for data frames; 0 otherwise)
 //	8      4     from (int32 LE: sender rank for data/gather, proc otherwise)
 //	12     4     to (int32 LE: receiver rank for data, proc otherwise)
-//	16     8     seq (uint64 LE: per-stream sequence number; 0 on control)
+//	16     8     seq (uint64 LE: per-connection sequence number)
 //	24     4     nfloats (uint32 LE: payload length in float64s)
 //	28     8×n   payload: nfloats little-endian IEEE-754 float64 bit patterns
 //
-// A zero-length payload is legal in the codec (barrier frames carry none;
-// the transport rejects it on a data stream); NaN and ±Inf payload values
+// Data and control frames share one connection per pair of processes; the
+// tag byte tells them apart, and seq counts every frame sent on the
+// connection in one direction (the handshake frames excepted). The
+// transport sends no barrier frames; the kind stays in the codec. A
+// zero-length payload is legal in the codec (a gather's reply carries
+// none; the transport rejects it in a data frame); NaN and ±Inf payload values
 // round-trip bit-exactly. The decoder enforces an
 // upper payload bound so a corrupt length field cannot trigger an
 // unbounded allocation.
@@ -40,16 +44,17 @@ const wireHeaderSize = 28
 
 // Frame kinds.
 const (
-	kindData     = 1 // halo payload on a data stream
+	kindData     = 1 // halo payload
 	kindHello    = 2 // connect handshake: topology + ckpt version + reserved zero
 	kindHelloAck = 3 // accept handshake reply: one reserved zero
 	kindContrib  = 4 // collective contribution, peer → root
-	kindResult   = 5 // collective result, root → peer
+	kindResult   = 5 // collective result or gather reply, root → peer
 	kindGather   = 6 // per-rank gather payload, peer → root
-	kindBarrier  = 7 // barrier token, both directions
+	kindBarrier  = 7 // barrier token (codec and fixtures only)
 )
 
-// ctrlTag marks the control stream in the frame header's tag byte.
+// ctrlTag marks control frames (and the handshake) in the frame header's
+// tag byte.
 const ctrlTag = 0xFF
 
 // wireFrame is one decoded frame. Payload aliases a caller- or

@@ -17,7 +17,9 @@
 // buffers (whose cost cannot be hidden, §5.1.2), nonblocking start/finish
 // pairs so communication can be overlapped with computation (Algorithm 2),
 // and per-tag message streams so φ- and µ-exchanges in flight at the same
-// time never interleave.
+// time never interleave: every (receiving rank, face, tag) has its own
+// mailbox, so the tags stay apart even where the TCP transport carries
+// both over one connection per peer.
 package comm
 
 import (
@@ -114,11 +116,6 @@ type World struct {
 	flows   [][][grid.NumFaces]FlowCounters
 	latency [][]obs.Histogram
 	mu      []sync.Mutex
-
-	barrier *barrier // counts local ranks; Barrier bridges processes
-
-	reduceMu  sync.Mutex
-	reduceBuf []float64
 }
 
 // NewWorld builds a communicator over the in-process channel fabric: every
@@ -150,7 +147,6 @@ func NewWorldTransport(bg *grid.BlockGrid, tr Transport) *World {
 			w.local = append(w.local, r)
 		}
 	}
-	w.barrier = newBarrier(len(w.local))
 	w.workers = make([]commWorker, n)
 	w.pending = make([][]Pending, n)
 	for r := 0; r < n; r++ {
@@ -203,14 +199,25 @@ func (w *World) submitExchange(rank int, rq exchangeReq) bool {
 
 // runWorker is one rank's comm-worker loop. It exits when Close closes the
 // request channel (after the in-flight count drained, so no request is
-// ever abandoned).
+// ever abandoned). An exchange that panics — a lost TCP link — still
+// completes its round: the panic value travels on the Pending, and Finish
+// raises it on the rank's own goroutine.
 func (w *World) runWorker(rank int) {
 	cw := &w.workers[rank]
 	for rq := range cw.req {
-		w.ExchangeGhosts(rank, rq.f, rq.tag, rq.bcs)
-		w.pending[rank][rq.tag].done <- struct{}{}
+		p := &w.pending[rank][rq.tag]
+		p.fault = w.exchangeRecovered(rank, rq)
+		p.done <- struct{}{}
 		w.inflight.Done()
 	}
+}
+
+// exchangeRecovered runs one overlapped exchange and returns what it
+// panicked with, or nil.
+func (w *World) exchangeRecovered(rank int, rq exchangeReq) (v any) {
+	defer func() { v = recover() }()
+	w.ExchangeGhosts(rank, rq.f, rq.tag, rq.bcs)
+	return nil
 }
 
 // Close releases the comm workers and then the transport. It is idempotent
@@ -286,17 +293,6 @@ func (w *World) BlockBCs(r int, domain grid.BoundarySet) grid.BoundarySet {
 // timestep — the allocation-guard tests assert exactly that.
 func (w *World) PackAllocs() int64 { return w.tr.Allocs() }
 
-// RankStats returns the accumulated stats for rank r summed over all tags.
-func (w *World) RankStats(r int) Stats {
-	w.mu[r].Lock()
-	defer w.mu[r].Unlock()
-	var s Stats
-	for t := range w.stats[r] {
-		s.Add(w.stats[r][t])
-	}
-	return s
-}
-
 // RankTagStats returns the accumulated stats for rank r and one tag.
 func (w *World) RankTagStats(r int, tag Tag) Stats {
 	w.mu[r].Lock()
@@ -337,14 +333,6 @@ func (w *World) addStatsFlows(r int, tag Tag, s Stats, fc *[grid.NumFaces]FlowCo
 	w.mu[r].Unlock()
 }
 
-// Barrier blocks until all ranks — across every process — have called it.
-func (w *World) Barrier() {
-	if w.barrier.await() {
-		w.tr.Barrier()
-	}
-	w.barrier.await()
-}
-
 // GlobalSum adds vals elementwise across processes; every process receives
 // the result. It is a process-level collective: exactly one goroutine per
 // process calls it, in the same order on every process. Callers preserve
@@ -361,102 +349,3 @@ func (w *World) GlobalMax(vals []float64) { w.tr.Max(vals) }
 // returns the completed slice; every other process returns nil. Cold path —
 // checkpoint writing and global field assembly.
 func (w *World) GatherBlocks(parts [][]float64) [][]float64 { return w.tr.Gather(parts) }
-
-// AllReduceSum sums vals elementwise across all ranks of all processes;
-// every rank receives the result in vals. It must be called by all local
-// ranks with equal lengths (and by every process' rank set collectively).
-func (w *World) AllReduceSum(rank int, vals []float64) {
-	w.reduceMu.Lock()
-	if w.reduceBuf == nil {
-		w.reduceBuf = make([]float64, len(vals))
-	}
-	for i, v := range vals {
-		w.reduceBuf[i] += v
-	}
-	w.reduceMu.Unlock()
-
-	if w.barrier.await() {
-		// One local rank folds in the other processes' partial sums.
-		w.tr.Sum(w.reduceBuf)
-	}
-	w.barrier.await()
-
-	w.reduceMu.Lock()
-	copy(vals, w.reduceBuf)
-	w.reduceMu.Unlock()
-
-	if w.barrier.await() {
-		// One rank clears the buffer for the next reduction.
-		w.reduceMu.Lock()
-		w.reduceBuf = nil
-		w.reduceMu.Unlock()
-	}
-	w.barrier.await()
-}
-
-// AllReduceMax computes the elementwise maximum across ranks of all
-// processes.
-func (w *World) AllReduceMax(rank int, vals []float64) {
-	w.reduceMu.Lock()
-	if w.reduceBuf == nil {
-		w.reduceBuf = make([]float64, len(vals))
-		copy(w.reduceBuf, vals)
-	} else {
-		for i, v := range vals {
-			if v > w.reduceBuf[i] {
-				w.reduceBuf[i] = v
-			}
-		}
-	}
-	w.reduceMu.Unlock()
-
-	if w.barrier.await() {
-		w.tr.Max(w.reduceBuf)
-	}
-	w.barrier.await()
-	w.reduceMu.Lock()
-	copy(vals, w.reduceBuf)
-	w.reduceMu.Unlock()
-	if w.barrier.await() {
-		w.reduceMu.Lock()
-		w.reduceBuf = nil
-		w.reduceMu.Unlock()
-	}
-	w.barrier.await()
-}
-
-// barrier is a reusable counting barrier over the local ranks. await
-// returns true for exactly one caller per generation (the last arriver),
-// which bridges the process-level barrier/reduction before the others
-// proceed past the next await.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() bool {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return true
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-	return false
-}

@@ -150,6 +150,34 @@ func childResult(t *testing.T, base, token, id string) []byte {
 	return body
 }
 
+// childSchedule fetches a done child's applied schedule through the
+// gateway and checks that it is JSON holding the velocity ramp with the
+// child's vmax as its end value.
+func childSchedule(t *testing.T, base, id string, vmax float64) []byte {
+	t.Helper()
+	code, body := doReq(t, http.MethodGet, base+"/jobs/"+id+"/schedule", acmeToken, nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /jobs/%s/schedule: %d %s", id, code, body)
+	}
+	var sched struct {
+		Events []struct {
+			Type  string  `json:"type"`
+			Param string  `json:"param"`
+			To    float64 `json:"to"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(body, &sched); err != nil {
+		t.Fatalf("GET /jobs/%s/schedule: %v in %s", id, err, body)
+	}
+	for _, ev := range sched.Events {
+		if ev.Type == "ramp" && ev.Param == "v" && ev.To == vmax {
+			return body
+		}
+	}
+	t.Fatalf("GET /jobs/%s/schedule = %s, want a v ramp to %g", id, body, vmax)
+	return nil
+}
+
 // The federation acceptance test: a 12-child parameter sweep fans out
 // over 3 daemons; the daemon hosting a running child is killed mid-run
 // (store frozen, connections severed); the gateway declares it dead,
@@ -415,8 +443,12 @@ func TestGatewayRestartServesReplicated(t *testing.T) {
 		return arrayStatus(t, fl.URL, acmeToken, st.ID).State == jobd.StateDone
 	})
 	want := map[string][]byte{}
+	scheds := map[string][]byte{}
+	vmax := map[string]float64{}
 	for _, c := range st.Children {
 		want[c.ID] = childResult(t, fl.URL, acmeToken, c.ID)
+		vmax[c.ID] = c.Params["vmax"]
+		scheds[c.ID] = childSchedule(t, fl.URL, c.ID, vmax[c.ID])
 	}
 
 	fl.Kill(0)
@@ -435,6 +467,9 @@ func TestGatewayRestartServesReplicated(t *testing.T) {
 		got := childResult(t, fl.URL, acmeToken, id)
 		if !bytes.Equal(got, blob) {
 			t.Fatalf("child %s served different bytes after gateway restart", id)
+		}
+		if got := childSchedule(t, fl.URL, id, vmax[id]); !bytes.Equal(got, scheds[id]) {
+			t.Fatalf("child %s served a different schedule after gateway restart", id)
 		}
 	}
 	var list []fleet.ArrayStatus

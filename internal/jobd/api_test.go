@@ -344,3 +344,80 @@ func TestAPIScheduleErrorStructuredNoRetry(t *testing.T) {
 		t.Errorf("schedule_error %+v, want face x- at step 4 with reason", cur.ScheduleError)
 	}
 }
+
+// TestAPIClassesAndArrayListing drives GET /classes, GET /arrays and
+// DELETE /arrays/{id} and checks their bodies. The scheduler is never
+// started, so every child of the submitted arrays stays queued until the
+// DELETE cancels those of the first.
+func TestAPIClassesAndArrayListing(t *testing.T) {
+	s := New(Config{Budget: 2, Classes: map[string]int{"scout": 1}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var ids []string
+	for _, class := range []string{"scout", ""} {
+		blob, err := json.Marshal(sweepArraySpec(class, 4, []float64{0.03}, []float64{1, 2, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, body := postBytes(t, ts.URL+"/arrays", string(blob))
+		if status != http.StatusCreated {
+			t.Fatalf("POST /arrays: %d %s", status, body)
+		}
+		var st ArrayStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	var classes []ClassUsage
+	getJSON(t, ts.URL+"/classes", &classes)
+	want := []ClassUsage{
+		{Class: DefaultClass, Budget: 2, Queued: 3},
+		{Class: "scout", Budget: 1, Queued: 3},
+	}
+	if fmt.Sprint(classes) != fmt.Sprint(want) {
+		t.Errorf("GET /classes = %+v, want %+v", classes, want)
+	}
+
+	var arrays []ArrayStatus
+	getJSON(t, ts.URL+"/arrays", &arrays)
+	if len(arrays) != 2 || arrays[0].ID != ids[0] || arrays[1].ID != ids[1] {
+		t.Fatalf("GET /arrays listed %+v, want %v in submission order", arrays, ids)
+	}
+	for _, a := range arrays {
+		if a.State != StateQueued || a.Counts[StateQueued] != 3 || len(a.Children) != 3 {
+			t.Errorf("array %s: state %s counts %v with %d children, want 3 queued", a.ID, a.State, a.Counts, len(a.Children))
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/arrays/"+ids[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canceled ArrayStatus
+	err = json.NewDecoder(resp.Body).Decode(&canceled)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || canceled.ID != ids[0] ||
+		canceled.State != StateCanceled || canceled.Counts[StateCanceled] != 3 {
+		t.Errorf("DELETE /arrays/%s: %d %+v, want 202 with 3 canceled children", ids[0], resp.StatusCode, canceled)
+	}
+
+	getJSON(t, ts.URL+"/arrays", &arrays)
+	if len(arrays) != 2 || arrays[0].State != StateCanceled || arrays[1].State != StateQueued {
+		t.Errorf("GET /arrays after the cancel = %+v, want the first canceled and the second queued", arrays)
+	}
+	getJSON(t, ts.URL+"/classes", &classes)
+	want[1].Queued = 0
+	if fmt.Sprint(classes) != fmt.Sprint(want) {
+		t.Errorf("GET /classes after the cancel = %+v, want %+v", classes, want)
+	}
+}

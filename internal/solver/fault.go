@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
+	"repro/internal/comm"
 	"repro/internal/faultfs"
 	"repro/internal/kernels"
 )
@@ -21,6 +22,12 @@ import (
 // returns the fault as an error (the job daemon routes it into the job's
 // retry/quarantine path); the plain Run loop re-panics it, preserving the
 // fail-fast crash of the CLI tools.
+//
+// A lost TCP link is the other sticky fault. The transport panics with a
+// *comm.TransportError on whichever goroutine touches the dead peer: a
+// rank goroutine (forAllRanks raises it again on the caller), a comm
+// worker (Pending.Finish raises it on the rank) or the caller itself in a
+// collective. RunSchedule recovers it, keeps it, and returns it.
 
 // KernelFault is a panic captured inside a kernel sweep. It satisfies
 // error so it can travel through RunSchedule's error return into the job
@@ -86,6 +93,36 @@ func (fs *faultSink) hit(op sweepOp) {
 // Fault returns the first kernel panic captured by this simulation's
 // sweeps, or nil. A faulted simulation refuses to step further.
 func (s *Sim) Fault() *KernelFault { return s.faults.first.Load() }
+
+// stopped returns the sticky fault that stops the simulation — the first
+// kernel panic, or the lost link — or nil.
+func (s *Sim) stopped() error {
+	if f := s.faults.first.Load(); f != nil {
+		return f
+	}
+	if s.lost != nil {
+		return s.lost
+	}
+	return nil
+}
+
+// catchLinkLoss, deferred by RunSchedule, turns a *comm.TransportError
+// panic into the simulation's sticky fault and RunSchedule's error. Any
+// other panic propagates.
+func (s *Sim) catchLinkLoss(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	te, ok := v.(*comm.TransportError)
+	if !ok {
+		panic(v)
+	}
+	if s.lost == nil {
+		s.lost = te
+	}
+	*err = s.lost
+}
 
 // runGuarded executes the task with panic isolation: the fault-injection
 // points fire first, and any panic (injected or real) is recorded in the

@@ -56,8 +56,14 @@ func (s *Sim) SetSchedulePos(pos int) { s.schedPos = pos }
 // RunSchedule advances the simulation n timesteps under the given
 // schedule. Events with StartStep k act on the step that advances the
 // simulation from k to k+1 completed steps; due checkpoints are reported
-// post-step. A nil schedule degenerates to Run(n).
-func (s *Sim) RunSchedule(n int, sched *schedule.Schedule, hooks ScheduleHooks) error {
+// post-step. A nil schedule degenerates to Run(n). A kernel fault or a
+// lost TCP link stops the simulation: RunSchedule returns it, and every
+// later call returns it again (see fault.go).
+func (s *Sim) RunSchedule(n int, sched *schedule.Schedule, hooks ScheduleHooks) (err error) {
+	defer s.catchLinkLoss(&err)
+	if err := s.stopped(); err != nil {
+		return err
+	}
 	if sched == nil {
 		if hooks.StepDone == nil {
 			for i := 0; i < n; i++ {

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -173,8 +174,9 @@ type Sim struct {
 
 	engine         *sweepEngine // nil when every rank gets a single slab
 	workersPerRank int
-	gauge          *WorkerGauge // never nil; Cfg.Gauge or a private one
-	faults         *faultSink   // never nil; collects recovered kernel panics
+	gauge          *WorkerGauge         // never nil; Cfg.Gauge or a private one
+	faults         *faultSink           // never nil; collects recovered kernel panics
+	lost           *comm.TransportError // the lost link that stopped RunSchedule
 
 	schedPos int // one-shot schedule events already fired
 
@@ -296,17 +298,38 @@ func (s *Sim) GlobalCells() int {
 	return nx * ny * nz
 }
 
-// forAllRanks runs fn concurrently on every rank and waits.
+// forAllRanks runs fn concurrently on every rank and waits. A rank that
+// panics with a *comm.TransportError (a lost TCP link) does not kill the
+// process: the first such panic is raised again on the caller once every
+// rank has returned — the transport's failure wakes every rank blocked on
+// it, so every rank does return. Any other panic still crashes the
+// process, as a rank left blocked on the panicked one would hang it.
 func (s *Sim) forAllRanks(fn func(r *rank)) {
-	var wg sync.WaitGroup
+	// One struct, so the goroutines capture a single heap object.
+	var join struct {
+		wg   sync.WaitGroup
+		lost atomic.Pointer[comm.TransportError]
+	}
 	for _, r := range s.ranks {
-		wg.Add(1)
+		join.wg.Add(1)
 		go func(r *rank) {
-			defer wg.Done()
+			defer join.wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					te, ok := v.(*comm.TransportError)
+					if !ok {
+						panic(v)
+					}
+					join.lost.CompareAndSwap(nil, te)
+				}
+			}()
 			fn(r)
 		}(r)
 	}
-	wg.Wait()
+	join.wg.Wait()
+	if te := join.lost.Load(); te != nil {
+		panic(te)
+	}
 }
 
 // InitScenario fills the domain with the selected composition and
@@ -407,15 +430,14 @@ func (s *Sim) refreshGhosts() {
 }
 
 // Run advances the simulation n timesteps. A kernel panic recovered by the
-// sweeps' isolation layer is re-panicked here as a *KernelFault — the CLI
-// tools keep their fail-fast crash; callers that must survive poisoned
-// kernels (the job daemon) step through RunSchedule, which returns the
+// sweeps' isolation layer, or a lost TCP link, is re-panicked here as the
+// *KernelFault or *comm.TransportError — the CLI tools keep their
+// fail-fast crash; callers that must survive either (the job daemon, a
+// distributed solidify run) step through RunSchedule, which returns the
 // fault as an error instead.
 func (s *Sim) Run(n int) {
-	for i := 0; i < n; i++ {
-		if err := s.runStep(); err != nil {
-			panic(err)
-		}
+	if err := s.RunSchedule(n, nil, ScheduleHooks{}); err != nil {
+		panic(err)
 	}
 }
 
@@ -423,8 +445,8 @@ func (s *Sim) Run(n int) {
 // fault is sticky: once a sweep panicked the field data is garbage, so a
 // faulted simulation refuses every further step.
 func (s *Sim) runStep() error {
-	if f := s.faults.first.Load(); f != nil {
-		return f
+	if err := s.stopped(); err != nil {
+		return err
 	}
 	var t0 time.Time
 	if s.telem != nil {

@@ -118,8 +118,9 @@ type DistConfig struct {
 	// Peers lists every process' listen address, indexed by process.
 	Peers []string
 	// Listener accepts inbound connections; required unless this is the
-	// highest-index non-root process (higher procs dial lower ones). When
-	// nil and required, New listens on Peers[Proc].
+	// highest-index process (each pair of processes shares one
+	// connection, which the higher index dials). When nil and required,
+	// New listens on Peers[Proc].
 	Listener net.Listener
 	// DialTimeout and IOTimeout bound connection establishment and
 	// per-frame I/O; zero values select the transport's 30s defaults.
@@ -248,7 +249,8 @@ func (s *Simulation) InitFront() error {
 	return s.sim.InitScenario(solver.ScenarioInterface)
 }
 
-// Run advances n timesteps.
+// Run advances n timesteps. It panics with the error RunSchedule would
+// return.
 func (s *Simulation) Run(n int) { s.sim.Run(n) }
 
 // Close releases the sweep engine's worker pool. Optional (workers are also
@@ -647,7 +649,10 @@ type ScheduleOptions struct {
 // RunSchedule advances n timesteps under a production schedule: nucleation
 // bursts, process-parameter ramps, boundary-condition events and periodic
 // checkpoints applied between timesteps (see internal/schedule). Restarted
-// simulations resume at the checkpointed schedule position.
+// simulations resume at the checkpointed schedule position. A kernel panic
+// or, in a distributed run, a lost TCP link (a *comm.TransportError naming
+// the peer) stops the simulation: RunSchedule returns it, and every later
+// call returns it again.
 func (s *Simulation) RunSchedule(sched *schedule.Schedule, n int, opt ScheduleOptions) error {
 	hooks := solver.ScheduleHooks{
 		WriteCheckpoint: func(tmpl string, step int) error {
