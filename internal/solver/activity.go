@@ -74,7 +74,7 @@ const proxyNX = 7
 
 // activity is the per-rank activity tracker. It lives on the rank and is
 // only touched from the rank's goroutine (derivations happen at sweep
-// dispatch, before any slab task is queued, so skip decisions depend on
+// dispatch, before any claim task is queued, so skip decisions depend on
 // step-start field state only — never on Config.Parallelism).
 type activity struct {
 	margin int  // wakeMargin unless a test widened it before the first step
@@ -275,7 +275,7 @@ func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]
 }
 
 // derivePhi classifies every slice and decides the step's φ-sleep set. Runs
-// on the rank goroutine at φ-dispatch, before any slab task is queued.
+// on the rank goroutine at φ-dispatch, before any claim task is queued.
 // Under OverlapMu a µsrc ghost exchange may be in flight here; only µ
 // interiors are read (the φ-kernel never reads µ ghosts).
 func (a *activity) derivePhi(s *Sim, r *rank) {

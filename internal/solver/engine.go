@@ -9,22 +9,31 @@ import (
 )
 
 // engine.go implements the intra-block parallel sweep engine: a persistent
-// worker pool owned by Sim that decomposes each block's φ- and µ-sweep into
-// z-slab ranges and runs them concurrently through the kernels' *Range entry
+// worker pool owned by Sim that cuts each block's φ- and µ-sweep into
+// z-slabs and runs them concurrently through the kernels' *Range entry
 // points. Disjoint slabs write disjoint destination slices, so workers never
 // conflict; each worker owns a kernels.Scratch, and the stag/shortcut
 // variants recompute the z-face fluxes of a slab's first slice instead of
 // reusing another worker's buffer (bitwise identical to the serial sweep).
 //
 // The pool is shared by all ranks: with B blocks and parallelism P, each
-// rank's sweep is cut into ⌊P/B⌋ slabs (at least one), so a many-block
-// decomposition keeps one slab per rank (the seed's one-goroutine-per-block
+// rank's sweep gets n = ⌊P/B⌋ claim tasks (at least one), so a many-block
+// decomposition keeps one worker per rank (the seed's one-goroutine-per-block
 // behavior) and a single-block run fans out across all P workers without
-// oversubscribing.
+// oversubscribing. A slice below the front costs two to three times one
+// above it (the melt above takes the bulk-row shortcuts), so equal-height
+// cuts would hand the whole expensive side to one worker. Instead the awake
+// slices are over-cut into up to slabsPerWorker·n slabs, and each claim task
+// takes the next unswept slab from the rank's list until none is left: the
+// workers even out the load themselves, with no timing state.
 
-// minSlabSlices is the smallest z-extent worth its own worker: thinner slabs
-// pay more in seam-slice flux recomputation than they gain in parallelism.
+// minSlabSlices is the smallest z-extent worth its own slab: thinner slabs
+// pay more in seam-slice flux recomputation than they gain in balance.
 const minSlabSlices = 4
+
+// slabsPerWorker is how many slabs a sweep is cut into per claim task, so a
+// worker that drew cheap slabs claims more of them.
+const slabsPerWorker = 4
 
 // sweepOp selects which kernel a sweep task runs.
 type sweepOp int
@@ -34,23 +43,35 @@ const (
 	opMu
 )
 
-// sweepTask is one z-slab of one rank's sweep. It carries everything the
-// worker needs so dispatch allocates nothing.
+// sweepTask is one claim task of one rank's sweep: the worker holding it
+// claims slabs through the rank's cursor and sweeps them until none is
+// left. It carries everything the worker needs so dispatch allocates
+// nothing.
 type sweepTask struct {
-	op     sweepOp
-	ctx    *kernels.Ctx
-	f      *kernels.Fields
-	v      kernels.Variant
-	z0, z1 int
-	done   *sync.WaitGroup
-	sink   *faultSink // panic isolation + injection points (never nil from runSweep)
+	op    sweepOp
+	r     *rank
+	v     kernels.Variant
+	slabs [][2]int // [z0,z1) slabs, claimed in order through r.next
+	done  *sync.WaitGroup
+	sink  *faultSink // panic isolation + injection points (never nil from runSweep)
 }
 
-func (t *sweepTask) run(sc *kernels.Scratch) {
+// drain claims and sweeps slabs until the list is empty.
+func (t *sweepTask) drain(sc *kernels.Scratch) {
+	for {
+		i := int(t.r.next.Add(1)) - 1
+		if i >= len(t.slabs) {
+			return
+		}
+		t.runGuarded(sc, t.slabs[i][0], t.slabs[i][1])
+	}
+}
+
+func (t *sweepTask) run(sc *kernels.Scratch, z0, z1 int) {
 	if t.op == opPhi {
-		kernels.PhiSweepRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
+		kernels.PhiSweepRange(&t.r.ctx, t.r.fields, sc, t.v, z0, z1)
 	} else {
-		kernels.MuSweepRange(t.ctx, t.f, sc, t.v, t.z0, t.z1)
+		kernels.MuSweepRange(&t.r.ctx, t.r.fields, sc, t.v, z0, z1)
 	}
 }
 
@@ -58,8 +79,8 @@ func (t *sweepTask) run(sc *kernels.Scratch) {
 // of the Sim and block on the task channel between sweeps. The pool can
 // grow at a step boundary (SetWorkerBudget) when the job daemon hands a
 // simulation a larger share of the global budget; shrinking needs no pool
-// change, because concurrency is bounded by how many slabs a sweep
-// dispatches, not by how many workers exist.
+// change, because concurrency is bounded by how many claim tasks a sweep
+// queues, not by how many workers exist.
 type sweepEngine struct {
 	tasks     chan sweepTask
 	gauge     *WorkerGauge
@@ -86,7 +107,7 @@ func (e *sweepEngine) grow(n, bx, by int) {
 		go func() {
 			for t := range e.tasks {
 				e.gauge.enter()
-				t.runGuarded(sc)
+				t.drain(sc)
 				e.gauge.exit()
 				t.done.Done()
 			}
@@ -103,82 +124,68 @@ func (e *sweepEngine) close() {
 // defaultParallelism resolves the Config.Parallelism zero value.
 func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// slabCount returns how many slabs to cut an nz-slice sweep into for one
-// rank: the per-rank worker share, bounded so no slab is thinner than
+// claimTasks returns how many workers sweep a rank's total awake slices:
+// the per-rank worker share, bounded so each can claim a slab of at least
 // minSlabSlices.
-func (s *Sim) slabCount(nz int) int {
-	n := s.workersPerRank
-	if lim := nz / minSlabSlices; n > lim {
-		n = lim
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+func (s *Sim) claimTasks(total int) int {
+	return max(1, min(s.workersPerRank, total/minSlabSlices))
 }
 
-// runSweep executes one kernel sweep for rank r, fanned out over the engine
-// when the scheduler assigns this rank more than one slab. With activity
-// tracking on (activity.go), the sleep set for this op is derived first —
-// on the rank's own goroutine, from step-start field state, so skip
-// decisions are independent of Config.Parallelism — and only the awake
-// [z0,z1) runs are swept; slept slices are realized by copy/broadcast
-// while the slab tasks are in flight. Any z-partition of a sweep is
-// bitwise identical to the serial sweep (the stag/shortcut variants
-// recompute seam-slice fluxes), so carving runs around sleeping slices
-// cannot perturb awake cells. With tracking disabled the single
-// full-extent run reproduces the seed behavior byte for byte.
+// cutSlabs appends to dst the slabs that n claim tasks share: each awake
+// run is cut into pieces at least h = max(minSlabSlices,
+// ⌈total/(slabsPerWorker·n)⌉) slices high and within one slice of each
+// other, so there are at most slabsPerWorker·n of them. A run shorter than
+// h stays one slab (runs are never merged).
+func cutSlabs(dst, runs [][2]int, total, n int) [][2]int {
+	m := slabsPerWorker * n
+	h := max(minSlabSlices, (total+m-1)/m)
+	for _, run := range runs {
+		ln := run[1] - run[0]
+		k := max(1, ln/h)
+		for i := 0; i < k; i++ {
+			dst = append(dst, [2]int{run[0] + i*ln/k, run[0] + (i+1)*ln/k})
+		}
+	}
+	return dst
+}
+
+// runSweep executes one kernel sweep for rank r. With activity tracking on
+// (activity.go), the sleep set for this op is derived first — on the
+// rank's own goroutine, from step-start field state, so skip decisions are
+// independent of Config.Parallelism — and only the awake [z0,z1) runs are
+// swept; slept slices are realized by copy/broadcast while the claim tasks
+// are in flight. With one worker for the rank the runs are swept uncut on
+// the rank goroutine; with n > 1 they are cut into slabs (cutSlabs) and n
+// claim tasks (never more than there are slabs) go to the engine, so no
+// more than the rank's worker share sweeps at once. Any z-partition of a
+// sweep is bitwise identical to the serial sweep (the stag/shortcut
+// variants recompute seam-slice fluxes), so neither the cut nor which
+// worker claims a slab can perturb a cell. With tracking disabled the
+// single full-extent run reproduces the seed behavior byte for byte.
 func (s *Sim) runSweep(r *rank, op sweepOp) {
-	nz := r.fields.PhiSrc.NZ
-	v := s.Cfg.Variant
 	sleep := s.prepareActivity(r, op)
-	runs := r.act.activeRuns(sleep, nz)
+	runs := r.act.activeRuns(sleep, r.fields.PhiSrc.NZ)
 	total := 0
 	for _, run := range runs {
 		total += run[1] - run[0]
 	}
-	n := 0
-	if total > 0 {
-		n = s.slabCount(total)
-	}
-	if n <= 1 || s.engine == nil {
-		for _, run := range runs {
-			t := sweepTask{op: op, ctx: &r.ctx, f: r.fields, v: v,
-				z0: run[0], z1: run[1], sink: s.faults}
-			s.gauge.enter()
-			t.runGuarded(r.sc)
-			s.gauge.exit()
+	t := sweepTask{op: op, r: r, v: s.Cfg.Variant, slabs: runs, done: &r.wg, sink: s.faults}
+	r.next.Store(0)
+	if n := s.claimTasks(total); n > 1 && s.engine != nil {
+		r.slabs = cutSlabs(r.slabs[:0], runs, total, n)
+		t.slabs = r.slabs
+		n = min(n, len(r.slabs))
+		r.wg.Add(n)
+		for i := 0; i < n; i++ {
+			s.engine.tasks <- t
 		}
-		s.applySkips(r, op, sleep)
-		return
-	}
-	count := 0
-	for _, run := range runs {
-		count += slabsFor(run[1]-run[0], n, total)
-	}
-	r.wg.Add(count)
-	for _, run := range runs {
-		ln := run[1] - run[0]
-		ni := slabsFor(ln, n, total)
-		for i := 0; i < ni; i++ {
-			s.engine.tasks <- sweepTask{
-				op: op, ctx: &r.ctx, f: r.fields, v: v,
-				z0: run[0] + i*ln/ni, z1: run[0] + (i+1)*ln/ni,
-				done: &r.wg, sink: s.faults,
-			}
-		}
+	} else if total > 0 {
+		s.gauge.enter()
+		t.drain(r.sc)
+		s.gauge.exit()
 	}
 	s.applySkips(r, op, sleep)
 	r.wg.Wait()
-}
-
-// slabsFor apportions the slab budget n across active runs by length.
-func slabsFor(ln, n, total int) int {
-	k := n * ln / total
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 // Close releases the sweep engine's worker goroutines and the World's comm
@@ -197,9 +204,10 @@ func (s *Sim) Close() {
 // parallelism to n workers. It must be called at a step boundary (no sweep
 // in flight) — the job daemon applies rebalanced budget shares from the
 // schedule-runner goroutine inside the per-step yield hook. The pool grows
-// on demand; a shrink simply dispatches fewer slabs from the next sweep on
-// (idle pool workers park on the task channel and cost nothing). Slab
-// decompositions are bit-for-bit equivalent across worker counts, so
+// on demand; a shrink simply queues fewer claim tasks from the next sweep
+// on (idle pool workers park on the task channel and cost nothing), so no
+// more than the new share sweeps at once even when the pool grew earlier.
+// Slab decompositions are bit-for-bit equivalent across worker counts, so
 // re-budgeting never perturbs the trajectory.
 func (s *Sim) SetWorkerBudget(n int) error {
 	if n < 1 {

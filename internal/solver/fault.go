@@ -53,7 +53,7 @@ func (op sweepOp) String() string {
 	return "mu"
 }
 
-// SweepPoint is the faultfs crash-point name hit once per sweep task (a
+// SweepPoint is the faultfs crash-point name hit once per swept slab (a
 // per-op variant "solver.sweep.<op>" is hit alongside it). Arming it in
 // Config.Faults panics inside the sweep exactly where a poisoned kernel
 // would, exercising the full recovery path.
@@ -81,7 +81,7 @@ var sweepPointName = [2]string{
 	opMu:  SweepPoint + ".mu",
 }
 
-// hit fires the sweep crash points for one task.
+// hit fires the sweep crash points for one slab.
 func (fs *faultSink) hit(op sweepOp) {
 	if fs.points == nil {
 		return
@@ -124,13 +124,13 @@ func (s *Sim) catchLinkLoss(err *error) {
 	*err = s.lost
 }
 
-// runGuarded executes the task with panic isolation: the fault-injection
-// points fire first, and any panic (injected or real) is recorded in the
+// runGuarded sweeps the slab [z0,z1) with panic isolation: the
+// fault-injection points fire first, and any panic (injected or real) is recorded in the
 // sink instead of unwinding into the pool worker or rank goroutine. The
 // deferred closure captures only the sink and the op — capturing t would
 // heap-escape every serial-path sweepTask (the steady-state step must stay
 // allocation-free).
-func (t *sweepTask) runGuarded(sc *kernels.Scratch) {
+func (t *sweepTask) runGuarded(sc *kernels.Scratch, z0, z1 int) {
 	sink, op := t.sink, t.op
 	defer func() {
 		if r := recover(); r != nil {
@@ -141,5 +141,5 @@ func (t *sweepTask) runGuarded(sc *kernels.Scratch) {
 		}
 	}()
 	sink.hit(op)
-	t.run(sc)
+	t.run(sc, z0, z1)
 }

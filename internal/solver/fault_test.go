@@ -76,7 +76,7 @@ func TestSweepPanicRecoveredPool(t *testing.T) {
 		t.Fatal("test did not engage the worker pool")
 	}
 
-	pts.Arm(SweepPoint, 2, 1) // a mid-sweep slab task panics
+	pts.Arm(SweepPoint, 2, 1) // a mid-sweep slab panics
 
 	err := s.RunSchedule(4, nil, ScheduleHooks{})
 	var kf *KernelFault

@@ -13,8 +13,9 @@ import (
 // busy sweep workers since the last Reset.
 //
 // Both sweep paths report: a serial sweep counts as one busy worker on the
-// rank's own goroutine, and every in-flight z-slab task of the parallel
-// engine counts as one busy pool worker.
+// rank's own goroutine, and every claim task of the parallel engine counts
+// as one busy pool worker, from its first slab claim until the rank's slab
+// list is empty.
 //
 // A gauge refines into named sub-gauges via Class: installing
 // gauge.Class("small") in a Sim counts that Sim's workers on both the

@@ -22,7 +22,7 @@ import (
 //
 // Mutation safety under the parallel sweep engine: every event is applied
 // on the caller's goroutine at a step boundary, when no sweep task is in
-// flight (runSweep joins all slab tasks before returning and the worker
+// flight (runSweep joins all claim tasks before returning and the worker
 // pool blocks on its task channel between sweeps). The per-rank
 // kernels.Ctx is rebuilt from Cfg.Params at the start of each timestep, so
 // in-place parameter rewrites become visible to every worker exactly at

@@ -130,7 +130,7 @@ type Config struct {
 	// Faults, when non-nil, arms deterministic fault injection: the sweeps
 	// hit the SweepPoint crash points, and an armed point panics inside the
 	// kernel exactly like a poisoned sweep would. Production leaves it nil
-	// (the hooks then cost one nil check per task).
+	// (the hooks then cost one nil check per slab).
 	Faults *faultfs.Points
 
 	// DisableActiveSweep turns off per-z-slab activity tracking (see
@@ -158,9 +158,11 @@ type rank struct {
 	muBCs  grid.BoundarySet
 	zOff   int // global z of local z=0 (excluding window offset)
 
-	ctx kernels.Ctx    // per-step sweep context, reused across steps
-	wg  sync.WaitGroup // joins this rank's in-flight slab tasks
-	act activity       // per-z-slab activity tracker (activity.go)
+	ctx   kernels.Ctx    // per-step sweep context, reused across steps
+	wg    sync.WaitGroup // joins this rank's in-flight claim tasks
+	slabs [][2]int       // the pooled sweep's slab list, reused (cutSlabs)
+	next  atomic.Int32   // claim cursor into the sweep's slab list
+	act   activity       // per-z-slab activity tracker (activity.go)
 
 	phiKernelTime time.Duration
 	muKernelTime  time.Duration
