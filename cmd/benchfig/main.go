@@ -10,6 +10,10 @@
 //	benchfig -roofline
 //	benchfig -all
 //
+// A -parscale run at a few steps is a smoke run only: at 5 steps the serial
+// leg of a 40³ block swung 1.90–3.06 MLUP/s over 16 runs on a 2-vCPU VM, so
+// it cannot tell two commits apart. Compare commits with -steps 40.
+//
 // Figures 6–7 and the measured half of Fig. 8 run live on this machine;
 // Figs. 8 (model half) and 9 use the calibrated analytic machine models
 // (see DESIGN.md).

@@ -323,50 +323,64 @@ func TestReshardTrajectory(t *testing.T) {
 }
 
 // TestTCPLinkLossReturnedByRunSchedule runs a two-process DefaultConfig
-// simulation (µ exchange overlapped on the comm workers) and closes
-// proc 1 after 3 steps. Proc 0's RunSchedule must return, within
-// IOTimeout, an error that is a *comm.TransportError naming proc 1 — not
-// kill the process from a rank goroutine or a comm worker — and every
-// later call must return the same error.
+// simulation (µ exchange hidden as a task on the sweep pool) and closes
+// proc 1 after 3 steps, at one and at two sweep workers per process — the
+// φ-sweep inline beside the exchange task, and as claim tasks sharing the
+// pool with it. Proc 0's RunSchedule must return, within IOTimeout, an
+// error that is a *comm.TransportError naming proc 1 — not kill the process
+// from a rank goroutine or a pool worker — with no claim task still busy,
+// and every later call must return the same error.
 func TestTCPLinkLossReturnedByRunSchedule(t *testing.T) {
 	const ioTimeout = 10 * time.Second // startDistSims' IOTimeout
-	sims := startDistSims(t, 2, func(proc int, d *DistConfig) (*Simulation, error) {
-		cfg := DefaultConfig(16, 8, 16)
-		cfg.PX = 2
-		cfg.Distributed = d
-		s, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s, s.InitProduction()
-	})
-	if sims[0].sim.Cfg.Overlap != solver.OverlapMu {
-		t.Fatalf("DefaultConfig overlap %v, want OverlapMu", sims[0].sim.Cfg.Overlap)
-	}
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			gauge := &solver.WorkerGauge{}
+			sims := startDistSims(t, 2, func(proc int, d *DistConfig) (*Simulation, error) {
+				cfg := DefaultConfig(16, 8, 16)
+				cfg.PX = 2
+				cfg.Parallelism = par
+				cfg.Distributed = d
+				if proc == 0 {
+					cfg.WorkerGauge = gauge
+				}
+				s, err := New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return s, s.InitProduction()
+			})
+			if sims[0].sim.Cfg.Overlap != solver.OverlapMu {
+				t.Fatalf("DefaultConfig overlap %v, want OverlapMu", sims[0].sim.Cfg.Overlap)
+			}
 
-	closed := make(chan error, 1)
-	go func() {
-		err := sims[1].RunSchedule(nil, 3, ScheduleOptions{})
-		sims[1].Close()
-		closed <- err
-	}()
-	ended := make(chan error, 1)
-	go func() { ended <- sims[0].RunSchedule(nil, 1<<30, ScheduleOptions{}) }()
+			closed := make(chan error, 1)
+			go func() {
+				err := sims[1].RunSchedule(nil, 3, ScheduleOptions{})
+				sims[1].Close()
+				closed <- err
+			}()
+			ended := make(chan error, 1)
+			go func() { ended <- sims[0].RunSchedule(nil, 1<<30, ScheduleOptions{}) }()
 
-	if err := <-closed; err != nil {
-		t.Fatalf("proc 1: %v", err)
-	}
-	var err error
-	select {
-	case err = <-ended:
-	case <-time.After(ioTimeout):
-		t.Fatalf("proc 0 still running %v after proc 1 closed", ioTimeout)
-	}
-	var te *comm.TransportError
-	if !errors.As(err, &te) || te.Peer != 1 {
-		t.Fatalf("proc 0 RunSchedule returned %v, want a *comm.TransportError naming proc 1", err)
-	}
-	if again := sims[0].RunSchedule(nil, 1, ScheduleOptions{}); again != err {
-		t.Fatalf("next RunSchedule returned %v, want the same %v", again, err)
+			if err := <-closed; err != nil {
+				t.Fatalf("proc 1: %v", err)
+			}
+			var err error
+			select {
+			case err = <-ended:
+			case <-time.After(ioTimeout):
+				t.Fatalf("proc 0 still running %v after proc 1 closed", ioTimeout)
+			}
+			var te *comm.TransportError
+			if !errors.As(err, &te) || te.Peer != 1 {
+				t.Fatalf("proc 0 RunSchedule returned %v, want a *comm.TransportError naming proc 1", err)
+			}
+			if n := gauge.Active(); n != 0 {
+				t.Fatalf("%d claim tasks still busy after RunSchedule returned", n)
+			}
+			if again := sims[0].RunSchedule(nil, 1, ScheduleOptions{}); again != err {
+				t.Fatalf("next RunSchedule returned %v, want the same %v", again, err)
+			}
+		})
 	}
 }

@@ -120,47 +120,6 @@ func TestPackRegionSoAFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
-func TestStartExchangeAllocFree(t *testing.T) {
-	// Overlapped exchanges run on persistent per-rank comm workers with
-	// per-(rank, tag) Pending handles: once the workers and pack buffers
-	// are warm, a StartExchange/Finish round must not allocate — the
-	// per-call goroutine + Pending of the original design is gone.
-	w, f0, f1, bcs := allocTestWorld(t)
-	defer w.Close()
-
-	pair := func() {
-		p0 := w.StartExchange(0, f0, TagPhi, bcs)
-		p1 := w.StartExchange(1, f1, TagPhi, bcs)
-		p0.Finish()
-		p1.Finish()
-	}
-	for i := 0; i < 4; i++ {
-		pair() // warm-up: spawn workers, populate pack buffers
-	}
-	if avg := testing.AllocsPerRun(20, pair); avg != 0 {
-		t.Errorf("steady-state overlapped exchange allocates %.1f objects/run, want 0", avg)
-	}
-}
-
-func TestStartExchangeReusesPending(t *testing.T) {
-	w, f0, f1, bcs := allocTestWorld(t)
-	defer w.Close()
-	done := make(chan struct{})
-	go func() {
-		w.StartExchange(1, f1, TagPhi, bcs).Finish()
-		w.StartExchange(1, f1, TagPhi, bcs).Finish()
-		close(done)
-	}()
-	p1 := w.StartExchange(0, f0, TagPhi, bcs)
-	p1.Finish()
-	p2 := w.StartExchange(0, f0, TagPhi, bcs)
-	p2.Finish()
-	<-done
-	if p1 != p2 {
-		t.Error("StartExchange handed out distinct Pending handles for the same (rank, tag)")
-	}
-}
-
 func TestPackBufferRecycling(t *testing.T) {
 	// Repeated exchanges circulate a bounded buffer set: the allocation
 	// count must stop growing after the first few steps.

@@ -32,13 +32,13 @@ func closeRaceWorld(t *testing.T) (*World, []*grid.Field, []grid.BoundarySet) {
 // the first.
 func TestCloseIdempotent(t *testing.T) {
 	w, fields, bcs := closeRaceWorld(t)
-	// Exercise the workers once so there is something to shut down.
+	// Exercise the transport once before closing it.
 	var wg sync.WaitGroup
 	for r := range fields {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			w.StartExchange(r, fields[r], TagPhi, bcs[r]).Finish()
+			w.ExchangeGhosts(r, fields[r], TagPhi, bcs[r])
 		}(r)
 	}
 	wg.Wait()
@@ -54,63 +54,4 @@ func TestCloseIdempotent(t *testing.T) {
 		}()
 	}
 	cg.Wait()
-}
-
-// A StartExchange issued after Close must still complete the round (as a
-// blocking exchange) and its Finish must return.
-func TestStartExchangeAfterClose(t *testing.T) {
-	w, fields, bcs := closeRaceWorld(t)
-	w.Close()
-
-	var wg sync.WaitGroup
-	for r := range fields {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				w.StartExchange(r, fields[r], TagPhi, bcs[r]).Finish()
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
-// Close racing a stream of in-flight overlapped exchange rounds (the job
-// daemon cancels jobs from API goroutines while ranks are mid-step) must
-// neither panic, nor deadlock, nor abandon a Finish. Run with -race.
-func TestCloseConcurrentWithExchange(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		w, fields, bcs := closeRaceWorld(t)
-		const rounds = 50
-
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for r := range fields {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				<-start
-				for i := 0; i < rounds; i++ {
-					// Alternate tags so both pending slots see traffic.
-					tag := TagPhi
-					if i%2 == 1 {
-						tag = TagMu
-					}
-					w.StartExchange(r, fields[r], tag, bcs[r]).Finish()
-				}
-			}(r)
-		}
-		// Several concurrent closers racing the exchange loops; the trial
-		// loop varies how far the rounds have progressed when they land.
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				w.Close()
-			}()
-		}
-		close(start)
-		wg.Wait()
-	}
 }

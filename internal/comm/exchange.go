@@ -199,63 +199,3 @@ func applyFaceBC(f *grid.Field, face grid.Face, bc grid.BC) {
 	bs[face] = bc
 	bs.Apply(f)
 }
-
-// Pending represents an in-flight overlapped ghost exchange. Pendings are
-// persistent per-(rank, tag) objects owned by the World — StartExchange
-// hands out the same one every step, so overlapping a fixed set of
-// exchanges allocates nothing in steady state.
-type Pending struct {
-	done  chan struct{} // capacity 1; the comm worker signals completion
-	fault any           // what the exchange panicked with; written before done
-	w     *World
-	rank  int
-	tag   Tag
-}
-
-// exchangeReq is one overlapped-exchange order for a rank's comm worker.
-// The boundary set travels by value: its Values slice headers still point
-// at the live domain backing, so a wall-value ramp applied at the step
-// boundary is visible to the worker's BC fill without re-sending state.
-type exchangeReq struct {
-	f   *grid.Field
-	tag Tag
-	bcs grid.BoundarySet
-}
-
-// StartExchange begins an overlapped staged halo exchange and returns
-// immediately. The exchange runs on the rank's persistent comm worker (one
-// goroutine per rank, started on first use) and writes only ghost cells of
-// f, so it may proceed concurrently with compute kernels that read/write
-// interior cells only. Call Finish on the returned Pending to synchronize.
-// At most one exchange per (rank, tag) may be outstanding — exactly the
-// discipline of Algorithm 2's "communicate ... end communicate" bracket.
-//
-// On a closed (or concurrently closing) World the exchange degrades to a
-// blocking one executed here, on the caller's goroutine, and the returned
-// Pending is already complete — correctness is preserved, only the overlap
-// is lost.
-func (w *World) StartExchange(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet) *Pending {
-	p := &w.pending[rank][tag]
-	if !w.submitExchange(rank, exchangeReq{f: f, tag: tag, bcs: bcs}) {
-		w.ExchangeGhosts(rank, f, tag, bcs)
-		p.done <- struct{}{}
-	}
-	return p
-}
-
-// Finish blocks until the exchange completes, attributing the blocked time
-// to Stats.Wait. It consumes the completion signal and must be called
-// exactly once per StartExchange: the Pending handle is persistent across
-// steps, so a second Finish would steal a later exchange's signal and
-// deadlock its legitimate waiter (the old per-call Pending tolerated
-// double-Finish; this one does not). If the exchange panicked on the comm
-// worker (a *TransportError), Finish panics with the same value here.
-func (p *Pending) Finish() {
-	t0 := time.Now()
-	<-p.done
-	p.w.addStats(p.rank, p.tag, Stats{Wait: time.Since(t0)})
-	if v := p.fault; v != nil {
-		p.fault = nil
-		panic(v)
-	}
-}

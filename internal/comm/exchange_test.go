@@ -124,54 +124,6 @@ func TestExchangeTwoBlocksPeriodicAxis(t *testing.T) {
 	runExchange(t, 2, 1, 1, 4, 4, 4, 1, [3]bool{true, true, true})
 }
 
-func TestOverlappedExchangeMatchesBlocking(t *testing.T) {
-	bg, _ := grid.NewBlockGrid(2, 2, 1, 4, 4, 4, [3]bool{true, true, false})
-	w := NewWorld(bg)
-	domain := grid.AllPeriodic()
-	domain[grid.ZMin] = grid.BC{Kind: grid.BCNeumann}
-	domain[grid.ZMax] = grid.BC{Kind: grid.BCNeumann}
-
-	mkFields := func() []*grid.Field {
-		fs := make([]*grid.Field, bg.NumBlocks())
-		for r := range fs {
-			f := grid.NewField(4, 4, 4, 2, 1, grid.SoA)
-			ox, oy, oz := bg.Origin(r)
-			f.Interior(func(x, y, z int) {
-				for c := 0; c < 2; c++ {
-					f.Set(c, x, y, z, float64(c*100000+(ox+x)*1000+(oy+y)*10+(oz+z)))
-				}
-			})
-			fs[r] = f
-		}
-		return fs
-	}
-
-	blocking := mkFields()
-	overlapped := mkFields()
-
-	var wg sync.WaitGroup
-	for r := 0; r < bg.NumBlocks(); r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			bcs := bg.BlockBCs(r, domain)
-			w.ExchangeGhosts(r, blocking[r], TagPhi, bcs)
-			p := w.StartExchange(r, overlapped[r], TagMu, bcs)
-			p.Finish()
-		}(r)
-	}
-	wg.Wait()
-
-	for r := range blocking {
-		for i := range blocking[r].Data {
-			if blocking[r].Data[i] != overlapped[r].Data[i] {
-				t.Fatalf("rank %d index %d: blocking %v != overlapped %v",
-					r, i, blocking[r].Data[i], overlapped[r].Data[i])
-			}
-		}
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	bg, _ := grid.NewBlockGrid(2, 1, 1, 4, 4, 4, [3]bool{true, false, false})
 	w := NewWorld(bg)
@@ -199,8 +151,12 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Bytes != 2*16*8 {
 		t.Errorf("rank 0 sent %d bytes, want %d", s.Bytes, 2*16*8)
 	}
+	w.AddWait(0, TagMu, 5)
+	if got := w.RankTagStats(0, TagMu).Wait; got != 5 {
+		t.Errorf("AddWait charged %v to the µ tag, want 5ns", got)
+	}
 	w.ResetStats()
-	if w.RankTagStats(0, TagPhi).Messages != 0 {
+	if w.RankTagStats(0, TagPhi).Messages != 0 || w.RankTagStats(0, TagMu).Wait != 0 {
 		t.Error("ResetStats did not clear")
 	}
 }

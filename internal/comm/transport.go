@@ -8,9 +8,8 @@ import (
 
 // Transport moves tagged per-face halo frames between ranks and provides
 // the process-level collectives. The World keeps everything above it —
-// staged pack/unpack, persistent comm workers, statistics — so both
-// implementations share the exchange protocol and its accounting by
-// construction.
+// staged pack/unpack and statistics — so both implementations share the
+// exchange protocol and its accounting by construction.
 //
 // Two implementations exist: the in-process channel fabric (NewWorld's
 // default, every rank in one OS process) and the TCP transport

@@ -9,17 +9,19 @@
 // Frame movement is delegated to a Transport: the in-process channel fabric
 // (default) or the TCP transport, which lets one rank grid span OS
 // processes and machines. The World keeps everything above the transport —
-// pack/unpack, persistent comm workers, statistics — so both paths share
-// the protocol and its accounting.
+// pack/unpack, statistics — so both paths share the protocol and its
+// accounting.
 //
 // The package reproduces the structural properties that matter for the
 // paper's system-level experiments: explicit pack/unpack into message
-// buffers (whose cost cannot be hidden, §5.1.2), nonblocking start/finish
-// pairs so communication can be overlapped with computation (Algorithm 2),
-// and per-tag message streams so φ- and µ-exchanges in flight at the same
-// time never interleave: every (receiving rank, face, tag) has its own
-// mailbox, so the tags stay apart even where the TCP transport carries
-// both over one connection per peer.
+// buffers (whose cost cannot be hidden, §5.1.2), exchanges that write only
+// ghost cells, so a caller can overlap one with computation by running it
+// on another goroutine (Algorithm 2; the solver runs it as a task on its
+// sweep pool and charges its join to Stats.Wait through AddWait), and
+// per-tag message streams so φ- and µ-exchanges in flight at the same time
+// never interleave: every (receiving rank, face, tag) has its own mailbox,
+// so the tags stay apart even where the TCP transport carries both over
+// one connection per peer.
 package comm
 
 import (
@@ -61,7 +63,7 @@ type Stats struct {
 	Pack     time.Duration // packing ghost data into message buffers
 	Unpack   time.Duration // unpacking received buffers into ghost layers
 	Transfer time.Duration // blocking time in transport send/receive
-	Wait     time.Duration // time blocked in Finish() for overlapped exchanges
+	Wait     time.Duration // time blocked joining overlapped exchanges (AddWait)
 	Messages int
 	Bytes    int
 }
@@ -96,17 +98,7 @@ type World struct {
 
 	local []int // global ids of ranks this process owns, ascending
 
-	// workers are the per-rank comm workers executing overlapped
-	// exchanges; pending[rank][tag] are the persistent completion handles
-	// StartExchange hands out. Workers start lazily on first use so
-	// blocking-only worlds spawn no goroutines.
-	workers   []commWorker
-	pending   [][]Pending
 	closeOnce sync.Once
-	// inflight counts overlapped-exchange requests accepted but not yet
-	// completed; Close waits for it to drain so an in-flight round always
-	// finishes (and its Finish returns) before the workers shut down.
-	inflight sync.WaitGroup
 
 	stats [][]Stats // per-rank, per-tag accumulated stats
 	// flows holds per-(rank, tag, face) frame/byte counters,
@@ -147,108 +139,21 @@ func NewWorldTransport(bg *grid.BlockGrid, tr Transport) *World {
 			w.local = append(w.local, r)
 		}
 	}
-	w.workers = make([]commWorker, n)
-	w.pending = make([][]Pending, n)
 	for r := 0; r < n; r++ {
 		w.stats[r] = make([]Stats, numTags)
 		w.flows[r] = make([][grid.NumFaces]FlowCounters, numTags)
 		w.latency[r] = make([]obs.Histogram, numTags)
-		// Request capacity covers one outstanding exchange per tag, so
-		// StartExchange never blocks under the one-per-(rank,tag)
-		// discipline.
-		w.workers[r].req = make(chan exchangeReq, int(numTags))
-		w.pending[r] = make([]Pending, numTags)
-		for t := 0; t < int(numTags); t++ {
-			w.pending[r][t] = Pending{done: make(chan struct{}, 1), w: w, rank: r, tag: Tag(t)}
-		}
 	}
 	return w
 }
 
-// commWorker is one rank's persistent overlapped-exchange executor. The
-// mutex makes the started/closed transitions atomic with request
-// submission, so Close can never race a send on a closed channel.
-type commWorker struct {
-	mu      sync.Mutex
-	started bool
-	closed  bool
-	req     chan exchangeReq
-}
-
-// submitExchange hands rq to rank's comm worker, starting the worker
-// goroutine on first use. It reports false — without submitting — when the
-// World is closed (or closing); the caller then runs the exchange inline.
-// The send happens under the worker's mutex, which is safe because the
-// request channel has one slot per tag and the one-outstanding-per-
-// (rank, tag) discipline guarantees a free slot.
-func (w *World) submitExchange(rank int, rq exchangeReq) bool {
-	cw := &w.workers[rank]
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if cw.closed {
-		return false
-	}
-	if !cw.started {
-		cw.started = true
-		go w.runWorker(rank)
-	}
-	w.inflight.Add(1)
-	cw.req <- rq
-	return true
-}
-
-// runWorker is one rank's comm-worker loop. It exits when Close closes the
-// request channel (after the in-flight count drained, so no request is
-// ever abandoned). An exchange that panics — a lost TCP link — still
-// completes its round: the panic value travels on the Pending, and Finish
-// raises it on the rank's own goroutine.
-func (w *World) runWorker(rank int) {
-	cw := &w.workers[rank]
-	for rq := range cw.req {
-		p := &w.pending[rank][rq.tag]
-		p.fault = w.exchangeRecovered(rank, rq)
-		p.done <- struct{}{}
-		w.inflight.Done()
-	}
-}
-
-// exchangeRecovered runs one overlapped exchange and returns what it
-// panicked with, or nil.
-func (w *World) exchangeRecovered(rank int, rq exchangeReq) (v any) {
-	defer func() { v = recover() }()
-	w.ExchangeGhosts(rank, rq.f, rq.tag, rq.bcs)
-	return nil
-}
-
-// Close releases the comm workers and then the transport. It is idempotent
-// and safe to call concurrently with an in-flight overlapped exchange round
-// (the job daemon cancels jobs from API goroutines): accepted exchanges
-// complete — their Finish returns normally — before the workers shut down,
-// and a StartExchange that loses the race to Close degrades to a blocking
-// exchange on the caller's goroutine. Optional — a World whose owner is
-// garbage collected releases the workers too (solver.Sim arranges that) —
-// but deterministic for harnesses that build many worlds. On the in-process
-// transport, blocking exchanges and reductions keep working after Close; on
-// the TCP transport Close tears down the connections, so it must be the
-// last collective act of the process.
+// Close releases the transport. It is idempotent and safe to call from
+// several goroutines at once. On the in-process transport, exchanges and
+// reductions keep working after Close; on the TCP transport Close tears
+// down the connections, so it must be the last collective act of the
+// process.
 func (w *World) Close() {
-	w.closeOnce.Do(func() {
-		// Phase 1: refuse new submissions. After this loop no
-		// submitExchange can add to inflight (the check-and-add is
-		// atomic under each worker's mutex).
-		for r := range w.workers {
-			cw := &w.workers[r]
-			cw.mu.Lock()
-			cw.closed = true
-			cw.mu.Unlock()
-		}
-		// Phase 2: let accepted exchanges finish, then stop the workers.
-		w.inflight.Wait()
-		for r := range w.workers {
-			close(w.workers[r].req)
-		}
-		_ = w.tr.Close()
-	})
+	w.closeOnce.Do(func() { _ = w.tr.Close() })
 }
 
 // NumRanks returns the number of ranks in the world (all processes).
@@ -314,6 +219,12 @@ func (w *World) ResetStats() {
 			w.latency[r][t].Reset()
 		}
 	}
+}
+
+// AddWait charges d to rank r's Stats.Wait for tag: the time the rank
+// blocked joining an exchange it had overlapped with computation.
+func (w *World) AddWait(r int, tag Tag, d time.Duration) {
+	w.addStats(r, tag, Stats{Wait: d})
 }
 
 func (w *World) addStats(r int, tag Tag, s Stats) {

@@ -18,7 +18,7 @@ import "time"
 // decomposition they can exceed Wall — the phases run concurrently on the
 // rank goroutines. Halo components follow comm.Stats semantics: Pack and
 // Unpack are buffer copies, Transfer is blocking transport time, Wait is
-// time blocked in Finish for overlapped exchanges. Under the deferred-µ
+// time a rank blocked joining its overlapped exchange. Under the deferred-µ
 // overlap modes the µ exchange of step N completes at the start of step
 // N+1, so its cost lands on the next step's record — attribution shifts
 // one step, totals are exact.

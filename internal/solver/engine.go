@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/kernels"
 )
 
@@ -26,6 +27,14 @@ import (
 // slices are over-cut into up to slabsPerWorker·n slabs, and each claim task
 // takes the next unswept slab from the rank's list until none is left: the
 // workers even out the load themselves, with no timing state.
+//
+// The pool also hosts the hidden µ exchange of OverlapMu (Algorithm 2): each
+// rank queues one exchange task before its φ-sweep and joins it after. An
+// exchange task blocks until the neighbors' frames arrive, so the pool must
+// never let it wait behind another blocked task. It cannot: the pool has at
+// least one worker per local rank, each rank has at most one exchange task
+// outstanding, and claim tasks never block, so every queued exchange task
+// finds a worker. Exchange tasks are not counted by the WorkerGauge.
 
 // minSlabSlices is the smallest z-extent worth its own slab: thinner slabs
 // pay more in seam-slice flux recomputation than they gain in balance.
@@ -41,12 +50,13 @@ type sweepOp int
 const (
 	opPhi sweepOp = iota
 	opMu
+	opExchange // the rank's hidden µ exchange, not a sweep (exchangeMu)
 )
 
 // sweepTask is one claim task of one rank's sweep: the worker holding it
 // claims slabs through the rank's cursor and sweeps them until none is
 // left. It carries everything the worker needs so dispatch allocates
-// nothing.
+// nothing. An opExchange task uses only r and done.
 type sweepTask struct {
 	op    sweepOp
 	r     *rank
@@ -84,7 +94,8 @@ func (t *sweepTask) run(sc *kernels.Scratch, z0, z1 int) {
 type sweepEngine struct {
 	tasks     chan sweepTask
 	gauge     *WorkerGauge
-	size      int // workers started so far
+	world     *comm.World // exchange tasks run on it
+	size      int         // workers started so far
 	closeOnce sync.Once
 }
 
@@ -94,8 +105,8 @@ const engineTaskCap = 1024
 
 // newSweepEngine starts nw workers, each owning a Scratch sized for one
 // block slice.
-func newSweepEngine(nw, bx, by int, g *WorkerGauge) *sweepEngine {
-	e := &sweepEngine{tasks: make(chan sweepTask, engineTaskCap), gauge: g}
+func newSweepEngine(nw, bx, by int, g *WorkerGauge, w *comm.World) *sweepEngine {
+	e := &sweepEngine{tasks: make(chan sweepTask, engineTaskCap), gauge: g, world: w}
 	e.grow(nw, bx, by)
 	return e
 }
@@ -106,14 +117,36 @@ func (e *sweepEngine) grow(n, bx, by int) {
 		sc := kernels.NewScratch(bx, by)
 		go func() {
 			for t := range e.tasks {
-				e.gauge.enter()
-				t.drain(sc)
-				e.gauge.exit()
+				if t.op == opExchange {
+					t.r.exchangeMu(e.world)
+				} else {
+					e.gauge.enter()
+					t.drain(sc)
+					e.gauge.exit()
+				}
 				t.done.Done()
 			}
 		}()
 	}
 	e.size += n
+}
+
+// exchangeMu is a rank's exchange task: the blocking µ exchange of the
+// source field, run on a pool worker while the rank sweeps φ. It writes only
+// ghost cells, which the φ-sweep never reads. A lost TCP link is kept for
+// the rank goroutine, which raises it after the join (timestep); any other
+// panic crashes the process here, as it would on the rank goroutine.
+func (r *rank) exchangeMu(w *comm.World) {
+	defer func() {
+		if v := recover(); v != nil {
+			te, ok := v.(*comm.TransportError)
+			if !ok {
+				panic(v)
+			}
+			r.lost = te
+		}
+	}()
+	w.ExchangeGhosts(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs)
 }
 
 // close releases the worker goroutines. Safe to call more than once.
@@ -171,7 +204,7 @@ func (s *Sim) runSweep(r *rank, op sweepOp) {
 	}
 	t := sweepTask{op: op, r: r, v: s.Cfg.Variant, slabs: runs, done: &r.wg, sink: s.faults}
 	r.next.Store(0)
-	if n := s.claimTasks(total); n > 1 && s.engine != nil {
+	if n := s.claimTasks(total); n > 1 {
 		r.slabs = cutSlabs(r.slabs[:0], runs, total, n)
 		t.slabs = r.slabs
 		n = min(n, len(r.slabs))
@@ -188,15 +221,13 @@ func (s *Sim) runSweep(r *rank, op sweepOp) {
 	r.wg.Wait()
 }
 
-// Close releases the sweep engine's worker goroutines and the World's comm
-// workers. The Sim must not be stepped afterwards. Calling Close is
-// optional — an unclosed engine is also released when the Sim is garbage
+// Close releases the sweep engine's worker goroutines and the World's
+// transport. The Sim must not be stepped afterwards. Calling Close is
+// optional — an unclosed Sim is also released when it is garbage
 // collected — but deterministic for benchmark harnesses that build many
 // simulations.
 func (s *Sim) Close() {
-	if s.engine != nil {
-		s.engine.close()
-	}
+	s.engine.close()
 	s.World.Close()
 }
 
@@ -223,14 +254,7 @@ func (s *Sim) SetWorkerBudget(n int) error {
 		return nil
 	}
 	s.workersPerRank = wpr
-	if wpr <= 1 {
-		return nil
-	}
-	need := wpr * nBlocks
-	if s.engine == nil {
-		s.engine = newSweepEngine(need, s.Cfg.BG.BX, s.Cfg.BG.BY, s.gauge)
-		runtime.AddCleanup(s, func(e *sweepEngine) { e.close() }, s.engine)
-	} else if need > s.engine.size {
+	if need := wpr * nBlocks; need > s.engine.size {
 		s.engine.grow(need-s.engine.size, s.Cfg.BG.BX, s.Cfg.BG.BY)
 	}
 	return nil

@@ -25,9 +25,9 @@ import (
 //
 // A lost TCP link is the other sticky fault. The transport panics with a
 // *comm.TransportError on whichever goroutine touches the dead peer: a
-// rank goroutine (forAllRanks raises it again on the caller), a comm
-// worker (Pending.Finish raises it on the rank) or the caller itself in a
-// collective. RunSchedule recovers it, keeps it, and returns it.
+// rank goroutine (forAllRanks raises it again on the caller), a pool
+// worker running a µ exchange task (the rank raises it after the join) or
+// the caller itself in a collective. RunSchedule recovers it, keeps it, and returns it.
 
 // KernelFault is a panic captured inside a kernel sweep. It satisfies
 // error so it can travel through RunSchedule's error return into the job

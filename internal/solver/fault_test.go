@@ -72,7 +72,7 @@ func TestSweepPanicRecoveredSerial(t *testing.T) {
 func TestSweepPanicRecoveredPool(t *testing.T) {
 	pts := faultfs.NewPoints()
 	s := faultTestSim(t, 1, 4, pts) // 4 workers on 1 block: pool path
-	if s.engine == nil {
+	if s.workersPerRank < 2 {
 		t.Fatal("test did not engage the worker pool")
 	}
 

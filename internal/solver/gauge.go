@@ -15,7 +15,8 @@ import (
 // Both sweep paths report: a serial sweep counts as one busy worker on the
 // rank's own goroutine, and every claim task of the parallel engine counts
 // as one busy pool worker, from its first slab claim until the rank's slab
-// list is empty.
+// list is empty. A pool worker running a rank's µ exchange task is not
+// counted: it waits on the network, not on a core's worth of kernel work.
 //
 // A gauge refines into named sub-gauges via Class: installing
 // gauge.Class("small") in a Sim counts that Sim's workers on both the

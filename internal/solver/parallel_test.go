@@ -46,8 +46,8 @@ func TestParallelSimMatchesSerial(t *testing.T) {
 
 				s := parSim(t, 1, par, v, OverlapMu)
 				defer s.Close()
-				if s.engine == nil {
-					t.Fatal("engine not engaged at parallelism > 1")
+				if s.workersPerRank < 2 {
+					t.Fatal("claim tasks not engaged at parallelism > 1")
 				}
 				s.Run(3)
 
@@ -157,8 +157,8 @@ func TestParallelSplitRunsMatchSerial(t *testing.T) {
 	for _, par := range []int{2, 4} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			s := bandSim(t, par)
-			if s.engine == nil {
-				t.Fatal("engine not engaged at parallelism > 1")
+			if s.workersPerRank < 2 {
+				t.Fatal("claim tasks not engaged at parallelism > 1")
 			}
 			s.Run(20)
 			requireSameTrajectory(t, s, ref)
@@ -250,24 +250,29 @@ func TestSlabCountScheduler(t *testing.T) {
 
 func TestSteadyStateStepCommAllocFree(t *testing.T) {
 	// The halo-exchange pack/unpack path of a steady-state timestep must
-	// not allocate: after warm-up, Sim.Run(1) leaves the persistent pack
-	// buffer count unchanged, and with the blocking overlap mode the
-	// whole comm path stays off the allocator (AllocsPerRun counts every
-	// allocation in the process; the residual budget below is the
-	// per-step goroutine fan-out of forAllRanks, not the comm path).
-	s := parSim(t, 2, 1, kernels.VarShortcut, OverlapNone)
-	defer s.Close()
-	s.Run(3) // warm-up: populate the buffer set
+	// not allocate, in either overlap mode: after warm-up, Sim.Run(1)
+	// leaves the persistent pack buffer count unchanged, and the whole comm
+	// path stays off the allocator — under OverlapMu that includes queueing
+	// and joining each rank's exchange task on the pool (AllocsPerRun
+	// counts every allocation in the process; the residual budget below is
+	// the per-step goroutine fan-out of forAllRanks, not the comm path).
+	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
+		t.Run(ov.String(), func(t *testing.T) {
+			s := parSim(t, 2, 1, kernels.VarShortcut, ov)
+			defer s.Close()
+			s.Run(3) // warm-up: populate the buffer set
 
-	before := s.World.PackAllocs()
-	avg := testing.AllocsPerRun(10, func() { s.Run(1) })
-	if got := s.World.PackAllocs(); got != before {
-		t.Errorf("steady-state Run(1) allocated %d pack buffers, want 0", got-before)
-	}
-	// The two rank goroutines per step cost a handful of scheduler
-	// objects; the pre-fix comm path allocated 12 buffers/step on top.
-	if avg > 8 {
-		t.Errorf("steady-state Run(1) allocates %.1f objects, want the comm path contribution to be zero (budget 8)", avg)
+			before := s.World.PackAllocs()
+			avg := testing.AllocsPerRun(10, func() { s.Run(1) })
+			if got := s.World.PackAllocs(); got != before {
+				t.Errorf("steady-state Run(1) allocated %d pack buffers, want 0", got-before)
+			}
+			// The two rank goroutines per step cost a handful of scheduler
+			// objects; the pre-fix comm path allocated 12 buffers/step on top.
+			if avg > 8 {
+				t.Errorf("steady-state Run(1) allocates %.1f objects, want the comm path contribution to be zero (budget 8)", avg)
+			}
+		})
 	}
 }
 
@@ -277,8 +282,8 @@ func TestPooledStepClaimAllocFree(t *testing.T) {
 	// TestSteadyStateStepCommAllocFree.
 	s := parSim(t, 1, 2, kernels.VarShortcut, OverlapMu)
 	defer s.Close()
-	if s.engine == nil {
-		t.Fatal("engine not engaged at parallelism 2")
+	if s.workersPerRank < 2 {
+		t.Fatal("claim tasks not engaged at parallelism 2")
 	}
 	s.Run(3) // warm-up: slab list, tracker scratch and pack buffers
 	if avg := testing.AllocsPerRun(10, func() { s.Run(1) }); avg > 8 {

@@ -117,8 +117,8 @@ type Config struct {
 	// parallelism across all blocks (0 selects runtime.GOMAXPROCS(0)).
 	// When it exceeds the block count, each block's sweeps are decomposed
 	// into z-slabs executed concurrently by the persistent worker pool;
-	// otherwise sweeps run serially on the per-block goroutines exactly as
-	// without the engine. SetWorkerBudget re-targets it between steps.
+	// otherwise sweeps run serially on the per-block goroutines.
+	// SetWorkerBudget re-targets it between steps.
 	Parallelism int
 
 	// Gauge, when non-nil, is shared instrumentation counting concurrently
@@ -164,6 +164,9 @@ type rank struct {
 	next  atomic.Int32   // claim cursor into the sweep's slab list
 	act   activity       // per-z-slab activity tracker (activity.go)
 
+	xwg  sync.WaitGroup       // joins this rank's exchange task (OverlapMu)
+	lost *comm.TransportError // the lost link the exchange task hit
+
 	phiKernelTime time.Duration
 	muKernelTime  time.Duration
 }
@@ -174,7 +177,7 @@ type Sim struct {
 	World *comm.World
 	ranks []*rank
 
-	engine         *sweepEngine // nil when every rank gets a single slab
+	engine         *sweepEngine
 	workersPerRank int
 	gauge          *WorkerGauge         // never nil; Cfg.Gauge or a private one
 	faults         *faultSink           // never nil; collects recovered kernel panics
@@ -232,27 +235,23 @@ func New(cfg Config) (*Sim, error) {
 	if !cfg.DisableStepTelemetry {
 		s.telem = obs.NewRing(obs.DefaultRingCap)
 	}
-	// The World's per-rank comm workers (overlapped exchanges) reference
-	// the World, so they keep it alive; release them when the Sim goes
-	// unreachable without an explicit Close.
+	// Close the World's transport when the Sim goes unreachable without an
+	// explicit Close (a TCP transport holds connections).
 	runtime.AddCleanup(s, func(w *comm.World) { w.Close() }, s.World)
 	s.gauge = cfg.Gauge
 	if s.gauge == nil {
 		s.gauge = &WorkerGauge{}
 	}
 	// The worker budget covers this process' blocks only: each process of
-	// a distributed grid brings its own budget.
+	// a distributed grid brings its own budget. The pool has at least one
+	// worker per local rank, so every rank's exchange task finds one
+	// (engine.go).
 	nLocal := len(s.World.LocalRanks())
-	s.workersPerRank = cfg.Parallelism / nLocal
-	if s.workersPerRank < 1 {
-		s.workersPerRank = 1
-	}
-	if s.workersPerRank > 1 {
-		s.engine = newSweepEngine(s.workersPerRank*nLocal, cfg.BG.BX, cfg.BG.BY, s.gauge)
-		// Release the workers when the Sim becomes unreachable without an
-		// explicit Close (benchmark harnesses build many simulations).
-		runtime.AddCleanup(s, func(e *sweepEngine) { e.close() }, s.engine)
-	}
+	s.workersPerRank = max(1, cfg.Parallelism/nLocal)
+	s.engine = newSweepEngine(s.workersPerRank*nLocal, cfg.BG.BX, cfg.BG.BY, s.gauge, s.World)
+	// Release the workers when the Sim becomes unreachable without an
+	// explicit Close (benchmark harnesses build many simulations).
+	runtime.AddCleanup(s, func(e *sweepEngine) { e.close() }, s.engine)
 
 	// Physical boundary sets: φ bottom feeds solid phase 0 nominally (the
 	// Dirichlet slab is immediately below already-solid material, so the
@@ -474,22 +473,29 @@ func (s *Sim) runStep() error {
 // assigns this rank more than one z-slab. Under OverlapNone (Algorithm 1)
 // both exchanges block and the µ ghosts are synchronized at the end of the
 // step; under OverlapMu the µ exchange of the source field is deferred to
-// the start of the next step and hidden behind the φ-sweep (Sync makes the
-// ghosts consistent before data export).
+// the start of the next step and hidden behind the φ-sweep: it runs as an
+// exchange task on the pool, and the time the rank then blocks joining it
+// is charged to the µ tag's Stats.Wait (Sync makes the ghosts consistent
+// before data export).
 func (s *Sim) timestep(r *rank) {
 	f := r.fields
 	r.ctx = kernels.Ctx{P: s.Cfg.Params, ZOff: r.zOff + s.windowShift, Time: s.time}
 	overlap := s.Cfg.Overlap == OverlapMu
 
-	var pMu *comm.Pending
 	if overlap {
-		pMu = s.World.StartExchange(r.id, f.MuSrc, comm.TagMu, r.muBCs)
+		r.xwg.Add(1)
+		s.engine.tasks <- sweepTask{op: opExchange, r: r, done: &r.xwg}
 	}
 	t0 := time.Now()
 	s.runSweep(r, opPhi)
 	r.phiKernelTime += time.Since(t0)
 	if overlap {
-		pMu.Finish()
+		t0 = time.Now()
+		r.xwg.Wait()
+		s.World.AddWait(r.id, comm.TagMu, time.Since(t0))
+		if r.lost != nil {
+			panic(r.lost)
+		}
 	}
 	s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
 	t0 = time.Now()

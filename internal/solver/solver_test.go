@@ -114,7 +114,9 @@ func TestMultiBlockMatchesSingleBlock(t *testing.T) {
 }
 
 // Both overlap modes must produce bit-identical physics: they run the same
-// fused kernels and differ only in when the µ ghosts are exchanged.
+// fused kernels and differ only in when the µ ghosts are exchanged. At
+// parallelism 8 each of the four ranks gets two pool workers, so its
+// exchange task queues beside its φ claim tasks.
 func TestOverlapModesEquivalent(t *testing.T) {
 	ref := mkSim(t, 2, 2, 1, 6, 6, 12, kernels.VarShortcut, OverlapNone)
 	if err := ref.InitScenario(ScenarioInterface); err != nil {
@@ -125,17 +127,30 @@ func TestOverlapModesEquivalent(t *testing.T) {
 	refPhi := ref.GatherGlobalPhi()
 	refMu := ref.GatherGlobalMu()
 
-	s := mkSim(t, 2, 2, 1, 6, 6, 12, kernels.VarShortcut, OverlapMu)
-	if err := s.InitScenario(ScenarioInterface); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(4)
-	s.Sync()
-	if ok, maxd := s.GatherGlobalPhi().InteriorEqual(refPhi, 0); !ok {
-		t.Errorf("%v: φ differs by %g", OverlapMu, maxd)
-	}
-	if ok, maxd := s.GatherGlobalMu().InteriorEqual(refMu, 0); !ok {
-		t.Errorf("%v: µ differs by %g", OverlapMu, maxd)
+	for _, par := range []int{0, 8} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			cfg := ref.Cfg
+			cfg.Overlap, cfg.Parallelism = OverlapMu, par
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if par == 8 && s.workersPerRank != 2 {
+				t.Fatalf("%d workers per rank at parallelism 8, want 2", s.workersPerRank)
+			}
+			if err := s.InitScenario(ScenarioInterface); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(4)
+			s.Sync()
+			if ok, maxd := s.GatherGlobalPhi().InteriorEqual(refPhi, 0); !ok {
+				t.Errorf("%v: φ differs by %g", OverlapMu, maxd)
+			}
+			if ok, maxd := s.GatherGlobalMu().InteriorEqual(refMu, 0); !ok {
+				t.Errorf("%v: µ differs by %g", OverlapMu, maxd)
+			}
+		})
 	}
 }
 
@@ -159,6 +174,19 @@ func TestRunMeasuredMetrics(t *testing.T) {
 	}
 	if s.Time() <= 0 {
 		t.Error("time not advancing")
+	}
+	// Stats.Wait is the time a rank blocks joining its hidden µ exchange:
+	// zero when both exchanges block, charged to the µ tag under OverlapMu.
+	if m.CommMu.Wait != 0 || m.CommPhi.Wait != 0 {
+		t.Errorf("%v charged wait µ %v φ %v, want 0", OverlapNone, m.CommMu.Wait, m.CommPhi.Wait)
+	}
+	ov := mkSim(t, 2, 1, 1, 6, 6, 6, kernels.VarShortcut, OverlapMu)
+	defer ov.Close()
+	if err := ov.InitScenario(ScenarioInterface); err != nil {
+		t.Fatal(err)
+	}
+	if m := ov.RunMeasured(3); m.CommMu.Wait <= 0 || m.CommPhi.Wait != 0 {
+		t.Errorf("%v charged wait µ %v φ %v, want µ > 0 and φ 0", OverlapMu, m.CommMu.Wait, m.CommPhi.Wait)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // checkpoint. Ghost layers carry exact copies of neighbor interiors (or
 // BC-filled values identical to the single-block fills), so any deviation
 // is a halo-exchange, BC-staging or window-shift bug, not roundoff. This
-// also regression-guards the zero-allocation halo exchange and the
-// persistent comm workers under BoundarySets that change between steps.
+// also regression-guards the zero-allocation halo exchange and the µ
+// exchange tasks on the sweep pool under BoundarySets that change between
+// steps.
 
 // mkGoldenSim builds the golden scenario on a px×py decomposition.
 func mkGoldenSim(t *testing.T, px, py int) *Simulation {
