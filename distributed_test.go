@@ -1,6 +1,7 @@
 package phasefield
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -17,71 +18,91 @@ import (
 	"repro/internal/solver"
 )
 
-// distributed_test.go proves the network transport and elastic resharding
-// against the same oracle as multirank_test.go: the golden trajectory on a
-// TCP-connected rank grid must be bitwise identical to the single-rank
-// in-process run, and a checkpoint resharded onto a different-sized grid
-// must resume that trajectory bit for bit. The TCP "processes" are
+// distributed_test.go holds the process-group helpers the TCP tests share
+// and proves elastic resharding and link loss. The TCP "processes" are
 // goroutines joined over loopback listeners — the wire path, framing,
 // handshake and root-gathering are exactly the multi-node ones.
 
-// startDistSims builds one Simulation per TCP process over loopback, using
-// mk to construct each (New+Init or Restore). mk runs concurrently for all
-// processes because the transport handshake blocks until every peer is up.
+// startProcs builds one Simulation in process (procs 0), or one per
+// loopback TCP process, concurrently: the handshake blocks until every
+// peer is up. Each process's transport owns its listener from then on.
+func startProcs(procs int, mk func(d *DistConfig) (*Simulation, error)) (sims []*Simulation, err error) {
+	if procs == 0 {
+		s, err := mk(nil)
+		if err != nil {
+			return nil, err
+		}
+		return []*Simulation{s}, nil
+	}
+	peers := make([]string, procs)
+	lns := make([]net.Listener, procs)
+	defer func() {
+		if err != nil {
+			for _, l := range lns {
+				if l != nil {
+					l.Close()
+				}
+			}
+		}
+	}()
+	for p := range lns {
+		if lns[p], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+		peers[p] = lns[p].Addr().String()
+	}
+	sims = make([]*Simulation, procs)
+	err = each(sims, func(p int, _ *Simulation) error {
+		var err error
+		sims[p], err = mk(&DistConfig{Proc: p, Peers: peers, Listener: lns[p],
+			DialTimeout: 10 * time.Second, IOTimeout: 10 * time.Second})
+		return err
+	})
+	if err != nil {
+		closeSims(sims)
+		return nil, err
+	}
+	return sims, nil
+}
+
+// startDistSims is startProcs over nprocs TCP processes for a test.
 func startDistSims(t *testing.T, nprocs int, mk func(proc int, d *DistConfig) (*Simulation, error)) []*Simulation {
 	t.Helper()
-	listeners := make([]net.Listener, nprocs)
-	peers := make([]string, nprocs)
-	for p := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[p] = l
-		peers[p] = l.Addr().String()
-	}
-	sims := make([]*Simulation, nprocs)
-	errs := make([]error, nprocs)
-	var wg sync.WaitGroup
-	for p := 0; p < nprocs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sims[p], errs[p] = mk(p, &DistConfig{
-				Proc: p, Peers: peers, Listener: listeners[p],
-				DialTimeout: 10 * time.Second,
-				IOTimeout:   10 * time.Second,
-			})
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", p, err)
-		}
+	sims, err := startProcs(nprocs, func(d *DistConfig) (*Simulation, error) { return mk(d.Proc, d) })
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() { closeSims(sims) })
 	return sims
+}
+
+// each runs fn for every process concurrently and joins their errors. A
+// process whose fn fails is closed, so peers blocked on it fail too
+// instead of waiting for it forever.
+func each(sims []*Simulation, fn func(p int, s *Simulation) error) error {
+	errs := make([]error, len(sims))
+	var wg sync.WaitGroup
+	for p, s := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[p] = fn(p, s); errs[p] != nil && s != nil {
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // runDist advances every process to `until` steps concurrently (the halo
 // exchange synchronizes them internally).
 func runDist(t *testing.T, sims []*Simulation, scheds []*schedule.Schedule, until int) {
 	t.Helper()
-	errs := make([]error, len(sims))
-	var wg sync.WaitGroup
-	for i := range sims {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = sims[i].RunSchedule(scheds[i], until-sims[i].Step(), ScheduleOptions{})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", i, err)
-		}
+	if err := each(sims, func(p int, s *Simulation) error {
+		return s.RunSchedule(scheds[p], until-s.Step(), ScheduleOptions{})
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -89,16 +110,10 @@ func runDist(t *testing.T, sims []*Simulation, scheds []*schedule.Schedule, unti
 // returns the root's φ and µ fields.
 func gatherDist(sims []*Simulation) (phi, mu *grid.Field) {
 	fields := make([][2]*grid.Field, len(sims))
-	var wg sync.WaitGroup
-	for i := range sims {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fields[i][0] = sims[i].GlobalPhi()
-			fields[i][1] = sims[i].sim.GatherGlobalMu()
-		}(i)
-	}
-	wg.Wait()
+	each(sims, func(p int, s *Simulation) error {
+		fields[p] = [2]*grid.Field{s.GlobalPhi(), s.sim.GatherGlobalMu()}
+		return nil
+	})
 	return fields[0][0], fields[0][1]
 }
 
@@ -106,141 +121,29 @@ func gatherDist(sims []*Simulation) (phi, mu *grid.Field) {
 // gather is collective, the file write root-only.
 func checkpointDist(t *testing.T, sims []*Simulation, path string) {
 	t.Helper()
-	errs := make([]error, len(sims))
-	var wg sync.WaitGroup
-	for i := range sims {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if !sims[i].IsRoot() {
-				errs[i] = sims[i].WriteCheckpoint(nil, ckpt.Float64)
-				return
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer f.Close()
-			if err := sims[i].WriteCheckpoint(f, ckpt.Float64); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = f.Close()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: checkpoint: %v", i, err)
+	if err := each(sims, func(_ int, s *Simulation) error {
+		if !s.IsRoot() {
+			return s.WriteCheckpoint(nil, ckpt.Float64)
 		}
+		var buf bytes.Buffer
+		if err := s.WriteCheckpoint(&buf, ckpt.Float64); err != nil {
+			return err
+		}
+		return os.WriteFile(path, buf.Bytes(), 0o644)
+	}); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 }
 
 // closeSims tears every process down concurrently — closing one side while
 // a peer still exchanges would look like a network fault.
 func closeSims(sims []*Simulation) {
-	var wg sync.WaitGroup
-	for _, s := range sims {
-		if s == nil {
-			continue
+	each(sims, func(_ int, s *Simulation) error {
+		if s != nil {
+			s.Close()
 		}
-		wg.Add(1)
-		go func(s *Simulation) { defer wg.Done(); s.Close() }(s)
-	}
-	wg.Wait()
-}
-
-// expectGatheredBitwise asserts the root-gathered fields of a distributed
-// run match a reference simulation bit for bit.
-func expectGatheredBitwise(t *testing.T, label string, phi, mu *grid.Field, ref *Simulation) {
-	t.Helper()
-	if ok, maxd := phi.InteriorEqual(ref.GlobalPhi(), 0); !ok {
-		t.Errorf("%s: φ differs by %g (want bitwise identity)", label, maxd)
-	}
-	if ok, maxd := mu.InteriorEqual(ref.sim.GatherGlobalMu(), 0); !ok {
-		t.Errorf("%s: µ differs by %g (want bitwise identity)", label, maxd)
-	}
-}
-
-// TestTCPGoldenBitwiseEquivalence is the multirank harness over the wire:
-// the golden trajectory on a 2×2 rank grid split across four TCP processes
-// must match the single-rank in-process run bitwise at every waypoint, and
-// the run's root-written checkpoint must seed a restart leg — on both
-// transports — that stays bitwise identical to the in-process restart.
-func TestTCPGoldenBitwiseEquivalence(t *testing.T) {
-	refDir, tcpDir := t.TempDir(), t.TempDir()
-	ref := mkGoldenSim(t, 1, 1)
-	refSched := goldenSchedule(t, filepath.Join(refDir, "ref_%06d.pfcp"))
-
-	tcpCkpt := filepath.Join(tcpDir, "tcp_%06d.pfcp")
-	sims := startDistSims(t, 4, func(proc int, d *DistConfig) (*Simulation, error) {
-		cfg := goldenConfig()
-		cfg.PX, cfg.PY = 2, 2
-		cfg.Distributed = d
-		s, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s, s.InitProduction()
+		return nil
 	})
-	scheds := make([]*schedule.Schedule, len(sims))
-	for i := range scheds {
-		scheds[i] = goldenSchedule(t, tcpCkpt)
-	}
-
-	for _, until := range []int{12, goldenCkptStep, 28, goldenSteps} {
-		if err := ref.RunSchedule(refSched, until-ref.Step(), ScheduleOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		runDist(t, sims, scheds, until)
-		phi, mu := gatherDist(sims)
-		expectGatheredBitwise(t, fmt.Sprintf("step %d", until), phi, mu, ref)
-		if sims[0].WindowShift() != ref.WindowShift() {
-			t.Fatalf("step %d: window shifts diverged (%d vs %d)",
-				until, sims[0].WindowShift(), ref.WindowShift())
-		}
-	}
-	if ref.WindowShift() == 0 {
-		t.Fatal("run never shifted the window; the harness guards nothing")
-	}
-	midCkpt := fmt.Sprintf(tcpCkpt, goldenCkptStep)
-	if _, err := os.Stat(midCkpt); err != nil {
-		t.Fatalf("root did not write the scheduled checkpoint: %v", err)
-	}
-	closeSims(sims)
-
-	// Restart leg. The TCP run's checkpoint and the reference's encode
-	// bitwise-identical global states, so their float32 round trips seed
-	// identical continuations: in-process from the reference's file, TCP
-	// 4-process from the root-written file.
-	refRestored, err := Restore(fmt.Sprintf(filepath.Join(refDir, "ref_%06d.pfcp"), goldenCkptStep),
-		Config{MovingWindow: true, WindowFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refRestored.RunSchedule(refSched, goldenSteps-refRestored.Step(), ScheduleOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	restored := startDistSims(t, 4, func(proc int, d *DistConfig) (*Simulation, error) {
-		return Restore(midCkpt, Config{MovingWindow: true, WindowFraction: 0.5, Distributed: d})
-	})
-	for _, s := range restored {
-		if s.Step() != goldenCkptStep {
-			t.Fatalf("restored at step %d", s.Step())
-		}
-		if s.NumProcs() != 4 {
-			t.Fatalf("restored on %d processes", s.NumProcs())
-		}
-	}
-	rScheds := make([]*schedule.Schedule, len(restored))
-	for i := range rScheds {
-		rScheds[i] = goldenSchedule(t, tcpCkpt)
-	}
-	runDist(t, restored, rScheds, goldenSteps)
-	phi, mu := gatherDist(restored)
-	expectGatheredBitwise(t, "restart leg", phi, mu, refRestored)
-	closeSims(restored)
 }
 
 // TestReshardTrajectory is the elastic-resharding acceptance: a single-rank
@@ -318,7 +221,12 @@ func TestReshardTrajectory(t *testing.T) {
 		t.Fatalf("window shifts diverged (%d vs %d)", shrunk[0].WindowShift(), ref.WindowShift())
 	}
 	phi, mu := gatherDist(shrunk)
-	expectGatheredBitwise(t, "resharded trajectory", phi, mu, ref)
+	if ok, maxd := phi.InteriorEqual(ref.GlobalPhi(), 0); !ok {
+		t.Errorf("resharded trajectory: φ differs by %g (want bitwise identity)", maxd)
+	}
+	if ok, maxd := mu.InteriorEqual(ref.sim.GatherGlobalMu(), 0); !ok {
+		t.Errorf("resharded trajectory: µ differs by %g (want bitwise identity)", maxd)
+	}
 	closeSims(shrunk)
 }
 

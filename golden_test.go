@@ -67,6 +67,21 @@ func goldenConfig() Config {
 	return cfg
 }
 
+// mkGoldenSim builds the golden scenario on a px×py decomposition.
+func mkGoldenSim(t *testing.T, px, py int) *Simulation {
+	t.Helper()
+	cfg := goldenConfig()
+	cfg.PX, cfg.PY = px, py
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.InitProduction(); err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 // goldenBCRamp is the boundary-environment leg of the golden schedule: the
 // bottom µ wall ramps from the eutectic value to a solute-enriched one over
 // steps 12–28, spanning the checkpoint step so the restart resumes

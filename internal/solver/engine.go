@@ -17,11 +17,12 @@ import (
 // variants recompute the z-face fluxes of a slab's first slice instead of
 // reusing another worker's buffer (bitwise identical to the serial sweep).
 //
-// The pool is shared by all ranks: with B blocks and parallelism P, each
-// rank's sweep gets n = ⌊P/B⌋ claim tasks (at least one), so a many-block
-// decomposition keeps one worker per rank (the seed's one-goroutine-per-block
-// behavior) and a single-block run fans out across all P workers without
-// oversubscribing. A slice below the front costs two to three times one
+// The pool is shared by all of this process's ranks: with B local ranks
+// (New's nLocal; in a distributed run, the ranks this process owns) and
+// parallelism P, each rank's sweep gets n = ⌊P/B⌋ claim tasks (at least
+// one), so a many-block decomposition keeps one worker per rank (the
+// seed's one-goroutine-per-block behavior) and a single-block run fans out
+// across all P workers without oversubscribing. A slice below the front costs two to three times one
 // above it (the melt above takes the bulk-row shortcuts), so equal-height
 // cuts would hand the whole expensive side to one worker. Instead the awake
 // slices are over-cut into up to slabsPerWorker·n slabs, and each claim task

@@ -113,12 +113,13 @@ type Config struct {
 	// shift (default 0.6).
 	WindowFrontFraction float64
 
-	// Parallelism is the total worker budget for intra-block sweep
-	// parallelism across all blocks (0 selects runtime.GOMAXPROCS(0)).
-	// When it exceeds the block count, each block's sweeps are decomposed
-	// into z-slabs executed concurrently by the persistent worker pool;
-	// otherwise sweeps run serially on the per-block goroutines.
-	// SetWorkerBudget re-targets it between steps.
+	// Parallelism is this process's worker budget for intra-block sweep
+	// parallelism, shared by the blocks it owns (0 selects
+	// runtime.GOMAXPROCS(0)); each process of a distributed grid brings its
+	// own. Each local block gets ⌊Parallelism/local blocks⌋ workers, at
+	// least one: from two up, its sweeps are cut into z-slabs run
+	// concurrently by the persistent worker pool; at one they run serially
+	// on the block's goroutine. SetWorkerBudget re-targets it between steps.
 	Parallelism int
 
 	// Gauge, when non-nil, is shared instrumentation counting concurrently

@@ -48,8 +48,10 @@ func PhaseNames() [NumPhases]string {
 type Config struct {
 	// Global domain size in cells.
 	NX, NY, NZ int
-	// Blocks per axis (defaults to 1×1×1; the product is the number of
-	// worker goroutines, the in-process analogue of MPI ranks).
+	// Blocks per axis (defaults to 1×1×1). The product is the number of
+	// ranks, the analogue of MPI ranks: each is stepped by its own
+	// goroutine in the process that owns it. Sweep workers are set by
+	// Parallelism, per process.
 	PX, PY, PZ int
 	// Physical and numerical parameters (defaults to the calibrated
 	// Ag-Al-Cu set).
@@ -67,10 +69,11 @@ type Config struct {
 	// WindowFraction is the relative front height that triggers a window
 	// shift (0 selects the default 0.6).
 	WindowFraction float64
-	// Parallelism is the total worker budget for intra-block sweep
-	// parallelism (0 selects runtime.GOMAXPROCS(0)). Workers beyond the
-	// block count split each block's sweeps into concurrent z-slabs.
-	// SetWorkerBudget re-targets it between steps.
+	// Parallelism is this process's worker budget for intra-block sweep
+	// parallelism (0 selects runtime.GOMAXPROCS(0)). Each block the process
+	// owns gets ⌊Parallelism/its blocks⌋ workers; from two up, they split
+	// the block's sweeps into concurrent z-slabs. SetWorkerBudget
+	// re-targets it between steps.
 	Parallelism int
 	// WorkerGauge, when non-nil, instruments this simulation's sweep
 	// workers on a shared gauge (the job daemon installs one gauge across
