@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +14,9 @@ import (
 // activity_test.go — the cross-variant equivalence suite for per-slice
 // activity tracking. The contract under test is absolute: a run that skips
 // sleeping slices is bit-identical to the same run sweeping everything,
-// and across every way the outside world can poke a sleeping slice
-// (nucleation bursts, wall ramps, window shifts). Tracking crossed with
-// worker counts, rank grids, transports and restarts is an axis of the
-// root package's TestBitwiseMatrix.
+// for every kernel variant, overlap mode, parallelism level and rank
+// decomposition, and across every way the outside world can poke a
+// sleeping slice (nucleation bursts, wall ramps, window shifts).
 
 // actSim builds a production-style tall-melt simulation: Voronoi nuclei in
 // the bottom ~2ε slices, pure melt above — the composition where activity
@@ -109,6 +109,25 @@ func TestActiveSweepAllOverlapModes(t *testing.T) {
 			requireSameTrajectory(t, tracked, full)
 		})
 	}
+}
+
+// Skip decisions must be a pure function of step-start field state —
+// never of how many workers happen to sweep. Every parallelism level must
+// reproduce the serial tracked run bit for bit.
+func TestActiveSweepParallelismIndependent(t *testing.T) {
+	serial := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
+	serial.Run(6)
+	for _, par := range []int{2, runtime.GOMAXPROCS(0)} {
+		s := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, par)
+		s.Run(6)
+		s.Sync()
+		requireSameTrajectory(t, s, serial)
+		s.Close()
+	}
+	// And the whole family equals the always-full sweep.
+	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	full.Run(6)
+	requireSameTrajectory(t, serial, full)
 }
 
 // Sleeping saves compute, never halo traffic: a z-split decomposition

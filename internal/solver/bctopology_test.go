@@ -10,6 +10,81 @@ import (
 	"repro/internal/schedule"
 )
 
+// Flipping a comm-realized periodic axis to walls — rejected outright
+// before the topology lift — must now run, and must stay bit-identical
+// across decompositions of that axis: the single-block run realizes the
+// flip through face conditions, the decomposed run through a topology
+// rewire, and both must produce the same trajectory.
+func TestSetBCFlipPeriodicToWallsBitwiseAcrossDecompositions(t *testing.T) {
+	flip := func() *schedule.Schedule {
+		return mkSched(t,
+			schedule.SetBC{Step: 3, Face: grid.XMin, Field: schedule.BCPhi, Kind: grid.BCNeumann},
+			schedule.SetBC{Step: 3, Face: grid.XMax, Field: schedule.BCPhi, Kind: grid.BCNeumann},
+			schedule.SetBC{Step: 3, Face: grid.XMin, Field: schedule.BCMu, Kind: grid.BCNeumann},
+			schedule.SetBC{Step: 3, Face: grid.XMax, Field: schedule.BCMu, Kind: grid.BCNeumann})
+	}
+	run := func(px, py int) *Sim {
+		s := mkSim(t, px, py, 1, 16/px, 16/py, 10, kernels.VarShortcut, OverlapNone)
+		if err := s.InitScenario(ScenarioInterface); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunSchedule(8, flip(), ScheduleHooks{}); err != nil {
+			t.Fatalf("%dx%d: kind flip on decomposed periodic axis rejected: %v", px, py, err)
+		}
+		if s.World.Topology().Periodic[0] {
+			t.Errorf("%dx%d: x axis still topologically periodic after wall flip", px, py)
+		}
+		phi, _ := s.DomainBCs()
+		if phi[grid.XMin].Kind != grid.BCNeumann {
+			t.Errorf("%dx%d: φ x- kind %v, want Neumann", px, py, phi[grid.XMin].Kind)
+		}
+		return s
+	}
+	ref := run(1, 1)
+	dec := run(2, 2)
+	if ok, maxd := ref.GatherGlobalPhi().InteriorEqual(dec.GatherGlobalPhi(), 0); !ok {
+		t.Errorf("φ diverged %g between decompositions across periodicity flip", maxd)
+	}
+	if ok, maxd := ref.GatherGlobalMu().InteriorEqual(dec.GatherGlobalMu(), 0); !ok {
+		t.Errorf("µ diverged %g between decompositions across periodicity flip", maxd)
+	}
+}
+
+// The reverse flip: a walled, decomposed axis becomes periodic mid-run when
+// all four face prescriptions switch together, the wrap crossing block
+// boundaries through the communication layer. Bit-compared against the
+// single-block realization of the same schedule.
+func TestSetBCFlipWallsToPeriodicBitwiseAcrossDecompositions(t *testing.T) {
+	flip := func() *schedule.Schedule {
+		return mkSched(t,
+			schedule.SetBC{Step: 2, Face: grid.ZMin, Field: schedule.BCPhi, Kind: grid.BCPeriodic},
+			schedule.SetBC{Step: 2, Face: grid.ZMax, Field: schedule.BCPhi, Kind: grid.BCPeriodic},
+			schedule.SetBC{Step: 2, Face: grid.ZMin, Field: schedule.BCMu, Kind: grid.BCPeriodic},
+			schedule.SetBC{Step: 2, Face: grid.ZMax, Field: schedule.BCMu, Kind: grid.BCPeriodic})
+	}
+	run := func(pz int) *Sim {
+		s := mkSim(t, 1, 1, pz, 8, 8, 12/pz, kernels.VarShortcut, OverlapNone)
+		if err := s.InitScenario(ScenarioInterface); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunSchedule(6, flip(), ScheduleHooks{}); err != nil {
+			t.Fatalf("pz=%d: periodic flip on z rejected: %v", pz, err)
+		}
+		if !s.World.Topology().Periodic[2] {
+			t.Errorf("pz=%d: z axis not topologically periodic after flip", pz)
+		}
+		return s
+	}
+	ref := run(1)
+	dec := run(2)
+	if ok, maxd := ref.GatherGlobalPhi().InteriorEqual(dec.GatherGlobalPhi(), 0); !ok {
+		t.Errorf("φ diverged %g between decompositions across periodic flip", maxd)
+	}
+	if ok, maxd := ref.GatherGlobalMu().InteriorEqual(dec.GatherGlobalMu(), 0); !ok {
+		t.Errorf("µ diverged %g between decompositions across periodic flip", maxd)
+	}
+}
+
 // A prescription leaving a decomposed axis mixed-periodic is unrealizable;
 // the rejection must fail fast (zero steps run) and be a structured
 // *ScheduleError so the job daemon can mark the job permanently failed and

@@ -85,6 +85,29 @@ func TestParallelSimAllOverlapModes(t *testing.T) {
 	}
 }
 
+func TestParallelMultiBlockMatchesSerial(t *testing.T) {
+	// Blocks and slabs compose: 2 blocks × 2 workers each.
+	ref := parSim(t, 2, 1, kernels.VarShortcut, OverlapMu)
+	defer ref.Close()
+	ref.Run(3)
+
+	s := parSim(t, 2, 4, kernels.VarShortcut, OverlapMu)
+	defer s.Close()
+	if s.workersPerRank != 2 {
+		t.Fatalf("workersPerRank = %d, want 2", s.workersPerRank)
+	}
+	s.Run(3)
+
+	for r := 0; r < s.NumRanks(); r++ {
+		if ok, maxd := s.RankFields(r).PhiSrc.InteriorEqual(ref.RankFields(r).PhiSrc, 0); !ok {
+			t.Errorf("rank %d: φ differs from serial by %g", r, maxd)
+		}
+		if ok, maxd := s.RankFields(r).MuSrc.InteriorEqual(ref.RankFields(r).MuSrc, 0); !ok {
+			t.Errorf("rank %d: µ differs from serial by %g", r, maxd)
+		}
+	}
+}
+
 // bandSim builds one tracked 8×8×64 liquid block holding three 4-slice
 // interface bands, so the awake set splits into three runs with pure melt
 // asleep between them.

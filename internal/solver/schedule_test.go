@@ -413,6 +413,40 @@ func TestSetBCPeriodicAxisFailsFast(t *testing.T) {
 	}
 }
 
+// Both overlap modes must produce bit-identical physics even while a SetBC
+// ramp is rewriting wall values between steps: the step-start re-fill pins
+// the wall state every sweep sees, regardless of when each mode exchanges
+// ghosts.
+func TestOverlapModesEquivalentUnderSetBC(t *testing.T) {
+	sched := func() *schedule.Schedule {
+		return mkSched(t,
+			schedule.SetBC{Step: 1, Over: 6, Face: grid.ZMin, Field: schedule.BCMu,
+				Kind: grid.BCDirichlet, From: []float64{0, 0}, To: []float64{0.4, -0.2}},
+			schedule.SetBC{Step: 3, Face: grid.ZMax, Field: schedule.BCPhi,
+				Kind: grid.BCDirichlet, To: []float64{0, 0, 0, 1}})
+	}
+	run := func(mode OverlapMode) *Sim {
+		s := mkSim(t, 2, 2, 1, 5, 5, 14, kernels.VarShortcut, mode)
+		if err := s.InitScenario(ScenarioInterface); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunSchedule(8, sched(), ScheduleHooks{}); err != nil {
+			t.Fatal(err)
+		}
+		s.Sync()
+		return s
+	}
+	ref := run(OverlapNone)
+	refPhi, refMu := ref.GatherGlobalPhi(), ref.GatherGlobalMu()
+	s := run(OverlapMu)
+	if ok, maxd := s.GatherGlobalPhi().InteriorEqual(refPhi, 0); !ok {
+		t.Errorf("%v: φ differs by %g under BC ramp", OverlapMu, maxd)
+	}
+	if ok, maxd := s.GatherGlobalMu().InteriorEqual(refMu, 0); !ok {
+		t.Errorf("%v: µ differs by %g under BC ramp", OverlapMu, maxd)
+	}
+}
+
 // A scheduled periodic wall on one field of a decomposed axis leaves the
 // axis mixed-periodic (the comm-layer wrap is shared by both fields) —
 // reject it instead of silently copying the midplane into the wall. On an

@@ -12,10 +12,9 @@ import (
 )
 
 // telemetry_test.go checks the step-phase capture layer: records must
-// reflect the phases that actually ran, a disabled capture records nothing,
-// and capture must be allocation-free in steady state. That a telemetered
-// trajectory is bit-identical to an untelemetered one is an axis of the
-// root package's TestBitwiseMatrix.
+// reflect the phases that actually ran, capture must be allocation-free in
+// steady state, and a telemetered trajectory must be bit-identical to an
+// untelemetered one.
 
 func telemSim(t *testing.T, disable bool, ov OverlapMode) *Sim {
 	t.Helper()
@@ -89,13 +88,6 @@ func TestStepTelemetryCapture(t *testing.T) {
 	if r.PhiKernel <= 0 || r.PhiKernel > r.Wall*10 {
 		t.Errorf("post-reset record implausible: %+v", r)
 	}
-
-	off := telemSim(t, true, OverlapNone)
-	defer off.Close()
-	off.Run(2)
-	if n := len(off.StepRecords(nil)); n != 0 {
-		t.Errorf("disabled telemetry recorded %d steps", n)
-	}
 }
 
 func TestStepTelemetrySchedCkpt(t *testing.T) {
@@ -130,6 +122,30 @@ func TestStepTelemetrySchedCkpt(t *testing.T) {
 	}
 	if tot.Sched <= 0 {
 		t.Error("schedule-scan time not captured")
+	}
+}
+
+// TestTelemetryBitIdentical is the acceptance gate: the same simulation
+// stepped with telemetry on and off must produce bit-identical fields.
+func TestTelemetryBitIdentical(t *testing.T) {
+	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
+		on := telemSim(t, false, ov)
+		off := telemSim(t, true, ov)
+		on.Run(6)
+		off.Run(6)
+		if len(off.StepRecords(nil)) != 0 {
+			t.Error("disabled telemetry still records")
+		}
+		for r := 0; r < on.NumRanks(); r++ {
+			if ok, maxd := on.RankFields(r).PhiSrc.InteriorEqual(off.RankFields(r).PhiSrc, 0); !ok {
+				t.Errorf("%v rank %d: φ differs by %g with telemetry on", ov, r, maxd)
+			}
+			if ok, maxd := on.RankFields(r).MuSrc.InteriorEqual(off.RankFields(r).MuSrc, 0); !ok {
+				t.Errorf("%v rank %d: µ differs by %g with telemetry on", ov, r, maxd)
+			}
+		}
+		on.Close()
+		off.Close()
 	}
 }
 
