@@ -119,10 +119,23 @@ func (c matrixCase) ranks() int { return c.grid[0] * c.grid[1] * c.grid[2] }
 func drawCase(seed int64) matrixCase {
 	r := rand.New(rand.NewSource(seed))
 	c := matrixCase{seed: seed, production: r.Intn(3) > 0}
-	for {
-		c.grid = [3]int{1 + r.Intn(4), 1 + r.Intn(4), 1 + r.Intn(4)}
-		if c.ranks() <= 8 {
-			break
+	// Half the draws are wake-up draws: tracked, over the Voronoi layer, on
+	// four x-blocks 3 cells wide of a 12×6 cross-section. In a section
+	// twice as long in x as in y, grains meet in boundaries nearly normal
+	// to x, so a block can hold one phase everywhere but its high x ghost
+	// column, where the next block's grain starts; only that column may
+	// then keep a slice awake.
+	wake := r.Intn(2) == 0
+	if wake {
+		c.production = true
+		c.grid = [3]int{4, 1, 1}
+		c.grid[1+r.Intn(2)] = 1 + r.Intn(2) // a second y or z block, or none
+	} else {
+		for {
+			c.grid = [3]int{1 + r.Intn(4), 1 + r.Intn(4), 1 + r.Intn(4)}
+			if c.ranks() <= 8 {
+				break
+			}
 		}
 	}
 	// Block widths of every residue mod 4; z blocks of at least 8 slices,
@@ -134,6 +147,9 @@ func drawCase(seed int64) matrixCase {
 		return p * (3 + r.Intn(4))
 	}
 	c.nx, c.ny = width(c.grid[0]), width(c.grid[1])
+	if wake {
+		c.nx, c.ny = 12, 6
+	}
 	if c.grid[2] == 1 {
 		c.nz = 16 + r.Intn(13)
 		if r.Intn(2) == 0 {
@@ -147,7 +163,7 @@ func drawCase(seed int64) matrixCase {
 	}
 	c.steps = 12 + r.Intn(9)
 	c.overlap = solver.OverlapMode(r.Intn(2))
-	c.track = r.Intn(2) == 0
+	c.track = wake || r.Intn(2) == 0
 	c.telemetry = r.Intn(2) == 0
 	if c.ranks() > 1 && r.Intn(3) == 0 {
 		c.procs = 2 + r.Intn(min(3, c.ranks()-1))

@@ -50,6 +50,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/schedule"
+	"repro/internal/solver"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 	py := flag.Int("py", 1, "blocks in y")
 	steps := flag.Int("steps", 1000, "timesteps")
 	report := flag.Int("report", 100, "progress report interval")
-	meshEvery := flag.Int("meshevery", 0, "write interface meshes every N steps (0 = off)")
+	meshEvery := flag.Int("meshevery", 0, "write interface meshes at every step count that is a multiple of N, and at the end (0 = off)")
 	meshTris := flag.Int("meshtris", 20000, "simplification target per mesh")
 	outDir := flag.String("out", ".", "output directory")
 	ckptPath := flag.String("ckpt", "", "write a final checkpoint to this path")
@@ -186,36 +187,35 @@ func main() {
 		schedOpt.Log = func(msg string) { fmt.Println("  " + msg) }
 	}
 
-	start := sim.Step()
-	for done := 0; done < *steps; {
-		chunk := *report
-		if done+chunk > *steps {
-			chunk = *steps - done
-		}
+	// A progress line's MLUP/s sums the stepping of its stops since the
+	// last line, never the mesh output between.
+	var interval solver.Metrics
+	for _, st := range plan(sim.Step(), *steps, *report, *meshEvery) {
 		m := sim.ResetAndMeasure(func() {
-			if err := sim.RunSchedule(sched, chunk, schedOpt); err != nil {
+			if err := sim.RunSchedule(sched, st.step-sim.Step(), schedOpt); err != nil {
 				fatal(err)
 			}
 		})
-		done = sim.Step() - start
-		// The statistics are collectives — every process must compute
-		// them even though only the root prints.
-		fr := sim.PhaseFractions()
-		solid, front := sim.SolidFraction(), sim.FrontHeight()
-		if root {
-			fmt.Printf("step %6d  t=%8.2f  solid=%.3f  front=z%-4d  %.2f MLUP/s  [%s %.2f | %s %.2f | %s %.2f]\n",
-				sim.Step(), sim.Time(), solid, front, m.MLUPs(),
-				names[0], fr[0], names[1], fr[1], names[2], fr[2])
+		interval.Cells = m.Cells
+		interval.Steps += m.Steps
+		interval.WallTime += m.WallTime
+		if st.line {
+			// The statistics are collectives — every process must
+			// compute them even though only the root prints.
+			fr := sim.PhaseFractions()
+			solid, front := sim.SolidFraction(), sim.FrontHeight()
+			if root {
+				fmt.Printf("step %6d  t=%8.2f  solid=%.3f  front=z%-4d  %.2f MLUP/s  [%s %.2f | %s %.2f | %s %.2f]\n",
+					sim.Step(), sim.Time(), solid, front, interval.MLUPs(),
+					names[0], fr[0], names[1], fr[1], names[2], fr[2])
+			}
+			interval = solver.Metrics{}
 		}
-
-		if *meshEvery > 0 && done%*meshEvery == 0 {
-			writeMeshes(sim, *outDir, *meshTris, done, names)
+		if st.mesh {
+			writeMeshes(sim, *outDir, *meshTris, names)
 		}
 	}
 
-	if *meshEvery > 0 {
-		writeMeshes(sim, *outDir, *meshTris, *steps, names)
-	}
 	if root {
 		if tot := sim.TelemetryTotals(); tot.Steps > 0 {
 			fmt.Printf("phase totals over %d steps: wall %v | phi %v  mu %v | halo pack %v transfer %v wait %v unpack %v | sched %v ckpt %v | %.2f MLUP/s, %d halo bytes\n",
@@ -247,7 +247,45 @@ func main() {
 	}
 }
 
-func writeMeshes(sim *phasefield.Simulation, dir string, target, step int, names [phasefield.NumPhases]string) {
+// stop is one pause of the run loop at step: a progress line is due
+// there (line), interface meshes are (mesh), or both.
+type stop struct {
+	step       int
+	line, mesh bool
+}
+
+// plan lists the stops of a run of steps timesteps from step start: a
+// progress line every report steps counted from start (report ≤ 0: none
+// before the end) and at the end; meshes at every multiple of meshEvery of
+// the absolute step, and at the end unless it is such a multiple already
+// (meshEvery 0: none).
+func plan(start, steps, report, meshEvery int) []stop {
+	end := start + steps
+	var out []stop
+	for step := start; step < end; {
+		next := end
+		if report > 0 {
+			next = min(next, step+report-(step-start)%report)
+		}
+		if meshEvery > 0 {
+			next = min(next, (step/meshEvery+1)*meshEvery)
+		}
+		line := next == end || report > 0 && (next-start)%report == 0
+		out = append(out, stop{step: next, line: line, mesh: meshEvery > 0 && next%meshEvery == 0})
+		step = next
+	}
+	if meshEvery > 0 {
+		if len(out) == 0 {
+			out = append(out, stop{step: end})
+		}
+		out[len(out)-1].mesh = true
+	}
+	return out
+}
+
+// writeMeshes writes one simplified STL per solid phase, labelled with the
+// simulation step, so a resumed run continues the file sequence.
+func writeMeshes(sim *phasefield.Simulation, dir string, target int, names [phasefield.NumPhases]string) {
 	meshes := sim.ExtractInterfaces()
 	for a, m := range meshes {
 		if m.NumTris() == 0 {
@@ -256,7 +294,7 @@ func writeMeshes(sim *phasefield.Simulation, dir string, target, step int, names
 		if target > 0 && m.NumTris() > target {
 			mesh.Simplify(m, mesh.SimplifyOptions{TargetTris: target})
 		}
-		path := filepath.Join(dir, fmt.Sprintf("%s_step%06d.stl", names[a], step))
+		path := filepath.Join(dir, fmt.Sprintf("%s_step%06d.stl", names[a], sim.Step()))
 		f, err := os.Create(path)
 		if err != nil {
 			fatal(err)

@@ -7,7 +7,7 @@
 // staggered-value buffers, region shortcuts), block-structured domain
 // decomposition with
 // communication hiding, the moving-window technique, single-precision
-// checkpointing and the hierarchical mesh-based I/O reduction pipeline.
+// checkpointing and the mesh-based I/O reduction pipeline.
 //
 // This package is the facade over the internal subsystems — see
 // ARCHITECTURE.md for the full layering:

@@ -8,6 +8,24 @@
 // are measured live from the Go kernels; extreme-scale curves come from the
 // calibrated analytic models in internal/perfmodel (see DESIGN.md for the
 // substitution rationale).
+//
+// The §3.2 hierarchical mesh reduction (mesh.Reduce/Stitch: per-block
+// extraction, local coarsening, pairwise log₂(P) stitch-and-coarsen
+// rounds) was removed after one in-process measurement against the
+// gather path (Simulation.ExtractInterfaces, then mesh.Simplify per
+// phase). Setup: 32³ DefaultConfig front, seed 1, 14 steps, a target of
+// 500 triangles per phase, 2 vCPU. The per-rank leg copied every rank's
+// ghost-extended φ block, Neumann-filled its domain faces, extracted the
+// three phases of all ranks at once (one goroutine per rank) and reduced
+// each phase to the same target; the legs alternated, 30 rounds each, two
+// sessions. Medians and IQRs, gather → per-rank:
+//
+//	1×1: 89.5 ms (IQR 13.3) → 117.3 ms (IQR 19.9); 96.8 (10.1) → 133.8 (13.5)
+//	2×2: 89.7 ms (IQR 10.0) →  91.9 ms (IQR 13.9); 90.1 (12.1) →  90.6 (11.4)
+//
+// Both legs ended at 1500 triangles (1499 per-rank on 1×1). Per-rank was
+// no cheaper on 2×2 and a third slower on 1×1, so one extraction of the
+// gathered field is the only output path.
 package experiments
 
 import (

@@ -9,9 +9,9 @@ import (
 // decomposition (each cube split into six tetrahedra around its main
 // diagonal), which produces a topologically consistent, watertight surface
 // with triangle edge lengths on the order of dx — the property the
-// downstream coarsening pipeline relies on — without the 256-entry case
-// table. Extraction extends one cell into the ghost region so that
-// per-block meshes stitch exactly (§3.2).
+// downstream coarsening relies on — without the 256-entry case table.
+// Extraction extends one cell into the ghost region, so the surface
+// reaches the domain faces of a zero-gradient-filled field.
 
 // IsoLevel is the φ level-set defining a phase interface.
 const IsoLevel = 0.5
@@ -72,10 +72,9 @@ func (e *extractor) vertexOn(ax, ay, az int, va float64, bx, by, bz int, vb floa
 
 // ExtractPhase extracts the iso-0.5 surface of phase a from a φ field,
 // sampling cell centers. The lattice spans [-1, N] in every direction (one
-// ghost cell), so block meshes overlap their neighbors by exactly one cell
-// layer and can be stitched. origin shifts vertex positions into global
-// coordinates; markBoundary tags vertices on the block's outer hull for
-// the weighted simplifier.
+// ghost cell). origin shifts vertex positions, e.g. from a block's frame
+// into global coordinates; markBoundary tags vertices on the field's outer
+// hull for the weighted simplifier.
 func ExtractPhase(f *grid.Field, phase int, origin Vec3, markBoundary bool) *Mesh {
 	e := &extractor{
 		mesh:     &Mesh{},

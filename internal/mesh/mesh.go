@@ -1,10 +1,13 @@
-// Package mesh implements the paper's hierarchical, mesh-based data
-// reduction strategy (§3.2): instead of writing all cell values, only the
-// position of the phase interfaces is stored as triangle surface meshes.
-// Meshes are extracted per block (extending into the ghost region so they
-// can be stitched seamlessly), coarsened with a quadric-error
-// edge-collapse simplifier that preserves block-boundary vertices via high
-// weights, and reduced pairwise in log₂(P) gather-stitch-coarsen rounds.
+// Package mesh implements the paper's mesh-based data reduction (§3.2):
+// instead of writing all cell values, only the position of the phase
+// interfaces is stored as triangle surface meshes. A mesh is extracted from
+// the φ field gathered on the root process, coarsened with a quadric-error
+// edge-collapse simplifier, and written as binary STL. The paper extracts
+// per block and merges the block meshes pairwise in log₂(P) rounds; that
+// reduction was measured at 1×1 and 2×2 rank grids, was not cheaper than
+// one extraction of the gathered field, and was removed (the numbers are
+// in package experiments). ExtractPhase's origin and boundary marking, and
+// the simplifier's boundary weight, are what per-block meshes used.
 //
 // Every stage is a deterministic function of its input, so the same φ
 // field always yields the same STL bytes. The simplifier collapses edges
@@ -53,7 +56,7 @@ type Mesh struct {
 	Verts []Vec3
 	Tris  [][3]int32
 	// Boundary marks vertices lying on block boundaries; the simplifier
-	// protects them with a high quadric weight so stitching works.
+	// protects them with a high quadric weight (nil: none marked).
 	Boundary []bool
 }
 

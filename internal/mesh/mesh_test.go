@@ -306,80 +306,6 @@ func TestSimplifyAllocsIndependentOfCollapses(t *testing.T) {
 	}
 }
 
-func TestStitchTwoHalves(t *testing.T) {
-	// Extract the same sphere from two half-domain blocks and stitch.
-	const n = 20
-	r := 6.0
-	full := sphereField(n, r)
-
-	mkHalf := func(zlo int) *grid.Field {
-		h := grid.NewField(n, n, n/2, 1, 1, grid.SoA)
-		for z := -1; z <= n/2; z++ {
-			for y := -1; y <= n; y++ {
-				for x := -1; x <= n; x++ {
-					h.Set(0, x, y, z, full.At(0, x, y, zlo+z))
-				}
-			}
-		}
-		return h
-	}
-	a := ExtractPhase(mkHalf(0), 0, Vec3{}, true)
-	b := ExtractPhase(mkHalf(n/2), 0, Vec3{0, 0, float64(n / 2)}, true)
-
-	s := Stitch(a, b, StitchTol)
-	if !s.IsClosed() {
-		t.Fatal("stitched sphere not closed")
-	}
-	wantVol := 4.0 / 3.0 * math.Pi * r * r * r
-	if v := s.SignedVolume(); math.Abs(v-wantVol)/wantVol > 0.06 {
-		t.Errorf("stitched volume %g, want ~%g", v, wantVol)
-	}
-}
-
-func TestReduceHierarchy(t *testing.T) {
-	const n = 20
-	r := 6.0
-	full := sphereField(n, r)
-	// Four z-slabs as four "blocks".
-	var meshes []*Mesh
-	for i := 0; i < 4; i++ {
-		zlo := i * n / 4
-		h := grid.NewField(n, n, n/4, 1, 1, grid.SoA)
-		for z := -1; z <= n/4; z++ {
-			for y := -1; y <= n; y++ {
-				for x := -1; x <= n; x++ {
-					h.Set(0, x, y, z, full.At(0, x, y, zlo+z))
-				}
-			}
-		}
-		meshes = append(meshes, ExtractPhase(h, 0, Vec3{0, 0, float64(zlo)}, true))
-	}
-	out, rounds := Reduce(meshes, ReduceOptions{TargetTris: 4000})
-	if len(out) != 1 {
-		t.Fatalf("reduction did not complete: %d meshes", len(out))
-	}
-	if rounds != 2 { // log2(4)
-		t.Errorf("rounds = %d, want 2", rounds)
-	}
-	if !out[0].IsClosed() {
-		t.Error("reduced mesh not closed")
-	}
-	wantVol := 4.0 / 3.0 * math.Pi * r * r * r
-	if v := out[0].SignedVolume(); math.Abs(v-wantVol)/wantVol > 0.08 {
-		t.Errorf("reduced volume %g, want ~%g", v, wantVol)
-	}
-}
-
-func TestReduceMemoryEscape(t *testing.T) {
-	f := sphereField(16, 5)
-	a := ExtractPhase(f, 0, Vec3{}, false)
-	b := ExtractPhase(f, 0, Vec3{100, 0, 0}, false)
-	out, _ := Reduce([]*Mesh{a, b}, ReduceOptions{MaxTris: 1})
-	if len(out) != 2 {
-		t.Errorf("MaxTris escape hatch did not stop reduction: %d meshes", len(out))
-	}
-}
-
 func TestWriteSTL(t *testing.T) {
 	f := sphereField(10, 3)
 	m := ExtractPhase(f, 0, Vec3{}, false)

@@ -7,9 +7,9 @@ import (
 
 // Quadric-error-metric edge-collapse simplification after Garland &
 // Heckbert (paper ref. [12]; the paper links the VCG library's
-// implementation — this is a from-scratch equivalent). Block-boundary
-// vertices receive a high additional point quadric so the boundary is
-// preserved for the later stitching step (§3.2).
+// implementation — this is a from-scratch equivalent). Vertices a mesh
+// marks as boundary (Mesh.Boundary) receive a high additional point
+// quadric, so the simplifier keeps them in place.
 
 // Quadric is a symmetric 4x4 error quadric stored as its 10 unique
 // coefficients: [a² ab ac ad; · b² bc bd; · · c² cd; · · · d²].

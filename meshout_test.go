@@ -15,9 +15,9 @@ import (
 
 // The interface-mesh output path is a deterministic function of φ: the same
 // field extracts and simplifies to the same STL bytes on every run, at any
-// worker count. The hash of one such output is pinned; regenerate it after
-// an intentional change to extraction, simplification or the STL writer
-// with
+// worker count, rank grid or transport. The hash of one such output is
+// pinned; regenerate it after an intentional change to extraction,
+// simplification or the STL writer with
 //
 //	go test -run TestInterfaceSTLReproducible -update .
 
@@ -26,23 +26,38 @@ const stlHashPath = "testdata/interface_stl.sha256"
 // stlTargetTris is the per-phase triangle budget of the pinned output.
 const stlTargetTris = 300
 
-// frontMeshes runs the fixture front at the given worker count and returns
-// its extracted (unsimplified) interface meshes.
-func frontMeshes(t *testing.T, parallelism int) []*mesh.Mesh {
+// frontMeshes runs the fixture front on a px×py rank grid with the given
+// worker count, in one process (procs 0) or over procs loopback TCP
+// processes, and returns the root's extracted (unsimplified) interface
+// meshes.
+func frontMeshes(t *testing.T, px, py, procs, parallelism int) []*mesh.Mesh {
 	t.Helper()
-	cfg := DefaultConfig(16, 16, 24)
-	cfg.Seed = 1
-	cfg.Parallelism = parallelism
-	sim, err := New(cfg)
+	sims, err := startProcs(procs, func(d *DistConfig) (*Simulation, error) {
+		cfg := DefaultConfig(16, 16, 24)
+		cfg.Seed = 1
+		cfg.PX, cfg.PY = px, py
+		cfg.Parallelism = parallelism
+		cfg.Distributed = d
+		return New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
-	if err := sim.InitFront(); err != nil {
+	defer closeSims(sims)
+	meshes := make([][]*mesh.Mesh, len(sims))
+	if err := each(sims, func(p int, s *Simulation) error {
+		if err := s.InitFront(); err != nil {
+			return err
+		}
+		if err := s.RunSchedule(nil, 6, ScheduleOptions{}); err != nil {
+			return err
+		}
+		meshes[p] = s.ExtractInterfaces()
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(6)
-	return sim.ExtractInterfaces()
+	return meshes[0]
 }
 
 // simplifiedSTL simplifies a fresh copy of every mesh to stlTargetTris and
@@ -61,7 +76,7 @@ func simplifiedSTL(t *testing.T, meshes []*mesh.Mesh) []byte {
 }
 
 func TestInterfaceSTLReproducible(t *testing.T) {
-	meshes := frontMeshes(t, 1)
+	meshes := frontMeshes(t, 1, 1, 0, 1)
 	want := simplifiedSTL(t, meshes)
 	if len(want) <= 3*84 {
 		t.Fatal("fixture front produced no interface triangles")
@@ -71,8 +86,19 @@ func TestInterfaceSTLReproducible(t *testing.T) {
 			t.Fatalf("repeat %d: simplified STL differs from the first run", i+1)
 		}
 	}
-	if got := simplifiedSTL(t, frontMeshes(t, 2)); !bytes.Equal(got, want) {
-		t.Fatal("STL of the front stepped with 2 workers differs from 1 worker")
+	// The root gathers φ before extracting, so neither the worker count,
+	// the rank grid nor the transport may move a byte.
+	for _, c := range []struct {
+		name               string
+		px, py, procs, par int
+	}{
+		{"1x1, 2 workers", 1, 1, 0, 2},
+		{"2x2 in one process", 2, 2, 0, 1},
+		{"2x1 over two TCP processes", 2, 1, 2, 1},
+	} {
+		if got := simplifiedSTL(t, frontMeshes(t, c.px, c.py, c.procs, c.par)); !bytes.Equal(got, want) {
+			t.Errorf("STL of the front on %s differs from 1x1 with 1 worker", c.name)
+		}
 	}
 
 	sum := fmt.Sprintf("%x", sha256.Sum256(want))

@@ -389,10 +389,9 @@ func (s *Simulation) GlobalPhi() *grid.Field {
 // ExtractInterfaces extracts one triangle mesh per solid phase describing
 // the interface between that phase and all others. It gathers the global φ
 // field onto the root process (GlobalPhi — in a distributed run a
-// full-field collective) and extracts once there; it is not the paper's
-// §3.2 per-block pipeline with hierarchical reduction, which cmd/meshreduce
-// demonstrates standalone (per-block extraction, local simplification,
-// pairwise log₂(P) merge).
+// full-field collective) and extracts once there; callers coarsen each mesh
+// with mesh.Simplify and write it with Mesh.WriteSTL. It is the only output
+// path: per-block extraction was no cheaper (see package experiments).
 func (s *Simulation) ExtractInterfaces() []*mesh.Mesh {
 	phi := s.GlobalPhi()
 	if phi == nil {
@@ -405,23 +404,6 @@ func (s *Simulation) ExtractInterfaces() []*mesh.Mesh {
 		out[a] = mesh.ExtractPhase(phi, a, mesh.Vec3{}, false)
 	}
 	return out
-}
-
-// WriteInterfaceSTL writes the phase-a interface mesh (simplified to
-// targetTris if > 0) to w.
-func (s *Simulation) WriteInterfaceSTL(w io.Writer, phase, targetTris int) error {
-	if phase < 0 || phase >= core.NPhases-1 {
-		return fmt.Errorf("phasefield: phase %d out of range", phase)
-	}
-	meshes := s.ExtractInterfaces()
-	if meshes == nil {
-		return nil // non-root process of a distributed run
-	}
-	m := meshes[phase]
-	if targetTris > 0 && m.NumTris() > targetTris {
-		mesh.Simplify(m, mesh.SimplifyOptions{TargetTris: targetTris})
-	}
-	return m.WriteSTL(w)
 }
 
 // Checkpoint writes the full simulation state to path in single precision

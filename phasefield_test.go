@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/mesh"
 )
 
 func TestDefaultConfigAndNew(t *testing.T) {
@@ -85,15 +87,16 @@ func TestExtractInterfacesAndSTL(t *testing.T) {
 	if !any {
 		t.Fatal("no interface triangles in a front scenario")
 	}
+	m := meshes[0]
+	if m.NumTris() > 500 {
+		mesh.Simplify(m, mesh.SimplifyOptions{TargetTris: 500})
+	}
 	var buf bytes.Buffer
-	if err := sim.WriteInterfaceSTL(&buf, 0, 500); err != nil {
+	if err := m.WriteSTL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 84 {
 		t.Error("empty STL")
-	}
-	if err := sim.WriteInterfaceSTL(&buf, 99, 0); err == nil {
-		t.Error("bad phase index accepted")
 	}
 }
 
