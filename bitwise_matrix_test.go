@@ -292,6 +292,11 @@ func pinnedCases() []matrixCase {
 		// only if the next block's grains in its high x ghost column allow.
 		{name: "tracked_seams", seed: 76, nx: 12, ny: 6, nz: 28, production: true, steps: 18, grid: [3]int{4, 1, 1},
 			par: 1, overlap: solver.OverlapMu, track: true, telemetry: true},
+		// 6×6 x/y blocks on a 2×4 grid: the ghost ring of a slice that
+		// slept last step is refilled from neighbour ranks every step, and
+		// only re-reading it keeps the slice awake when a grain arrives.
+		{name: "tracked_ring", seed: 260, nx: 12, ny: 24, nz: 17, production: true, steps: 13, grid: [3]int{2, 4, 1},
+			par: 1, overlap: solver.OverlapNone, track: true},
 	}
 }
 

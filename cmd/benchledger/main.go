@@ -3,8 +3,10 @@
 // (bench/out/detail_<workload>.json), pooled per workload, refused unless
 // correct — into a root-level BENCH_<pr>_<cores>c.json: the median and
 // quartiles of the four bounded end-to-end metrics, the commit, the host
-// benchledger runs on (run it where the benchmark ran) and, with -base, the
-// base commit's runs of the same parent/change pairing.
+// benchledger runs on (run it where the benchmark ran: Go version, core
+// counts, CPU model, the avx2/avx512f flags and whether a PMU is visible)
+// and, with -base, the base commit's runs of the same parent/change
+// pairing.
 //
 //	benchledger -commit NEW [-base-commit OLD -base 'old/*.json'] -o BENCH_24_2c.json 'new/*.json'
 package main
@@ -13,9 +15,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -52,8 +56,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchledger -commit C [-base-commit C0 -base GLOBS] -o FILE GLOB...")
 		os.Exit(2)
 	}
-	bf := benchFile{Host: map[string]any{"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
-		"go_version": runtime.Version(), "goos": runtime.GOOS, "goarch": runtime.GOARCH}}
+	bf := benchFile{Host: hostFacts(os.DirFS("/"))}
+	bf.Host["nproc"], bf.Host["gomaxprocs"] = runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	bf.Host["go_version"], bf.Host["goos"], bf.Host["goarch"] = runtime.Version(), runtime.GOOS, runtime.GOARCH
 	var err error
 	if bf.side, err = condense(*commit, flag.Args()); err == nil && *base != "" {
 		bf.Base = new(side)
@@ -67,6 +72,41 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchledger:", err)
 		os.Exit(1)
 	}
+}
+
+// isaFlags are the /proc/cpuinfo flags recorded: the vector widths a
+// kernel timing depends on.
+var isaFlags = []string{"avx2", "avx512f"}
+
+// hostFacts reads what a timing depends on from the root file system
+// root: the CPU model and the isaFlags from proc/cpuinfo (first CPU;
+// omitted where the file is missing, as off Linux), and whether a PMU is
+// visible as sys/bus/event_source/devices/cpu (false in most containers and
+// VMs, where hardware counters cannot attribute a change).
+func hostFacts(root fs.FS) map[string]any {
+	h := map[string]any{}
+	if blob, err := fs.ReadFile(root, "proc/cpuinfo"); err == nil {
+		var flags []string
+		for _, line := range strings.Split(string(blob), "\n") {
+			key, val, ok := strings.Cut(line, ":")
+			if !ok {
+				continue
+			}
+			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+			if key == "model name" && h["cpu_model"] == nil {
+				h["cpu_model"] = val
+			}
+			if key == "flags" && flags == nil {
+				flags = strings.Fields(val)
+			}
+		}
+		for _, f := range isaFlags {
+			h[f] = slices.Contains(flags, f)
+		}
+	}
+	_, err := fs.Stat(root, "sys/bus/event_source/devices/cpu")
+	h["pmu"] = err == nil
+	return h
 }
 
 // condense reads every file the globs match and reduces the pooled

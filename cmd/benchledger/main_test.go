@@ -1,9 +1,11 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/fstest"
 )
 
 func writeFile(t *testing.T, dir, name, body string) {
@@ -64,5 +66,30 @@ func TestCondenseRefuses(t *testing.T) {
 	}
 	if _, err := condense("x", []string{filepath.Join(dir, "none_*.json")}); err == nil {
 		t.Error("a glob matching nothing was accepted")
+	}
+}
+
+func TestHostFacts(t *testing.T) {
+	cpuinfo := "processor\t: 0\nmodel name\t: Test CPU @ 2.0GHz\nflags\t\t: fpu sse2 avx avx2 fma\n\n" +
+		"processor\t: 1\nmodel name\t: Other CPU\nflags\t\t: fpu avx512f\n"
+	for _, c := range []struct {
+		name string
+		root fstest.MapFS
+		want map[string]any
+	}{
+		{"avx2 and a PMU", fstest.MapFS{
+			"proc/cpuinfo":                            {Data: []byte(cpuinfo)},
+			"sys/bus/event_source/devices/cpu/type":   {Data: []byte("4\n")},
+			"sys/bus/event_source/devices/software/x": {},
+		}, map[string]any{"cpu_model": "Test CPU @ 2.0GHz", "avx2": true, "avx512f": false, "pmu": true}},
+		{"avx512f, no PMU", fstest.MapFS{
+			"proc/cpuinfo": {Data: []byte("model name : Wide CPU\nflags : avx2 avx512f avx512bw\n")},
+			"sys/bus/event_source/devices/software/type": {Data: []byte("1\n")},
+		}, map[string]any{"cpu_model": "Wide CPU", "avx2": true, "avx512f": true, "pmu": false}},
+		{"no cpuinfo", fstest.MapFS{}, map[string]any{"pmu": false}},
+	} {
+		if got := hostFacts(c.root); !maps.Equal(got, c.want) {
+			t.Errorf("%s: hostFacts = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

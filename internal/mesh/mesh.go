@@ -114,9 +114,9 @@ func (m *Mesh) IsClosed() bool {
 	return len(m.Tris) > 0
 }
 
-// Compact drops unreferenced vertices and renumbers the rest in order of
+// compact drops unreferenced vertices and renumbers the rest in order of
 // first use by the triangle list.
-func (m *Mesh) Compact() {
+func (m *Mesh) compact() {
 	used := make([]int32, len(m.Verts))
 	for i := range used {
 		used[i] = -1

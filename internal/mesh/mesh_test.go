@@ -338,7 +338,7 @@ func TestCompact(t *testing.T) {
 		Verts: []Vec3{{0, 0, 0}, {9, 9, 9}, {1, 0, 0}, {0, 1, 0}},
 		Tris:  [][3]int32{{0, 2, 3}},
 	}
-	m.Compact()
+	m.compact()
 	if m.NumVerts() != 3 {
 		t.Errorf("compact kept %d verts", m.NumVerts())
 	}

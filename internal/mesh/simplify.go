@@ -332,6 +332,6 @@ func Simplify(m *Mesh, opt SimplifyOptions) int {
 		}
 	}
 	m.Tris = tris
-	m.Compact()
+	m.compact()
 	return collapses
 }

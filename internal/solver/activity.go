@@ -10,16 +10,14 @@ import (
 // activity.go implements per-z-slab activity tracking: the paper's dynamics
 // live in a thin interface band, so bulk solid below the front and bulk melt
 // above it are (near-)fixed points of both kernels. A z-slice may *sleep* —
-// skip both sweeps — only when the skip is provably bit-identical to the
-// full sweep:
+// skip a sweep — only when the skip is provably bit-identical to the full
+// sweep:
 //
 //   - The slice and every slice within the wake margin (≥ the kernels'
 //     stencil radius of 1; wakeMargin = 2) hold φ at exactly one simplex vertex
 //     (one phase exactly 1.0, the rest exactly +0.0, compared on float64
-//     bits), including the x/y ghost ring, so every stencil input of every
+//     bits), including the x/y ghost ring, so every φ stencil input of every
 //     cell in the slice is a known constant.
-//   - µ is bitwise-uniform over the same region (for the φ-sweep only the
-//     slice's own interior matters: the φ-kernel reads µ at cell centers).
 //   - A proxy run of the simulation's *actual* kernel — same variant,
 //     same Ctx (the analytic temperature depends on the global z), through
 //     the same *Range entry point, on a tiny single-slice field holding the
@@ -28,6 +26,15 @@ import (
 //     must be uniform (then skipping = broadcasting the proxy value, which
 //     also captures the frozen-gradient drift term ∂µ/∂T·∂T/∂t that makes
 //     bulk µ move even where nothing diffuses).
+//   - The φ proxy runs at the slice's µ when its interior is bitwise-uniform
+//     (the φ-kernel reads µ at cell centers only). Otherwise it runs with
+//     µ = NaN: the production kernel's bulk-cell test returns before any µ
+//     load, so a vertex slice is a fixed point whatever its µ, and a µ that
+//     reached the output would turn it into NaN and fail the comparison.
+//     The oracle reads µ in every cell, so under VarGeneral only slices of
+//     uniform µ sleep their φ-sweep.
+//   - A µ-slice sleeps only when its φ-slice slept and µ is bitwise-uniform
+//     with one value over the slice, its ghost ring and the wake margin.
 //
 // Every proxy interior cell must agree bitwise, which covers a row's first
 // cell (it computes its own low x face) and the cells that take that face
@@ -39,10 +46,20 @@ import (
 // of a sleeping cell are bitwise-equal to the proxy's inputs and the
 // kernels are deterministic, the full sweep would compute exactly the
 // proxy's output — the invariant "a slab never sleeps through a change
-// that could alter its next value" holds by construction, and the map is
-// conservatively re-derived from field data every step (window shifts,
-// restores and schedule events need no bespoke wake logic for kernel
-// correctness; they only invalidate the map, which frontTop reads).
+// that could alter its next value" holds by construction.
+//
+// The map is re-derived from field data every step, except slices that
+// slept on the previous step; invalidate() drops that. A slept slice
+// carries exact facts into the next step. Its φ interior holds the vertex
+// in both buffers (the copy made dst equal src, the swap exchanged them),
+// so sleeping again skips the copy and re-reads only the x/y ghost ring.
+// Its µ interior holds the value broadcast last step, so neither derivation
+// reads it and deriveMu compares only the ring against that value. The
+// ring is re-read every step because a neighbour rank or a boundary fill
+// may change it, and the ghost slices -1 and nz are classified in full.
+// Every writer of field interiors outside the step protocol (init,
+// restore, window shift, nucleation burst, BC change) calls invalidate,
+// and the carry counts only when the previous step ran both derivations.
 //
 // The µ-sweep additionally reads φdst at the cell center (the ∂φ/∂t source
 // term) and at face neighbors inside the anti-trapping flux. A µ-slice
@@ -63,8 +80,9 @@ const bitsOne = 0x3FF0000000000000
 // wakeMargin is the activation margin in z-slices: a slice sleeps only when
 // the uniformity predicate also holds this many slices to either side, so
 // an approaching front wakes it before its values could differ.
-// Conservatively wider than the stencil radius of 1 the re-derived-every-step
-// predicate strictly needs; a larger margin only reduces skipping.
+// Conservatively wider than the stencil radius of 1 the predicate, which
+// holds on each step's start state, strictly needs; a larger margin only
+// reduces skipping.
 const wakeMargin = 2
 
 // proxyNX caps the proxy field width: a row's first cell and several
@@ -79,15 +97,12 @@ const proxyNX = 7
 type activity struct {
 	margin int  // wakeMargin unless a test widened it before the first step
 	valid  bool // slice classifications describe the current step
+	carry  bool // phiPrev/muPrev describe the previous step (both derivations ran)
 
 	// φ classification of slices [-1, nz], indexed z+1: vertex phase and
 	// whether the slice (interior + x/y ghost ring) is exactly that vertex.
 	vertex []int
 	vOK    []bool
-	// µ interior uniformity at φ-dispatch time (ghosts may still be in
-	// flight then under OverlapMu).
-	muOK  []bool
-	muVal [][kernels.NR]float64
 	// µ classification including the ghost ring, taken at µ-dispatch time
 	// when the µsrc ghosts are settled in both overlap modes.
 	muROK  []bool
@@ -95,7 +110,12 @@ type activity struct {
 
 	phiSleep []bool // per interior slice: φ-sweep skipped this step
 	muSleep  []bool // per interior slice: µ-sweep skipped this step
-	muBcast  [][kernels.NR]float64
+	phiPrev  []bool // per interior slice: φ-sweep skipped on the previous step
+	muPrev   []bool // per interior slice: µ-sweep skipped on the previous step
+	// muBcast is the value a slept µ-slice is broadcast to. Until deriveMu
+	// rewrites it, it holds the previous step's value: the µsrc interior of
+	// every slice with muPrev set.
+	muBcast [][kernels.NR]float64
 
 	phiActive int // awake slices in the last φ derivation
 	muActive  int
@@ -123,12 +143,12 @@ func (a *activity) ensure(nx, nz int) {
 	n := nz + 2
 	a.vertex = make([]int, n)
 	a.vOK = make([]bool, n)
-	a.muOK = make([]bool, n)
-	a.muVal = make([][kernels.NR]float64, n)
 	a.muROK = make([]bool, n)
 	a.muRVal = make([][kernels.NR]float64, n)
 	a.phiSleep = make([]bool, nz)
 	a.muSleep = make([]bool, nz)
+	a.phiPrev = make([]bool, nz)
+	a.muPrev = make([]bool, nz)
 	a.muBcast = make([][kernels.NR]float64, nz)
 	a.runs = make([][2]int, 0, nz/2+2)
 	pnx := nx
@@ -139,12 +159,14 @@ func (a *activity) ensure(nx, nz int) {
 	a.proxySc = kernels.NewScratch(pnx, 1)
 }
 
-// invalidate discards the activity map. Called whenever field interiors
-// or ghost fills change outside the timestep protocol (window shift,
-// restore, nucleation burst, BC change, re-init): frontTop trusts slept
-// slices only while the map is valid.
+// invalidate discards the activity map and what it carries into the next
+// step. Called whenever field interiors or ghost fills change outside the
+// timestep protocol (window shift, restore, nucleation burst, BC change,
+// re-init): frontTop trusts slept slices only while the map is valid, and
+// the next derivation re-reads every slice in full.
 func (a *activity) invalidate() {
 	a.valid = false
+	a.carry = false
 }
 
 // invalidateActivity resets every rank's tracker.
@@ -154,11 +176,54 @@ func (s *Sim) invalidateActivity() {
 	}
 }
 
-// rowBits reports whether the x-row [x0,x1) of component c at (y,z) holds
-// exactly the bit pattern want in every cell.
-func rowBits(f *grid.Field, c, x0, x1, y, z int, want uint64) bool {
-	for _, v := range f.Row(c, y, z)[f.G+x0 : f.G+x1] {
+// allBits reports whether every value in vs has exactly the bit pattern
+// want.
+func allBits(vs []float64, want uint64) bool {
+	for _, v := range vs {
 		if math.Float64bits(v) != want {
+			return false
+		}
+	}
+	return true
+}
+
+// sliceBits reports whether component c of slice z holds exactly the bit
+// pattern want over the interior, the x/y ghost ring (corners included),
+// or both. It reads each row once.
+func sliceBits(f *grid.Field, c, z int, want uint64, interior, ring bool) bool {
+	g, nx := f.G, f.NX
+	y0, y1 := 0, f.NY
+	if ring {
+		y0, y1 = -g, f.NY+g
+	}
+	for y := y0; y < y1; y++ {
+		row := f.Row(c, y, z)
+		switch {
+		case y < 0 || y >= f.NY || interior && ring: // the whole row
+		case interior:
+			row = row[g : g+nx]
+		default: // the x ghosts of an interior row
+			if !allBits(row[:g], want) {
+				return false
+			}
+			row = row[g+nx:]
+		}
+		if !allBits(row, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// phiAt reports whether slice z (ghost slices -1 and nz allowed) holds
+// simplex vertex v over the interior, the x/y ghost ring, or both.
+func phiAt(f *grid.Field, z, v int, interior, ring bool) bool {
+	for c := 0; c < f.NComp; c++ {
+		want := uint64(0)
+		if c == v {
+			want = bitsOne
+		}
+		if !sliceBits(f, c, z, want, interior, ring) {
 			return false
 		}
 	}
@@ -169,49 +234,37 @@ func rowBits(f *grid.Field, c, x0, x1, y, z int, want uint64) bool {
 // exactly one simplex vertex over the interior and the full x/y ghost ring
 // (corners included), and which phase.
 func classifyPhi(f *grid.Field, z int) (vertex int, ok bool) {
-	v := -1
 	for c := 0; c < f.NComp; c++ {
 		if math.Float64bits(f.At(c, 0, 0, z)) == bitsOne {
-			v = c
-			break
+			return c, phiAt(f, z, c, true, true)
 		}
 	}
-	if v < 0 {
-		return -1, false
-	}
-	g := f.G
-	for c := 0; c < f.NComp; c++ {
-		want := uint64(0)
-		if c == v {
-			want = bitsOne
-		}
-		for y := -g; y < f.NY+g; y++ {
-			if !rowBits(f, c, -g, f.NX+g, y, z, want) {
-				return -1, false
-			}
+	return -1, false
+}
+
+// muAt reports whether slice z holds exactly val over the interior, the
+// x/y ghost ring, or both.
+func muAt(f *grid.Field, z int, val *[kernels.NR]float64, interior, ring bool) bool {
+	for k := 0; k < f.NComp; k++ {
+		if !sliceBits(f, k, z, math.Float64bits(val[k]), interior, ring) {
+			return false
 		}
 	}
-	return v, true
+	return true
 }
 
 // classifyMu reports whether slice z is bitwise-uniform per component,
 // over the interior only or including the x/y ghost ring, and the value.
 func classifyMu(f *grid.Field, z int, ring bool) (val [kernels.NR]float64, ok bool) {
-	g := 0
-	if ring {
-		g = f.G
-	}
 	for k := 0; k < f.NComp; k++ {
 		val[k] = f.At(k, 0, 0, z)
-		want := math.Float64bits(val[k])
-		for y := -g; y < f.NY+g; y++ {
-			if !rowBits(f, k, -g, f.NX+g, y, z, want) {
-				return val, false
-			}
-		}
 	}
-	return val, true
+	return val, muAt(f, z, &val, true, ring)
 }
+
+// nanMu is the φ proxy's µ for a slice whose µ is not uniform: any use of
+// it that reaches the φ output makes the output NaN.
+var nanMu = [kernels.NR]float64{math.NaN(), math.NaN()}
 
 // fillProxy loads the proxy fields with the uniform state of a candidate
 // slice: φ at the vertex in both buffers (a slept φ-slice has dst == src),
@@ -245,17 +298,7 @@ func (a *activity) setProxyCtx(r *rank, z int) *kernels.Ctx {
 func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) bool {
 	a.fillProxy(vertex, mu)
 	kernels.PhiSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
-	d := a.proxy.PhiDst
-	for c := 0; c < kernels.NP; c++ {
-		want := uint64(0)
-		if c == vertex {
-			want = bitsOne
-		}
-		if !rowBits(d, c, 0, d.NX, 0, 0, want) {
-			return false
-		}
-	}
-	return true
+	return phiAt(a.proxy.PhiDst, 0, vertex, true, false)
 }
 
 // muProxyValue runs the µ-kernel on the proxy and returns the uniform
@@ -264,14 +307,24 @@ func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.N
 func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) (out [kernels.NR]float64, ok bool) {
 	a.fillProxy(vertex, mu)
 	kernels.MuSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
-	d := a.proxy.MuDst
-	for k := 0; k < kernels.NR; k++ {
-		out[k] = d.At(k, 0, 0, 0)
-		if !rowBits(d, k, 0, d.NX, 0, 0, math.Float64bits(out[k])) {
-			return out, false
-		}
+	return classifyMu(a.proxy.MuDst, 0, false)
+}
+
+// marginRange clips slice z's wake margin to the classified slices [-1, nz].
+func (a *activity) marginRange(z, nz int) (lo, hi int) {
+	return max(z-a.margin, -1), min(z+a.margin, nz)
+}
+
+// beginStep moves the previous step's sleep sets into phiPrev/muPrev, or
+// clears those when the previous step did not run both derivations.
+func (a *activity) beginStep() {
+	a.phiSleep, a.phiPrev = a.phiPrev, a.phiSleep
+	a.muSleep, a.muPrev = a.muPrev, a.muSleep
+	if !a.carry {
+		clear(a.phiPrev)
+		clear(a.muPrev)
 	}
-	return out, true
+	a.carry = false
 }
 
 // derivePhi classifies every slice and decides the step's φ-sleep set. Runs
@@ -282,31 +335,39 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 	f := r.fields
 	nz := f.PhiSrc.NZ
 	a.ensure(f.PhiSrc.NX, nz)
+	a.beginStep()
 	for z := -1; z <= nz; z++ {
-		a.vertex[z+1], a.vOK[z+1] = classifyPhi(f.PhiSrc, z)
-	}
-	for z := 0; z < nz; z++ {
-		a.muVal[z+1], a.muOK[z+1] = classifyMu(f.MuSrc, z, false)
+		if z >= 0 && z < nz && a.phiPrev[z] {
+			a.vOK[z+1] = phiAt(f.PhiSrc, z, a.vertex[z+1], false, true)
+		} else {
+			a.vertex[z+1], a.vOK[z+1] = classifyPhi(f.PhiSrc, z)
+		}
 	}
 	active := 0
 	for z := 0; z < nz; z++ {
-		ok := a.vOK[z+1] && a.muOK[z+1]
+		ok := a.vOK[z+1]
 		if ok {
 			v := a.vertex[z+1]
-			lo, hi := z-a.margin, z+a.margin
-			if lo < -1 {
-				lo = -1
-			}
-			if hi > nz {
-				hi = nz
-			}
+			lo, hi := a.marginRange(z, nz)
 			for j := lo; j <= hi; j++ {
 				if !a.vOK[j+1] || a.vertex[j+1] != v {
 					ok = false
 					break
 				}
 			}
-			ok = ok && a.phiProxySleeps(s, r, z, v, &a.muVal[z+1])
+		}
+		if ok {
+			// The proxy's µ: carried or classified when uniform, else NaN.
+			mu, uniform := &a.muBcast[z], a.muPrev[z]
+			var val [kernels.NR]float64
+			if !uniform {
+				val, uniform = classifyMu(f.MuSrc, z, false)
+				mu = &val
+			}
+			if !uniform {
+				mu = &nanMu
+			}
+			ok = a.phiProxySleeps(s, r, z, a.vertex[z+1], mu)
 		}
 		a.phiSleep[z] = ok
 		if !ok {
@@ -328,28 +389,26 @@ func (a *activity) deriveMu(s *Sim, r *rank) {
 	}
 	f := r.fields
 	nz := f.MuSrc.NZ
+	a.carry = true
 	if a.phiActive == nz {
-		for z := 0; z < nz; z++ {
-			a.muSleep[z] = false
-		}
+		clear(a.muSleep)
 		a.muActive = nz
 		return
 	}
 	for z := -1; z <= nz; z++ {
-		a.muRVal[z+1], a.muROK[z+1] = classifyMu(f.MuSrc, z, true)
+		if z >= 0 && z < nz && a.muPrev[z] {
+			a.muRVal[z+1] = a.muBcast[z]
+			a.muROK[z+1] = muAt(f.MuSrc, z, &a.muBcast[z], false, true)
+		} else {
+			a.muRVal[z+1], a.muROK[z+1] = classifyMu(f.MuSrc, z, true)
+		}
 	}
 	active := 0
 	for z := 0; z < nz; z++ {
 		ok := a.phiSleep[z] && a.muROK[z+1]
 		if ok {
 			want := &a.muRVal[z+1]
-			lo, hi := z-a.margin, z+a.margin
-			if lo < -1 {
-				lo = -1
-			}
-			if hi > nz {
-				hi = nz
-			}
+			lo, hi := a.marginRange(z, nz)
 			for j := lo; j <= hi; j++ {
 				if !a.muROK[j+1] || !sameMuBits(&a.muRVal[j+1], want) {
 					ok = false
@@ -423,7 +482,8 @@ func (a *activity) activeRuns(sleep []bool, nz int) [][2]int {
 
 // applySkips realizes the skipped sweeps on the rank goroutine: a slept
 // φ-slice copies src→dst (the proxy proved the kernel is an exact fixed
-// point there); a slept µ-slice broadcasts the proxy output (which carries
+// point there), unless it slept on the previous step too, when dst already
+// equals src; a slept µ-slice broadcasts the proxy output (which carries
 // the uniform frozen-gradient drift).
 func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
 	if sleep == nil {
@@ -436,7 +496,9 @@ func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
 			continue
 		}
 		if op == opPhi {
-			copySliceInterior(f.PhiDst, f.PhiSrc, z)
+			if !a.phiPrev[z] {
+				copySliceInterior(f.PhiDst, f.PhiSrc, z)
+			}
 		} else {
 			broadcastSlice(f.MuDst, z, &a.muBcast[z])
 		}

@@ -275,3 +275,124 @@ func TestWakeMarginWidthsEquivalent(t *testing.T) {
 		requireSameTrajectory(t, s, ref)
 	}
 }
+
+// tiltMu overwrites µ with a z-gradient tilted along x, so no slice's µ
+// is uniform, and drops the activity map as every writer outside the step
+// protocol does.
+func tiltMu(s *Sim) {
+	for _, r := range s.ranks {
+		mu := r.fields.MuSrc
+		for k := 0; k < mu.NComp; k++ {
+			for z := 0; z < mu.NZ; z++ {
+				for y := 0; y < mu.NY; y++ {
+					row := mu.Row(k, y, z)[mu.G:]
+					for x := 0; x < mu.NX; x++ {
+						row[x] = float64(k+1) * (1e-3*float64(r.zOff+z)/float64(mu.NZ) + 1e-4*float64(x))
+					}
+				}
+			}
+		}
+	}
+	s.invalidateActivity()
+	s.refreshGhosts()
+}
+
+// muUniform reports whether slice z of f is bitwise-uniform per component.
+func muUniform(f *grid.Field, z int) bool {
+	_, ok := classifyMu(f, z, false)
+	return ok
+}
+
+// A melt slice whose µ is not uniform still sleeps its φ-sweep under the
+// production kernel (its bulk-cell test never reads µ) and keeps its
+// µ-sweep awake; the oracle reads µ in every cell, so under it only
+// slices of uniform µ sleep φ. Each tracked run stays bit-identical to
+// its untracked twin, and every slice a step slept carries identical φ
+// interiors in both buffers into the next step.
+func TestPhiSleepsOverNonUniformMu(t *testing.T) {
+	for _, v := range kernels.Variants {
+		t.Run(v.String(), func(t *testing.T) {
+			tracked := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, false, 1)
+			full := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, true, 1)
+			tiltMu(tracked)
+			tiltMu(full)
+			a := &tracked.ranks[0].act
+			nonUniform := 0 // φ-slept slices whose step-start µ was not uniform
+			for step := 0; step < 8; step++ {
+				tracked.Run(1)
+				full.Run(1)
+				// After the swap, the dst buffers hold the step-start state.
+				f := tracked.ranks[0].fields
+				for z, slept := range a.phiSleep {
+					if !slept {
+						continue
+					}
+					if !muUniform(f.MuDst, z) {
+						nonUniform++
+						if a.muSleep[z] {
+							t.Fatalf("step %d: µ slept on slice %d of non-uniform µ", step, z)
+						}
+					}
+					for c := 0; c < f.PhiSrc.NComp; c++ {
+						for y := 0; y < f.PhiSrc.NY; y++ {
+							src := f.PhiSrc.Row(c, y, z)[f.PhiSrc.G:][:f.PhiSrc.NX]
+							dst := f.PhiDst.Row(c, y, z)[f.PhiDst.G:][:f.PhiDst.NX]
+							for x := range src {
+								if math.Float64bits(src[x]) != math.Float64bits(dst[x]) {
+									t.Fatalf("step %d: slept slice %d comp %d (%d,%d): src %x dst %x",
+										step, z, c, x, y, math.Float64bits(src[x]), math.Float64bits(dst[x]))
+								}
+							}
+						}
+					}
+				}
+			}
+			requireSameTrajectory(t, tracked, full)
+			// The top slice is melt: only the production kernel leaves it
+			// a fixed point at µ = NaN.
+			r := tracked.ranks[0]
+			nanSleeps := a.phiProxySleeps(tracked, r, r.fields.PhiSrc.NZ-1, core.Liquid, &nanMu)
+			t.Logf("%d φ-slept slice-steps over non-uniform µ", nonUniform)
+			switch v {
+			case kernels.VarGeneral:
+				if nonUniform != 0 || nanSleeps {
+					t.Errorf("oracle slept φ on %d slice-steps of non-uniform µ (NaN proxy sleeps: %v)", nonUniform, nanSleeps)
+				}
+			default:
+				if nonUniform == 0 || !nanSleeps {
+					t.Errorf("φ slept on %d slice-steps of non-uniform µ (NaN proxy sleeps: %v), want the NaN-µ proxy engaged", nonUniform, nanSleeps)
+				}
+			}
+		})
+	}
+}
+
+// A slice that slept carries its interior into the next step, never its
+// ghost ring: a µ bump placed in the melt of one x-block diffuses across
+// that block into the ring of the other block's sleeping slices, which
+// must wake for it.
+func TestCarriedSliceRereadsMuRing(t *testing.T) {
+	tracked := actSim(t, 2, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
+	full := actSim(t, 2, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	for _, s := range []*Sim{tracked, full} {
+		mu := s.ranks[1].fields.MuSrc
+		for k := 0; k < mu.NComp; k++ {
+			for z := 28; z < 32; z++ {
+				for y := 0; y < mu.NY; y++ {
+					row := mu.Row(k, y, z)[mu.G:]
+					row[3] += 1e-3
+					row[4] += 1e-3
+				}
+			}
+		}
+		s.invalidateActivity()
+		s.refreshGhosts()
+	}
+	tracked.Run(2)
+	if a := &tracked.ranks[0].act; !a.muSleep[30] {
+		t.Fatal("rank 0's melt slice 30 is awake before the bump reaches its ring")
+	}
+	tracked.Run(8)
+	full.Run(10)
+	requireSameTrajectory(t, tracked, full)
+}
