@@ -12,9 +12,8 @@
 // and they merge deterministically (same-step ties fire in file order;
 // conflicting events are rejected). A stopped run resumes from its last
 // checkpoint with -restore, continuing the schedule at the checkpointed
-// position with the checkpointed kernel variant; checkpoints carry the
-// active per-face BC state, so a restart mid-BC-ramp resumes with
-// bit-identical wall values.
+// position; checkpoints carry the active per-face BC state, so a restart
+// mid-BC-ramp resumes with bit-identical wall values.
 //
 // A run spreads its ranks over several machines with -peers/-proc: start
 // the same command line on every host, each with its own -proc index into
@@ -133,9 +132,8 @@ func main() {
 	var sim *phasefield.Simulation
 	var err error
 	if *restorePath != "" {
-		// Start from the production defaults (µ-overlap) — the domain,
-		// decomposition and kernel variant come from the checkpoint
-		// header.
+		// Start from the production defaults (µ-overlap) — the domain
+		// and decomposition come from the checkpoint header.
 		cfg := phasefield.DefaultConfig(0, 0, 0)
 		cfg.MovingWindow = *window
 		cfg.Parallelism = *par

@@ -73,7 +73,9 @@ func main() {
 	// Restart from the mid-ramp checkpoint and verify the continued
 	// trajectory tracks the uninterrupted one.
 	ckpt := filepath.Join(outDir, "state_000200.pfcp")
-	restored, err := phasefield.Restore(ckpt, phasefield.Config{MovingWindow: true, WindowFraction: 0.5})
+	rcfg := phasefield.DefaultConfig(0, 0, 0) // production µ-overlap; the grid comes from the checkpoint
+	rcfg.MovingWindow, rcfg.WindowFraction = true, 0.5
+	restored, err := phasefield.Restore(ckpt, rcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,7 +94,9 @@ func main() {
 	// back the exact wall values the ramp prescribed at that step, and the
 	// continued run must track the uninterrupted one.
 	ckpt := filepath.Join(outDir, "state_000160.pfcp")
-	restored, err := phasefield.Restore(ckpt, phasefield.Config{MovingWindow: true, WindowFraction: 0.5})
+	rcfg := phasefield.DefaultConfig(0, 0, 0) // production µ-overlap; the grid comes from the checkpoint
+	rcfg.MovingWindow, rcfg.WindowFraction = true, 0.5
+	restored, err := phasefield.Restore(ckpt, rcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

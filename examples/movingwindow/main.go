@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/mesh"
 )
 
@@ -21,9 +22,11 @@ func main() {
 	cfg := phasefield.DefaultConfig(32, 32, 48)
 	cfg.MovingWindow = true
 	cfg.WindowFraction = 0.18 // shift as soon as the front passes z~9
-	cfg.TempGradient = 0.01   // strong gradient: fast, well-confined growth
-	cfg.IsothermZ0 = 24
 	cfg.Seed = 3
+	p := core.DefaultParams()
+	p.Temp.G, p.Temp.Z0 = 0.01, 24 // strong gradient: fast, well-confined growth
+	p.Dt = 0.8 * p.StableDt()
+	cfg.Params = p
 	sim, err := phasefield.New(cfg)
 	if err != nil {
 		log.Fatal(err)

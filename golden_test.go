@@ -60,7 +60,6 @@ const (
 func goldenConfig() Config {
 	cfg := DefaultConfig(16, 16, 24)
 	cfg.PX = 2
-	cfg.Variant = kernels.VarShortcut
 	cfg.MovingWindow = true
 	cfg.WindowFraction = 0.5
 	cfg.Seed = 42
@@ -266,8 +265,8 @@ func TestGoldenTrajectory(t *testing.T) {
 	if restored.Step() != fx.CheckpointStep {
 		t.Fatalf("restored at step %d, want %d", restored.Step(), fx.CheckpointStep)
 	}
-	if restored.cfg.Variant != kernels.VarShortcut {
-		t.Fatalf("restored kernel %v, want the checkpointed production kernel", restored.cfg.Variant)
+	if restored.sim.Cfg.Variant != kernels.VarShortcut {
+		t.Fatalf("restored kernel %v, want the production kernel", restored.sim.Cfg.Variant)
 	}
 	// The V3 header must have carried the mid-ramp wall state bit-exactly:
 	// the last BC application before the checkpointed step ran at step

@@ -72,10 +72,8 @@ func (e *extractor) vertexOn(ax, ay, az int, va float64, bx, by, bz int, vb floa
 
 // ExtractPhase extracts the iso-0.5 surface of phase a from a φ field,
 // sampling cell centers. The lattice spans [-1, N] in every direction (one
-// ghost cell). origin shifts vertex positions, e.g. from a block's frame
-// into global coordinates; markBoundary tags vertices on the field's outer
-// hull for the weighted simplifier.
-func ExtractPhase(f *grid.Field, phase int, origin Vec3, markBoundary bool) *Mesh {
+// ghost cell).
+func ExtractPhase(f *grid.Field, phase int) *Mesh {
 	e := &extractor{
 		mesh:     &Mesh{},
 		edgeVert: make(map[[2]int64]int32),
@@ -114,21 +112,7 @@ func ExtractPhase(f *grid.Field, phase int, origin Vec3, markBoundary bool) *Mes
 		}
 	}
 
-	m := e.mesh
-	// Shift to global coordinates and mark boundary vertices.
-	if markBoundary {
-		m.Boundary = make([]bool, len(m.Verts))
-	}
-	for i := range m.Verts {
-		v := &m.Verts[i]
-		if markBoundary {
-			m.Boundary[i] = v[0] <= -0.5 || v[0] >= float64(f.NX)-0.5 ||
-				v[1] <= -0.5 || v[1] >= float64(f.NY)-0.5 ||
-				v[2] <= -0.5 || v[2] >= float64(f.NZ)-0.5
-		}
-		*v = v.Add(origin)
-	}
-	return m
+	return e.mesh
 }
 
 // emitTet produces the 0, 1 or 2 triangles of one tetrahedron.

@@ -17,28 +17,24 @@ import (
 //
 //	go test -run '^$' -fuzz FuzzSimplify -fuzztime 60s ./internal/mesh/
 func FuzzSimplify(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint16(1<<14), false)
-	f.Add(int64(2), uint8(3), uint16(0), true)
-	f.Add(int64(3), uint8(0), uint16(math.MaxUint16), true)
-	f.Add(int64(4), uint8(7), uint16(1<<15), true)
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, frac uint16, markBoundary bool) {
+	f.Add(int64(1), uint8(5), uint16(1<<14))
+	f.Add(int64(2), uint8(3), uint16(0))
+	f.Add(int64(3), uint8(0), uint16(math.MaxUint16))
+	f.Add(int64(4), uint8(7), uint16(1<<15))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, frac uint16) {
 		n := 3 + int(size%6)
-		m := ExtractPhase(blobField(seed, n), 0, Vec3{}, markBoundary)
+		m := ExtractPhase(blobField(seed, n), 0)
 		tris0 := m.NumTris()
 		target := tris0 * int(frac) / math.MaxUint16
 		twin := cloneMesh(m)
 
 		c1 := Simplify(m, SimplifyOptions{TargetTris: target})
 		c2 := Simplify(twin, SimplifyOptions{TargetTris: target})
-		if c1 != c2 || !slices.Equal(m.Verts, twin.Verts) || !slices.Equal(m.Tris, twin.Tris) ||
-			!slices.Equal(m.Boundary, twin.Boundary) {
+		if c1 != c2 || !slices.Equal(m.Verts, twin.Verts) || !slices.Equal(m.Tris, twin.Tris) {
 			t.Fatal("two runs on identical input differ")
 		}
 		if m.NumTris() > tris0 {
 			t.Fatalf("face count grew: %d -> %d", tris0, m.NumTris())
-		}
-		if markBoundary != (m.Boundary != nil) || (markBoundary && len(m.Boundary) != len(m.Verts)) {
-			t.Fatalf("boundary flags %d for %d verts (marked %v)", len(m.Boundary), len(m.Verts), markBoundary)
 		}
 		used := make([]bool, len(m.Verts))
 		for i, tr := range m.Tris {

@@ -6,8 +6,7 @@
 // per block and merges the block meshes pairwise in log₂(P) rounds; that
 // reduction was measured at 1×1 and 2×2 rank grids, was not cheaper than
 // one extraction of the gathered field, and was removed (the numbers are
-// in package experiments). ExtractPhase's origin and boundary marking, and
-// the simplifier's boundary weight, are what per-block meshes used.
+// in package experiments).
 //
 // Every stage is a deterministic function of its input, so the same φ
 // field always yields the same STL bytes. The simplifier collapses edges
@@ -55,9 +54,6 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 type Mesh struct {
 	Verts []Vec3
 	Tris  [][3]int32
-	// Boundary marks vertices lying on block boundaries; the simplifier
-	// protects them with a high quadric weight (nil: none marked).
-	Boundary []bool
 }
 
 // NumTris returns the triangle count.
@@ -133,21 +129,12 @@ func (m *Mesh) compact() {
 		}
 	}
 	verts := make([]Vec3, n)
-	var bnd []bool
-	if m.Boundary != nil {
-		bnd = make([]bool, n)
-	}
 	for old, nw := range used {
-		if nw < 0 {
-			continue
-		}
-		verts[nw] = m.Verts[old]
-		if bnd != nil {
-			bnd[nw] = m.Boundary[old]
+		if nw >= 0 {
+			verts[nw] = m.Verts[old]
 		}
 	}
 	m.Verts = verts
-	m.Boundary = bnd
 }
 
 // WriteSTL writes the mesh in binary STL format.

@@ -48,7 +48,7 @@ func TestSphereExtraction(t *testing.T) {
 	const n = 24
 	r := 8.0
 	f := sphereField(n, r)
-	m := ExtractPhase(f, 0, Vec3{}, false)
+	m := ExtractPhase(f, 0)
 
 	if m.NumTris() == 0 {
 		t.Fatal("no triangles extracted")
@@ -70,7 +70,7 @@ func TestSphereExtraction(t *testing.T) {
 
 func TestExtractionEdgeLengthOrderDx(t *testing.T) {
 	f := sphereField(16, 5)
-	m := ExtractPhase(f, 0, Vec3{}, false)
+	m := ExtractPhase(f, 0)
 	for _, tr := range m.Tris {
 		for e := 0; e < 3; e++ {
 			l := m.Verts[tr[e]].Sub(m.Verts[tr[(e+1)%3]]).Norm()
@@ -78,50 +78,6 @@ func TestExtractionEdgeLengthOrderDx(t *testing.T) {
 				t.Fatalf("edge length %g ≫ dx", l)
 			}
 		}
-	}
-}
-
-func TestExtractOriginShift(t *testing.T) {
-	f := sphereField(12, 4)
-	a := ExtractPhase(f, 0, Vec3{}, false)
-	b := ExtractPhase(f, 0, Vec3{10, 20, 30}, false)
-	if a.NumVerts() != b.NumVerts() {
-		t.Fatal("vert counts differ")
-	}
-	d := b.Verts[0].Sub(a.Verts[0])
-	if d != (Vec3{10, 20, 30}) {
-		t.Errorf("origin shift wrong: %v", d)
-	}
-}
-
-func TestBoundaryMarking(t *testing.T) {
-	// A field solid in the lower half: the isosurface plane is interior,
-	// but the surface sheet reaches the block hull.
-	n := 8
-	f := grid.NewField(n, n, n, 1, 1, grid.SoA)
-	for z := -1; z <= n; z++ {
-		for y := -1; y <= n; y++ {
-			for x := -1; x <= n; x++ {
-				v := 0.0
-				if z < n/2 {
-					v = 1
-				}
-				f.Set(0, x, y, z, v)
-			}
-		}
-	}
-	m := ExtractPhase(f, 0, Vec3{}, true)
-	if m.Boundary == nil {
-		t.Fatal("boundary flags missing")
-	}
-	nb := 0
-	for _, b := range m.Boundary {
-		if b {
-			nb++
-		}
-	}
-	if nb == 0 {
-		t.Error("no boundary vertices marked on an open sheet")
 	}
 }
 
@@ -134,18 +90,6 @@ func TestQuadricPlaneError(t *testing.T) {
 	}
 	if e := q.Eval(Vec3{0, 0, 5}); math.Abs(e-9) > 1e-12 {
 		t.Errorf("off-plane error %g, want 9", e)
-	}
-}
-
-func TestQuadricPointError(t *testing.T) {
-	var q Quadric
-	p := Vec3{1, 2, 3}
-	q.AddPoint(p, 2)
-	if e := q.Eval(p); math.Abs(e) > 1e-12 {
-		t.Errorf("at-point error %g", e)
-	}
-	if e := q.Eval(Vec3{1, 2, 5}); math.Abs(e-8) > 1e-12 {
-		t.Errorf("distance error %g, want 8", e)
 	}
 }
 
@@ -177,7 +121,7 @@ func TestQuadricPSDProperty(t *testing.T) {
 
 func TestSimplifyReducesAndPreservesShape(t *testing.T) {
 	f := sphereField(24, 8)
-	m := ExtractPhase(f, 0, Vec3{}, false)
+	m := ExtractPhase(f, 0)
 	tris0 := m.NumTris()
 	area0 := m.Area()
 
@@ -202,7 +146,7 @@ func TestSimplifyReducesAndPreservesShape(t *testing.T) {
 
 func TestSimplifyRespectsMaxError(t *testing.T) {
 	f := sphereField(16, 5)
-	m := ExtractPhase(f, 0, Vec3{}, false)
+	m := ExtractPhase(f, 0)
 	tris0 := m.NumTris()
 	// A tiny error budget barely allows collapses of coplanar regions.
 	Simplify(m, SimplifyOptions{TargetTris: 1, MaxError: 1e-12})
@@ -211,74 +155,11 @@ func TestSimplifyRespectsMaxError(t *testing.T) {
 	}
 }
 
-// cylinderField builds a φ field whose phase-0 component is a z-aligned
-// cylinder of radius r: its surface leaves the block through the bottom and
-// top hull.
-func cylinderField(n int, r float64) *grid.Field {
-	f := grid.NewField(n, n, n, 1, 1, grid.SoA)
-	c := float64(n-1) / 2
-	for z := -1; z <= n; z++ {
-		for y := -1; y <= n; y++ {
-			for x := -1; x <= n; x++ {
-				d := math.Sqrt(sq(float64(x)-c) + sq(float64(y)-c))
-				f.Set(0, x, y, z, 0.5*(1-math.Tanh(2*(d-r))))
-			}
-		}
-	}
-	return f
-}
-
-// onHull is ExtractPhase's markBoundary predicate for an n³ block at the
-// origin: within half a cell of the ghost-layer hull.
-func onHull(v Vec3, n int) bool {
-	for _, c := range v {
-		if c <= -0.5 || c >= float64(n)-0.5 {
-			return true
-		}
-	}
-	return false
-}
-
-func TestBoundaryWeightPreservesBoundary(t *testing.T) {
-	// The cylinder's sides are flat along z, so interior collapses are
-	// nearly free and pile up toward the hull; only the boundary point
-	// quadric keeps a collapse from dragging a hull vertex inward.
-	const n = 16
-	m := ExtractPhase(cylinderField(n, 5), 0, Vec3{}, true)
-	tris0, bnd0 := m.NumTris(), 0
-	for _, b := range m.Boundary {
-		if b {
-			bnd0++
-		}
-	}
-	if bnd0 == 0 {
-		t.Fatal("no boundary vertices on a surface crossing the hull")
-	}
-	Simplify(m, SimplifyOptions{TargetTris: tris0 / 4})
-	if m.NumTris() > tris0/3 {
-		t.Fatalf("simplify left %d of %d tris", m.NumTris(), tris0)
-	}
-	bnd1 := 0
-	for i, b := range m.Boundary {
-		if !b {
-			continue
-		}
-		bnd1++
-		if !onHull(m.Verts[i], n) {
-			t.Errorf("boundary vertex %d moved off the hull to %v", i, m.Verts[i])
-		}
-	}
-	if bnd1 == 0 {
-		t.Error("no boundary vertex survived simplification")
-	}
-}
-
 // cloneMesh returns a deep copy of m.
 func cloneMesh(m *Mesh) *Mesh {
 	return &Mesh{
-		Verts:    slices.Clone(m.Verts),
-		Tris:     slices.Clone(m.Tris),
-		Boundary: slices.Clone(m.Boundary),
+		Verts: slices.Clone(m.Verts),
+		Tris:  slices.Clone(m.Tris),
 	}
 }
 
@@ -286,7 +167,7 @@ func cloneMesh(m *Mesh) *Mesh {
 // allocated per queue entry or per collapse, so coarsening five times
 // further costs no more allocations.
 func TestSimplifyAllocsIndependentOfCollapses(t *testing.T) {
-	base := ExtractPhase(sphereField(24, 8), 0, Vec3{}, false)
+	base := ExtractPhase(sphereField(24, 8), 0)
 	allocs := func(target int) float64 {
 		const runs = 5
 		in := make([]*Mesh, runs+1) // AllocsPerRun adds one warm-up call
@@ -308,7 +189,7 @@ func TestSimplifyAllocsIndependentOfCollapses(t *testing.T) {
 
 func TestWriteSTL(t *testing.T) {
 	f := sphereField(10, 3)
-	m := ExtractPhase(f, 0, Vec3{}, false)
+	m := ExtractPhase(f, 0)
 	var buf bytes.Buffer
 	if err := m.WriteSTL(&buf); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,7 @@ import (
 
 // Quadric-error-metric edge-collapse simplification after Garland &
 // Heckbert (paper ref. [12]; the paper links the VCG library's
-// implementation — this is a from-scratch equivalent). Vertices a mesh
-// marks as boundary (Mesh.Boundary) receive a high additional point
-// quadric, so the simplifier keeps them in place.
+// implementation — this is a from-scratch equivalent).
 
 // Quadric is a symmetric 4x4 error quadric stored as its 10 unique
 // coefficients: [a² ab ac ad; · b² bc bd; · · c² cd; · · · d²].
@@ -30,18 +28,6 @@ func (q *Quadric) AddPlane(n Vec3, d float64, w float64) {
 	q[9] += w * d * d
 }
 
-// AddPoint accumulates w·|v − p|², anchoring the quadric at point p.
-func (q *Quadric) AddPoint(p Vec3, w float64) {
-	// (x−p)² expands to x² − 2px + p² per axis: diag w, off-diag 0.
-	q[0] += w
-	q[4] += w
-	q[7] += w
-	q[3] += -w * p[0]
-	q[6] += -w * p[1]
-	q[8] += -w * p[2]
-	q[9] += w * p.Dot(p)
-}
-
 // Add accumulates another quadric.
 func (q *Quadric) Add(o *Quadric) {
 	for i := range q {
@@ -49,7 +35,7 @@ func (q *Quadric) Add(o *Quadric) {
 	}
 }
 
-// Eval returns the quadric error at v (always ≥ 0 for sums of plane/point
+// Eval returns the quadric error at v (always ≥ 0 for sums of plane
 // quadrics, up to roundoff).
 func (q *Quadric) Eval(v Vec3) float64 {
 	x, y, z := v[0], v[1], v[2]
@@ -66,9 +52,6 @@ type SimplifyOptions struct {
 	// MaxError stops collapsing at the first current queue entry whose
 	// quadric error exceeds this (0 disables the limit).
 	MaxError float64
-	// BoundaryWeight is the point-quadric weight protecting vertices
-	// marked as block-boundary (default 1e4).
-	BoundaryWeight float64
 }
 
 // collapse is one queue entry: merge v into u (u < v) at target, costed
@@ -174,9 +157,6 @@ func (s *simplifier) pop() {
 // stops when the face count reaches TargetTris, or at the first current
 // entry whose cost exceeds MaxError.
 func Simplify(m *Mesh, opt SimplifyOptions) int {
-	if opt.BoundaryWeight == 0 {
-		opt.BoundaryWeight = 1e4
-	}
 	if opt.TargetTris <= 0 {
 		opt.TargetTris = 1
 	}
@@ -200,13 +180,6 @@ func Simplify(m *Mesh, opt SimplifyOptions) int {
 		d := -n.Dot(a)
 		for e := 0; e < 3; e++ {
 			s.quadrics[t[e]].AddPlane(n, d, l/2) // area-weighted
-		}
-	}
-	if m.Boundary != nil {
-		for i, b := range m.Boundary {
-			if b {
-				s.quadrics[i].AddPoint(m.Verts[i], opt.BoundaryWeight)
-			}
 		}
 	}
 	for i := range s.parent {
@@ -286,9 +259,6 @@ func Simplify(m *Mesh, opt SimplifyOptions) int {
 		s.parent[v] = u
 		m.Verts[u] = target
 		s.quadrics[u].Add(&s.quadrics[v])
-		if m.Boundary != nil {
-			m.Boundary[u] = m.Boundary[u] || m.Boundary[v]
-		}
 		s.version[u]++
 
 		// Remap v's faces onto u, kill degenerates, and relink the live

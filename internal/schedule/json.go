@@ -228,7 +228,7 @@ func (je *jsonEvent) toEvent() (Event, error) {
 		return SetBC{Step: je.Step, Over: je.Over, Face: face, Field: field,
 			Kind: kind, From: from, To: to}, nil
 	case "switch":
-		return nil, fmt.Errorf("switch events are no longer supported: the kernel variant is fixed when the simulation is built (Config.Variant) and cannot change mid-run; delete the event")
+		return nil, fmt.Errorf("switch events are no longer supported: the kernel variant is fixed when the simulation is built (solver.Config.Variant) and cannot change mid-run; delete the event")
 	case "checkpoint":
 		return Checkpoint{Step: je.Step, Every: je.Every, Path: je.Path}, nil
 	}

@@ -40,11 +40,10 @@ func PhaseNames() [NumPhases]string {
 }
 
 // Config assembles a simulation. DefaultConfig is the production entry
-// point: it selects the paper's production kernel (VarShortcut) and
-// µ-overlap. A zero Config is valid but is not production — the zero
-// Variant is VarGeneral (the slow reference kernel) and the zero Overlap is
-// OverlapNone (blocking exchanges); the remaining zero values select the
-// documented defaults.
+// point; a zero Config differs from it only in Overlap, whose zero value is
+// OverlapNone (blocking exchanges). The remaining zero values select the
+// documented defaults. The facade always runs the production kernels
+// (kernels.VarShortcut).
 type Config struct {
 	// Global domain size in cells.
 	NX, NY, NZ int
@@ -53,14 +52,9 @@ type Config struct {
 	// goroutine in the process that owns it. Sweep workers are set by
 	// Parallelism, per process.
 	PX, PY, PZ int
-	// Physical and numerical parameters (defaults to the calibrated
-	// Ag-Al-Cu set).
+	// Physical and numerical parameters, copied by New. nil selects
+	// core.DefaultParams with Temp.Z0 = NZ/2·Dx and Dt = 0.8·StableDt().
 	Params *core.Params
-	// Variant is the kernel both sweeps run for the simulation's whole
-	// life: kernels.VarShortcut, the production kernels DefaultConfig
-	// selects, or kernels.VarGeneral, the general-purpose oracle (the zero
-	// value). Restore takes it from the checkpoint.
-	Variant kernels.Variant
 	// Overlap selects communication hiding: solver.OverlapMu (DefaultConfig,
 	// the paper's production choice) or solver.OverlapNone (the zero value).
 	Overlap solver.OverlapMode
@@ -103,12 +97,6 @@ type Config struct {
 	// match. Collective outputs (checkpoints, gathered fields, meshes) are
 	// produced on process 0 only.
 	Distributed *DistConfig
-
-	// Optional physical overrides applied to the default parameter set
-	// (ignored when Params is supplied explicitly; zero keeps defaults).
-	TempGradient float64 // G, temperature per length
-	PullVelocity float64 // V, isotherm velocity
-	IsothermZ0   float64 // initial eutectic isotherm height (cells·dx)
 }
 
 // DistConfig describes this process' place in a network-distributed run.
@@ -139,7 +127,6 @@ func DefaultConfig(nx, ny, nz int) Config {
 	return Config{
 		NX: nx, NY: ny, NZ: nz,
 		PX: 1, PY: 1, PZ: 1,
-		Variant: kernels.VarShortcut,
 		Overlap: solver.OverlapMu,
 	}
 }
@@ -172,16 +159,10 @@ func New(cfg Config) (*Simulation, error) {
 		cfg.Params = core.DefaultParams()
 		// Put the eutectic isotherm at mid-height by default.
 		cfg.Params.Temp.Z0 = float64(cfg.NZ) / 2 * cfg.Params.Dx
-		if cfg.TempGradient != 0 {
-			cfg.Params.Temp.G = cfg.TempGradient
-		}
-		if cfg.PullVelocity != 0 {
-			cfg.Params.Temp.V = cfg.PullVelocity
-		}
-		if cfg.IsothermZ0 != 0 {
-			cfg.Params.Temp.Z0 = cfg.IsothermZ0
-		}
 		cfg.Params.Dt = 0.8 * cfg.Params.StableDt()
+	} else {
+		p := *cfg.Params // ramps and Restore write Dt and Temp; Sys is read-only
+		cfg.Params = &p
 	}
 	bg, err := grid.NewBlockGrid(cfg.PX, cfg.PY, cfg.PZ,
 		cfg.NX/cfg.PX, cfg.NY/cfg.PY, cfg.NZ/cfg.PZ, [3]bool{true, true, false})
@@ -216,7 +197,7 @@ func New(cfg Config) (*Simulation, error) {
 	s, err := solver.New(solver.Config{
 		Params:               cfg.Params,
 		BG:                   bg,
-		Variant:              cfg.Variant,
+		Variant:              kernels.VarShortcut,
 		Overlap:              cfg.Overlap,
 		MovingWindow:         cfg.MovingWindow,
 		WindowFrontFraction:  cfg.WindowFraction,
@@ -401,7 +382,7 @@ func (s *Simulation) ExtractInterfaces() []*mesh.Mesh {
 	bs.Apply(phi)
 	out := make([]*mesh.Mesh, core.NPhases-1)
 	for a := 0; a < core.NPhases-1; a++ {
-		out[a] = mesh.ExtractPhase(phi, a, mesh.Vec3{}, false)
+		out[a] = mesh.ExtractPhase(phi, a)
 	}
 	return out
 }
@@ -457,15 +438,16 @@ func (s *Simulation) WriteCheckpoint(w io.Writer, prec ckpt.Precision) error {
 		PhiBC:       ckpt.EncodeBCs(phiBCs),
 		MuBC:        ckpt.EncodeBCs(muBCs),
 	}
-	h.SetVariant(s.cfg.Variant)
+	h.SetVariant(kernels.VarShortcut)
 	return ckpt.WritePrecision(w, h, fields, prec)
 }
 
 // Restore loads a checkpoint written by Checkpoint into a new Simulation
-// with the stored decomposition. The domain, decomposition, kernel variant,
-// mutable process parameters, schedule position and boundary conditions
-// come from the checkpoint header; everything else (overlap mode, moving
-// window, parallelism) comes from cfg.
+// with the stored decomposition. The domain, decomposition, mutable process
+// parameters, schedule position and boundary conditions come from the
+// checkpoint header; everything else (overlap mode, moving window,
+// parallelism) comes from cfg. The simulation runs the production kernels:
+// a checkpoint whose header records another kernel variant is rejected.
 func Restore(path string, cfg Config) (*Simulation, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -510,15 +492,18 @@ func RestoreResharded(path string, px, py, pz int, cfg Config) (*Simulation, err
 	return restoreDecoded(h2, fields2, cfg)
 }
 
-// restoreDecoded builds a Simulation from a decoded checkpoint: the domain,
-// decomposition and kernel variant come from the header, as does the
-// runtime state (BCs, parameters, schedule position).
+// restoreDecoded builds a Simulation from a decoded checkpoint: the domain
+// and decomposition come from the header, as does the runtime state (BCs,
+// parameters, schedule position). The header's kernel variant must be the
+// production one.
 func restoreDecoded(h ckpt.Header, fields []*kernels.Fields, cfg Config) (*Simulation, error) {
 	v, err := h.Variant()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Variant = v
+	if v != kernels.VarShortcut {
+		return nil, fmt.Errorf("phasefield: checkpoint records kernel variant %d (%q); the facade runs only the production kernels", int(v), v)
+	}
 	cfg.PX, cfg.PY, cfg.PZ = int(h.PX), int(h.PY), int(h.PZ)
 	cfg.NX = int(h.PX) * int(h.BX)
 	cfg.NY = int(h.PY) * int(h.BY)

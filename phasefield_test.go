@@ -6,7 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ckpt"
+	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/mesh"
+	"repro/internal/schedule"
 )
 
 func TestDefaultConfigAndNew(t *testing.T) {
@@ -17,6 +21,69 @@ func TestDefaultConfigAndNew(t *testing.T) {
 	}
 	if sim.Params() == nil {
 		t.Fatal("nil params")
+	}
+}
+
+// A zero Config builds a production simulation: its checkpoints record the
+// production kernels, not the oracle that is kernels.Variant's zero value.
+func TestZeroConfigRunsProduction(t *testing.T) {
+	sim, err := New(Config{NX: 8, NY: 8, NZ: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.InitFront(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.WriteCheckpoint(&buf, ckpt.Float32); err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := ckpt.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := h.Variant(); err != nil || v != kernels.VarShortcut {
+		t.Errorf("zero Config checkpoints kernel %v (%v), want %v", v, err, kernels.VarShortcut)
+	}
+}
+
+// New keeps its own copy of a caller-supplied Params: a schedule ramp on
+// one simulation must change neither the caller's struct nor a second
+// simulation built from it.
+func TestNewCopiesParams(t *testing.T) {
+	p := core.DefaultParams()
+	p.Temp.Z0 = 6 * p.Dx
+	p.Dt = 0.8 * p.StableDt()
+	want := *p
+	sims := [2]*Simulation{}
+	for i := range sims {
+		cfg := DefaultConfig(8, 8, 12)
+		cfg.Params = p
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.InitFront(); err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = sim
+	}
+	sched, err := schedule.New(schedule.Ramp{Param: schedule.ParamPullVelocity, Step: 0, Over: 10,
+		From: p.Temp.V, To: 4 * p.Temp.V})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sims[0].RunSchedule(sched, 5, ScheduleOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if sims[0].Params().Temp.V == want.Temp.V {
+		t.Fatal("the ramp did not change the ramped simulation's pull velocity")
+	}
+	if *p != want {
+		t.Errorf("caller's Params changed: %+v, want %+v", p.Temp, want.Temp)
+	}
+	if got := sims[1].Params(); *got != want {
+		t.Errorf("second simulation's Params changed: %+v, want %+v", got.Temp, want.Temp)
 	}
 }
 

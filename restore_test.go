@@ -34,7 +34,7 @@ func TestCheckpointRestoreContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := Restore(path, Config{Variant: cfg.Variant, Overlap: cfg.Overlap})
+	restored, err := Restore(path, Config{Overlap: cfg.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,6 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		nx, ny, nz := px*(4+rng.Intn(3)), py*(4+rng.Intn(3)), 8+rng.Intn(6)
 		cfg := DefaultConfig(nx, ny, nz)
 		cfg.PX, cfg.PY = px, py
-		pick := rng.Intn(len(kernels.Variants))
-		cfg.Variant = kernels.Variants[pick]
 		cfg.Seed = rng.Int63()
 		pre := 1 + rng.Intn(4)
 
@@ -93,20 +91,9 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		if err := sim.Checkpoint(path); err != nil {
 			t.Fatal(err)
 		}
-		// The kernel comes from the checkpoint header, like the
-		// decomposition: a Config that names no variant adopts it (even
-		// trials), and one that names a different variant is overruled
-		// (odd trials).
-		rcfg := Config{Overlap: cfg.Overlap}
-		if trial%2 == 1 {
-			rcfg.Variant = kernels.Variants[1-pick]
-		}
-		restored, err := Restore(path, rcfg)
+		restored, err := Restore(path, Config{Overlap: cfg.Overlap})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if restored.cfg.Variant != cfg.Variant {
-			t.Fatalf("trial %d: restored kernel %v, want the checkpointed %v", trial, restored.cfg.Variant, cfg.Variant)
 		}
 
 		sim.Run(1)
@@ -117,8 +104,8 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		// regression.
 		tol := math.Max(1e-5, 4*ckpt.MaxRoundTripError(4))
 		if ok, maxd := sim.GlobalPhi().InteriorEqual(restored.GlobalPhi(), tol); !ok {
-			t.Errorf("trial %d (%dx%dx%d px%d py%d variant %v): φ diverged %g after one step",
-				trial, nx, ny, nz, px, py, cfg.Variant, maxd)
+			t.Errorf("trial %d (%dx%dx%d px%d py%d): φ diverged %g after one step",
+				trial, nx, ny, nz, px, py, maxd)
 		}
 		if ok, maxd := sim.sim.GatherGlobalMu().InteriorEqual(restored.sim.GatherGlobalMu(), tol); !ok {
 			t.Errorf("trial %d: µ diverged %g after one step", trial, maxd)
@@ -187,7 +174,8 @@ func TestRestoreCarriesRampedParameters(t *testing.T) {
 // retired ladder rung, may carry kernel state a simulation can no longer be
 // built with; Restore must refuse them naming the removed feature, never
 // guess a variant. The two retired rungs that computed the production
-// trajectory bit for bit restore as production.
+// trajectory bit for bit restore as production; the oracle is refused,
+// because the facade runs only the production kernels.
 func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 	sim, err := New(DefaultConfig(8, 8, 8))
 	if err != nil {
@@ -210,6 +198,7 @@ func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 		wantSub        string // "" = must restore as production
 	}{
 		{"as written", short, short, -1, ""},
+		{"oracle", int32(kernels.VarGeneral), int32(kernels.VarGeneral), -1, "runs only the production kernels"},
 		{"retired T(z) rung", 3, 3, -1, ""},
 		{"retired staggered-buffer rung", 4, 4, -1, ""},
 		{"retired basic rung", 1, 1, -1, `("basic waLBerla implementation"), a retired optimization-ladder rung`},
@@ -227,8 +216,8 @@ func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 		if c.wantSub == "" {
 			if err != nil {
 				t.Errorf("%s: rejected: %v", c.name, err)
-			} else if sim.cfg.Variant != kernels.VarShortcut {
-				t.Errorf("%s: restored as %v, want the production kernel", c.name, sim.cfg.Variant)
+			} else if sim.sim.Cfg.Variant != kernels.VarShortcut {
+				t.Errorf("%s: restored as %v, want the production kernel", c.name, sim.sim.Cfg.Variant)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.wantSub)
