@@ -297,7 +297,23 @@ func pinnedCases() []matrixCase {
 		// only re-reading it keeps the slice awake when a grain arrives.
 		{name: "tracked_ring", seed: 260, nx: 12, ny: 24, nz: 17, production: true, steps: 13, grid: [3]int{2, 4, 1},
 			par: 1, overlap: solver.OverlapNone, track: true},
+		// A melt column on two x-blocks with one nucleus burst below the
+		// isotherm, near an x seam but not across it. Its tails cross the
+		// seam a step or more later, while the other block's slices there
+		// sleep and carry; they wake only because a rank with a remote x
+		// face re-reads its ghost ring every step (a ring-local rank may
+		// trust it). The y twin runs on two y-blocks.
+		seamBurst("seam_burst_x", [3]int{2, 1, 1}, 7),
+		seamBurst("seam_burst_y", [3]int{1, 2, 1}, 16),
 	}
+}
+
+// seamBurst is a tracked 16×16×32 production column on blocks with one
+// phase-0 nucleus burst at step 3 whose lateral position burstSeed draws.
+func seamBurst(name string, blocks [3]int, burstSeed int64) matrixCase {
+	burst := schedule.NucleationBurst{Step: 3, Count: 1, Phase: 0, Radius: 2.5, ZMin: 12, ZMax: 14, Seed: burstSeed}
+	return matrixCase{name: name, seed: 3, nx: 16, ny: 16, nz: 32, production: true, steps: 14,
+		items: [][]schedule.Event{{burst}}, grid: blocks, par: 1, overlap: solver.OverlapNone, track: true}
 }
 
 func TestBitwiseMatrix(t *testing.T) {

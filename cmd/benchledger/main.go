@@ -4,7 +4,8 @@
 // correct — into a root-level BENCH_<pr>_<cores>c.json: the median and
 // quartiles of the four bounded end-to-end metrics, the commit, the host
 // benchledger runs on (run it where the benchmark ran: Go version, core
-// counts, CPU model, the avx2/avx512f flags and whether a PMU is visible)
+// counts, CPU model, the avx2/avx512f flags, whether a PMU is visible and
+// a STREAM-triad bandwidth)
 // and, with -base, the base commit's runs of the same parent/change
 // pairing.
 //
@@ -56,9 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchledger -commit C [-base-commit C0 -base GLOBS] -o FILE GLOB...")
 		os.Exit(2)
 	}
-	bf := benchFile{Host: hostFacts(os.DirFS("/"))}
-	bf.Host["nproc"], bf.Host["gomaxprocs"] = runtime.NumCPU(), runtime.GOMAXPROCS(0)
-	bf.Host["go_version"], bf.Host["goos"], bf.Host["goarch"] = runtime.Version(), runtime.GOOS, runtime.GOARCH
+	bf := benchFile{Host: measureHost(os.DirFS("/"), triadArrayMB<<20)}
 	var err error
 	if bf.side, err = condense(*commit, flag.Args()); err == nil && *base != "" {
 		bf.Base = new(side)
@@ -72,6 +71,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchledger:", err)
 		os.Exit(1)
 	}
+}
+
+// measureHost returns hostFacts(root) with the runtime's view of the
+// machine and a STREAM triad over arrays of triadBytes: the memory
+// bandwidth that bounds the bulk-skipping workloads, which a box of other
+// bandwidth scales differently from the kernels.
+func measureHost(root fs.FS, triadBytes int64) map[string]any {
+	h := hostFacts(root)
+	h["nproc"], h["gomaxprocs"] = runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	h["go_version"], h["goos"], h["goarch"] = runtime.Version(), runtime.GOOS, runtime.GOARCH
+	h["stream_triad_gbs"] = streamTriad(triadBytes, runtime.GOMAXPROCS(0), 3)
+	h["stream_array_mb"] = float64(triadBytes) / (1 << 20)
+	return h
 }
 
 // isaFlags are the /proc/cpuinfo flags recorded: the vector widths a

@@ -93,3 +93,28 @@ func TestHostFacts(t *testing.T) {
 		}
 	}
 }
+
+// The host block carries the runtime facts and a positive triad
+// bandwidth over arrays of the size asked for.
+func TestMeasureHostRecordsTriad(t *testing.T) {
+	h := measureHost(fstest.MapFS{}, 1<<20)
+	if gbs, ok := h["stream_triad_gbs"].(float64); !ok || !(gbs > 0) {
+		t.Errorf("stream_triad_gbs = %v, want a positive bandwidth", h["stream_triad_gbs"])
+	}
+	if mb := h["stream_array_mb"]; mb != 1.0 {
+		t.Errorf("stream_array_mb = %v, want 1", mb)
+	}
+	for _, k := range []string{"nproc", "gomaxprocs", "go_version", "goos", "goarch", "pmu"} {
+		if _, ok := h[k]; !ok {
+			t.Errorf("host lacks %s", k)
+		}
+	}
+}
+
+func TestStreamTriadAnyWorkerCount(t *testing.T) {
+	for _, workers := range []int{0, 1, 3} {
+		if gbs := streamTriad(3<<10, workers, 2); !(gbs > 0) {
+			t.Errorf("%d workers: %v GB/s", workers, gbs)
+		}
+	}
+}

@@ -110,19 +110,50 @@ func (r haloRegion) rows(f *grid.Field, fn func(run []float64)) {
 // boundary handling" in Algorithm 1. Every neighbour face is packed,
 // sent, unpacked and released on every round.
 func (w *World) ExchangeGhosts(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet) {
+	w.exchangeGhosts(rank, f, tag, bcs, nil)
+}
+
+// ExchangeGhostsKeeping is ExchangeGhosts leaving the x/y ghost ring of
+// every slice z with keep[z] set as it is, on a rank whose ring is local
+// (RingLocal); any other rank fills every slice. The z stage, ghost
+// slices -1 and NZ included, is always exchanged and filled. The caller
+// vouches that each kept ring already holds the bytes the fill would
+// write.
+func (w *World) ExchangeGhostsKeeping(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, keep []bool) {
+	if !w.RingLocal(rank) {
+		keep = nil
+	}
+	w.exchangeGhosts(rank, f, tag, bcs, keep)
+}
+
+// RingLocal reports whether rank's x/y ghost ring is filled from its own
+// block: each of its four x and y faces is a physical boundary or wraps
+// onto the rank itself. Only then is a slice's ring the boundary image of
+// that slice's interior, whatever the other ranks hold.
+func (w *World) RingLocal(rank int) bool {
+	for face := grid.XMin; face <= grid.YMax; face++ {
+		if n, ok := w.topo.Neighbor(rank, face); ok && n != rank {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *World) exchangeGhosts(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, keep []bool) {
 	t0 := time.Now()
 	var st Stats
 	var fc [grid.NumFaces]FlowCounters
 	for axis := 0; axis < 3; axis++ {
-		w.exchangeAxis(rank, f, tag, bcs, axis, &st, &fc)
+		w.exchangeAxis(rank, f, tag, &bcs, keep, axis, &st, &fc)
 	}
 	w.addStatsFlows(rank, tag, st, &fc)
 	w.latency[rank][tag].Observe(time.Since(t0))
 }
 
 // exchangeAxis handles one stage: sends both faces of the axis, applies the
-// axis' physical BCs, then receives and unpacks.
-func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, axis int, st *Stats, fc *[grid.NumFaces]FlowCounters) {
+// axis' physical BCs (to the slices keep does not hold), then receives and
+// unpacks.
+func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs *grid.BoundarySet, keep []bool, axis int, st *Stats, fc *[grid.NumFaces]FlowCounters) {
 	faces := [2]grid.Face{grid.Face(2 * axis), grid.Face(2*axis + 1)}
 
 	var recvs [2]grid.Face
@@ -154,13 +185,13 @@ func (w *World) exchangeAxis(rank int, f *grid.Field, tag Tag, bcs grid.Boundary
 		nrecv++
 	}
 
-	// Physical boundaries of this axis.
-	for _, face := range faces {
-		if n, ok := w.topo.Neighbor(rank, face); ok && n != rank {
-			continue
-		}
-		applyFaceBC(f, face, bcs[face])
+	// Physical boundaries of this axis, both faces in one pass.
+	var phys [2]bool
+	for i, face := range faces {
+		n, ok := w.topo.Neighbor(rank, face)
+		phys[i] = !ok || n == rank
 	}
+	bcs.ApplyAxis(f, axis, phys[0], phys[1], keep)
 
 	// Receive and unpack. The unpack region along the axis depends on the
 	// arrival side: a message arriving at our XMin face fills our low
@@ -187,15 +218,4 @@ func arrivalRegion(f *grid.Field, face grid.Face) haloRegion {
 	// this equals the unpack region computed for the opposite face's send.
 	_, unpack := stageRegions(f, face.Opposite())
 	return unpack
-}
-
-// applyFaceBC applies one face's physical boundary condition with the
-// stage-appropriate transverse extent. BCNone is a no-op.
-func applyFaceBC(f *grid.Field, face grid.Face, bc grid.BC) {
-	if bc.Kind == grid.BCNone {
-		return
-	}
-	var bs grid.BoundarySet
-	bs[face] = bc
-	bs.Apply(f)
 }

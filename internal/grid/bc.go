@@ -196,59 +196,125 @@ func (b *BoundarySet) Validate(ncomp int) error {
 // extended transverse ranges, mirroring the staged halo fill used by the
 // communication layer.
 func (b *BoundarySet) Apply(f *Field) {
-	for face := Face(0); face < NumFaces; face++ {
-		bc := b[face]
-		if bc.Kind == BCNone {
-			continue
-		}
-		applyFace(f, face, bc)
+	for axis := 0; axis < 3; axis++ {
+		b.ApplyAxis(f, axis, true, true, nil)
 	}
 }
 
-// applyFace fills face's ghost layers of every component of f, one ghost
-// layer at a time. The transverse extent grows with the axis so the staged
-// sweep reaches edges and corners: x faces cover interior y and z, y faces
-// add the x ghosts (whole rows), z faces add the x and y ghosts.
-func applyFace(f *Field, face Face, bc BC) {
-	g := f.G
-	n := [3]int{f.NX, f.NY, f.NZ}[face.Axis()]
-	for d := 1; d <= g; d++ {
-		// ghost is the layer written; src the interior layer a Neumann
-		// face mirrors, and a periodic face wraps from the opposite side.
-		ghost, src := -d, d-1
-		if !face.IsMin() {
-			ghost, src = n-1+d, n-d
+// ApplyAxis applies the conditions of axis' low face (when lo) and high
+// face (when hi) to f's ghost layers, at the transverse extent of Apply's
+// stage for that axis; a BCNone face is left alone. On the x and y axes a
+// slice z with keep[z] set keeps the ghosts it holds (nil keeps none);
+// the z faces ignore keep. Every x or y ghost takes only cells of its own
+// slice, so keeping a slice's x/y ghosts is exact whenever its interior is
+// what it was at its last fill under the same conditions.
+func (b *BoundarySet) ApplyAxis(f *Field, axis int, lo, hi bool, keep []bool) {
+	faces := [2]Face{Face(2 * axis), Face(2*axis + 1)}
+	var bcs [2]BC
+	for i, on := range [2]bool{lo, hi} {
+		if on {
+			bcs[i] = b[faces[i]]
 		}
-		if bc.Kind == BCPeriodic {
-			src = n - 1 - src
+	}
+	if axis == 0 {
+		applyX(f, bcs, keep)
+		return
+	}
+	for i, bc := range bcs {
+		if bc.Kind != BCNone {
+			applyFace(f, faces[i], bc, keep)
 		}
-		for c := 0; c < f.NComp; c++ {
-			fill := func(dst, from []float64) {
-				if bc.Kind != BCDirichlet {
-					copy(dst, from)
-					return
-				}
-				for i := range dst {
-					dst[i] = bc.Values[c]
-				}
+	}
+}
+
+// ghostCells returns, for ghost layer d (1..G) of face, the index of the
+// ghost along the face axis and of the cell a Neumann face mirrors into it
+// or a periodic face wraps into it from the opposite side. n is the
+// block's interior extent along the axis.
+func ghostCells(face Face, kind BCKind, n, d int) (ghost, src int) {
+	ghost, src = -d, d-1
+	if !face.IsMin() {
+		ghost, src = n-1+d, n-d
+	}
+	if kind == BCPeriodic {
+		src = n - 1 - src
+	}
+	return ghost, src
+}
+
+// applyX fills the low and high x ghosts of every interior row of the
+// slices keep does not hold, both faces in one pass over the rows; a face
+// whose Kind is BCNone is skipped. Each ghost is one indexed store from
+// the same row, or of the face's Dirichlet value. Within a row the low
+// face's layers go first, so a row narrower than G, whose sources include
+// ghosts, reads what a face-by-face fill would.
+func applyX(f *Field, bcs [2]BC, keep []bool) {
+	g, n := f.G, f.NX
+	for c := 0; c < f.NComp; c++ {
+		var val [2]float64
+		for i, bc := range bcs {
+			if bc.Kind == BCDirichlet {
+				val[i] = bc.Values[c]
 			}
-			switch face.Axis() {
-			case 0:
-				for z := 0; z < f.NZ; z++ {
-					for y := 0; y < f.NY; y++ {
-						row := f.Row(c, y, z)
-						fill(row[g+ghost:g+ghost+1], row[g+src:])
+		}
+		for z := 0; z < f.NZ; z++ {
+			if keep != nil && keep[z] {
+				continue
+			}
+			for y := 0; y < f.NY; y++ {
+				row := f.Row(c, y, z)
+				for i, bc := range bcs {
+					if bc.Kind == BCNone {
+						continue
+					}
+					for d := 1; d <= g; d++ {
+						ghost, src := ghostCells(Face(i), bc.Kind, n, d)
+						if bc.Kind == BCDirichlet {
+							row[g+ghost] = val[i]
+						} else {
+							row[g+ghost] = row[g+src]
+						}
 					}
 				}
-			case 1:
-				for z := 0; z < f.NZ; z++ {
-					fill(f.Row(c, ghost, z), f.Row(c, src, z))
-				}
-			default:
-				for y := -g; y < f.NY+g; y++ {
-					fill(f.Row(c, y, ghost), f.Row(c, y, src))
-				}
 			}
 		}
+	}
+}
+
+// applyFace fills a y or z face's ghost layers of every component of f,
+// one ghost layer at a time, one whole row at a time. The transverse
+// extent grows with the axis so the staged sweep reaches edges and
+// corners: y faces cover interior z and the x ghosts, z faces add the y
+// ghosts. A y face skips the slices keep holds.
+func applyFace(f *Field, face Face, bc BC, keep []bool) {
+	n := [3]int{f.NX, f.NY, f.NZ}[face.Axis()]
+	for d := 1; d <= f.G; d++ {
+		ghost, src := ghostCells(face, bc.Kind, n, d)
+		for c := 0; c < f.NComp; c++ {
+			if face.Axis() == 1 {
+				for z := 0; z < f.NZ; z++ {
+					if keep == nil || !keep[z] {
+						fillRow(f.Row(c, ghost, z), f.Row(c, src, z), bc, c)
+					}
+				}
+				continue
+			}
+			for y := -f.G; y < f.NY+f.G; y++ {
+				fillRow(f.Row(c, y, ghost), f.Row(c, y, src), bc, c)
+			}
+		}
+	}
+}
+
+// fillRow sets the ghost row dst from the row from, or to component c's
+// Dirichlet value.
+func fillRow(dst, from []float64, bc BC, c int) {
+	if bc.Kind != BCDirichlet {
+		copy(dst, from)
+		return
+	}
+	v := bc.Values[c]
+	for i := range dst {
+		dst[i] = v
 	}
 }

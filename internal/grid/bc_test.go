@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +202,102 @@ func TestBoundarySetValidate(t *testing.T) {
 	var none BoundarySet
 	if err := none.Validate(4); err != nil {
 		t.Errorf("all-none set rejected: %v", err)
+	}
+}
+
+// sentinel marks a cell no fill should have written.
+const sentinel = -7.5
+
+// sentinelField returns an nx×ny×nz two-component field with ghost width
+// g: the fillPattern interior, every ghost at sentinel.
+func sentinelField(nx, ny, nz, g int) *Field {
+	f := NewField(nx, ny, nz, 2, g, SoA)
+	f.Fill(sentinel)
+	fillPattern(f)
+	return f
+}
+
+// requireSameCells compares every cell, ghosts included, bit for bit.
+func requireSameCells(t *testing.T, name string, got, want *Field) {
+	t.Helper()
+	for i := range got.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: cell %d holds %v, want %v", name, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// The x-face fill against a per-cell reference: every kind, ghost widths
+// 1 and 2, the low face, the high face and both, and nothing written
+// outside the x ghosts of interior rows.
+func TestApplyXMatchesPerCellReference(t *testing.T) {
+	for _, kind := range []BCKind{BCPeriodic, BCNeumann, BCDirichlet} {
+		for _, g := range []int{1, 2} {
+			for _, sides := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+				f := sentinelField(5, 3, 4, g)
+				var bs BoundarySet
+				bs[XMin] = BC{Kind: kind, Values: []float64{11, 12}}
+				bs[XMax] = BC{Kind: kind, Values: []float64{21, 22}}
+				want := f.Clone()
+				n := f.NX
+				for c := 0; c < f.NComp; c++ {
+					for z := 0; z < f.NZ; z++ {
+						for y := 0; y < f.NY; y++ {
+							for d := 1; d <= g; d++ {
+								lo, hi := f.At(c, d-1, y, z), f.At(c, n-d, y, z) // Neumann mirrors
+								switch kind {
+								case BCPeriodic:
+									lo, hi = f.At(c, n-d, y, z), f.At(c, d-1, y, z)
+								case BCDirichlet:
+									lo, hi = bs[XMin].Values[c], bs[XMax].Values[c]
+								}
+								if sides[0] {
+									want.Set(c, -d, y, z, lo)
+								}
+								if sides[1] {
+									want.Set(c, n-1+d, y, z, hi)
+								}
+							}
+						}
+					}
+				}
+				bs.ApplyAxis(f, 0, sides[0], sides[1], nil)
+				requireSameCells(t, fmt.Sprintf("%v G=%d faces=%v", kind, g, sides), f, want)
+			}
+		}
+	}
+}
+
+// The keep mask: a kept slice's x/y ghosts are left untouched, and every
+// other slice, and both z faces, are filled exactly as Apply fills them.
+// The z faces copy the outer G slices, which are not kept here.
+func TestApplyAxisKeepMask(t *testing.T) {
+	for _, g := range []int{1, 2} {
+		bs := AllPeriodic()
+		bs[YMin] = BC{Kind: BCNeumann}
+		bs[YMax] = BC{Kind: BCDirichlet, Values: []float64{3, 4}}
+		keep := []bool{false, false, true, true, false, true, false, false}
+		f := sentinelField(4, 3, len(keep), g)
+		full := f.Clone()
+		bs.Apply(full)
+		for axis := 0; axis < 3; axis++ {
+			bs.ApplyAxis(f, axis, true, true, keep)
+		}
+		for c := 0; c < f.NComp; c++ {
+			for z := -g; z < f.NZ+g; z++ {
+				for y := -g; y < f.NY+g; y++ {
+					for x := -g; x < f.NX+g; x++ {
+						got, want := f.At(c, x, y, z), full.At(c, x, y, z)
+						ring := x < 0 || x >= f.NX || y < 0 || y >= f.NY
+						if z >= 0 && z < f.NZ && keep[z] && ring {
+							want = sentinel
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("G=%d comp %d cell (%d,%d,%d): %v, want %v", g, c, x, y, z, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

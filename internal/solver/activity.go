@@ -52,14 +52,39 @@ import (
 // slept on the previous step; invalidate() drops that. A slept slice
 // carries exact facts into the next step. Its φ interior holds the vertex
 // in both buffers (the copy made dst equal src, the swap exchanged them),
-// so sleeping again skips the copy and re-reads only the x/y ghost ring.
-// Its µ interior holds the value broadcast last step, so neither derivation
-// reads it and deriveMu compares only the ring against that value. The
-// ring is re-read every step because a neighbour rank or a boundary fill
-// may change it, and the ghost slices -1 and nz are classified in full.
-// Every writer of field interiors outside the step protocol (init,
-// restore, window shift, nucleation burst, BC change) calls invalidate,
-// and the carry counts only when the previous step ran both derivations.
+// so sleeping again skips the copy and re-reads at most the x/y ghost
+// ring. Its µ interior holds the value broadcast last step, so neither
+// derivation reads it and deriveMu compares only the ring against that
+// value. The ghost slices -1 and nz are classified in full. Every writer
+// of field interiors outside the step protocol (init, restore, window
+// shift, nucleation burst, BC change) calls invalidate, and the carry
+// counts only when the previous step ran both derivations.
+//
+// Whether a carried ring is re-read depends on where it comes from. On a
+// rank with a remote x or y face (comm.World.RingLocal is false) a
+// neighbour rank refills part of it every step, so it is re-read every
+// step. On a ring-local rank — every single-rank run, every grid that
+// splits only z — a slice's ring is the boundary image of that slice's own
+// interior, which changes only when the slice is swept. Two rules follow,
+// for φ only (a slept µ slice is re-broadcast every step, so its ring
+// changes and is re-read):
+//
+//   - Fill: the φdst fill keeps the x/y ring of a slice that slept this
+//     step and the previous one (keep). That buffer was filled two steps
+//     back from the same vertex interior, so the ring holds the bytes a
+//     fill would write. The z stage and ghost slices -1 and nz are always
+//     filled. After a one-step sleep the buffer's interior has just been
+//     copied in, and its ring must be refilled.
+//   - Re-read: derivePhi trusts the ring of a slice that slept on the
+//     previous step, when the ring it verified then was itself a boundary
+//     image under the BCs in force (prevImaged). The ring now read is the
+//     image of the same vertex. A BC change between steps leaves φsrc's
+//     ring stale until the next fill, so invalidate clears imaged, and only
+//     a ghost refresh or the next fill sets it again.
+//
+// No rank's tracker reaches another rank: every halo round still packs
+// and ships each neighbour face, and a ring-local rank has no x/y face to
+// ship.
 //
 // The µ-sweep additionally reads φdst at the cell center (the ∂φ/∂t source
 // term) and at face neighbors inside the anti-trapping flux. A µ-slice
@@ -68,9 +93,6 @@ import (
 // fire on φsrc-only predicates (pure solid ⇒ zero liquid fraction at the
 // face; pure liquid ⇒ zero φ gradient) before any φdst load, so the full
 // sweep takes the identical instruction path on identical φsrc inputs.
-//
-// Sleeping saves compute only: every halo round still packs and ships each
-// neighbour face, so no rank's ghosts depend on another rank's tracker.
 
 // bitsOne is the IEEE-754 bit pattern of +1.0; a simplex vertex is one
 // component at exactly these bits and the rest at exactly zero bits (+0.0
@@ -98,6 +120,16 @@ type activity struct {
 	margin int  // wakeMargin unless a test widened it before the first step
 	valid  bool // slice classifications describe the current step
 	carry  bool // phiPrev/muPrev describe the previous step (both derivations ran)
+	// imaged: φsrc's x/y ghost ring is the boundary image, under the BCs in
+	// force, of φsrc's interior. invalidate() clears it (a BC change leaves
+	// the ring stale until the next fill); a ghost refresh of φsrc and every
+	// step's φdst fill set it. prevImaged is its value at the previous
+	// step's φ derivation.
+	imaged, prevImaged bool
+	// ringLocal: the rank's x/y ghost ring is filled from its own block
+	// (comm.World.RingLocal), so a slice's ring is the boundary image of
+	// that slice's interior.
+	ringLocal bool
 
 	// φ classification of slices [-1, nz], indexed z+1: vertex phase and
 	// whether the slice (interior + x/y ghost ring) is exactly that vertex.
@@ -112,6 +144,10 @@ type activity struct {
 	muSleep  []bool // per interior slice: µ-sweep skipped this step
 	phiPrev  []bool // per interior slice: φ-sweep skipped on the previous step
 	muPrev   []bool // per interior slice: µ-sweep skipped on the previous step
+	// keep is the φdst fill's mask: slices whose φ-sweep was skipped this
+	// step and the previous one, so their x/y ghost ring already holds the
+	// bytes the fill would write (honoured only on a ring-local rank).
+	keep []bool
 	// muBcast is the value a slept µ-slice is broadcast to. Until deriveMu
 	// rewrites it, it holds the previous step's value: the µsrc interior of
 	// every slice with muPrev set.
@@ -149,6 +185,7 @@ func (a *activity) ensure(nx, nz int) {
 	a.muSleep = make([]bool, nz)
 	a.phiPrev = make([]bool, nz)
 	a.muPrev = make([]bool, nz)
+	a.keep = make([]bool, nz)
 	a.muBcast = make([][kernels.NR]float64, nz)
 	a.runs = make([][2]int, 0, nz/2+2)
 	pnx := nx
@@ -167,6 +204,7 @@ func (a *activity) ensure(nx, nz int) {
 func (a *activity) invalidate() {
 	a.valid = false
 	a.carry = false
+	a.imaged = false
 }
 
 // invalidateActivity resets every rank's tracker.
@@ -336,9 +374,17 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 	nz := f.PhiSrc.NZ
 	a.ensure(f.PhiSrc.NX, nz)
 	a.beginStep()
+	a.ringLocal = s.World.RingLocal(r.id)
+	// On a ring-local rank a carried slice's ring is the boundary image of
+	// the vertex it holds, and so was the ring verified last step when that
+	// ring was an image too: the ring cannot have changed.
+	ringKept := a.ringLocal && a.prevImaged
+	a.prevImaged = a.imaged
 	for z := -1; z <= nz; z++ {
 		if z >= 0 && z < nz && a.phiPrev[z] {
-			a.vOK[z+1] = phiAt(f.PhiSrc, z, a.vertex[z+1], false, true)
+			if !ringKept { // else vOK[z+1] holds from the step the slice slept
+				a.vOK[z+1] = phiAt(f.PhiSrc, z, a.vertex[z+1], false, true)
+			}
 		} else {
 			a.vertex[z+1], a.vOK[z+1] = classifyPhi(f.PhiSrc, z)
 		}
@@ -370,6 +416,7 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 			ok = a.phiProxySleeps(s, r, z, a.vertex[z+1], mu)
 		}
 		a.phiSleep[z] = ok
+		a.keep[z] = ok && a.phiPrev[z]
 		if !ok {
 			active++
 		}

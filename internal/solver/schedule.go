@@ -305,6 +305,7 @@ func (s *Sim) refillBoundaryGhosts() {
 	s.forAllRanks(func(r *rank) {
 		r.phiBCs.Apply(r.fields.PhiSrc)
 		r.muBCs.Apply(r.fields.MuSrc)
+		r.act.imaged = true // a ring-local rank's ring has no other source
 	})
 }
 
@@ -411,6 +412,7 @@ func (s *Sim) ApplyBurst(e schedule.NucleationBurst) (int, error) {
 	s.invalidateActivity()
 	s.forAllRanks(func(r *rank) {
 		s.World.ExchangeGhosts(r.id, r.fields.PhiSrc, comm.TagPhi, r.phiBCs)
+		r.act.imaged = true
 	})
 
 	s.World.GlobalSum(painted)

@@ -428,6 +428,7 @@ func (s *Sim) refreshGhosts() {
 	s.forAllRanks(func(r *rank) {
 		s.World.ExchangeGhosts(r.id, r.fields.PhiSrc, comm.TagPhi, r.phiBCs)
 		s.World.ExchangeGhosts(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs)
+		r.act.imaged = true
 	})
 }
 
@@ -498,7 +499,10 @@ func (s *Sim) timestep(r *rank) {
 			panic(r.lost)
 		}
 	}
-	s.World.ExchangeGhosts(r.id, f.PhiDst, comm.TagPhi, r.phiBCs)
+	// On a ring-local rank the x/y ghost ring of a φ-slice that slept this
+	// step and the last already holds what the fill would write.
+	s.World.ExchangeGhostsKeeping(r.id, f.PhiDst, comm.TagPhi, r.phiBCs, r.act.keep)
+	r.act.imaged = true
 	t0 = time.Now()
 	s.runSweep(r, opMu)
 	r.muKernelTime += time.Since(t0)

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"repro/internal/comm"
 	"repro/internal/core"
 )
 
@@ -110,8 +109,5 @@ func (s *Sim) ShiftWindow(cells int) {
 	s.invalidateActivity()
 
 	// Ghost layers are stale after the shift.
-	s.forAllRanks(func(r *rank) {
-		s.World.ExchangeGhosts(r.id, r.fields.PhiSrc, comm.TagPhi, r.phiBCs)
-		s.World.ExchangeGhosts(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs)
-	})
+	s.refreshGhosts()
 }
