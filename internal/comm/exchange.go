@@ -118,7 +118,11 @@ func (w *World) ExchangeGhosts(rank int, f *grid.Field, tag Tag, bcs grid.Bounda
 // (RingLocal); any other rank fills every slice. The z stage, ghost
 // slices -1 and NZ included, is always exchanged and filled. The caller
 // vouches that each kept ring already holds the bytes the fill would
-// write.
+// write: the solver keeps the φ ring of a slice whose vertex interior has
+// not changed since its last fill, and the µ ring of a slice whose
+// uniform broadcast wrote the ring too, under periodic or Neumann x/y
+// faces. keep is only read, so it may be read by an exchange that runs
+// beside other work, as long as nothing writes keep until it returns.
 func (w *World) ExchangeGhostsKeeping(rank int, f *grid.Field, tag Tag, bcs grid.BoundarySet, keep []bool) {
 	if !w.RingLocal(rank) {
 		keep = nil

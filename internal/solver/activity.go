@@ -13,11 +13,14 @@ import (
 // skip a sweep — only when the skip is provably bit-identical to the full
 // sweep:
 //
-//   - The slice and every slice within the wake margin (≥ the kernels'
-//     stencil radius of 1; wakeMargin = 2) hold φ at exactly one simplex vertex
-//     (one phase exactly 1.0, the rest exactly +0.0, compared on float64
-//     bits), including the x/y ghost ring, so every φ stencil input of every
-//     cell in the slice is a known constant.
+//   - φ: the slice and every slice within the wake margin (≥ the kernels'
+//     stencil radius of 1; wakeMargin = 2) hold φ at exactly one simplex
+//     vertex (one phase exactly 1.0, the rest exactly +0.0, compared on
+//     float64 bits), including the x/y ghost ring, so every φ stencil input
+//     of every cell in the slice is a known constant.
+//   - µ: the φ-slice slept, and µ is bitwise-uniform within each of slices
+//     z-1, z and z+1 (interior plus x/y ghost ring), each slice with its own
+//     value. A melt column whose µ varies only in z sleeps slice by slice.
 //   - A proxy run of the simulation's *actual* kernel — same variant,
 //     same Ctx (the analytic temperature depends on the global z), through
 //     the same *Range entry point, on a tiny single-slice field holding the
@@ -25,7 +28,8 @@ import (
 //     equal the input (then skipping = copying src→dst); for µ the output
 //     must be uniform (then skipping = broadcasting the proxy value, which
 //     also captures the frozen-gradient drift term ∂µ/∂T·∂T/∂t that makes
-//     bulk µ move even where nothing diffuses).
+//     bulk µ move even where nothing diffuses). The µ proxy's z-ghost
+//     slices, rings included, hold the values of slices z-1 and z+1.
 //   - The φ proxy runs at the slice's µ when its interior is bitwise-uniform
 //     (the φ-kernel reads µ at cell centers only). Otherwise it runs with
 //     µ = NaN: the production kernel's bulk-cell test returns before any µ
@@ -33,8 +37,6 @@ import (
 //     reached the output would turn it into NaN and fail the comparison.
 //     The oracle reads µ in every cell, so under VarGeneral only slices of
 //     uniform µ sleep their φ-sweep.
-//   - A µ-slice sleeps only when its φ-slice slept and µ is bitwise-uniform
-//     with one value over the slice, its ghost ring and the wake margin.
 //
 // Every proxy interior cell must agree bitwise, which covers a row's first
 // cell (it computes its own low x face) and the cells that take that face
@@ -43,10 +45,11 @@ import (
 // liquid-bulk row path exactly as the real slice's rows would; since the
 // proxy runs through the same MuSweepRange, a sleeping slice stays
 // consistent with the sweep by construction. Because all stencil inputs
-// of a sleeping cell are bitwise-equal to the proxy's inputs and the
-// kernels are deterministic, the full sweep would compute exactly the
-// proxy's output — the invariant "a slab never sleeps through a change
-// that could alter its next value" holds by construction.
+// of a sleeping cell are bitwise-equal to the inputs of a proxy cell with
+// the same context z, and the kernels are deterministic, the full sweep
+// would compute exactly the proxy's output — the invariant "a slab never
+// sleeps through a change that could alter its next value" holds by
+// construction.
 //
 // The map is re-derived from field data every step, except slices that
 // slept on the previous step; invalidate() drops that. A slept slice
@@ -54,33 +57,39 @@ import (
 // in both buffers (the copy made dst equal src, the swap exchanged them),
 // so sleeping again skips the copy and re-reads at most the x/y ghost
 // ring. Its µ interior holds the value broadcast last step, so neither
-// derivation reads it and deriveMu compares only the ring against that
-// value. The ghost slices -1 and nz are classified in full. Every writer
-// of field interiors outside the step protocol (init, restore, window
-// shift, nucleation burst, BC change) calls invalidate, and the carry
-// counts only when the previous step ran both derivations.
+// derivation reads it, and deriveMu re-reads at most the ring. The ghost
+// slices -1 and nz are classified in full. Every writer of field
+// interiors outside the step protocol (init, restore, window shift,
+// nucleation burst, BC change) calls invalidate, and the carry counts only
+// when the previous step ran both derivations.
 //
 // Whether a carried ring is re-read depends on where it comes from. On a
 // rank with a remote x or y face (comm.World.RingLocal is false) a
 // neighbour rank refills part of it every step, so it is re-read every
 // step. On a ring-local rank — every single-rank run, every grid that
 // splits only z — a slice's ring is the boundary image of that slice's own
-// interior, which changes only when the slice is swept. Two rules follow,
-// for φ only (a slept µ slice is re-broadcast every step, so its ring
-// changes and is re-read):
+// interior, which changes only when the slice is swept or broadcast:
 //
-//   - Fill: the φdst fill keeps the x/y ring of a slice that slept this
+//   - φ fill: the φdst fill keeps the x/y ring of a slice that slept this
 //     step and the previous one (keep). That buffer was filled two steps
 //     back from the same vertex interior, so the ring holds the bytes a
 //     fill would write. The z stage and ghost slices -1 and nz are always
 //     filled. After a one-step sleep the buffer's interior has just been
 //     copied in, and its ring must be refilled.
-//   - Re-read: derivePhi trusts the ring of a slice that slept on the
+//   - φ re-read: derivePhi trusts the ring of a slice that slept on the
 //     previous step, when the ring it verified then was itself a boundary
 //     image under the BCs in force (prevImaged). The ring now read is the
 //     image of the same vertex. A BC change between steps leaves φsrc's
 //     ring stale until the next fill, so invalidate clears imaged, and only
 //     a ghost refresh or the next fill sets it again.
+//   - µ: when every µ x/y face is periodic or Neumann, the image of a
+//     uniform slice is that same value, so a slept µ-slice's broadcast
+//     writes its ring along with its interior, and the µ fill keeps that
+//     ring (muKeep: the µdst fill at the end of the step under OverlapNone,
+//     the µsrc exchange at the next step's start under OverlapMu). The next
+//     deriveMu trusts it. A Dirichlet µ wall writes its own value, not the
+//     image, so under one the ring is filled and re-read as on any other
+//     rank. invalidate clears muKeep, so a BC change refills every ring.
 //
 // No rank's tracker reaches another rank: every halo round still packs
 // and ships each neighbour face, and a ring-local rank has no x/y face to
@@ -99,12 +108,12 @@ import (
 // — a slice holding -0.0 stays awake, conservatively).
 const bitsOne = 0x3FF0000000000000
 
-// wakeMargin is the activation margin in z-slices: a slice sleeps only when
-// the uniformity predicate also holds this many slices to either side, so
-// an approaching front wakes it before its values could differ.
+// wakeMargin is the φ activation margin in z-slices: a φ-slice sleeps only
+// when its vertex also holds this many slices to either side, so an
+// approaching front wakes it before its values could differ.
 // Conservatively wider than the stencil radius of 1 the predicate, which
 // holds on each step's start state, strictly needs; a larger margin only
-// reduces skipping.
+// reduces skipping. The µ rule looks exactly one slice to either side.
 const wakeMargin = 2
 
 // proxyNX caps the proxy field width: a row's first cell and several
@@ -148,6 +157,12 @@ type activity struct {
 	// step and the previous one, so their x/y ghost ring already holds the
 	// bytes the fill would write (honoured only on a ring-local rank).
 	keep []bool
+	// muKeep is the µ fill's mask: slices whose µ-sweep was skipped this
+	// step on a rank whose µ x/y faces are all periodic or Neumann
+	// (lateralImages), so the ring their broadcast wrote is the fill's. Under
+	// OverlapMu the exchange task reads it while the rank sweeps φ, so only
+	// deriveMu (after the join) and invalidate (between steps) write it.
+	muKeep []bool
 	// muBcast is the value a slept µ-slice is broadcast to. Until deriveMu
 	// rewrites it, it holds the previous step's value: the µsrc interior of
 	// every slice with muPrev set.
@@ -186,6 +201,7 @@ func (a *activity) ensure(nx, nz int) {
 	a.phiPrev = make([]bool, nz)
 	a.muPrev = make([]bool, nz)
 	a.keep = make([]bool, nz)
+	a.muKeep = make([]bool, nz)
 	a.muBcast = make([][kernels.NR]float64, nz)
 	a.runs = make([][2]int, 0, nz/2+2)
 	pnx := nx
@@ -205,6 +221,7 @@ func (a *activity) invalidate() {
 	a.valid = false
 	a.carry = false
 	a.imaged = false
+	clear(a.muKeep)
 }
 
 // invalidateActivity resets every rank's tracker.
@@ -339,11 +356,14 @@ func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.N
 	return phiAt(a.proxy.PhiDst, 0, vertex, true, false)
 }
 
-// muProxyValue runs the µ-kernel on the proxy and returns the uniform
+// muProxyValue runs the µ-kernel on the proxy of slice z, whose µ z-ghost
+// slices hold the values of slices z-1 and z+1, and returns the uniform
 // output value; ok is false when the proxy cells disagree, which keeps the
-// slice awake.
-func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) (out [kernels.NR]float64, ok bool) {
-	a.fillProxy(vertex, mu)
+// slice awake. muRVal[z : z+3] must hold the three slices' values.
+func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int) (out [kernels.NR]float64, ok bool) {
+	a.fillProxy(vertex, &a.muRVal[z+1])
+	fillSlice(a.proxy.MuSrc, -1, &a.muRVal[z])
+	fillSlice(a.proxy.MuSrc, 1, &a.muRVal[z+2])
 	kernels.MuSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
 	return classifyMu(a.proxy.MuDst, 0, false)
 }
@@ -351,6 +371,19 @@ func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]
 // marginRange clips slice z's wake margin to the classified slices [-1, nz].
 func (a *activity) marginRange(z, nz int) (lo, hi int) {
 	return max(z-a.margin, -1), min(z+a.margin, nz)
+}
+
+// lateralImages reports whether every x/y face of a rank's boundary set
+// fills its ghosts from the slice's own cells (periodic or Neumann), so a
+// uniform slice's ring is its own value. A face to another rank is BCNone
+// (grid.Topology.BlockBCs), so only a ring-local rank qualifies.
+func lateralImages(bcs *grid.BoundarySet) bool {
+	for f := grid.XMin; f <= grid.YMax; f++ {
+		if k := bcs[f].Kind; k != grid.BCPeriodic && k != grid.BCNeumann {
+			return false
+		}
+	}
+	return true
 }
 
 // beginStep moves the previous step's sleep sets into phiPrev/muPrev, or
@@ -425,11 +458,11 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 	a.valid = true
 }
 
-// deriveMu decides the step's µ-sleep set. Runs at µ-dispatch, after the
-// µsrc ghosts settled in both overlap modes, so the classification may
-// include the ghost ring. µ-sleep requires the φ-slice to have slept this
-// step (the µ-kernel's φdst center read then equals φsrc) plus bitwise µ
-// uniformity with equal values across the wake margin.
+// deriveMu decides the step's µ-sleep set and the µ fill's mask. Runs at
+// µ-dispatch, after the µsrc ghosts settled in both overlap modes, so the
+// classification may include the ghost ring. µ-sleep requires the φ-slice
+// to have slept this step (the µ-kernel's φdst center read then equals
+// φsrc) plus bitwise µ uniformity within each of slices z-1, z and z+1.
 func (a *activity) deriveMu(s *Sim, r *rank) {
 	if !a.valid {
 		return
@@ -439,49 +472,35 @@ func (a *activity) deriveMu(s *Sim, r *rank) {
 	a.carry = true
 	if a.phiActive == nz {
 		clear(a.muSleep)
+		clear(a.muKeep)
 		a.muActive = nz
 		return
 	}
 	for z := -1; z <= nz; z++ {
-		if z >= 0 && z < nz && a.muPrev[z] {
+		switch {
+		case z < 0 || z >= nz || !a.muPrev[z]:
+			a.muRVal[z+1], a.muROK[z+1] = classifyMu(f.MuSrc, z, true)
+		case a.muKeep[z]: // broadcast with its ring, which the fill kept
+			a.muRVal[z+1], a.muROK[z+1] = a.muBcast[z], true
+		default:
 			a.muRVal[z+1] = a.muBcast[z]
 			a.muROK[z+1] = muAt(f.MuSrc, z, &a.muBcast[z], false, true)
-		} else {
-			a.muRVal[z+1], a.muROK[z+1] = classifyMu(f.MuSrc, z, true)
 		}
 	}
+	images := lateralImages(&r.muBCs)
 	active := 0
 	for z := 0; z < nz; z++ {
-		ok := a.phiSleep[z] && a.muROK[z+1]
+		ok := a.phiSleep[z] && a.muROK[z] && a.muROK[z+1] && a.muROK[z+2]
 		if ok {
-			want := &a.muRVal[z+1]
-			lo, hi := a.marginRange(z, nz)
-			for j := lo; j <= hi; j++ {
-				if !a.muROK[j+1] || !sameMuBits(&a.muRVal[j+1], want) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1], &a.muRVal[z+1])
+			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1])
 		}
 		a.muSleep[z] = ok
+		a.muKeep[z] = ok && images
 		if !ok {
 			active++
 		}
 	}
 	a.muActive = active
-}
-
-// sameMuBits compares two µ values bitwise per component.
-func sameMuBits(x, y *[kernels.NR]float64) bool {
-	for k := 0; k < kernels.NR; k++ {
-		if math.Float64bits(x[k]) != math.Float64bits(y[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // prepareActivity derives (or reuses) the sleep set for one sweep op and
@@ -531,7 +550,7 @@ func (a *activity) activeRuns(sleep []bool, nz int) [][2]int {
 // φ-slice copies src→dst (the proxy proved the kernel is an exact fixed
 // point there), unless it slept on the previous step too, when dst already
 // equals src; a slept µ-slice broadcasts the proxy output (which carries
-// the uniform frozen-gradient drift).
+// the uniform frozen-gradient drift) over its interior and x/y ghost ring.
 func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
 	if sleep == nil {
 		return
@@ -547,7 +566,7 @@ func (s *Sim) applySkips(r *rank, op sweepOp, sleep []bool) {
 				copySliceInterior(f.PhiDst, f.PhiSrc, z)
 			}
 		} else {
-			broadcastSlice(f.MuDst, z, &a.muBcast[z])
+			fillSlice(f.MuDst, z, &a.muBcast[z])
 		}
 	}
 }
@@ -562,16 +581,17 @@ func copySliceInterior(dst, src *grid.Field, z int) {
 	}
 }
 
-// broadcastSlice fills the interior of slice z with one value per
-// component.
-func broadcastSlice(f *grid.Field, z int, val *[kernels.NR]float64) {
+// fillSlice fills slice z (ghost slices allowed), interior and x/y ghost
+// ring, with one value per component: per component one contiguous span.
+// It broadcasts a slept µ-slice; the fill then keeps the ring (muKeep) or
+// overwrites it.
+func fillSlice(f *grid.Field, z int, val *[kernels.NR]float64) {
+	n := (f.NX + 2*f.G) * (f.NY + 2*f.G)
 	for k := 0; k < f.NComp; k++ {
-		v := val[k]
-		for y := 0; y < f.NY; y++ {
-			row := f.Row(k, y, z)[f.G : f.G+f.NX]
-			for j := range row {
-				row[j] = v
-			}
+		i := f.Idx(k, -f.G, -f.G, z)
+		span := f.Data[i : i+n]
+		for j := range span {
+			span[j] = val[k]
 		}
 	}
 }

@@ -367,6 +367,50 @@ func TestPhiSleepsOverNonUniformMu(t *testing.T) {
 	}
 }
 
+// A melt column whose µ varies only in z holds each slice at its own
+// uniform value. Such a slice sleeps its µ-sweep when it and both z
+// neighbours are uniform over their rings, each at its own value (the µ
+// proxy's z-ghost slices take the neighbours' values), and the run stays
+// bit-identical to the untracked one in both overlap modes.
+func TestPlanarMuSleeps(t *testing.T) {
+	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
+		t.Run(ov.String(), func(t *testing.T) {
+			tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, ov, false, 1)
+			full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, ov, true, 1)
+			for _, s := range []*Sim{tracked, full} {
+				mu := s.ranks[0].fields.MuSrc
+				for k := 0; k < mu.NComp; k++ {
+					for z := 0; z < mu.NZ; z++ {
+						for y := 0; y < mu.NY; y++ {
+							row := mu.Row(k, y, z)[mu.G:][:mu.NX]
+							for x := range row {
+								row[x] = float64(k+1) * 1e-3 * float64(z) / float64(mu.NZ)
+							}
+						}
+					}
+				}
+				s.invalidateActivity()
+				s.refreshGhosts()
+			}
+			a := &tracked.ranks[0].act
+			planar := 0 // µ-slept slices whose value differs from a z neighbour's
+			for range 10 {
+				tracked.Run(1)
+				full.Run(1)
+				for z, slept := range a.muSleep {
+					if slept && (a.muRVal[z] != a.muRVal[z+1] || a.muRVal[z+2] != a.muRVal[z+1]) {
+						planar++
+					}
+				}
+			}
+			requireSameTrajectory(t, tracked, full)
+			if planar == 0 {
+				t.Error("no µ-slice of the planar melt slept beside a neighbour of another value")
+			}
+		})
+	}
+}
+
 // A slice that slept carries its interior into the next step, never its
 // ghost ring: a µ bump placed in the melt of one x-block diffuses across
 // that block into the ring of the other block's sleeping slices, which

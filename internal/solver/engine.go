@@ -57,7 +57,7 @@ const (
 // sweepTask is one claim task of one rank's sweep: the worker holding it
 // claims slabs through the rank's cursor and sweeps them until none is
 // left. It carries everything the worker needs so dispatch allocates
-// nothing. An opExchange task uses only r and done.
+// nothing. An opExchange task uses only r, keep and done.
 type sweepTask struct {
 	op    sweepOp
 	r     *rank
@@ -65,6 +65,10 @@ type sweepTask struct {
 	slabs [][2]int // [z0,z1) slabs, claimed in order through r.next
 	done  *sync.WaitGroup
 	sink  *faultSink // panic isolation + injection points (never nil from runSweep)
+	// keep is an opExchange task's fill mask, the rank's muKeep taken on
+	// the rank goroutine when the task is queued (the tracker sizes it
+	// lazily, at the φ dispatch the exchange runs beside).
+	keep []bool
 }
 
 // drain claims and sweeps slabs until the list is empty.
@@ -119,7 +123,7 @@ func (e *sweepEngine) grow(n, bx, by int) {
 		go func() {
 			for t := range e.tasks {
 				if t.op == opExchange {
-					t.r.exchangeMu(e.world)
+					t.r.exchangeMu(e.world, t.keep)
 				} else {
 					e.gauge.enter()
 					t.drain(sc)
@@ -134,10 +138,12 @@ func (e *sweepEngine) grow(n, bx, by int) {
 
 // exchangeMu is a rank's exchange task: the blocking µ exchange of the
 // source field, run on a pool worker while the rank sweeps φ. It writes only
-// ghost cells, which the φ-sweep never reads. A lost TCP link is kept for
+// ghost cells, which the φ-sweep never reads, and keeps the rings of the
+// slices the previous step broadcast (keep: the tracker's muKeep, which the
+// rank goroutine does not write before the join). A lost TCP link is kept for
 // the rank goroutine, which raises it after the join (timestep); any other
 // panic crashes the process here, as it would on the rank goroutine.
-func (r *rank) exchangeMu(w *comm.World) {
+func (r *rank) exchangeMu(w *comm.World, keep []bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			te, ok := v.(*comm.TransportError)
@@ -147,7 +153,7 @@ func (r *rank) exchangeMu(w *comm.World) {
 			r.lost = te
 		}
 	}()
-	w.ExchangeGhosts(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs)
+	w.ExchangeGhostsKeeping(r.id, r.fields.MuSrc, comm.TagMu, r.muBCs, keep)
 }
 
 // close releases the worker goroutines. Safe to call more than once.

@@ -220,9 +220,10 @@ func (s *Sim) applyRamp(r schedule.Ramp) error {
 }
 
 // applyDueSetBCs installs the wall state the schedule prescribes for the
-// current step and reports whether anything was applied and whether the
+// current step and reports whether any face changed and whether the
 // applied kinds flipped an axis' periodicity (rewiring the communication
-// topology). Only the latest due event per (face, field) applies — an
+// topology). A due event whose face already holds its prescription bit
+// for bit changes nothing, but still enters the audit log. Only the latest due event per (face, field) applies — an
 // earlier overridden event must not be re-applied, or a kind override would
 // flip the face twice per step and re-derive every rank's BCs forever
 // (schedule.New rejects ambiguous overlaps). With changingOnly, events
@@ -241,13 +242,14 @@ func (s *Sim) applyDueSetBCs(setbcs []schedule.SetBC, changingOnly bool, rec []b
 	var touched [3]bool
 	for _, j := range due {
 		if j >= 0 {
-			s.applySetBC(setbcs[j])
-			touched[setbcs[j].Face.Axis()] = true
+			if s.applySetBC(setbcs[j]) {
+				touched[setbcs[j].Face.Axis()] = true
+				applied = true
+			}
 			if !rec[j] {
 				rec[j] = true
 				s.recordEvent(setbcs[j])
 			}
-			applied = true
 		}
 	}
 	if applied {
@@ -309,16 +311,20 @@ func (s *Sim) refillBoundaryGhosts() {
 	})
 }
 
-// applySetBC installs one event's boundary condition for the current step.
-// Dirichlet wall-value ramps write into the domain set's Values backing in
-// place — shared by every rank's derived set through BlockBCs — so a
-// steady BC ramp allocates nothing and every rank picks up the live values
-// at its next halo exchange. A kind change (or a first-time payload
-// allocation) invalidates the ranks' derived copies and re-derives them.
-// Called between timesteps only, when no sweep or overlapped exchange is
-// in flight; RunSchedule has already rejected events the decomposition
+// applySetBC installs one event's boundary condition for the current step
+// and reports whether the face changed. Dirichlet wall-value ramps write
+// into the domain set's Values backing in place — shared by every rank's
+// derived set through BlockBCs — so a steady BC ramp allocates nothing and
+// every rank picks up the live values at its next halo exchange. A kind
+// change (or a first-time payload allocation) invalidates the ranks'
+// derived copies and re-derives them. A face that already holds the kind
+// and, for a Dirichlet face, every value bit for bit is left alone: the
+// ghosts already hold its fill, so the activity map keeps its carry (a
+// chunked RunSchedule re-applies every settled event at entry). Called
+// between timesteps only, when no sweep or overlapped exchange is in
+// flight; RunSchedule has already rejected events the decomposition
 // cannot honor.
-func (s *Sim) applySetBC(e schedule.SetBC) {
+func (s *Sim) applySetBC(e schedule.SetBC) (changed bool) {
 	dom := &s.domainPhiBCs
 	if e.Field == schedule.BCMu {
 		dom = &s.domainMuBCs
@@ -328,6 +334,9 @@ func (s *Sim) applySetBC(e schedule.SetBC) {
 		vals = e.ValuesAt(s.step, s.bcScratch[:])
 	}
 	prevKind := dom[e.Face].Kind
+	if prevKind == e.Kind && (e.Kind != grid.BCDirichlet || sameBits(dom[e.Face].Values, vals)) {
+		return false
+	}
 	realloc := dom.SetFace(e.Face, e.Kind, vals)
 	if prevKind != e.Kind || realloc {
 		s.refreshRankBCs()
@@ -337,6 +346,20 @@ func (s *Sim) applySetBC(e schedule.SetBC) {
 	// Sleep decisions need no help — the ghost ring is part of the
 	// uniformity predicate, so a changed wall keeps adjacent slices awake.
 	s.invalidateActivity()
+	return true
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyBurst seeds the burst's nuclei as solid spheres in the melt. Nucleus

@@ -486,7 +486,7 @@ func (s *Sim) timestep(r *rank) {
 
 	if overlap {
 		r.xwg.Add(1)
-		s.engine.tasks <- sweepTask{op: opExchange, r: r, done: &r.xwg}
+		s.engine.tasks <- sweepTask{op: opExchange, r: r, keep: r.act.muKeep, done: &r.xwg}
 	}
 	t0 := time.Now()
 	s.runSweep(r, opPhi)
@@ -507,7 +507,8 @@ func (s *Sim) timestep(r *rank) {
 	s.runSweep(r, opMu)
 	r.muKernelTime += time.Since(t0)
 	if !overlap {
-		s.World.ExchangeGhosts(r.id, f.MuDst, comm.TagMu, r.muBCs)
+		// A slept µ-slice's broadcast wrote its ring too (muKeep).
+		s.World.ExchangeGhostsKeeping(r.id, f.MuDst, comm.TagMu, r.muBCs, r.act.muKeep)
 	}
 
 	f.Swap()
