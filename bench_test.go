@@ -29,7 +29,7 @@ func benchSetup(b *testing.B, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(benchEdge) / 2 * p.Dx
-	sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
+	sim, err := solver.New(solver.Config{Params: p, BG: bg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func BenchmarkFig8Comm(b *testing.B) {
 			}
 			p := core.DefaultParams()
 			p.Temp.Z0 = float64(benchEdge) / 2 * p.Dx
-			sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut, Overlap: mode})
+			sim, err := solver.New(solver.Config{Params: p, BG: bg, Overlap: mode})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/schedule"
 )
 
@@ -264,9 +263,6 @@ func TestGoldenTrajectory(t *testing.T) {
 	}
 	if restored.Step() != fx.CheckpointStep {
 		t.Fatalf("restored at step %d, want %d", restored.Step(), fx.CheckpointStep)
-	}
-	if restored.sim.Cfg.Variant != kernels.VarShortcut {
-		t.Fatalf("restored kernel %v, want the production kernel", restored.sim.Cfg.Variant)
 	}
 	// The V3 header must have carried the mid-ramp wall state bit-exactly:
 	// the last BC application before the checkpointed step ran at step

@@ -51,7 +51,7 @@ func benchFields(edge int, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx, g
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(edge) / 2 * p.Dx
-	sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
+	sim, err := solver.New(solver.Config{Params: p, BG: bg})
 	if err != nil {
 		return nil, nil, grid.BoundarySet{}, err
 	}
@@ -212,7 +212,7 @@ func measureIntranode(ranks, edge, steps, par int) (float64, error) {
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(edge) / 2 * p.Dx
-	sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut, Parallelism: par})
+	sim, err := solver.New(solver.Config{Params: p, BG: bg, Parallelism: par})
 	if err != nil {
 		return 0, err
 	}
@@ -238,7 +238,7 @@ func ParallelScaling(w io.Writer, edge, steps int, workers []int) error {
 		}
 		p := core.DefaultParams()
 		p.Temp.Z0 = float64(edge) / 2 * p.Dx
-		sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut, Parallelism: nw})
+		sim, err := solver.New(solver.Config{Params: p, BG: bg, Parallelism: nw})
 		if err != nil {
 			return err
 		}
@@ -316,7 +316,7 @@ func measureComm(ranks, edge, steps int, mode solver.OverlapMode, par int) (phiM
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(edge) / 2 * p.Dx
-	sim, err := solver.New(solver.Config{Params: p, BG: bg, Variant: kernels.VarShortcut, Overlap: mode, Parallelism: par})
+	sim, err := solver.New(solver.Config{Params: p, BG: bg, Overlap: mode, Parallelism: par})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,15 +1,18 @@
 package kernels
 
-// kernels.go is the public dispatch surface: one entry point per kernel,
-// selecting the oracle or the production variant. Every kernel also has a
-// *Range form restricted to the z-slab [z0,z1), the unit of intra-block
-// parallelism: disjoint slabs write disjoint destination slices, so
-// multiple workers (each with its own Scratch) may sweep one block
-// concurrently. At a slab's first slice the staggered z-buffers are
-// invalid, so the production kernels recompute that slice's low z-face
-// fluxes instead of reusing a neighbor worker's buffer — bitwise identical
-// to the serial sweep because the buffered value is exactly the recomputed
-// one.
+// kernels.go is the public dispatch surface. The solver runs only the
+// production kernels, through the *Range forms restricted to the z-slab
+// [z0,z1), the unit of intra-block parallelism: disjoint slabs write
+// disjoint destination slices, so multiple workers (each with its own
+// Scratch) may sweep one block concurrently. At a slab's first slice the
+// staggered z-buffers are invalid, so the production kernels recompute
+// that slice's low z-face fluxes instead of reusing a neighbor worker's
+// buffer — bitwise identical to the serial sweep because the buffered
+// value is exactly the recomputed one. Neither Range form lets its
+// arguments escape, so a caller may pass a stack Ctx without allocating.
+// PhiSweep and MuSweep sweep a whole block with either variant; they are
+// how the oracle is reached, as the reference the production kernels are
+// checked and timed against.
 
 // clampRange clips [z0,z1) to the block's interior [0,nz).
 func clampRange(nz, z0, z1 int) (int, int) {
@@ -24,37 +27,35 @@ func clampRange(nz, z0, z1 int) (int, int) {
 
 // PhiSweep updates f.PhiDst from f.PhiSrc/f.MuSrc with the selected variant.
 func PhiSweep(ctx *Ctx, f *Fields, sc *Scratch, v Variant) {
-	PhiSweepRange(ctx, f, sc, v, 0, f.PhiSrc.NZ)
+	if v == VarGeneral {
+		phiSweepGeneral(ctx, f, 0, f.PhiSrc.NZ)
+		return
+	}
+	PhiSweepRange(ctx, f, sc, 0, f.PhiSrc.NZ)
 }
 
-// PhiSweepRange is PhiSweep restricted to the z-slab [z0,z1).
-func PhiSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
+// PhiSweepRange runs the production φ-kernel over the z-slab [z0,z1).
+func PhiSweepRange(ctx *Ctx, f *Fields, sc *Scratch, z0, z1 int) {
 	z0, z1 = clampRange(f.PhiSrc.NZ, z0, z1)
-	if z0 >= z1 {
-		return
+	if z0 < z1 {
+		phiSweepProd(ctx, f, sc, z0, z1)
 	}
-	if v == VarGeneral {
-		phiSweepGeneral(ctx, f, z0, z1)
-		return
-	}
-	phiSweepProd(ctx, f, sc, z0, z1)
 }
 
 // MuSweep updates f.MuDst (the fused Algorithm-1 µ-kernel, including the
 // anti-trapping current) with the selected variant.
 func MuSweep(ctx *Ctx, f *Fields, sc *Scratch, v Variant) {
-	MuSweepRange(ctx, f, sc, v, 0, f.MuSrc.NZ)
+	if v == VarGeneral {
+		muSweepGeneral(ctx, f, 0, f.MuSrc.NZ)
+		return
+	}
+	MuSweepRange(ctx, f, sc, 0, f.MuSrc.NZ)
 }
 
-// MuSweepRange is MuSweep restricted to the z-slab [z0,z1).
-func MuSweepRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
+// MuSweepRange runs the production µ-kernel over the z-slab [z0,z1).
+func MuSweepRange(ctx *Ctx, f *Fields, sc *Scratch, z0, z1 int) {
 	z0, z1 = clampRange(f.MuSrc.NZ, z0, z1)
-	if z0 >= z1 {
-		return
+	if z0 < z1 {
+		muSweepProd(ctx, f, sc, true, z0, z1)
 	}
-	if v == VarGeneral {
-		muSweepGeneral(ctx, f, z0, z1)
-		return
-	}
-	muSweepProd(ctx, f, sc, true, z0, z1)
 }

@@ -103,14 +103,14 @@ func setGhostDecoy(f *Fields, x, y, z int) {
 	f.PhiSrc.Set(1, x, y, z, 0.1)
 }
 
-// sweepMu runs MuSweepRange of VarShortcut over consecutive slabs split at
+// sweepMu runs the production MuSweepRange over consecutive slabs split at
 // cuts, one fresh Scratch per slab as the engine's workers have, on a
 // clone.
 func sweepMu(ctx *Ctx, f0 *Fields, cuts []int) *Fields {
 	f := f0.Clone()
 	z0 := 0
 	for _, z1 := range append(cuts, f.MuSrc.NZ) {
-		MuSweepRange(ctx, f, NewScratch(f.MuSrc.NX, f.MuSrc.NY), VarShortcut, z0, z1)
+		MuSweepRange(ctx, f, NewScratch(f.MuSrc.NX, f.MuSrc.NY), z0, z1)
 		z0 = z1
 	}
 	return f

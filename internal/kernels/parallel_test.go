@@ -11,7 +11,26 @@ import (
 // slab with its own Scratch, run both serially and concurrently — must
 // reproduce the serial sweep bit-for-bit. This covers the production
 // kernels' seam handling: a slab's first slice must recompute its low
-// z-face fluxes instead of reusing another worker's staggered buffer.
+// z-face fluxes instead of reusing another worker's staggered buffer. The
+// oracle has no public slab form; its rows call the unexported sweeps.
+
+// phiRange sweeps φ over the slab [z0,z1) with variant v.
+func phiRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
+	if v == VarGeneral {
+		phiSweepGeneral(ctx, f, z0, z1)
+		return
+	}
+	PhiSweepRange(ctx, f, sc, z0, z1)
+}
+
+// muRange sweeps µ over the slab [z0,z1) with variant v.
+func muRange(ctx *Ctx, f *Fields, sc *Scratch, v Variant, z0, z1 int) {
+	if v == VarGeneral {
+		muSweepGeneral(ctx, f, z0, z1)
+		return
+	}
+	MuSweepRange(ctx, f, sc, z0, z1)
+}
 
 // slabBounds cuts [0,nz) into n even slabs, the same partition runSweep uses.
 func slabBounds(nz, n, i int) (int, int) {
@@ -54,7 +73,7 @@ func TestPhiSweepRangeMatchesSerial(t *testing.T) {
 			for _, parallel := range []bool{false, true} {
 				f := setupInterface(nx, ny, nz, p)
 				sweepSlabs(nx, ny, nz, slabs, parallel, func(sc *Scratch, z0, z1 int) {
-					PhiSweepRange(ctx, f, sc, v, z0, z1)
+					phiRange(ctx, f, sc, v, z0, z1)
 				})
 				ok, maxd := f.PhiDst.InteriorEqual(ref.PhiDst, 0)
 				if !ok {
@@ -85,7 +104,7 @@ func TestMuSweepRangeMatchesSerial(t *testing.T) {
 			for _, parallel := range []bool{false, true} {
 				f := mk()
 				sweepSlabs(nx, ny, nz, slabs, parallel, func(sc *Scratch, z0, z1 int) {
-					MuSweepRange(ctx, f, sc, v, z0, z1)
+					muRange(ctx, f, sc, v, z0, z1)
 				})
 				ok, maxd := f.MuDst.InteriorEqual(ref.MuDst, 0)
 				if !ok {
@@ -93,6 +112,32 @@ func TestMuSweepRangeMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The production slab entry points keep their arguments off the heap: a
+// Ctx copied onto the caller's stack for each call (as the solver's
+// activity proxy does per candidate slice) costs no allocation. This is
+// the test form of `go build -gcflags=-m` listing no leaking param on
+// either Range function.
+func TestSweepRangeAllocFree(t *testing.T) {
+	const nx, ny, nz = 8, 6, 6
+	p := testParams(nz)
+	base := Ctx{P: p}
+	f := setupInterface(nx, ny, nz, p)
+	sc := NewScratch(nx, ny)
+	phi := testing.AllocsPerRun(5, func() {
+		ctx := base
+		ctx.ZOff++
+		PhiSweepRange(&ctx, f, sc, 0, nz)
+	})
+	mu := testing.AllocsPerRun(5, func() {
+		ctx := base
+		ctx.ZOff++
+		MuSweepRange(&ctx, f, sc, 0, nz)
+	})
+	if phi != 0 || mu != 0 {
+		t.Errorf("PhiSweepRange allocates %.1f, MuSweepRange %.1f objects per call, want 0", phi, mu)
 	}
 }
 
@@ -106,8 +151,8 @@ func TestSweepRangeClamping(t *testing.T) {
 	PhiSweep(ctx, ref, NewScratch(nx, ny), VarShortcut)
 
 	f := setupInterface(nx, ny, nz, p)
-	PhiSweepRange(ctx, f, NewScratch(nx, ny), VarShortcut, -3, nz+5)
-	PhiSweepRange(ctx, f, NewScratch(nx, ny), VarShortcut, 4, 4) // empty: no-op
+	PhiSweepRange(ctx, f, NewScratch(nx, ny), -3, nz+5)
+	PhiSweepRange(ctx, f, NewScratch(nx, ny), 4, 4) // empty: no-op
 	ok, maxd := f.PhiDst.InteriorEqual(ref.PhiDst, 0)
 	if !ok {
 		t.Errorf("clamped range differs from full sweep by %g", maxd)
@@ -128,7 +173,7 @@ func TestSweepRangeUnevenSlabs(t *testing.T) {
 				PhiSweep(ctx, ref, NewScratch(nx, ny), v)
 				f := setupInterface(nx, ny, nz, p)
 				sweepSlabs(nx, ny, nz, slabs, true, func(sc *Scratch, z0, z1 int) {
-					PhiSweepRange(ctx, f, sc, v, z0, z1)
+					phiRange(ctx, f, sc, v, z0, z1)
 				})
 				ok, maxd := f.PhiDst.InteriorEqual(ref.PhiDst, 0)
 				if !ok {

@@ -93,11 +93,11 @@ func TestProductionSweepBytesPinned(t *testing.T) {
 	f := pinBlock(p)
 	nx, ny := f.PhiSrc.NX, f.PhiSrc.NY
 	for _, s := range [][2]int{{0, 3}, {3, 8}} {
-		PhiSweepRange(ctx, f, NewScratch(nx, ny), VarShortcut, s[0], s[1])
+		PhiSweepRange(ctx, f, NewScratch(nx, ny), s[0], s[1])
 	}
 	testBCsApply(f.PhiDst)
 	for _, s := range [][2]int{{0, 3}, {3, 8}} {
-		MuSweepRange(ctx, f, NewScratch(nx, ny), VarShortcut, s[0], s[1])
+		MuSweepRange(ctx, f, NewScratch(nx, ny), s[0], s[1])
 	}
 	if got := interiorSHA(f.PhiDst); got != pinPhiSHA {
 		t.Errorf("φ sweep bytes changed: sha256 %s, pinned %s", got, pinPhiSHA)

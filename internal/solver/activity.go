@@ -21,9 +21,9 @@ import (
 //   - µ: the φ-slice slept, and µ is bitwise-uniform within each of slices
 //     z-1, z and z+1 (interior plus x/y ghost ring), each slice with its own
 //     value. A melt column whose µ varies only in z sleeps slice by slice.
-//   - A proxy run of the simulation's *actual* kernel — same variant,
-//     same Ctx (the analytic temperature depends on the global z), through
-//     the same *Range entry point, on a tiny single-slice field holding the
+//   - A proxy run of the production kernel — same Ctx (the analytic
+//     temperature depends on the global z), through the same *Range entry
+//     point the sweep uses, on a tiny single-slice field holding the
 //     uniform state — reproduces the would-be output. For φ the output must
 //     equal the input (then skipping = copying src→dst); for µ the output
 //     must be uniform (then skipping = broadcasting the proxy value, which
@@ -35,8 +35,6 @@ import (
 //     µ = NaN: the production kernel's bulk-cell test returns before any µ
 //     load, so a vertex slice is a fixed point whatever its µ, and a µ that
 //     reached the output would turn it into NaN and fail the comparison.
-//     The oracle reads µ in every cell, so under VarGeneral only slices of
-//     uniform µ sleep their φ-sweep.
 //
 // Every proxy interior cell must agree bitwise, which covers a row's first
 // cell (it computes its own low x face) and the cells that take that face
@@ -173,11 +171,6 @@ type activity struct {
 
 	proxy   *kernels.Fields
 	proxySc *kernels.Scratch
-	// proxyCtx is the proxy sweep's context. It lives here, not on the
-	// stack, because the sweep entry points leak their ctx argument (the
-	// oracle path), so a local would move to the heap once per candidate
-	// slice per step.
-	proxyCtx kernels.Ctx
 
 	runs  [][2]int  // reusable active-run scratch
 	runs1 [1][2]int // no-tracking fallback: one full-extent run
@@ -339,20 +332,15 @@ func (a *activity) fillProxy(vertex int, mu *[kernels.NR]float64) {
 	}
 }
 
-// setProxyCtx points the proxy context at local slice z: the proxy's
-// single slice must see the same analytic temperature as the real slice.
-func (a *activity) setProxyCtx(r *rank, z int) *kernels.Ctx {
-	a.proxyCtx = r.ctx
-	a.proxyCtx.ZOff += z
-	return &a.proxyCtx
-}
-
-// phiProxySleeps runs the φ-kernel on the proxy and reports whether
-// the uniform state is an exact fixed point (dst bits == src bits in every
-// proxy cell — every lane and the scalar tail).
-func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.NR]float64) bool {
+// phiProxySleeps runs the φ-kernel on the proxy of slice z, at that
+// slice's analytic temperature, and reports whether the uniform state is an
+// exact fixed point (dst bits == src bits in every proxy cell — every lane
+// and the scalar tail).
+func (a *activity) phiProxySleeps(r *rank, z, vertex int, mu *[kernels.NR]float64) bool {
 	a.fillProxy(vertex, mu)
-	kernels.PhiSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
+	ctx := r.ctx
+	ctx.ZOff += z
+	kernels.PhiSweepRange(&ctx, a.proxy, a.proxySc, 0, 1)
 	return phiAt(a.proxy.PhiDst, 0, vertex, true, false)
 }
 
@@ -360,11 +348,13 @@ func (a *activity) phiProxySleeps(s *Sim, r *rank, z, vertex int, mu *[kernels.N
 // slices hold the values of slices z-1 and z+1, and returns the uniform
 // output value; ok is false when the proxy cells disagree, which keeps the
 // slice awake. muRVal[z : z+3] must hold the three slices' values.
-func (a *activity) muProxyValue(s *Sim, r *rank, z, vertex int) (out [kernels.NR]float64, ok bool) {
+func (a *activity) muProxyValue(r *rank, z, vertex int) (out [kernels.NR]float64, ok bool) {
 	a.fillProxy(vertex, &a.muRVal[z+1])
 	fillSlice(a.proxy.MuSrc, -1, &a.muRVal[z])
 	fillSlice(a.proxy.MuSrc, 1, &a.muRVal[z+2])
-	kernels.MuSweepRange(a.setProxyCtx(r, z), a.proxy, a.proxySc, s.Cfg.Variant, 0, 1)
+	ctx := r.ctx
+	ctx.ZOff += z
+	kernels.MuSweepRange(&ctx, a.proxy, a.proxySc, 0, 1)
 	return classifyMu(a.proxy.MuDst, 0, false)
 }
 
@@ -446,7 +436,7 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 			if !uniform {
 				mu = &nanMu
 			}
-			ok = a.phiProxySleeps(s, r, z, a.vertex[z+1], mu)
+			ok = a.phiProxySleeps(r, z, a.vertex[z+1], mu)
 		}
 		a.phiSleep[z] = ok
 		a.keep[z] = ok && a.phiPrev[z]
@@ -463,7 +453,7 @@ func (a *activity) derivePhi(s *Sim, r *rank) {
 // classification may include the ghost ring. µ-sleep requires the φ-slice
 // to have slept this step (the µ-kernel's φdst center read then equals
 // φsrc) plus bitwise µ uniformity within each of slices z-1, z and z+1.
-func (a *activity) deriveMu(s *Sim, r *rank) {
+func (a *activity) deriveMu(r *rank) {
 	if !a.valid {
 		return
 	}
@@ -492,7 +482,7 @@ func (a *activity) deriveMu(s *Sim, r *rank) {
 	for z := 0; z < nz; z++ {
 		ok := a.phiSleep[z] && a.muROK[z] && a.muROK[z+1] && a.muROK[z+2]
 		if ok {
-			a.muBcast[z], ok = a.muProxyValue(s, r, z, a.vertex[z+1])
+			a.muBcast[z], ok = a.muProxyValue(r, z, a.vertex[z+1])
 		}
 		a.muSleep[z] = ok
 		a.muKeep[z] = ok && images
@@ -514,7 +504,7 @@ func (s *Sim) prepareActivity(r *rank, op sweepOp) []bool {
 		a.derivePhi(s, r)
 		return a.phiSleep
 	}
-	a.deriveMu(s, r)
+	a.deriveMu(r)
 	if !a.valid {
 		return nil
 	}

@@ -11,17 +11,17 @@ import (
 	"repro/internal/schedule"
 )
 
-// activity_test.go — the cross-variant equivalence suite for per-slice
-// activity tracking. The contract under test is absolute: a run that skips
-// sleeping slices is bit-identical to the same run sweeping everything,
-// for every kernel variant, overlap mode, parallelism level and rank
-// decomposition, and across every way the outside world can poke a
-// sleeping slice (nucleation bursts, wall ramps, window shifts).
+// activity_test.go — the equivalence suite for per-slice activity
+// tracking. The contract under test is absolute: a run that skips sleeping
+// slices is bit-identical to the same run sweeping everything, for every
+// overlap mode, parallelism level and rank decomposition, and across every
+// way the outside world can poke a sleeping slice (nucleation bursts, wall
+// ramps, window shifts).
 
 // actSim builds a production-style tall-melt simulation: Voronoi nuclei in
 // the bottom ~2ε slices, pure melt above — the composition where activity
 // tracking earns its keep, since the upper bulk sleeps.
-func actSim(t testing.TB, px, py, pz, bx, by, bz int, v kernels.Variant, ov OverlapMode, disable bool, par int) *Sim {
+func actSim(t testing.TB, px, py, pz, bx, by, bz int, ov OverlapMode, disable bool, par int) *Sim {
 	t.Helper()
 	bg, err := grid.NewBlockGrid(px, py, pz, bx, by, bz, [3]bool{true, true, false})
 	if err != nil {
@@ -30,7 +30,7 @@ func actSim(t testing.TB, px, py, pz, bx, by, bz int, v kernels.Variant, ov Over
 	p := core.DefaultParams()
 	_, _, nz := bg.GlobalCells()
 	p.Temp.Z0 = float64(nz) / 2 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: v, Overlap: ov,
+	s, err := New(Config{Params: p, BG: bg, Overlap: ov,
 		DisableActiveSweep: disable, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
@@ -73,26 +73,24 @@ func requireSameTrajectory(t *testing.T, tracked, full *Sim) {
 	requireBitEqual(t, "mu", tracked.GatherGlobalMu(), full.GatherGlobalMu())
 }
 
-// Both kernel variants must produce the identical trajectory with and
+// The production kernels must produce the identical trajectory with and
 // without activity tracking, and the tall-melt domain must actually
 // engage the tracker (active fraction < 1) — a suite that compares two
 // full sweeps proves nothing.
 func TestActiveSweepBitIdenticalAllVariants(t *testing.T) {
-	for _, v := range kernels.Variants {
-		t.Run(v.String(), func(t *testing.T) {
-			tracked := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, false, 1)
-			full := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, true, 1)
-			tracked.Run(6)
-			full.Run(6)
-			requireSameTrajectory(t, tracked, full)
-			if af := tracked.ActiveFraction(); !(af < 1) || af <= 0 {
-				t.Errorf("active fraction = %g, want engaged (0 < af < 1)", af)
-			}
-			if af := full.ActiveFraction(); af != 1 {
-				t.Errorf("disabled tracker reports active fraction %g, want 1", af)
-			}
-		})
-	}
+	t.Run(kernels.VarShortcut.String(), func(t *testing.T) {
+		tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+		full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
+		tracked.Run(6)
+		full.Run(6)
+		requireSameTrajectory(t, tracked, full)
+		if af := tracked.ActiveFraction(); !(af < 1) || af <= 0 {
+			t.Errorf("active fraction = %g, want engaged (0 < af < 1)", af)
+		}
+		if af := full.ActiveFraction(); af != 1 {
+			t.Errorf("disabled tracker reports active fraction %g, want 1", af)
+		}
+	})
 }
 
 // The two overlap modes interleave halo exchange with the sweeps in
@@ -102,8 +100,8 @@ func TestActiveSweepBitIdenticalAllVariants(t *testing.T) {
 func TestActiveSweepAllOverlapModes(t *testing.T) {
 	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
-			tracked := actSim(t, 1, 1, 2, 8, 8, 20, kernels.VarShortcut, ov, false, 1)
-			full := actSim(t, 1, 1, 2, 8, 8, 20, kernels.VarShortcut, ov, true, 1)
+			tracked := actSim(t, 1, 1, 2, 8, 8, 20, ov, false, 1)
+			full := actSim(t, 1, 1, 2, 8, 8, 20, ov, true, 1)
 			tracked.Run(6)
 			full.Run(6)
 			requireSameTrajectory(t, tracked, full)
@@ -115,17 +113,17 @@ func TestActiveSweepAllOverlapModes(t *testing.T) {
 // never of how many workers happen to sweep. Every parallelism level must
 // reproduce the serial tracked run bit for bit.
 func TestActiveSweepParallelismIndependent(t *testing.T) {
-	serial := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
+	serial := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
 	serial.Run(6)
 	for _, par := range []int{2, runtime.GOMAXPROCS(0)} {
-		s := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, par)
+		s := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, par)
 		s.Run(6)
 		s.Sync()
 		requireSameTrajectory(t, s, serial)
 		s.Close()
 	}
 	// And the whole family equals the always-full sweep.
-	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	full.Run(6)
 	requireSameTrajectory(t, serial, full)
 }
@@ -137,8 +135,8 @@ func TestActiveSweepParallelismIndependent(t *testing.T) {
 func TestActiveSweepHaloTrafficUnchanged(t *testing.T) {
 	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
-			tracked := actSim(t, 1, 1, 2, 8, 8, 20, kernels.VarShortcut, ov, false, 1)
-			full := actSim(t, 1, 1, 2, 8, 8, 20, kernels.VarShortcut, ov, true, 1)
+			tracked := actSim(t, 1, 1, 2, 8, 8, 20, ov, false, 1)
+			full := actSim(t, 1, 1, 2, 8, 8, 20, ov, true, 1)
 			tracked.Run(10)
 			full.Run(10)
 			requireSameTrajectory(t, tracked, full)
@@ -164,7 +162,7 @@ func TestActiveSweepHaloTrafficUnchanged(t *testing.T) {
 // scales with the column height; the budget is the per-step fan-out of
 // stepAllocs.
 func TestActiveSweepStepAllocFree(t *testing.T) {
-	s := actSim(t, 1, 1, 1, 8, 8, 64, kernels.VarShortcut, OverlapNone, false, 2)
+	s := actSim(t, 1, 1, 1, 8, 8, 64, OverlapNone, false, 2)
 	defer s.Close()
 	s.Run(3) // warm-up: tracker scratch and pack buffers
 	if af := s.ActiveFraction(); !(af < 1) {
@@ -179,8 +177,8 @@ func TestActiveSweepStepAllocFree(t *testing.T) {
 // bulk repaints slices that have been asleep for many steps. The tracker
 // must re-derive and wake them — a stale skip would freeze the new nuclei.
 func TestBurstWakesSleepingSlab(t *testing.T) {
-	tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
-	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+	full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	burst := schedule.NucleationBurst{Step: 4, Count: 3, Phase: -1,
 		Radius: 2.5, ZMin: 26, ZMax: 34, Seed: 11}
 	for _, s := range []*Sim{tracked, full} {
@@ -202,8 +200,8 @@ func TestBurstWakesSleepingSlab(t *testing.T) {
 func TestSetBCRampWakesSleepingBoundary(t *testing.T) {
 	ev := schedule.SetBC{Step: 3, Over: 4, Face: grid.ZMax, Field: schedule.BCMu,
 		Kind: grid.BCDirichlet, From: []float64{0, 0}, To: []float64{0.3, -0.15}}
-	tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
-	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+	full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	for _, s := range []*Sim{tracked, full} {
 		if err := s.RunSchedule(10, mkSched(t, ev), ScheduleHooks{}); err != nil {
 			t.Fatal(err)
@@ -216,8 +214,8 @@ func TestSetBCRampWakesSleepingBoundary(t *testing.T) {
 // sleeping ones — to a new z (and a new analytic temperature). The
 // activity map must not survive the scroll.
 func TestWindowShiftScrollsSleepingSlab(t *testing.T) {
-	tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
-	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+	full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	for _, s := range []*Sim{tracked, full} {
 		s.Run(4)
 		s.ShiftWindow(5)
@@ -233,8 +231,8 @@ func TestWindowShiftScrollsSleepingSlab(t *testing.T) {
 // slices' classification) and an always-full one (which scans every cell),
 // and the tracked scan allocates nothing.
 func TestFrontHeightUsesActivityAndIsAllocFree(t *testing.T) {
-	tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
-	full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+	full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	tracked.Run(5)
 	full.Run(5)
 	if th, fh := tracked.FrontHeight(), full.FrontHeight(); th != fh {
@@ -252,7 +250,7 @@ func TestFrontHeightUsesActivityAndIsAllocFree(t *testing.T) {
 // wider margin only sleeps less). The test varies the tracker's unexported
 // field before the first step.
 func TestWakeMarginWidthsEquivalent(t *testing.T) {
-	ref := actSim(t, 1, 1, 1, 8, 8, 32, kernels.VarShortcut, OverlapNone, true, 1)
+	ref := actSim(t, 1, 1, 1, 8, 8, 32, OverlapNone, true, 1)
 	ref.Run(5)
 	for _, m := range []int{1, 2, 4} {
 		bg, err := grid.NewBlockGrid(1, 1, 1, 8, 8, 32, [3]bool{true, true, false})
@@ -261,7 +259,7 @@ func TestWakeMarginWidthsEquivalent(t *testing.T) {
 		}
 		p := core.DefaultParams()
 		p.Temp.Z0 = 16 * p.Dx
-		s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
+		s, err := New(Config{Params: p, BG: bg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,68 +301,57 @@ func muUniform(f *grid.Field, z int) bool {
 	return ok
 }
 
-// A melt slice whose µ is not uniform still sleeps its φ-sweep under the
-// production kernel (its bulk-cell test never reads µ) and keeps its
-// µ-sweep awake; the oracle reads µ in every cell, so under it only
-// slices of uniform µ sleep φ. Each tracked run stays bit-identical to
-// its untracked twin, and every slice a step slept carries identical φ
-// interiors in both buffers into the next step.
+// A melt slice whose µ is not uniform still sleeps its φ-sweep (the
+// production kernel's bulk-cell test never reads µ) and keeps its µ-sweep
+// awake. The tracked run stays bit-identical to its untracked twin, and
+// every slice a step slept carries identical φ interiors in both buffers
+// into the next step.
 func TestPhiSleepsOverNonUniformMu(t *testing.T) {
-	for _, v := range kernels.Variants {
-		t.Run(v.String(), func(t *testing.T) {
-			tracked := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, false, 1)
-			full := actSim(t, 1, 1, 1, 8, 8, 40, v, OverlapNone, true, 1)
-			tiltMu(tracked)
-			tiltMu(full)
-			a := &tracked.ranks[0].act
-			nonUniform := 0 // φ-slept slices whose step-start µ was not uniform
-			for step := 0; step < 8; step++ {
-				tracked.Run(1)
-				full.Run(1)
-				// After the swap, the dst buffers hold the step-start state.
-				f := tracked.ranks[0].fields
-				for z, slept := range a.phiSleep {
-					if !slept {
-						continue
+	t.Run(kernels.VarShortcut.String(), func(t *testing.T) {
+		tracked := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+		full := actSim(t, 1, 1, 1, 8, 8, 40, OverlapNone, true, 1)
+		tiltMu(tracked)
+		tiltMu(full)
+		a := &tracked.ranks[0].act
+		nonUniform := 0 // φ-slept slices whose step-start µ was not uniform
+		for step := 0; step < 8; step++ {
+			tracked.Run(1)
+			full.Run(1)
+			// After the swap, the dst buffers hold the step-start state.
+			f := tracked.ranks[0].fields
+			for z, slept := range a.phiSleep {
+				if !slept {
+					continue
+				}
+				if !muUniform(f.MuDst, z) {
+					nonUniform++
+					if a.muSleep[z] {
+						t.Fatalf("step %d: µ slept on slice %d of non-uniform µ", step, z)
 					}
-					if !muUniform(f.MuDst, z) {
-						nonUniform++
-						if a.muSleep[z] {
-							t.Fatalf("step %d: µ slept on slice %d of non-uniform µ", step, z)
-						}
-					}
-					for c := 0; c < f.PhiSrc.NComp; c++ {
-						for y := 0; y < f.PhiSrc.NY; y++ {
-							src := f.PhiSrc.Row(c, y, z)[f.PhiSrc.G:][:f.PhiSrc.NX]
-							dst := f.PhiDst.Row(c, y, z)[f.PhiDst.G:][:f.PhiDst.NX]
-							for x := range src {
-								if math.Float64bits(src[x]) != math.Float64bits(dst[x]) {
-									t.Fatalf("step %d: slept slice %d comp %d (%d,%d): src %x dst %x",
-										step, z, c, x, y, math.Float64bits(src[x]), math.Float64bits(dst[x]))
-								}
+				}
+				for c := 0; c < f.PhiSrc.NComp; c++ {
+					for y := 0; y < f.PhiSrc.NY; y++ {
+						src := f.PhiSrc.Row(c, y, z)[f.PhiSrc.G:][:f.PhiSrc.NX]
+						dst := f.PhiDst.Row(c, y, z)[f.PhiDst.G:][:f.PhiDst.NX]
+						for x := range src {
+							if math.Float64bits(src[x]) != math.Float64bits(dst[x]) {
+								t.Fatalf("step %d: slept slice %d comp %d (%d,%d): src %x dst %x",
+									step, z, c, x, y, math.Float64bits(src[x]), math.Float64bits(dst[x]))
 							}
 						}
 					}
 				}
 			}
-			requireSameTrajectory(t, tracked, full)
-			// The top slice is melt: only the production kernel leaves it
-			// a fixed point at µ = NaN.
-			r := tracked.ranks[0]
-			nanSleeps := a.phiProxySleeps(tracked, r, r.fields.PhiSrc.NZ-1, core.Liquid, &nanMu)
-			t.Logf("%d φ-slept slice-steps over non-uniform µ", nonUniform)
-			switch v {
-			case kernels.VarGeneral:
-				if nonUniform != 0 || nanSleeps {
-					t.Errorf("oracle slept φ on %d slice-steps of non-uniform µ (NaN proxy sleeps: %v)", nonUniform, nanSleeps)
-				}
-			default:
-				if nonUniform == 0 || !nanSleeps {
-					t.Errorf("φ slept on %d slice-steps of non-uniform µ (NaN proxy sleeps: %v), want the NaN-µ proxy engaged", nonUniform, nanSleeps)
-				}
-			}
-		})
-	}
+		}
+		requireSameTrajectory(t, tracked, full)
+		// The top slice is melt: a fixed point of the kernel even at µ = NaN.
+		r := tracked.ranks[0]
+		nanSleeps := a.phiProxySleeps(r, r.fields.PhiSrc.NZ-1, core.Liquid, &nanMu)
+		t.Logf("%d φ-slept slice-steps over non-uniform µ", nonUniform)
+		if nonUniform == 0 || !nanSleeps {
+			t.Errorf("φ slept on %d slice-steps of non-uniform µ (NaN proxy sleeps: %v), want the NaN-µ proxy engaged", nonUniform, nanSleeps)
+		}
+	})
 }
 
 // A melt column whose µ varies only in z holds each slice at its own
@@ -375,8 +362,8 @@ func TestPhiSleepsOverNonUniformMu(t *testing.T) {
 func TestPlanarMuSleeps(t *testing.T) {
 	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
-			tracked := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, ov, false, 1)
-			full := actSim(t, 1, 1, 1, 8, 8, 40, kernels.VarShortcut, ov, true, 1)
+			tracked := actSim(t, 1, 1, 1, 8, 8, 40, ov, false, 1)
+			full := actSim(t, 1, 1, 1, 8, 8, 40, ov, true, 1)
 			for _, s := range []*Sim{tracked, full} {
 				mu := s.ranks[0].fields.MuSrc
 				for k := 0; k < mu.NComp; k++ {
@@ -416,8 +403,8 @@ func TestPlanarMuSleeps(t *testing.T) {
 // that block into the ring of the other block's sleeping slices, which
 // must wake for it.
 func TestCarriedSliceRereadsMuRing(t *testing.T) {
-	tracked := actSim(t, 2, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, false, 1)
-	full := actSim(t, 2, 1, 1, 8, 8, 40, kernels.VarShortcut, OverlapNone, true, 1)
+	tracked := actSim(t, 2, 1, 1, 8, 8, 40, OverlapNone, false, 1)
+	full := actSim(t, 2, 1, 1, 8, 8, 40, OverlapNone, true, 1)
 	for _, s := range []*Sim{tracked, full} {
 		mu := s.ranks[1].fields.MuSrc
 		for k := 0; k < mu.NComp; k++ {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/schedule"
 )
 
@@ -24,7 +23,7 @@ func TestSetBCFlipPeriodicToWallsBitwiseAcrossDecompositions(t *testing.T) {
 			schedule.SetBC{Step: 3, Face: grid.XMax, Field: schedule.BCMu, Kind: grid.BCNeumann})
 	}
 	run := func(px, py int) *Sim {
-		s := mkSim(t, px, py, 1, 16/px, 16/py, 10, kernels.VarShortcut, OverlapNone)
+		s := mkSim(t, px, py, 1, 16/px, 16/py, 10, OverlapNone)
 		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +62,7 @@ func TestSetBCFlipWallsToPeriodicBitwiseAcrossDecompositions(t *testing.T) {
 			schedule.SetBC{Step: 2, Face: grid.ZMax, Field: schedule.BCMu, Kind: grid.BCPeriodic})
 	}
 	run := func(pz int) *Sim {
-		s := mkSim(t, 1, 1, pz, 8, 8, 12/pz, kernels.VarShortcut, OverlapNone)
+		s := mkSim(t, 1, 1, pz, 8, 8, 12/pz, OverlapNone)
 		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func TestSetBCFlipWallsToPeriodicBitwiseAcrossDecompositions(t *testing.T) {
 // *ScheduleError so the job daemon can mark the job permanently failed and
 // surface the offending event instead of retrying.
 func TestSetBCMixedPeriodicityStructuredError(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 8, 10, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 8, 10, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestSetBCRejectsPeriodicZUnderMovingWindow(t *testing.T) {
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = 6 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut, MovingWindow: true})
+	s, err := New(Config{Params: p, BG: bg, MovingWindow: true})
 	if err != nil {
 		t.Fatal(err)
 	}

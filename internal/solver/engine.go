@@ -61,7 +61,6 @@ const (
 type sweepTask struct {
 	op    sweepOp
 	r     *rank
-	v     kernels.Variant
 	slabs [][2]int // [z0,z1) slabs, claimed in order through r.next
 	done  *sync.WaitGroup
 	sink  *faultSink // panic isolation + injection points (never nil from runSweep)
@@ -84,9 +83,9 @@ func (t *sweepTask) drain(sc *kernels.Scratch) {
 
 func (t *sweepTask) run(sc *kernels.Scratch, z0, z1 int) {
 	if t.op == opPhi {
-		kernels.PhiSweepRange(&t.r.ctx, t.r.fields, sc, t.v, z0, z1)
+		kernels.PhiSweepRange(&t.r.ctx, t.r.fields, sc, z0, z1)
 	} else {
-		kernels.MuSweepRange(&t.r.ctx, t.r.fields, sc, t.v, z0, z1)
+		kernels.MuSweepRange(&t.r.ctx, t.r.fields, sc, z0, z1)
 	}
 }
 
@@ -209,7 +208,7 @@ func (s *Sim) runSweep(r *rank, op sweepOp) {
 	for _, run := range runs {
 		total += run[1] - run[0]
 	}
-	t := sweepTask{op: op, r: r, v: s.Cfg.Variant, slabs: runs, done: &r.wg, sink: s.faults}
+	t := sweepTask{op: op, r: r, slabs: runs, done: &r.wg, sink: s.faults}
 	r.next.Store(0)
 	if n := s.claimTasks(total); n > 1 {
 		r.slabs = cutSlabs(r.slabs[:0], runs, total, n)

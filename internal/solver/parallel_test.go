@@ -12,12 +12,12 @@ import (
 
 // parallel_test.go checks the sweep engine end-to-end: a simulation stepped
 // with intra-block parallelism must match the serial simulation bit-for-bit
-// for every kernel variant and overlap mode, however the awake slices are
-// cut into slabs; no more workers than a rank's share may sweep at once;
-// and the steady-state timestep must not allocate, neither in the
-// halo-exchange pack/unpack path nor in the pooled sweep's slab claiming.
+// in every overlap mode, however the awake slices are cut into slabs; no
+// more workers than a rank's share may sweep at once; and the steady-state
+// timestep must not allocate, neither in the halo-exchange pack/unpack path
+// nor in the pooled sweep's slab claiming.
 
-func parSim(t *testing.T, blocks, par int, v kernels.Variant, ov OverlapMode) *Sim {
+func parSim(t *testing.T, blocks, par int, ov OverlapMode) *Sim {
 	t.Helper()
 	const edge = 16
 	bg, err := grid.NewBlockGrid(blocks, 1, 1, edge, edge, edge, [3]bool{true, true, false})
@@ -26,7 +26,7 @@ func parSim(t *testing.T, blocks, par int, v kernels.Variant, ov OverlapMode) *S
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(edge) / 2 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: v, Overlap: ov, Parallelism: par})
+	s, err := New(Config{Params: p, BG: bg, Overlap: ov, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,41 +37,39 @@ func parSim(t *testing.T, blocks, par int, v kernels.Variant, ov OverlapMode) *S
 }
 
 func TestParallelSimMatchesSerial(t *testing.T) {
-	for _, v := range kernels.Variants {
-		for _, par := range []int{2, 3, 4} {
-			t.Run(fmt.Sprintf("%v/par%d", v, par), func(t *testing.T) {
-				ref := parSim(t, 1, 1, v, OverlapMu)
-				defer ref.Close()
-				ref.Run(3)
+	for _, par := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("%v/par%d", kernels.VarShortcut, par), func(t *testing.T) {
+			ref := parSim(t, 1, 1, OverlapMu)
+			defer ref.Close()
+			ref.Run(3)
 
-				s := parSim(t, 1, par, v, OverlapMu)
-				defer s.Close()
-				if s.workersPerRank < 2 {
-					t.Fatal("claim tasks not engaged at parallelism > 1")
-				}
-				s.Run(3)
+			s := parSim(t, 1, par, OverlapMu)
+			defer s.Close()
+			if s.workersPerRank < 2 {
+				t.Fatal("claim tasks not engaged at parallelism > 1")
+			}
+			s.Run(3)
 
-				for r := 0; r < s.NumRanks(); r++ {
-					if ok, maxd := s.RankFields(r).PhiSrc.InteriorEqual(ref.RankFields(r).PhiSrc, 0); !ok {
-						t.Errorf("rank %d: φ differs from serial by %g", r, maxd)
-					}
-					if ok, maxd := s.RankFields(r).MuSrc.InteriorEqual(ref.RankFields(r).MuSrc, 0); !ok {
-						t.Errorf("rank %d: µ differs from serial by %g", r, maxd)
-					}
+			for r := 0; r < s.NumRanks(); r++ {
+				if ok, maxd := s.RankFields(r).PhiSrc.InteriorEqual(ref.RankFields(r).PhiSrc, 0); !ok {
+					t.Errorf("rank %d: φ differs from serial by %g", r, maxd)
 				}
-			})
-		}
+				if ok, maxd := s.RankFields(r).MuSrc.InteriorEqual(ref.RankFields(r).MuSrc, 0); !ok {
+					t.Errorf("rank %d: µ differs from serial by %g", r, maxd)
+				}
+			}
+		})
 	}
 }
 
 func TestParallelSimAllOverlapModes(t *testing.T) {
 	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
-			ref := parSim(t, 1, 1, kernels.VarShortcut, ov)
+			ref := parSim(t, 1, 1, ov)
 			defer ref.Close()
 			ref.Run(3)
 
-			s := parSim(t, 1, 4, kernels.VarShortcut, ov)
+			s := parSim(t, 1, 4, ov)
 			defer s.Close()
 			s.Run(3)
 
@@ -87,11 +85,11 @@ func TestParallelSimAllOverlapModes(t *testing.T) {
 
 func TestParallelMultiBlockMatchesSerial(t *testing.T) {
 	// Blocks and slabs compose: 2 blocks × 2 workers each.
-	ref := parSim(t, 2, 1, kernels.VarShortcut, OverlapMu)
+	ref := parSim(t, 2, 1, OverlapMu)
 	defer ref.Close()
 	ref.Run(3)
 
-	s := parSim(t, 2, 4, kernels.VarShortcut, OverlapMu)
+	s := parSim(t, 2, 4, OverlapMu)
 	defer s.Close()
 	if s.workersPerRank != 2 {
 		t.Fatalf("workersPerRank = %d, want 2", s.workersPerRank)
@@ -119,8 +117,7 @@ func bandSim(t *testing.T, par int) *Sim {
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = 32 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut,
-		Overlap: OverlapMu, Parallelism: par})
+	s, err := New(Config{Params: p, BG: bg, Overlap: OverlapMu, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestShrunkWorkerShareNotExceeded(t *testing.T) {
 }
 
 func TestSlabCountScheduler(t *testing.T) {
-	s := parSim(t, 1, 8, kernels.VarShortcut, OverlapMu)
+	s := parSim(t, 1, 8, OverlapMu)
 	defer s.Close()
 	if got := s.claimTasks(16); got != 4 { // 16 slices / minSlabSlices
 		t.Errorf("claimTasks(16) = %d, want 4 (min-slab bound)", got)
@@ -264,7 +261,7 @@ func TestSteadyStateStepCommAllocFree(t *testing.T) {
 	// of stepAllocs, not the comm path).
 	for _, ov := range []OverlapMode{OverlapNone, OverlapMu} {
 		t.Run(ov.String(), func(t *testing.T) {
-			s := parSim(t, 2, 1, kernels.VarShortcut, ov)
+			s := parSim(t, 2, 1, ov)
 			defer s.Close()
 			s.Run(3) // warm-up: populate the buffer set
 
@@ -283,7 +280,7 @@ func TestSteadyStateStepCommAllocFree(t *testing.T) {
 func TestPooledStepClaimAllocFree(t *testing.T) {
 	// Claiming slabs off the rank's list allocates nothing per step: the
 	// pooled single-block step stays within stepAllocs.
-	s := parSim(t, 1, 2, kernels.VarShortcut, OverlapMu)
+	s := parSim(t, 1, 2, OverlapMu)
 	defer s.Close()
 	if s.workersPerRank < 2 {
 		t.Fatal("claim tasks not engaged at parallelism 2")

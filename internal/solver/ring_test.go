@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/schedule"
 )
 
@@ -117,7 +116,7 @@ func (c ringCase) sim(t *testing.T, disable bool) *Sim {
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(c.nz) / 2 * p.Dx
 	p.Dt = 0.8 * p.StableDt()
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut, Overlap: c.overlap,
+	s, err := New(Config{Params: p, BG: bg, Overlap: c.overlap,
 		MovingWindow: c.window > 0, WindowFrontFraction: c.window, Parallelism: c.par,
 		DisableActiveSweep: disable, Seed: c.seed})
 	if err != nil {

@@ -20,7 +20,7 @@ func mkSched(t *testing.T, events ...schedule.Event) *schedule.Schedule {
 }
 
 func TestApplyBurstSeedsSolidSpheres(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 8, 16, 24, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 8, 16, 24, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestApplyBurstSeedsSolidSpheres(t *testing.T) {
 
 func TestApplyBurstDeterministicAcrossDecompositions(t *testing.T) {
 	burst := schedule.NucleationBurst{Step: 0, Count: 4, Phase: -1, Radius: 2, ZMin: 4, ZMax: 20, Seed: 9}
-	single := mkSim(t, 1, 1, 1, 16, 16, 24, kernels.VarShortcut, OverlapNone)
-	multi := mkSim(t, 2, 2, 1, 8, 8, 24, kernels.VarShortcut, OverlapNone)
+	single := mkSim(t, 1, 1, 1, 16, 16, 24, OverlapNone)
+	multi := mkSim(t, 2, 2, 1, 8, 8, 24, OverlapNone)
 	for _, s := range []*Sim{single, multi} {
 		if err := s.InitScenario(ScenarioLiquid); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestApplyBurstDeterministicAcrossDecompositions(t *testing.T) {
 }
 
 func TestApplyBurstSparesExistingGrains(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 12, 12, 16, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 12, 12, 16, OverlapNone)
 	if err := s.InitScenario(ScenarioSolid); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestApplyBurstWindowAware(t *testing.T) {
 	// must land at window height z-k.
 	burst := schedule.NucleationBurst{Step: 0, Count: 2, Phase: 0, Radius: 2, ZMin: 12, ZMax: 18, Seed: 3}
 
-	ref := mkSim(t, 1, 1, 1, 12, 12, 24, kernels.VarShortcut, OverlapNone)
+	ref := mkSim(t, 1, 1, 1, 12, 12, 24, OverlapNone)
 	if err := ref.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestApplyBurstWindowAware(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shifted := mkSim(t, 1, 1, 1, 12, 12, 24, kernels.VarShortcut, OverlapNone)
+	shifted := mkSim(t, 1, 1, 1, 12, 12, 24, OverlapNone)
 	if err := shifted.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestApplyBurstWindowAware(t *testing.T) {
 }
 
 func TestRampKeepsTemperatureContinuous(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 6, 6, 12, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 6, 6, 12, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRampKeepsTemperatureContinuous(t *testing.T) {
 }
 
 func TestRampDtRejectsUnstable(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 6, 6, 6, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 6, 6, 6, OverlapNone)
 	bad := schedule.Ramp{Param: schedule.ParamDt, Step: 0, Over: 1,
 		From: 10 * s.Cfg.Params.StableDt(), To: 10 * s.Cfg.Params.StableDt()}
 	if err := s.applyRamp(bad); err == nil {
@@ -170,8 +170,8 @@ func TestRunScheduleMatchesManualApplication(t *testing.T) {
 		schedule.NucleationBurst{Step: 3, Count: 2, Phase: 0, Radius: 2, ZMin: 10, ZMax: 14, Seed: 6},
 	)
 
-	auto := mkSim(t, 1, 1, 1, 10, 10, 16, kernels.VarShortcut, OverlapNone)
-	manual := mkSim(t, 1, 1, 1, 10, 10, 16, kernels.VarShortcut, OverlapNone)
+	auto := mkSim(t, 1, 1, 1, 10, 10, 16, OverlapNone)
+	manual := mkSim(t, 1, 1, 1, 10, 10, 16, OverlapNone)
 	for _, s := range []*Sim{auto, manual} {
 		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestRunScheduleMatchesManualApplication(t *testing.T) {
 }
 
 func TestRunScheduleCheckpointCadence(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 6, 6, 8, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 6, 6, 8, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRunScheduleCheckpointCadence(t *testing.T) {
 }
 
 func TestMuNormDeterministicAndPositive(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 12, 12, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 12, 12, OverlapNone)
 	if err := s.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestSetBCAppliesLiveWall(t *testing.T) {
 	ev := schedule.SetBC{Step: 1, Over: 4, Face: grid.ZMin, Field: schedule.BCMu,
 		Kind: grid.BCDirichlet, From: []float64{0, 0}, To: []float64{0.4, -0.2}}
 
-	withBC := mkSim(t, 1, 1, 1, 10, 10, 14, kernels.VarShortcut, OverlapNone)
-	without := mkSim(t, 1, 1, 1, 10, 10, 14, kernels.VarShortcut, OverlapNone)
+	withBC := mkSim(t, 1, 1, 1, 10, 10, 14, OverlapNone)
+	without := mkSim(t, 1, 1, 1, 10, 10, 14, OverlapNone)
 	for _, s := range []*Sim{withBC, without} {
 		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		schedule.SetBC{Step: 2, Face: grid.ZMax, Field: schedule.BCPhi,
 			Kind: grid.BCDirichlet, To: []float64{0, 0, 0, 1}})
 
-	full := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
+	full := mkSim(t, 2, 1, 1, 6, 12, 14, OverlapMu)
 	if err := full.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
+	pre := mkSim(t, 2, 1, 1, 6, 12, 14, OverlapMu)
 	if err := pre.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 		fields[r] = pre.RankFields(r).Clone()
 	}
 
-	restart := mkSim(t, 2, 1, 1, 6, 12, 14, kernels.VarShortcut, OverlapMu)
+	restart := mkSim(t, 2, 1, 1, 6, 12, 14, OverlapMu)
 	// Mirror the checkpoint-restore order: BC state first, so the ghost
 	// rebuild in RestoreState already uses the mid-ramp wall values.
 	phiBCs, muBCs := pre.DomainBCs()
@@ -353,7 +353,7 @@ func TestSetBCMidRampRestartBitwise(t *testing.T) {
 // the axis mixed-periodic (µ still wraps while φ wants a wall) — rejected,
 // not silently ignored. Complete flips are legal; see bctopology_test.go.
 func TestSetBCRejectsPeriodicAxisFace(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 8, 10, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 8, 10, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestSetBCLaterEventOverridesSettledOne(t *testing.T) {
 		schedule.SetBC{Step: 1, Over: 3, Face: grid.ZMin, Field: schedule.BCMu,
 			Kind: grid.BCDirichlet, From: []float64{0, 0}, To: []float64{0.2, -0.1}},
 		schedule.SetBC{Step: 6, Face: grid.ZMin, Field: schedule.BCMu, Kind: grid.BCNeumann})
-	s := mkSim(t, 1, 1, 1, 8, 8, 12, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 8, 8, 12, OverlapNone)
 	if err := s.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestSetBCLaterEventOverridesSettledOne(t *testing.T) {
 // An impossible setbc face must abort before any step runs, not at the
 // event's fire step deep into a production run.
 func TestSetBCPeriodicAxisFailsFast(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 8, 10, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 8, 10, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestOverlapModesEquivalentUnderSetBC(t *testing.T) {
 				Kind: grid.BCDirichlet, To: []float64{0, 0, 0, 1}})
 	}
 	run := func(mode OverlapMode) *Sim {
-		s := mkSim(t, 2, 2, 1, 5, 5, 14, kernels.VarShortcut, mode)
+		s := mkSim(t, 2, 2, 1, 5, 5, 14, mode)
 		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func TestOverlapModesEquivalentUnderSetBC(t *testing.T) {
 // reject it instead of silently copying the midplane into the wall. On an
 // undecomposed, non-periodic axis the per-field block-local wrap is valid.
 func TestSetBCRejectsPeriodicKindOnDecomposedAxis(t *testing.T) {
-	s := mkSim(t, 1, 1, 2, 8, 8, 6, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 2, 8, 8, 6, OverlapNone)
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestSetBCRejectsPeriodicKindOnDecomposedAxis(t *testing.T) {
 		t.Error("periodic wall on a z-decomposed axis accepted")
 	}
 	// On an undecomposed axis the block-local wrap is valid.
-	ok := mkSim(t, 2, 1, 1, 6, 8, 10, kernels.VarShortcut, OverlapNone)
+	ok := mkSim(t, 2, 1, 1, 6, 8, 10, OverlapNone)
 	if err := ok.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,9 @@ func (s Scenario) String() string {
 type Config struct {
 	Params *core.Params
 	BG     *grid.BlockGrid
-	// Variant is the kernel both sweeps run for the simulation's whole
-	// life: kernels.VarShortcut (production) or kernels.VarGeneral (the
-	// slow oracle, the zero value).
+	// Variant is ignored: both sweeps always run the production kernels,
+	// whatever it holds. The general-purpose oracle is a kernel-level
+	// reference, reached through kernels.PhiSweep and kernels.MuSweep.
 	Variant kernels.Variant
 	Overlap OverlapMode
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/kernels"
 )
 
-func mkSim(t *testing.T, px, py, pz, bx, by, bz int, variant kernels.Variant, overlap OverlapMode) *Sim {
+func mkSim(t *testing.T, px, py, pz, bx, by, bz int, overlap OverlapMode) *Sim {
 	t.Helper()
 	bg, err := grid.NewBlockGrid(px, py, pz, bx, by, bz, [3]bool{true, true, false})
 	if err != nil {
@@ -19,7 +19,7 @@ func mkSim(t *testing.T, px, py, pz, bx, by, bz int, variant kernels.Variant, ov
 	p := core.DefaultParams()
 	_, _, nz := bg.GlobalCells()
 	p.Temp.Z0 = float64(nz) / 2 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: variant, Overlap: overlap})
+	s, err := New(Config{Params: p, BG: bg, Overlap: overlap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestScenarioInitialFractions(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 12, 12, 12, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 12, 12, 12, OverlapNone)
 
 	if err := s.InitScenario(ScenarioLiquid); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestScenarioInitialFractions(t *testing.T) {
 }
 
 func TestScenarioProductionUsesVoronoi(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 8, 16, 16, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 8, 16, 16, OverlapNone)
 	if err := s.InitScenario(ScenarioProduction); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMultiBlockMatchesSingleBlock(t *testing.T) {
 	const nx, ny, nz = 12, 8, 8
 	for _, sc := range []Scenario{ScenarioInterface, ScenarioProduction} {
 		run := func(px, py, pz int) *Sim {
-			s := mkSim(t, px, py, pz, nx/px, ny/py, nz/pz, kernels.VarShortcut, OverlapNone)
+			s := mkSim(t, px, py, pz, nx/px, ny/py, nz/pz, OverlapNone)
 			if err := s.InitScenario(sc); err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestMultiBlockMatchesSingleBlock(t *testing.T) {
 // parallelism 8 each of the four ranks gets two pool workers, so its
 // exchange task queues beside its φ claim tasks.
 func TestOverlapModesEquivalent(t *testing.T) {
-	ref := mkSim(t, 2, 2, 1, 6, 6, 12, kernels.VarShortcut, OverlapNone)
+	ref := mkSim(t, 2, 2, 1, 6, 6, 12, OverlapNone)
 	if err := ref.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestOverlapModesEquivalent(t *testing.T) {
 }
 
 func TestRunMeasuredMetrics(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 6, 6, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 6, 6, OverlapNone)
 	if err := s.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunMeasuredMetrics(t *testing.T) {
 	if m.CommMu.Wait != 0 || m.CommPhi.Wait != 0 {
 		t.Errorf("%v charged wait µ %v φ %v, want 0", OverlapNone, m.CommMu.Wait, m.CommPhi.Wait)
 	}
-	ov := mkSim(t, 2, 1, 1, 6, 6, 6, kernels.VarShortcut, OverlapMu)
+	ov := mkSim(t, 2, 1, 1, 6, 6, 6, OverlapMu)
 	defer ov.Close()
 	if err := ov.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestRunMeasuredMetrics(t *testing.T) {
 }
 
 func TestFrontHeightAndWindowShift(t *testing.T) {
-	s := mkSim(t, 1, 1, 1, 8, 8, 16, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 1, 1, 1, 8, 8, 16, OverlapNone)
 	if err := s.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +219,7 @@ func TestMovingWindowKeepsFrontInDomain(t *testing.T) {
 	p.Temp.Z0 = 24 // strong undercooling drives fast growth
 	p.Temp.G = 0.005
 	s, err := New(Config{
-		Params: p, BG: bg, Variant: kernels.VarShortcut,
-		MovingWindow: true, WindowFrontFraction: 0.55,
+		Params: p, BG: bg, MovingWindow: true, WindowFrontFraction: 0.55,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +246,7 @@ func TestLiquidScenarioStaysLiquidAboveTE(t *testing.T) {
 	bcs[grid.XMax] = grid.BC{Kind: grid.BCPeriodic}
 	bcs[grid.YMin] = grid.BC{Kind: grid.BCPeriodic}
 	bcs[grid.YMax] = grid.BC{Kind: grid.BCPeriodic}
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut, DomainBCs: &bcs})
+	s, err := New(Config{Params: p, BG: bg, DomainBCs: &bcs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,26 +262,43 @@ func TestLiquidScenarioStaysLiquidAboveTE(t *testing.T) {
 	}
 }
 
-// The oracle and the production kernels must agree through the whole
-// solver (halo exchange, boundary conditions, activity tracking) within the
-// kernel suite's per-sweep tolerances after one step; later steps compound
-// the µ difference through the driving force.
+// The solver runs the production kernels whatever Config.Variant holds: a
+// literal that omits the field, whose zero value names the oracle, steps
+// bit for bit like one that names kernels.VarShortcut. Its first step
+// agrees with an oracle kernel step of the same rank fields (the φ sweep,
+// the rank's boundary fill of φdst, the µ sweep) within the kernel suite's
+// per-sweep tolerances; later steps compound the µ difference through the
+// driving force.
 func TestVariantsAgreeThroughSolver(t *testing.T) {
-	var sims [2]*Sim
-	for i, v := range kernels.Variants {
-		sims[i] = mkSim(t, 1, 1, 1, 8, 8, 8, v, OverlapNone)
-		if err := sims[i].InitScenario(ScenarioInterface); err != nil {
+	unset := mkSim(t, 1, 1, 1, 8, 8, 8, OverlapNone)
+	p := *unset.Cfg.Params
+	named, err := New(Config{Params: &p, BG: unset.Cfg.BG, Variant: kernels.VarShortcut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Sim{unset, named} {
+		if err := s.InitScenario(ScenarioInterface); err != nil {
 			t.Fatal(err)
 		}
-		sims[i].Run(1)
 	}
-	general, production := sims[0], sims[1]
-	if ok, maxd := general.GatherGlobalPhi().InteriorEqual(production.GatherGlobalPhi(), 1e-8); !ok {
-		t.Errorf("φ differs by %g", maxd)
+
+	r := unset.ranks[0]
+	oracle := r.fields.Clone()
+	ctx := kernels.Ctx{P: unset.Cfg.Params, ZOff: r.zOff, Time: unset.Time()}
+	kernels.PhiSweep(&ctx, oracle, nil, kernels.VarGeneral)
+	r.phiBCs.Apply(oracle.PhiDst)
+	kernels.MuSweep(&ctx, oracle, nil, kernels.VarGeneral)
+	unset.Run(1)
+	if ok, maxd := r.fields.PhiSrc.InteriorEqual(oracle.PhiDst, 1e-8); !ok {
+		t.Errorf("φ differs from the oracle by %g", maxd)
 	}
-	if ok, maxd := general.GatherGlobalMu().InteriorEqual(production.GatherGlobalMu(), 5e-6); !ok {
-		t.Errorf("µ differs by %g", maxd)
+	if ok, maxd := r.fields.MuSrc.InteriorEqual(oracle.MuDst, 5e-6); !ok {
+		t.Errorf("µ differs from the oracle by %g", maxd)
 	}
+
+	unset.Run(2)
+	named.Run(3)
+	requireSameTrajectory(t, unset, named)
 }
 
 func TestStringers(t *testing.T) {
@@ -293,7 +309,7 @@ func TestStringers(t *testing.T) {
 }
 
 func TestSolidFractionConsistentWithPhaseFractions(t *testing.T) {
-	s := mkSim(t, 2, 1, 1, 6, 6, 6, kernels.VarShortcut, OverlapNone)
+	s := mkSim(t, 2, 1, 1, 6, 6, 6, OverlapNone)
 	if err := s.InitScenario(ScenarioInterface); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +336,7 @@ func TestAntiTrappingAblation(t *testing.T) {
 		p := core.DefaultParams()
 		p.Temp.Z0 = 32 // strong undercooling: the front moves
 		p.AT = at
-		s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
+		s, err := New(Config{Params: p, BG: bg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +369,7 @@ func TestZeroVelocityStaticIsotherm(t *testing.T) {
 	if p.Temp.DTdt() != 0 {
 		t.Fatal("static gradient should have zero DTdt")
 	}
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut})
+	s, err := New(Config{Params: p, BG: bg})
 	if err != nil {
 		t.Fatal(err)
 	}

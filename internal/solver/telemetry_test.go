@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/schedule"
 )
@@ -25,8 +24,7 @@ func telemSim(t *testing.T, disable bool, ov OverlapMode) *Sim {
 	}
 	p := core.DefaultParams()
 	p.Temp.Z0 = float64(edge) / 2 * p.Dx
-	s, err := New(Config{Params: p, BG: bg, Variant: kernels.VarShortcut,
-		Overlap: ov, Parallelism: 1, DisableStepTelemetry: disable})
+	s, err := New(Config{Params: p, BG: bg, Overlap: ov, Parallelism: 1, DisableStepTelemetry: disable})
 	if err != nil {
 		t.Fatal(err)
 	}

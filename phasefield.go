@@ -42,8 +42,9 @@ func PhaseNames() [NumPhases]string {
 // Config assembles a simulation. DefaultConfig is the production entry
 // point; a zero Config differs from it only in Overlap, whose zero value is
 // OverlapNone (blocking exchanges). The remaining zero values select the
-// documented defaults. The facade always runs the production kernels
-// (kernels.VarShortcut).
+// documented defaults. The simulation runs the production kernels, the
+// only ones the solver runs; a checkpoint records them as
+// kernels.VarShortcut.
 type Config struct {
 	// Global domain size in cells.
 	NX, NY, NZ int
@@ -197,7 +198,6 @@ func New(cfg Config) (*Simulation, error) {
 	s, err := solver.New(solver.Config{
 		Params:               cfg.Params,
 		BG:                   bg,
-		Variant:              kernels.VarShortcut,
 		Overlap:              cfg.Overlap,
 		MovingWindow:         cfg.MovingWindow,
 		WindowFrontFraction:  cfg.WindowFraction,

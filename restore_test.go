@@ -212,12 +212,10 @@ func TestRestoreRejectsRemovedKernelState(t *testing.T) {
 		for i, v := range [3]int32{c.phi, c.mu, c.strat} {
 			binary.LittleEndian.PutUint32(raw[slotsOff+4*i:], uint32(v))
 		}
-		sim, err := RestoreReader(bytes.NewReader(raw), Config{})
+		_, err := RestoreReader(bytes.NewReader(raw), Config{})
 		if c.wantSub == "" {
 			if err != nil {
 				t.Errorf("%s: rejected: %v", c.name, err)
-			} else if sim.sim.Cfg.Variant != kernels.VarShortcut {
-				t.Errorf("%s: restored as %v, want the production kernel", c.name, sim.sim.Cfg.Variant)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.wantSub)
