@@ -1,43 +1,45 @@
-// Benchmarks regenerating the paper's evaluation (§5), one benchmark family
-// per figure. Each kernel benchmark reports MLUP/s ("million lattice cell
-// updates per second"), the paper's unit. cmd/benchfig prints the same data
-// as figure-shaped tables at paper-sized blocks; these testing.B targets
-// use moderate blocks so `go test -bench=.` completes quickly. Whole-step,
-// scaling, halo, mesh and checkpoint timings are measured with run-to-run
-// spread by the repo benchmark (bench/README.md), not here.
+// Kernel timing checks of the paper's evaluation (§5): the production
+// kernels beat the general-purpose oracle (the Fig. 6 ladder), and their
+// bulk shortcuts beat the interface (the Fig. 6 scenario spread). Rates
+// are MLUP/s ("million lattice cell updates per second"), the paper's
+// unit. The figures' last full tables are recorded in ARCHITECTURE.md
+// ("Paper reproduction"); every kernel, step, scaling, halo, mesh and
+// checkpoint timing with run-to-run spread comes from the repo benchmark
+// (bench/README.md), not from here.
 package phasefield
 
 import (
-	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/kernels"
-	"repro/internal/perfmodel"
 	"repro/internal/solver"
 )
 
-const benchEdge = 20 // block edge for kernel benchmarks
-
-// benchSetup builds a single-block field bundle in the given composition.
-func benchSetup(b *testing.B, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx, *kernels.Scratch) {
-	b.Helper()
-	bg, err := grid.NewBlockGrid(1, 1, 1, benchEdge, benchEdge, benchEdge, [3]bool{true, true, false})
+// benchSetup builds a single-block edge³ field bundle in the given
+// composition, with one production φ sweep already in PhiDst.
+func benchSetup(tb testing.TB, edge int, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx, *kernels.Scratch) {
+	tb.Helper()
+	bg, err := grid.NewBlockGrid(1, 1, 1, edge, edge, edge, [3]bool{true, true, false})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := core.DefaultParams()
-	p.Temp.Z0 = float64(benchEdge) / 2 * p.Dx
+	p.Temp.Z0 = float64(edge) / 2 * p.Dx
 	sim, err := solver.New(solver.Config{Params: p, BG: bg})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	defer sim.Close() // only its rank fields outlive it, swept by the kernels directly
 	if err := sim.InitScenario(sc); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f := sim.RankFields(0)
-	sc2 := kernels.NewScratch(benchEdge, benchEdge)
+	sc2 := kernels.NewScratch(edge, edge)
 	ctx := &kernels.Ctx{P: p}
 	// Produce a valid φdst so the µ-kernel's ∂φ/∂t is meaningful.
 	kernels.PhiSweep(ctx, f, sc2, kernels.VarShortcut)
@@ -46,83 +48,87 @@ func benchSetup(b *testing.B, sc solver.Scenario) (*kernels.Fields, *kernels.Ctx
 	return f, ctx, sc2
 }
 
-func reportMLUPs(b *testing.B) {
-	cells := float64(benchEdge * benchEdge * benchEdge)
-	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUP/s")
+// sweepFunc is the signature shared by kernels.PhiSweep and kernels.MuSweep.
+type sweepFunc func(*kernels.Ctx, *kernels.Fields, *kernels.Scratch, kernels.Variant)
+
+// sweepMLUPs times steps sweeps of one kernel variant on an edge³ block in
+// composition sc after one warm-up sweep, and returns the best MLUP/s of
+// three trials, which shields the rate from scheduler noise.
+func sweepMLUPs(tb testing.TB, sweep sweepFunc, v kernels.Variant, sc solver.Scenario, edge, steps int) float64 {
+	f, ctx, scratch := benchSetup(tb, edge, sc)
+	sweep(ctx, f, scratch, v)
+	best := 0.0
+	for range 3 {
+		t0 := time.Now()
+		for range steps {
+			sweep(ctx, f, scratch, v)
+		}
+		if r := float64(edge*edge*edge*steps) / time.Since(t0).Seconds() / 1e6; r > best {
+			best = r
+		}
+	}
+	return best
 }
 
-// --- Figure 6: oracle vs production for both kernels -------------------
-
-func BenchmarkFig6Phi(b *testing.B) {
-	for _, v := range kernels.Variants {
-		for _, sc := range []solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid, solver.ScenarioSolid} {
-			b.Run(fmt.Sprintf("%s/%s", v, sc), func(b *testing.B) {
-				f, ctx, scratch := benchSetup(b, sc)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kernels.PhiSweep(ctx, f, scratch, v)
-				}
-				reportMLUPs(b)
-			})
+// The production kernels must beat the general-purpose emulation. The two
+// variants are timed back to back, in alternating order and each after a
+// collection, in each of several rounds, and the verdict is the median of
+// the per-round speedups: a burst of load from test packages running
+// alongside can spoil a round but not the verdict. Timed once each, one
+// after the other, such a burst flipped it.
+func TestLadderSpeedupDirection(t *testing.T) {
+	const edge, steps, rounds = 16, 2, 9
+	for _, k := range []struct {
+		name  string
+		sweep sweepFunc
+	}{{"mu", kernels.MuSweep}, {"phi", kernels.PhiSweep}} {
+		speedups := make([]float64, rounds)
+		for r := range speedups {
+			var rate [2]float64 // indexed like kernels.Variants
+			for i := range rate {
+				v := (i + r) % 2
+				runtime.GC()
+				rate[v] = sweepMLUPs(t, k.sweep, kernels.Variants[v], solver.ScenarioInterface, edge, steps)
+			}
+			speedups[r] = rate[1] / rate[0]
+		}
+		slices.Sort(speedups)
+		if med := speedups[rounds/2]; med <= 1 {
+			t.Errorf("optimized %s-kernel not faster than general code: median speedup %.2f (rounds %.2f)",
+				k.name, med, speedups)
 		}
 	}
 }
 
-func BenchmarkFig6Mu(b *testing.B) {
-	for _, v := range kernels.Variants {
-		for _, sc := range []solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid, solver.ScenarioSolid} {
-			b.Run(fmt.Sprintf("%s/%s", v, sc), func(b *testing.B) {
-				f, ctx, scratch := benchSetup(b, sc)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kernels.MuSweep(ctx, f, scratch, v)
-				}
-				reportMLUPs(b)
-			})
+// Shortcut kernels must be faster in bulk-dominated compositions than at
+// the interface (the Fig. 6 scenario spread). φ only has to beat the
+// interface; µ's liquid-bulk rows must run at least 3× the interface rate
+// (~10× measured; without the bulk path it was ~1.7×). The two scenarios
+// are timed alternately, each after a collection, and the µ verdict is the
+// median over rounds, as in TestLadderSpeedupDirection.
+func TestShortcutScenarioSpread(t *testing.T) {
+	const edge, steps, rounds = 16, 3, 7
+	iface := sweepMLUPs(t, kernels.PhiSweep, kernels.VarShortcut, solver.ScenarioInterface, edge, steps)
+	liquid := sweepMLUPs(t, kernels.PhiSweep, kernels.VarShortcut, solver.ScenarioLiquid, edge, steps)
+	if liquid <= iface {
+		t.Errorf("phi shortcuts: liquid (%.2f) should beat interface (%.2f)", liquid, iface)
+	}
+
+	scenarios := [2]solver.Scenario{solver.ScenarioInterface, solver.ScenarioLiquid}
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var rate [2]float64 // indexed like scenarios
+		for i := range rate {
+			s := (i + r) % 2
+			runtime.GC()
+			rate[s] = sweepMLUPs(t, kernels.MuSweep, kernels.VarShortcut, scenarios[s], edge, steps)
 		}
+		ratios[r] = rate[1] / rate[0]
 	}
-}
-
-// --- Figure 8: communication hiding --------------------------------------
-
-func BenchmarkFig8Comm(b *testing.B) {
-	for _, mode := range []solver.OverlapMode{solver.OverlapNone, solver.OverlapMu} {
-		b.Run(mode.String(), func(b *testing.B) {
-			bg, err := grid.NewBlockGrid(2, 2, 1, benchEdge, benchEdge, benchEdge, [3]bool{true, true, false})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := core.DefaultParams()
-			p.Temp.Z0 = float64(benchEdge) / 2 * p.Dx
-			sim, err := solver.New(solver.Config{Params: p, BG: bg, Overlap: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sim.InitScenario(solver.ScenarioInterface); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			m := sim.RunMeasured(b.N)
-			b.StopTimer()
-			perStep := 1e3 / float64(b.N*4)
-			b.ReportMetric(m.CommPhi.Total().Seconds()*perStep, "phi-comm-ms/step")
-			b.ReportMetric(m.CommMu.Total().Seconds()*perStep, "mu-comm-ms/step")
-		})
+	slices.Sort(ratios)
+	if med := ratios[rounds/2]; med < 3 {
+		t.Errorf("mu shortcuts: liquid/interface median %.2f, want ≥ 3 (rounds %.2f)", med, ratios)
 	}
-}
-
-// --- Figure 9: weak-scaling model ----------------------------------------
-
-func BenchmarkFig9Model(b *testing.B) {
-	cores := perfmodel.PowersOfTwo(0, 18)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, m := range perfmodel.Machines() {
-			pts := perfmodel.WeakScaling(m, perfmodel.ScnInterface, 60, cores)
-			sink += pts[len(pts)-1].MLUPsPerCore
-		}
-	}
-	_ = sink
 }
 
 func BenchmarkSimplexProjection(b *testing.B) {

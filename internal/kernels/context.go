@@ -31,11 +31,12 @@
 // the block, so output bits do not depend on block width or decomposition.
 //
 // The ladder's middle rungs (basic, simd, tz, stag) were retired; their
-// last measurements are recorded at experiments.Fig6. The equivalence
-// suite (kernels_test.go) checks production against the oracle within
-// roundoff, mirroring the paper's own test strategy, the µ shortcuts bit
-// for bit against the same kernel with them switched off, and pin_test.go
-// pins the production sweeps' output bytes.
+// last measurements are recorded in ARCHITECTURE.md ("Paper
+// reproduction"). The equivalence suite (kernels_test.go) checks
+// production against the oracle within roundoff, after one step and over
+// a 50-step trajectory, mirroring the paper's own test strategy, the µ
+// shortcuts bit for bit against the same kernel with them switched off,
+// and pin_test.go pins the production sweeps' output bytes.
 package kernels
 
 import (

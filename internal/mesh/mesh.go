@@ -6,7 +6,7 @@
 // per block and merges the block meshes pairwise in log₂(P) rounds; that
 // reduction was measured at 1×1 and 2×2 rank grids, was not cheaper than
 // one extraction of the gathered field, and was removed (the numbers are
-// in package experiments).
+// in ARCHITECTURE.md, "Paper reproduction").
 //
 // Every stage is a deterministic function of its input, so the same φ
 // field always yields the same STL bytes. The simplifier collapses edges

@@ -1,12 +1,13 @@
-// Package perfmodel reproduces the paper's performance analysis machinery:
-// the roofline model of §5.1.1 (memory-bound ceiling, arithmetic intensity,
-// fraction of peak), an IACA-style in-core port model explaining the
-// add/multiply imbalance bound, and analytic machine/network models of the
-// three supercomputers (SuperMUC, Hornet, JUQUEEN) used to regenerate the
-// communication-time and weak-scaling figures. Extreme-scale hardware is
-// unavailable here, so these models are calibrated against the paper's
-// reported measurements; the local Go kernels anchor the relative scenario
-// and variant factors.
+// Package perfmodel holds the paper's performance analysis (§5.1.1). The
+// repo benchmark (bench/) reads its per-update operation counts,
+// PhiKernelOps and MuKernelOps, to turn measured kernel rates into FLOP/B
+// and roofline fractions, next to MuBytesPerLUP, the paper's µ traffic
+// estimate. The rest (the roofline and IACA-style port models, and the
+// analytic SuperMUC, Hornet and JUQUEEN machine and network models
+// calibrated against the paper's reported measurements) has no caller
+// outside its tests; it waits for ROADMAP.md item 19(ii), which deletes it
+// with those tests. The figures it fed are recorded in ARCHITECTURE.md
+// ("Paper reproduction").
 package perfmodel
 
 // KernelOpMix documents the per-cell floating-point operation mix of a

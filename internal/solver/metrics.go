@@ -31,24 +31,6 @@ func (m *Metrics) MLUPs() float64 {
 	return float64(m.Cells) * float64(m.Steps) / m.WallTime.Seconds() / 1e6
 }
 
-// PhiKernelMLUPs returns the φ-kernel-only rate (per-rank times are summed,
-// so this is a per-core rate multiplied by rank count when ranks run truly
-// in parallel).
-func (m *Metrics) PhiKernelMLUPs() float64 {
-	if m.PhiKernelTime <= 0 {
-		return 0
-	}
-	return float64(m.Cells) * float64(m.Steps) / m.PhiKernelTime.Seconds() / 1e6
-}
-
-// MuKernelMLUPs returns the µ-kernel-only rate.
-func (m *Metrics) MuKernelMLUPs() float64 {
-	if m.MuKernelTime <= 0 {
-		return 0
-	}
-	return float64(m.Cells) * float64(m.Steps) / m.MuKernelTime.Seconds() / 1e6
-}
-
 // RunMeasured advances n steps and returns timing metrics for exactly those
 // steps.
 func (s *Sim) RunMeasured(n int) Metrics {

@@ -372,7 +372,8 @@ func (s *Simulation) GlobalPhi() *grid.Field {
 // field onto the root process (GlobalPhi — in a distributed run a
 // full-field collective) and extracts once there; callers coarsen each mesh
 // with mesh.Simplify and write it with Mesh.WriteSTL. It is the only output
-// path: per-block extraction was no cheaper (see package experiments).
+// path: per-block extraction was no cheaper (see ARCHITECTURE.md, "Paper
+// reproduction").
 func (s *Simulation) ExtractInterfaces() []*mesh.Mesh {
 	phi := s.GlobalPhi()
 	if phi == nil {
